@@ -22,16 +22,11 @@ from .kernels import (
     hessian_kernel,
 )
 from .samplers import (
-    OffsetSample,
     RngStream,
     TabulatedInverseCdf,
-    antithetic_pair,
     build_hessian_diag_table,
     element_pdf,
     mixture_pdf,
-    sample_aggregate_offset,
-    sample_gradient_offset,
-    sample_hessian_offset,
 )
 from .estimators import (
     EstimationError,

@@ -4,28 +4,41 @@ The smoothed gradient, Hessian, and Hessian-vector product of an
 objective f are integrals of f against derivative kernels of the
 smoothing Gaussian.  Estimators importance-sample offsets from the
 positivized kernel densities and weight each evaluation f(theta - tau)
-by kernel(tau) / pdf(tau).  Samples always come in antithetic pairs
-(tau, -tau).
+by kernel(tau) / pdf(tau).
 
-Three sampling modes trade evaluations against variance:
+Every estimator runs the same four stages:
 
-* ``PER_ELEMENT``: every derivative element gets its own optimally
-  importance-sampled offsets (n evaluations per pair-half for a
-  gradient, n(n+1)/2 for a Hessian).
-* ``AGGREGATE``: one offset drawn from the uniform mixture of all
-  element densities serves every element, so a pair-half costs a single
-  evaluation regardless of dimension or derivative order.
-* ``UNIFORM``: offsets drawn uniformly on [-10 sigma, 10 sigma]^n; a
-  control for variance analysis, not for production use.
+1. **Draw** blocks of antithetic rows (tau, -tau), each with the output
+   elements it serves and its density ratio q = pdf / N, where N is the
+   smoothing Gaussian.  Only this stage depends on the sampling mode:
 
-The HVP estimator evaluates f once per sample and weights it by the
-directional central difference of shifted gradient kernels; the same
-draws and the same evaluations serve both shifted gradient estimates,
-which is what keeps its cost at one evaluation per pair-half.
+   * ``PER_ELEMENT``: one block per derivative element, drawn from that
+     element's optimally importance-sampled density and serving only that
+     element (n evaluations per pair-half for a gradient, n(n+1)/2 for a
+     Hessian).
+   * ``AGGREGATE``: one block drawn from the uniform mixture of all
+     element densities serves every element, so a pair-half costs a
+     single evaluation regardless of dimension or derivative order.
+   * ``UNIFORM``: one block drawn uniformly on [-10 sigma, 10 sigma]^n; a
+     control for variance analysis, not for production use.
 
-All weight computations use density ratios free of Gaussian
-normalization factors, so they stay finite in high dimension.  Per call,
-accumulation runs in a fixed order, so results are reproducible.
+   The FR22 baseline draws per-element gradient blocks with the other
+   axes left unblurred.
+2. **Weight** each row by the kernel factor kernel / N of every element
+   the block serves, divided by q.  Both are ratios to N, free of
+   Gaussian normalization factors, so weights stay finite in high
+   dimension.
+3. **Evaluate** f once per row, through one check that aborts the
+   estimate on a non-finite value.
+4. **Reduce** antithetic pairs to the estimate: pair means for the odd
+   gradient weights, a baseline-corrected mean for the even Hessian and
+   HVP weights.
+
+The HVP weight is the directional central difference of shifted
+gradient kernels; the same draws and the same evaluations serve both
+shifted gradient estimates, which is what keeps its cost at one
+evaluation per pair-half.  Per call, accumulation runs in a fixed order,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -33,25 +46,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .kernels import (
     SQRT_TWO_PI,
     ElementKind,
-    KernelElement,
+    ElementSet,
     KernelSpec,
     gradient_elements,
     gradient_inverse_cdf,
-    gradient_partition,
-    hessian_diag_scale,
     hessian_elements,
 )
 from .samplers import (
     RngStream,
-    element_density_ratios,
     default_hessian_diag_table,
+    element_density_ratios,
+    open_unit,
     sample_aggregate_offsets,
     sample_gradient_offsets,
     sample_hessian_offsets,
@@ -162,8 +175,12 @@ class HvpEstimate:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the estimator path: draw -> weight -> evaluate -> reduce
 # ---------------------------------------------------------------------------
+
+# (rows, served elements, their output positions, q = pdf / N per row)
+_Block = tuple[np.ndarray, ElementSet, slice, np.ndarray]
+
 
 def _check_theta(theta, dim: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
@@ -174,32 +191,84 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
-def _evaluate_shifted(obj: Objective, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    vals = np.empty(len(rows))
-    for k in range(len(rows)):
-        point = theta - rows[k]
-        v = obj.evaluate(point)
-        if not math.isfinite(v):
-            raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point)
-        vals[k] = v
-    return vals
+def _mixture_ratio(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
+    """q = pdf / N per row for the uniform mixture over ``elements`` (one element: its own density)."""
+    ratios = element_density_ratios(rows, elements, sigma)
+    return ratios.sum(axis=1) / ratios.shape[1]
 
 
-def _antithetic_rows(taus: np.ndarray) -> np.ndarray:
-    return np.vstack([taus, -taus])
+def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Block]:
+    """Antithetic row blocks for ``cfg.mode``; the only stage that knows the mode."""
+    spec, count = cfg.spec, cfg.samples
+    if cfg.mode is SamplingMode.PER_ELEMENT:
+        for k, (elem, single) in enumerate(zip(elements, elements.singles)):
+            if elem.kind is ElementKind.GRADIENT:
+                pair = sample_gradient_offsets(elem.i, spec, rng, count)
+            else:
+                pair = sample_hessian_offsets(elem, spec, default_hessian_diag_table(), rng, count)
+            rows = np.concatenate(pair)
+            yield rows, single, slice(k, k + 1), _mixture_ratio(rows, single, spec.sigma)
+    elif cfg.mode is SamplingMode.AGGREGATE:
+        pair = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
+        rows = np.concatenate(pair)
+        yield rows, elements, slice(None), _mixture_ratio(rows, elements, spec.sigma)
+    else:
+        sigma = spec.sigma
+        taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
+        rows = np.concatenate((taus, -taus))
+        # uniform density over N, normalizations folded into one exponent;
+        # rows far out in high dimension overflow to q = inf, i.e. weight 0
+        with np.errstate(over="ignore"):
+            q = np.exp(np.sum(rows * rows, axis=1) / (2.0 * sigma * sigma)
+                       - spec.dim * math.log(20.0 / SQRT_TWO_PI))
+        yield rows, elements, slice(None), q
 
 
-def _pair_mean(per_row: np.ndarray) -> np.ndarray:
+def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Block]:
+    """FR22 draws: per-element gradient blocks that blur only their own axis."""
+    spec, count = cfg.spec, cfg.samples
+    for k, single in enumerate(elements.singles):
+        u = gradient_inverse_cdf(open_unit(rng.uniform(count)), spec.sigma)
+        rows = np.zeros((2 * count, spec.dim))
+        rows[:count, k] = u
+        rows[count:, k] = -u
+        yield rows, single, slice(k, k + 1), _mixture_ratio(rows, single, spec.sigma)
+
+
+def _weighted(blocks: Iterator[_Block], factor) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
+    """Weight stage: kernel factor (kernel / N) over q, per row and served element."""
+    for rows, elements, pos, q in blocks:
+        yield rows, pos, factor(rows, elements) / q[:, None]
+
+
+def _evaluate(obj: Objective, point: np.ndarray) -> float:
+    v = obj.evaluate(point)
+    if not math.isfinite(v):
+        raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point)
+    return v
+
+
+def _reduce_blocks(obj: Objective, theta: np.ndarray, weighted, reduce, size: int) -> np.ndarray:
+    """Evaluate f(theta - row) for every row and reduce each block into its positions."""
+    out = np.empty(size)
+    for rows, pos, weights in weighted:
+        vals = np.array([_evaluate(obj, theta - row) for row in rows])
+        out[pos] = reduce(vals, weights)
+    return out
+
+
+def _pair_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Collapse mirrored rows pairwise, then average over pairs.
 
     Fixes the reduction order: each antithetic pair combines before any
     cross-pair summation, so odd-weight cancellations are exact.
     """
+    per_row = vals[:, None] * weights
     m = per_row.shape[0] // 2
-    return (0.5 * (per_row[:m] + per_row[m:])).mean(axis=0)
+    return (0.5 * (per_row[:m] + per_row[m:])).sum(axis=0) / m
 
 
-def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray, pairs: int):
+def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Baseline-corrected mean for estimators with even (pair-symmetric) weights.
 
     Hessian and HVP weights are even in tau, so a pair contributes
@@ -211,66 +280,67 @@ def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray, pairs: int):
     value-level variance term.  A constant objective yields exactly zero
     once there are at least two pairs.
     """
+    pairs = len(vals) // 2
     pv = 0.5 * (vals[:pairs] + vals[pairs:])
     w = 0.5 * (weights[:pairs] + weights[pairs:])
     if pairs == 1:
         return pv[0] * w[0]
-    centered = pv - pv.mean()
-    if w.ndim == 1:
-        return float(centered @ w) / (pairs - 1)
-    return (centered @ w) / (pairs - 1)
+    return ((pv - pv.mean()) @ w) / (pairs - 1)
 
 
-def _uniform_taus(cfg: EstimatorConfig, rng: RngStream) -> np.ndarray:
-    half = 10.0 * cfg.spec.sigma
-    return (rng.uniform((cfg.samples, cfg.spec.dim)) * 2.0 - 1.0) * half
+def _gradient_factor(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
+    return -rows[:, elements.i] / sigma ** 2
 
 
-def _uniform_gauss_over_pdf(rows: np.ndarray, sigma: float, dim: int) -> np.ndarray:
-    # N(tau) / uniform density, with the normalizations folded into one exponent
-    expo = -np.sum(rows * rows, axis=1) / (2.0 * sigma * sigma) + dim * math.log(20.0 / SQRT_TWO_PI)
-    return np.exp(expo)
+def _hessian_factor(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
+    s2 = sigma * sigma
+    out = np.empty((rows.shape[0], len(elements)))
+    for kind, pos, i, j in elements.groups:
+        u = rows[:, i]
+        if kind is ElementKind.HESSIAN_DIAG:
+            out[:, pos] = (u - sigma) * (u + sigma) / (s2 * s2)
+        else:
+            out[:, pos] = u * rows[:, j] / (s2 * s2)
+    return out
+
+
+def _hvp_factor(rows: np.ndarray, elements: ElementSet, sigma: float, v: np.ndarray, eps: float) -> np.ndarray:
+    """Directional difference of shifted gradient kernels over N.
+
+    (grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau))
+    for the served axes; over q it equals the central difference of the
+    two shifted smoothed-gradient estimators computed from one shared set
+    of draws and evaluations.
+    """
+    s2 = sigma * sigma
+    tv = rows @ v
+    vv = float(v @ v)
+    r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))[:, None]
+    r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))[:, None]
+    u = rows[:, elements.i]
+    ev = eps * v[elements.i]
+    return (-(u + ev) * r_plus + (u - ev) * r_minus) / (2.0 * eps * s2)
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# estimators
 # ---------------------------------------------------------------------------
+
+def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream, draw) -> GradientEstimate:
+    n = cfg.spec.dim
+    theta = _check_theta(theta, n)
+    start = obj.eval_count
+    elements = gradient_elements(n)
+    weighted = _weighted(draw(cfg, rng, elements), partial(_gradient_factor, sigma=cfg.spec.sigma))
+    g = _reduce_blocks(obj, theta, weighted, _pair_mean, n)
+    return GradientEstimate(g=g, evals_used=obj.eval_count - start)
+
 
 def estimate_gradient(
     obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream
 ) -> GradientEstimate:
     """Unbiased estimate of the sigma-smoothed gradient at ``theta``."""
-    spec = cfg.spec
-    n = spec.dim
-    theta = _check_theta(theta, n)
-    start = obj.eval_count
-    g = np.empty(n)
-
-    if cfg.mode is SamplingMode.PER_ELEMENT:
-        part = gradient_partition(spec.sigma)
-        for i in range(n):
-            taus, _ = sample_gradient_offsets(i, spec, rng, cfg.samples)
-            rows = _antithetic_rows(taus)
-            weights = -np.sign(rows[:, i]) * part
-            vals = _evaluate_shifted(obj, theta, rows)
-            g[i] = _pair_mean(vals * weights)
-    elif cfg.mode is SamplingMode.AGGREGATE:
-        elements = gradient_elements(n)
-        taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, cfg.samples)
-        rows = _antithetic_rows(taus)
-        mixr = element_density_ratios(rows, elements, spec.sigma).mean(axis=1)
-        vals = _evaluate_shifted(obj, theta, rows)
-        weights = (-rows / spec.sigma ** 2) / mixr[:, None]
-        g = _pair_mean(vals[:, None] * weights)
-    elif cfg.mode is SamplingMode.UNIFORM:
-        rows = _antithetic_rows(_uniform_taus(cfg, rng))
-        gauss = _uniform_gauss_over_pdf(rows, spec.sigma, n)
-        vals = _evaluate_shifted(obj, theta, rows)
-        weights = (-rows / spec.sigma ** 2) * gauss[:, None]
-        g = _pair_mean(vals[:, None] * weights)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported mode {cfg.mode}")
-    return GradientEstimate(g=g, evals_used=obj.eval_count - start)
+    return _gradient(obj, theta, cfg, rng, _draw)
 
 
 def estimate_gradient_fr22(
@@ -282,28 +352,7 @@ def estimate_gradient_fr22(
     evaluation serves one dimension; distributionally identical to
     ``estimate_gradient`` at dim == 1.
     """
-    spec = cfg.spec
-    n = spec.dim
-    theta = _check_theta(theta, n)
-    start = obj.eval_count
-    part = gradient_partition(spec.sigma)
-    tiny = np.finfo(float).tiny
-    g = np.empty(n)
-    for i in range(n):
-        xi = np.clip(rng.uniform(cfg.samples), tiny, 1.0 - 1e-16)
-        u = np.asarray(gradient_inverse_cdf(xi, spec.sigma)).reshape(cfg.samples)
-        us = np.concatenate([u, -u])
-        weights = -np.sign(us) * part
-        vals = np.empty(len(us))
-        for k, uk in enumerate(us):
-            point = theta.copy()
-            point[i] -= uk
-            v = obj.evaluate(point)
-            if not math.isfinite(v):
-                raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point)
-            vals[k] = v
-        g[i] = _pair_mean(vals * weights)
-    return GradientEstimate(g=g, evals_used=obj.eval_count - start)
+    return _gradient(obj, theta, cfg, rng, _draw_axis_blur)
 
 
 def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> GradientEstimate:
@@ -318,40 +367,8 @@ def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> Grad
         lo = theta.copy()
         hi[i] += step
         lo[i] -= step
-        f_hi = obj.evaluate(hi)
-        f_lo = obj.evaluate(lo)
-        if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
-            raise EstimationError(f"non-finite objective near {theta}", point=theta)
-        g[i] = (f_hi - f_lo) / (2.0 * step)
+        g[i] = (_evaluate(obj, hi) - _evaluate(obj, lo)) / (2.0 * step)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
-
-
-# ---------------------------------------------------------------------------
-# Hessians
-# ---------------------------------------------------------------------------
-
-def _hessian_weight_factors(rows: np.ndarray, elements: list[KernelElement], sigma: float) -> np.ndarray:
-    """kernel / gaussian factors per element, shape (S, K)."""
-    out = np.empty((rows.shape[0], len(elements)))
-    s2 = sigma * sigma
-    for k, elem in enumerate(elements):
-        if elem.kind is ElementKind.HESSIAN_DIAG:
-            u = rows[:, elem.i]
-            out[:, k] = (u - sigma) * (u + sigma) / (s2 * s2)
-        else:
-            out[:, k] = rows[:, elem.i] * rows[:, elem.j] / (s2 * s2)
-    return out
-
-
-def _scatter_hessian(values: np.ndarray, elements: list[KernelElement], n: int) -> np.ndarray:
-    h = np.zeros((n, n))
-    for val, elem in zip(values, elements):
-        if elem.kind is ElementKind.HESSIAN_DIAG:
-            h[elem.i, elem.i] = val
-        else:
-            h[elem.i, elem.j] = val
-            h[elem.j, elem.i] = val
-    return h
 
 
 def estimate_hessian(
@@ -362,71 +379,16 @@ def estimate_hessian(
     Only the diagonal and upper triangle are sampled; the lower triangle
     is mirrored, so the result is symmetric exactly.
     """
-    spec = cfg.spec
-    n = spec.dim
+    n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    sigma = spec.sigma
-
-    if cfg.mode is SamplingMode.PER_ELEMENT:
-        beta = hessian_diag_scale(sigma)
-        part = gradient_partition(sigma)
-        table = default_hessian_diag_table()
-        values = np.empty(len(elements))
-        for k, elem in enumerate(elements):
-            taus, _ = sample_hessian_offsets(elem, spec, table, rng, cfg.samples)
-            rows = _antithetic_rows(taus)
-            if elem.kind is ElementKind.HESSIAN_DIAG:
-                u = rows[:, elem.i]
-                weights = np.sign((u - sigma) * (u + sigma)) / beta
-            else:
-                weights = np.sign(rows[:, elem.i] * rows[:, elem.j]) * part * part
-            vals = _evaluate_shifted(obj, theta, rows)
-            values[k] = _even_weight_estimate(vals, weights, cfg.samples)
-    elif cfg.mode is SamplingMode.AGGREGATE:
-        taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, cfg.samples)
-        rows = _antithetic_rows(taus)
-        mixr = element_density_ratios(rows, elements, sigma).mean(axis=1)
-        vals = _evaluate_shifted(obj, theta, rows)
-        weights = _hessian_weight_factors(rows, elements, sigma) / mixr[:, None]
-        values = _even_weight_estimate(vals, weights, cfg.samples)
-    elif cfg.mode is SamplingMode.UNIFORM:
-        rows = _antithetic_rows(_uniform_taus(cfg, rng))
-        gauss = _uniform_gauss_over_pdf(rows, sigma, n)
-        vals = _evaluate_shifted(obj, theta, rows)
-        weights = _hessian_weight_factors(rows, elements, sigma) * gauss[:, None]
-        values = _even_weight_estimate(vals, weights, cfg.samples)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported mode {cfg.mode}")
-    return HessianEstimate(h=_scatter_hessian(values, elements, n), evals_used=obj.eval_count - start)
-
-
-# ---------------------------------------------------------------------------
-# Hessian-vector products
-# ---------------------------------------------------------------------------
-
-def _hvp_weights(rows: np.ndarray, v: np.ndarray, eps: float, sigma: float,
-                 gauss_over_pdf: np.ndarray, axes: list[int] | None = None) -> np.ndarray:
-    """Directional difference of shifted gradient kernels over the density.
-
-    Implements (grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) /
-    (2 eps pdf(tau)) for the requested output axes; equals the central
-    difference of the two shifted smoothed-gradient estimators computed
-    from one shared set of draws and evaluations.
-    """
-    s2 = sigma * sigma
-    tv = rows @ v
-    vv = float(v @ v)
-    r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-    r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-    if axes is None:
-        axes = list(range(rows.shape[1]))
-    out = np.empty((rows.shape[0], len(axes)))
-    for col, i in enumerate(axes):
-        diff = -(rows[:, i] + eps * v[i]) * r_plus + (rows[:, i] - eps * v[i]) * r_minus
-        out[:, col] = gauss_over_pdf * diff / (2.0 * eps * s2)
-    return out
+    weighted = _weighted(_draw(cfg, rng, elements), partial(_hessian_factor, sigma=cfg.spec.sigma))
+    values = _reduce_blocks(obj, theta, weighted, _even_weight_estimate, len(elements))
+    h = np.zeros((n, n))
+    h[elements.i, elements.j] = values
+    h[elements.j, elements.i] = values
+    return HessianEstimate(h=h, evals_used=obj.eval_count - start)
 
 
 def estimate_hvp(
@@ -444,8 +406,7 @@ def estimate_hvp(
     small against the bandwidth no matter how large a direction the
     caller passes.
     """
-    spec = cfg.spec
-    n = spec.dim
+    n = cfg.spec.dim
     theta = _check_theta(theta, n)
     v_raw = np.asarray(v, dtype=float)
     if v_raw.shape != (n,):
@@ -453,36 +414,10 @@ def estimate_hvp(
     if not np.any(v_raw != 0.0):
         raise ValueError("direction must be nonzero")
     v_scale = float(np.linalg.norm(v_raw))
-    v = v_raw / v_scale
-    eps = cfg.epsilon()
-    sigma = spec.sigma
     start = obj.eval_count
-    hv = np.empty(n)
-
-    if cfg.mode is SamplingMode.PER_ELEMENT:
-        for i in range(n):
-            taus, _ = sample_gradient_offsets(i, spec, rng, cfg.samples)
-            rows = _antithetic_rows(taus)
-            gauss_over_pdf = 2.0 * sigma / (SQRT_TWO_PI * np.abs(rows[:, i]))
-            weights = _hvp_weights(rows, v, eps, sigma, gauss_over_pdf, axes=[i])
-            vals = _evaluate_shifted(obj, theta, rows)
-            hv[i] = _even_weight_estimate(vals, weights[:, 0], cfg.samples)
-    elif cfg.mode is SamplingMode.AGGREGATE:
-        elements = gradient_elements(n)
-        taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, cfg.samples)
-        rows = _antithetic_rows(taus)
-        mixr = element_density_ratios(rows, elements, sigma).mean(axis=1)
-        weights = _hvp_weights(rows, v, eps, sigma, 1.0 / mixr)
-        vals = _evaluate_shifted(obj, theta, rows)
-        hv = _even_weight_estimate(vals, weights, cfg.samples)
-    elif cfg.mode is SamplingMode.UNIFORM:
-        rows = _antithetic_rows(_uniform_taus(cfg, rng))
-        gauss = _uniform_gauss_over_pdf(rows, sigma, n)
-        weights = _hvp_weights(rows, v, eps, sigma, gauss)
-        vals = _evaluate_shifted(obj, theta, rows)
-        hv = _even_weight_estimate(vals, weights, cfg.samples)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported mode {cfg.mode}")
+    factor = partial(_hvp_factor, sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
+    weighted = _weighted(_draw(cfg, rng, gradient_elements(n)), factor)
+    hv = _reduce_blocks(obj, theta, weighted, _even_weight_estimate, n)
     return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)
 
 

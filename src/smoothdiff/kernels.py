@@ -15,7 +15,9 @@ arrays and broadcast elementwise.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,7 +50,6 @@ class ElementKind(Enum):
     GRADIENT = "gradient"
     HESSIAN_DIAG = "hessian_diag"
     HESSIAN_OFF_DIAG = "hessian_off_diag"
-    PLAIN_GAUSSIAN = "plain_gaussian"
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,66 @@ class KernelElement:
         lo, hi = (i, j) if i < j else (j, i)
         return KernelElement(ElementKind.HESSIAN_OFF_DIAG, lo, hi)
 
-    @staticmethod
-    def plain() -> "KernelElement":
-        return KernelElement(ElementKind.PLAIN_GAUSSIAN)
-
     def check_index_bounds(self, dim: int) -> None:
         for idx in self.indices():
             if not (0 <= idx < dim):
                 raise ValueError(f"element index {idx} out of range for dim {dim}")
 
     def indices(self) -> tuple[int, ...]:
-        if self.kind is ElementKind.PLAIN_GAUSSIAN:
-            return ()
         if self.kind is ElementKind.HESSIAN_OFF_DIAG:
             return (self.i, self.j)
         return (self.i,)
 
 
-def gradient_elements(dim: int) -> list[KernelElement]:
+class ElementSet(Sequence):
+    """An ordered, immutable sequence of kernel elements held as index arrays.
+
+    ``i`` and ``j`` give every element's axes (``j == i`` for single-axis
+    elements) and ``group`` the position of its kind in ``groups``.  Each
+    entry of ``groups`` is ``(kind, positions, i, j)`` for one kind present,
+    so work done per element runs as one numpy call per kind.
+    """
+
+    def __init__(self, elements: Iterable[KernelElement]):
+        self._elements = tuple(elements)
+        self.i = np.array([e.i for e in self._elements], dtype=np.intp)
+        self.j = np.array([e.indices()[-1] for e in self._elements], dtype=np.intp)
+        self.group = np.empty(len(self._elements), dtype=np.intp)
+        groups = []
+        for kind in ElementKind:
+            pos = np.flatnonzero([e.kind is kind for e in self._elements])
+            if pos.size:
+                self.group[pos] = len(groups)
+                groups.append((kind, pos, self.i[pos], self.j[pos]))
+        self.groups = tuple(groups)
+        # sets are shared through the caches below, so their arrays stay read-only
+        for arr in (self.i, self.j, self.group, *(a for g in groups for a in g[1:])):
+            arr.flags.writeable = False
+
+    @staticmethod
+    def of(elements: Sequence[KernelElement]) -> "ElementSet":
+        return elements if isinstance(elements, ElementSet) else ElementSet(elements)
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __getitem__(self, k):
+        return self._elements[k]
+
+    @functools.cached_property
+    def singles(self) -> tuple["ElementSet", ...]:
+        """One single-element set per element, in order."""
+        return tuple(ElementSet((e,)) for e in self._elements)
+
+
+@functools.lru_cache(maxsize=None)
+def gradient_elements(dim: int) -> ElementSet:
     """All gradient-kernel elements of an n-dimensional problem."""
-    return [KernelElement.gradient(i) for i in range(dim)]
+    return ElementSet(KernelElement.gradient(i) for i in range(dim))
 
 
-def hessian_elements(dim: int) -> list[KernelElement]:
+@functools.lru_cache(maxsize=None)
+def hessian_elements(dim: int) -> ElementSet:
     """Unique Hessian elements: the diagonal plus the upper triangle.
 
     The lower triangle is recovered by symmetry and never sampled.
@@ -109,7 +147,7 @@ def hessian_elements(dim: int) -> list[KernelElement]:
     for i in range(dim):
         for j in range(i + 1, dim):
             elems.append(KernelElement.hessian_off_diag(i, j))
-    return elems
+    return ElementSet(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +282,11 @@ def gradient_inverse_cdf(xi, sigma: float):
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0) or np.any(xi_arr >= 1.0):
+    tail = np.minimum(xi_arr, 1.0 - xi_arr)  # mass beyond u on the nearer side, halved
+    if np.any(tail <= 0.0):
         raise ValueError("xi must lie in the open interval (0, 1)")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = -np.sqrt(-2.0 * np.log(np.minimum(2.0 * xi_arr, 1.0)))
-        upper = np.sqrt(-2.0 * np.log(np.minimum(2.0 * (1.0 - xi_arr), 1.0)))
-    out = sigma * np.where(xi_arr <= 0.5, lower, upper)
+    mag = np.sqrt(-2.0 * np.log(2.0 * tail))
+    out = sigma * np.where(xi_arr <= 0.5, -mag, mag)
     if np.isscalar(xi) or np.asarray(xi).ndim == 0:
         return float(out)
     return out

@@ -102,6 +102,13 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     return replace(state, theta=theta, iteration=t, adam_m=m, adam_v=v)
 
 
+def _clamped_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of symmetric h, eigenvalues floored at 1e-6 * max(|lambda|_max, 1)."""
+    lam, vecs = np.linalg.eigh(h)
+    floor = 1e-6 * max(float(np.max(np.abs(lam))), 1.0)
+    return np.maximum(lam, floor), vecs
+
+
 def psd_modify(h: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues from below so the matrix is safely positive definite.
 
@@ -109,11 +116,8 @@ def psd_modify(h: np.ndarray) -> np.ndarray:
     original eigenvectors, so Newton directions through it always have a
     nonnegative component along the negative gradient.
     """
-    h = np.asarray(h, dtype=float)
-    lam, vecs = np.linalg.eigh(h)
-    floor = 1e-6 * max(float(np.max(np.abs(lam))), 1.0)
-    lam_clamped = np.maximum(lam, floor)
-    return (vecs * lam_clamped) @ vecs.T
+    lam, vecs = _clamped_eigh(np.asarray(h, dtype=float))
+    return (vecs * lam) @ vecs.T
 
 
 def newton_step(
@@ -124,10 +128,8 @@ def newton_step(
     h = np.asarray(hess.h, dtype=float)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
         raise NonFiniteStateError("non-finite derivative in Newton step", state.trace)
-    lam, vecs = np.linalg.eigh(h)
-    floor = 1e-6 * max(float(np.max(np.abs(lam))), 1.0)
-    lam_clamped = np.maximum(lam, floor)
-    v = -(vecs @ ((vecs.T @ g) / lam_clamped))
+    lam, vecs = _clamped_eigh(h)
+    v = -(vecs @ ((vecs.T @ g) / lam))
     norm = float(np.linalg.norm(v))
     scale = min(1.0, tr.delta / norm) if norm > 0 else 1.0
     return replace(state, theta=state.theta + scale * v, iteration=state.iteration + 1)

@@ -16,6 +16,7 @@ safe to use concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .kernels import (
     SQRT_TWO_PI,
     ElementKind,
+    ElementSet,
     KernelElement,
     KernelSpec,
     gaussian_pdf_1d,
@@ -33,6 +35,7 @@ from .kernels import (
 )
 
 _MASK64 = (1 << 64) - 1
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -66,15 +69,6 @@ class RngStream:
 
     def integers(self, high: int, size=None):
         return self._gen.integers(0, high, size=size)
-
-
-@dataclass(frozen=True)
-class OffsetSample:
-    """One offset draw together with the density it was drawn from."""
-
-    tau: np.ndarray
-    pdf_value: float
-    element: KernelElement
 
 
 @dataclass(frozen=True)
@@ -157,68 +151,61 @@ def element_pdf(tau, element: KernelElement, spec: KernelSpec) -> float:
     return float(dens)
 
 
-def mixture_pdf(tau, elements: list[KernelElement], spec: KernelSpec) -> float:
+def mixture_pdf(tau, elements: Sequence[KernelElement], spec: KernelSpec) -> float:
     """Uniform mixture density over a set of elements."""
     if not elements:
         raise ValueError("mixture requires a nonempty element list")
     return sum(element_pdf(tau, e, spec) for e in elements) / len(elements)
 
 
-def element_density_ratios(taus: np.ndarray, elements: list[KernelElement], sigma: float) -> np.ndarray:
+def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], sigma: float) -> np.ndarray:
     """Ratios element_pdf / gaussian_pdf for a batch of offsets, shape (S, K).
 
     The ratios involve no exponentials, which keeps mixture weights
     stable in high dimension where the Gaussian factor under- or
     overflows.
     """
+    elements = ElementSet.of(elements)
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     out = np.empty((taus.shape[0], len(elements)))
     grad_scale = SQRT_TWO_PI / (2.0 * sigma)
     hess_scale = SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
-    for k, elem in enumerate(elements):
-        if elem.kind is ElementKind.GRADIENT:
-            out[:, k] = np.abs(taus[:, elem.i]) * grad_scale
-        elif elem.kind is ElementKind.HESSIAN_DIAG:
-            u = taus[:, elem.i]
-            out[:, k] = np.abs((u - sigma) * (u + sigma)) * hess_scale
-        elif elem.kind is ElementKind.HESSIAN_OFF_DIAG:
-            out[:, k] = (np.abs(taus[:, elem.i]) * grad_scale) * (np.abs(taus[:, elem.j]) * grad_scale)
+    for kind, pos, i, j in elements.groups:
+        u = taus[:, i]
+        if kind is ElementKind.GRADIENT:
+            out[:, pos] = np.abs(u) * grad_scale
+        elif kind is ElementKind.HESSIAN_DIAG:
+            out[:, pos] = np.abs((u - sigma) * (u + sigma)) * hess_scale
         else:
-            out[:, k] = 1.0
+            out[:, pos] = (np.abs(u) * grad_scale) * (np.abs(taus[:, j]) * grad_scale)
     return out
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+#
+# Every sampler returns the antithetic pair (taus, -taus) of (count, dim)
+# offset blocks.  All sampling densities are even, so the mirrored block
+# is drawn from the same density.
 
 def sample_gradient_offsets(i: int, spec: KernelSpec, rng: RngStream, count: int):
     """Batch of offsets for gradient element i.
 
     Axis i follows the positivized gradient density via the exact inverse
-    CDF; all other axes are Gaussian.  Returns (taus, pdf_values) with
-    shapes (count, dim) and (count,).
+    CDF; all other axes are Gaussian.
 
     Draw order: ``count`` uniforms for axis i, then the Gaussian block.
     """
     if not (0 <= i < spec.dim):
         raise ValueError(f"axis index {i} out of range for dim {spec.dim}")
-    xi = rng.uniform(count)
-    taus = np.empty((count, spec.dim))
-    special = gradient_inverse_cdf(_open_unit(xi), spec.sigma)
+    special = gradient_inverse_cdf(open_unit(rng.uniform(count)), spec.sigma)
     others = rng.normal((count, spec.dim - 1)) * spec.sigma
-    cols = [c for c in range(spec.dim) if c != i]
-    taus[:, cols] = others
+    taus = np.empty((count, spec.dim))
+    taus[:, :i] = others[:, :i]
     taus[:, i] = special
-    pdfs = gradient_pdf(taus[:, i], spec.sigma)
-    for c in cols:
-        pdfs = pdfs * gaussian_pdf_1d(taus[:, c], spec.sigma)
-    return taus, np.asarray(pdfs, dtype=float).reshape(count)
-
-
-def sample_gradient_offset(i: int, spec: KernelSpec, rng: RngStream) -> OffsetSample:
-    taus, pdfs = sample_gradient_offsets(i, spec, rng, 1)
-    return OffsetSample(tau=taus[0], pdf_value=float(pdfs[0]), element=KernelElement.gradient(i))
+    taus[:, i + 1:] = others[:, i:]
+    return taus, -taus
 
 
 def sample_hessian_offsets(
@@ -232,35 +219,23 @@ def sample_hessian_offsets(
 
     Diagonal axes use the tabulated inverse CDF scaled by sigma;
     off-diagonal elements draw both axes independently from the gradient
-    density.  Returns (taus, pdf_values).
+    density.
     """
     elem.check_index_bounds(spec.dim)
     s = spec.sigma
     taus = rng.normal((count, spec.dim)) * s
     if elem.kind is ElementKind.HESSIAN_DIAG:
-        taus[:, elem.i] = table.lookup(_open_unit(rng.uniform(count))) * s
+        taus[:, elem.i] = table.lookup(open_unit(rng.uniform(count))) * s
     elif elem.kind is ElementKind.HESSIAN_OFF_DIAG:
-        taus[:, elem.i] = gradient_inverse_cdf(_open_unit(rng.uniform(count)), s)
-        taus[:, elem.j] = gradient_inverse_cdf(_open_unit(rng.uniform(count)), s)
+        taus[:, elem.i] = gradient_inverse_cdf(open_unit(rng.uniform(count)), s)
+        taus[:, elem.j] = gradient_inverse_cdf(open_unit(rng.uniform(count)), s)
     else:
         raise ValueError(f"expected a Hessian element, got {elem.kind}")
-    base = np.prod(gaussian_pdf_1d(taus, s), axis=1)
-    pdfs = base * element_density_ratios(taus, [elem], s)[:, 0]
-    return taus, pdfs
-
-
-def sample_hessian_offset(
-    elem: KernelElement, spec: KernelSpec, table: TabulatedInverseCdf, rng: RngStream
-) -> OffsetSample:
-    taus, pdfs = sample_hessian_offsets(elem, spec, table, rng, 1)
-    return OffsetSample(tau=taus[0], pdf_value=float(pdfs[0]), element=elem)
-
-
-_MIXTURE_MARKER = KernelElement.plain()
+    return taus, -taus
 
 
 def sample_aggregate_offsets(
-    elements: list[KernelElement],
+    elements: Sequence[KernelElement],
     spec: KernelSpec,
     table: TabulatedInverseCdf,
     rng: RngStream,
@@ -268,9 +243,9 @@ def sample_aggregate_offsets(
 ):
     """Batch of offsets from the uniform mixture over ``elements``.
 
-    One draw serves every element's estimator term; the returned density
-    is the full mixture density (1/K) * sum_k pdf_k(tau), not the chosen
-    component's density.
+    One draw serves every element's estimator term; the density to weight
+    it by is the full mixture density (1/K) * sum_k pdf_k(tau), not the
+    chosen component's density.
 
     Draw order per batch: element choices, the Gaussian base block, then
     two uniform blocks for the special axes (consumed unconditionally so
@@ -278,53 +253,26 @@ def sample_aggregate_offsets(
     """
     if not elements:
         raise ValueError("aggregate sampling requires a nonempty element list")
-    kmax = len(elements)
-    choices = rng.integers(kmax, count)
-    taus = rng.normal((count, spec.dim)) * spec.sigma
-    xi_a = _open_unit(rng.uniform(count))
-    xi_b = _open_unit(rng.uniform(count))
+    elements = ElementSet.of(elements)
+    choices = rng.integers(len(elements), count)
     s = spec.sigma
-    for k, elem in enumerate(elements):
-        mask = choices == k
-        if not np.any(mask):
+    taus = rng.normal((count, spec.dim)) * s
+    xi_a = open_unit(rng.uniform(count))
+    xi_b = open_unit(rng.uniform(count))
+    group, axis_i, axis_j = elements.group[choices], elements.i[choices], elements.j[choices]
+    for g, (kind, _, _, _) in enumerate(elements.groups):
+        rows = np.flatnonzero(group == g)
+        if not rows.size:
             continue
-        if elem.kind is ElementKind.GRADIENT:
-            taus[mask, elem.i] = gradient_inverse_cdf(xi_a[mask], s)
-        elif elem.kind is ElementKind.HESSIAN_DIAG:
-            taus[mask, elem.i] = table.lookup(xi_a[mask]) * s
-        elif elem.kind is ElementKind.HESSIAN_OFF_DIAG:
-            taus[mask, elem.i] = gradient_inverse_cdf(xi_a[mask], s)
-            taus[mask, elem.j] = gradient_inverse_cdf(xi_b[mask], s)
+        if kind is ElementKind.HESSIAN_DIAG:
+            taus[rows, axis_i[rows]] = table.lookup(xi_a[rows]) * s
         else:
-            raise ValueError(f"cannot aggregate element kind {elem.kind}")
-    base = np.prod(gaussian_pdf_1d(taus, s), axis=1)
-    ratios = element_density_ratios(taus, elements, s)
-    pdfs = base * ratios.mean(axis=1)
-    return taus, pdfs
+            taus[rows, axis_i[rows]] = gradient_inverse_cdf(xi_a[rows], s)
+        if kind is ElementKind.HESSIAN_OFF_DIAG:
+            taus[rows, axis_j[rows]] = gradient_inverse_cdf(xi_b[rows], s)
+    return taus, -taus
 
 
-def sample_aggregate_offset(
-    elements: list[KernelElement],
-    spec: KernelSpec,
-    table: TabulatedInverseCdf,
-    rng: RngStream,
-) -> OffsetSample:
-    taus, pdfs = sample_aggregate_offsets(elements, spec, table, rng, 1)
-    element = elements[0] if len(elements) == 1 else _MIXTURE_MARKER
-    return OffsetSample(tau=taus[0], pdf_value=float(pdfs[0]), element=element)
-
-
-def antithetic_pair(sample: OffsetSample) -> tuple[OffsetSample, OffsetSample]:
-    """Mirror a sample through the origin.
-
-    All densities used here are even, so the mirrored sample shares the
-    original's density value.
-    """
-    mirrored = OffsetSample(tau=-sample.tau, pdf_value=sample.pdf_value, element=sample.element)
-    return sample, mirrored
-
-
-def _open_unit(xi: np.ndarray) -> np.ndarray:
-    # keep uniforms strictly inside (0, 1) for the inverse CDFs
-    tiny = np.finfo(float).tiny
-    return np.clip(xi, tiny, 1.0 - 1e-16)
+def open_unit(xi: np.ndarray) -> np.ndarray:
+    """Clip uniforms strictly inside (0, 1) for the inverse CDFs."""
+    return np.minimum(np.maximum(xi, _TINY), 1.0 - 1e-16)

@@ -26,6 +26,7 @@ from .optimizers import OptimizerState, TrustRegion, newton_step
 from .samplers import (
     RngStream,
     build_hessian_diag_table,
+    element_density_ratios,
     mixture_pdf,
     sample_aggregate_offsets,
     sample_gradient_offsets,
@@ -82,9 +83,10 @@ def run_selftest() -> int:
     check("hessian diag sampler KS", ks2.pvalue > 0.001, f"p={ks2.pvalue:.4f}")
 
     elements = hessian_elements(2)
-    ataus, apdfs = sample_aggregate_offsets(elements, spec, table, RngStream(13), 200)
+    ataus, _ = sample_aggregate_offsets(elements, spec, table, RngStream(13), 200)
+    ratios = element_density_ratios(ataus, elements, spec.sigma).mean(axis=1)
     recomputed = np.array([mixture_pdf(t, elements, spec) for t in ataus])
-    rel = np.abs(recomputed - apdfs) / recomputed
+    rel = np.abs(ratios * [gaussian_pdf(t, spec) for t in ataus] - recomputed) / recomputed
     check("mixture density recomputation", rel.max() < 1e-12, f"max rel={rel.max():.2e}")
 
     # estimators: evaluation budgets and quadratic unbiasedness

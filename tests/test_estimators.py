@@ -1,6 +1,8 @@
 """Estimator correctness: oracles on closed-form objectives, eval budgets."""
 
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +23,30 @@ from smoothdiff.estimators import (
     greybox_gradient,
     greybox_hessian,
 )
-from smoothdiff.kernels import KernelSpec
-from smoothdiff.samplers import RngStream
+from smoothdiff.estimators import (
+    _draw,
+    _draw_axis_blur,
+    _gradient_factor,
+    _hessian_factor,
+    _hvp_factor,
+    _weighted,
+)
+from smoothdiff.kernels import (
+    KernelSpec,
+    axis_blur_gradient_kernel,
+    gradient_elements,
+    gradient_kernel,
+    gradient_pdf,
+    hessian_elements,
+    hessian_kernel,
+)
+from smoothdiff.samplers import (
+    RngStream,
+    default_hessian_diag_table,
+    element_pdf,
+    mixture_pdf,
+    sample_aggregate_offsets,
+)
 from smoothdiff.tasks import negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
@@ -108,11 +132,19 @@ class TestGradient:
             assert obj.eval_count == per_pair * 9
             assert est.evals_used == per_pair * 9
 
-    def test_non_finite_objective_aborts_with_point(self):
+    @pytest.mark.parametrize("estimate", [
+        lambda obj: estimate_gradient(obj, np.zeros(2), cfg(samples=2), RngStream(0)),
+        lambda obj: estimate_gradient_fd(obj, np.zeros(2), step=1e-3),
+        lambda obj: estimate_gradient_fr22(obj, np.zeros(2), cfg(samples=2), RngStream(0)),
+        lambda obj: estimate_hessian(obj, np.zeros(2), cfg(samples=2), RngStream(0)),
+        lambda obj: estimate_hvp(obj, np.zeros(2), np.ones(2), cfg(samples=2), RngStream(0)),
+    ], ids=["gradient", "fd", "fr22", "hessian", "hvp"])
+    def test_non_finite_objective_aborts_with_point(self, estimate):
         obj = Objective(lambda th: float("nan"), dim=2)
         with pytest.raises(EstimationError) as err:
-            estimate_gradient(obj, np.zeros(2), cfg(samples=2), RngStream(0))
+            estimate(obj)
         assert err.value.point is not None
+        assert obj.eval_count == 1
 
     def test_deterministic_given_stream(self):
         task = quad_task()
@@ -356,6 +388,57 @@ class TestGreybox:
         h = HessianEstimate(h=np.zeros((3, 3)), evals_used=0)
         with pytest.raises(ValueError):
             greybox_hessian(np.eye(2), h)
+
+
+# (mode, order) pairs of the weight stage; FR22 draws only gradients
+WEIGHT_CASES = [(mode, order) for mode in ("per_element", "aggregate", "uniform")
+                for order in ("gradient", "hessian", "hvp")] + [("fr22", "gradient")]
+
+
+@pytest.mark.parametrize("mode,order", WEIGHT_CASES)
+def test_weight_stage_equals_kernel_over_pdf(mode, order):
+    """The weights equal the reference kernel over the reference density on the drawn rows."""
+    spec = KernelSpec(sigma=0.8, dim=3)
+    sigma = spec.sigma
+    v = np.array([0.6, -0.48, 0.64])
+    c = cfg(sigma=sigma, dim=3, samples=5, mode=SamplingMode.PER_ELEMENT if mode == "fr22" else SamplingMode(mode))
+    eps = c.epsilon()
+    elements = hessian_elements(3) if order == "hessian" else gradient_elements(3)
+    factor = {"gradient": partial(_gradient_factor, sigma=sigma),
+              "hessian": partial(_hessian_factor, sigma=sigma),
+              "hvp": partial(_hvp_factor, sigma=sigma, v=v, eps=eps)}[order]
+    kernel = {"gradient": lambda t, e: gradient_kernel(t, e.i, spec),
+              "hessian": lambda t, e: hessian_kernel(t, e, spec),
+              "hvp": lambda t, e: (gradient_kernel(t + eps * v, e.i, spec)
+                                   - gradient_kernel(t - eps * v, e.i, spec)) / (2.0 * eps)}[order]
+    draw = _draw_axis_blur if mode == "fr22" else _draw
+    blocks = list(_weighted(draw(c, RngStream(3), elements), factor))
+    assert len(blocks) == (1 if mode in ("aggregate", "uniform") else len(elements))
+    for rows, pos, weights in blocks:
+        served = elements[pos]
+        assert rows.shape == (10, 3) and weights.shape == (10, len(served))
+        if mode == "fr22":
+            (e,) = served
+            ref = [[axis_blur_gradient_kernel(t[e.i], sigma) / gradient_pdf(t[e.i], sigma)] for t in rows]
+        else:
+            pdf = {"per_element": lambda t: element_pdf(t, served[0], spec),
+                   "aggregate": lambda t: mixture_pdf(t, elements, spec),
+                   "uniform": lambda t: (20.0 * sigma) ** -3}[mode]
+            ref = [[kernel(t, e) / pdf(t) for e in served] for t in rows]
+        ref = np.array(ref)
+        assert np.max(np.abs(weights - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_high_dimension_small_sigma_emits_no_warnings():
+    # sampler densities at n = 256, sigma = 0.01 overflowed float64 before
+    # the estimators stopped computing them
+    spec = KernelSpec(sigma=0.01, dim=256)
+    obj = Objective(lambda th: float(th @ th), dim=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_aggregate_offsets(gradient_elements(256), spec, default_hessian_diag_table(), RngStream(0), 8)
+        estimate_hvp(obj, np.zeros(256), np.ones(256),
+                     EstimatorConfig(spec=spec, samples=4, mode=SamplingMode.AGGREGATE), RngStream(1))
 
 
 def test_table1_eval_complexity_across_dimensions():

@@ -1,4 +1,9 @@
-"""Sampler fidelity: distribution tests, density bookkeeping, determinism."""
+"""Sampler fidelity: distribution tests, density bookkeeping, determinism.
+
+Samplers return only offsets; the density an estimator weights by is
+``element_density_ratios`` times the Gaussian, which the bookkeeping tests
+check against the reference densities ``element_pdf`` / ``mixture_pdf``.
+"""
 
 import math
 
@@ -11,23 +16,20 @@ from smoothdiff.kernels import (
     KernelElement,
     KernelSpec,
     gaussian_cdf_1d,
+    gaussian_pdf,
     gradient_cdf,
     gradient_pdf,
     hessian_diag_cdf,
     hessian_elements,
 )
 from smoothdiff.samplers import (
-    OffsetSample,
     RngStream,
-    antithetic_pair,
     build_hessian_diag_table,
+    element_density_ratios,
     element_pdf,
     mixture_pdf,
-    sample_aggregate_offset,
     sample_aggregate_offsets,
-    sample_gradient_offset,
     sample_gradient_offsets,
-    sample_hessian_offset,
     sample_hessian_offsets,
 )
 
@@ -41,6 +43,12 @@ def chi2_pvalue(draws, cdf, lo, hi, bins=100):
     keep = probs * len(draws) >= 5
     res = stats.chisquare(counts[keep], probs[keep] / probs[keep].sum() * counts[keep].sum())
     return res.pvalue
+
+
+def densities(taus, elements, spec):
+    """Per-element densities from the ratios the estimators weight by, shape (S, K)."""
+    gauss = np.array([gaussian_pdf(t, spec) for t in taus])
+    return element_density_ratios(taus, elements, spec.sigma) * gauss[:, None]
 
 
 class TestRngStream:
@@ -89,9 +97,9 @@ class TestHessianDiagTable:
 class TestGradientSampler:
     def test_deterministic(self):
         spec = KernelSpec(1.0, 3)
-        t1, p1 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
-        t2, p2 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
-        assert np.array_equal(t1, t2) and np.array_equal(p1, p2)
+        t1, m1 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
+        t2, m2 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
+        assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
 
     def test_chi2_against_gradient_pdf(self):
         spec = KernelSpec(1.0, 2)
@@ -113,14 +121,14 @@ class TestGradientSampler:
 
     def test_pdf_values_match_recomputation(self):
         spec = KernelSpec(1.3, 3)
-        taus, pdfs = sample_gradient_offsets(2, spec, RngStream(103), 200)
+        taus, _ = sample_gradient_offsets(2, spec, RngStream(103), 200)
         elem = KernelElement.gradient(2)
         recomputed = np.array([element_pdf(t, elem, spec) for t in taus])
-        assert_allclose(pdfs, recomputed, rtol=1e-12)
+        assert_allclose(densities(taus, [elem], spec)[:, 0], recomputed, rtol=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_gradient_offset(5, KernelSpec(1.0, 2), RngStream(0))
+            sample_gradient_offsets(5, KernelSpec(1.0, 2), RngStream(0), 1)
 
 
 class TestHessianSampler:
@@ -129,8 +137,9 @@ class TestHessianSampler:
 
     def test_diag_pdf_always_positive(self):
         spec = KernelSpec(1.0, 2)
-        _, pdfs = sample_hessian_offsets(KernelElement.hessian_diag(0), spec, self.table, RngStream(7), 5000)
-        assert np.all(pdfs > 0)
+        elem = KernelElement.hessian_diag(0)
+        taus, _ = sample_hessian_offsets(elem, spec, self.table, RngStream(7), 5000)
+        assert np.all(element_density_ratios(taus, [elem], spec.sigma) > 0)
 
     def test_diag_ks_at_1e5(self):
         spec = KernelSpec(1.0, 2)
@@ -154,7 +163,7 @@ class TestHessianSampler:
 
     def test_rejects_gradient_element(self):
         with pytest.raises(ValueError):
-            sample_hessian_offset(KernelElement.gradient(0), KernelSpec(1.0, 2), self.table, RngStream(0))
+            sample_hessian_offsets(KernelElement.gradient(0), KernelSpec(1.0, 2), self.table, RngStream(0), 1)
 
 
 class TestAggregateSampler:
@@ -164,19 +173,23 @@ class TestAggregateSampler:
     def test_single_element_reduces_to_element_sampler(self):
         spec = KernelSpec(1.0, 2)
         elems = [KernelElement.gradient(0)]
-        taus, pdfs = sample_aggregate_offsets(elems, spec, self.table, RngStream(11), 5000)
+        taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(11), 5000)
         recomputed = np.array([element_pdf(t, elems[0], spec) for t in taus])
-        assert_allclose(pdfs, recomputed, rtol=1e-12)
+        assert_allclose(densities(taus, elems, spec)[:, 0], recomputed, rtol=1e-12)
         res = stats.kstest(taus[:, 0], lambda u: gradient_cdf(u, 1.0))
         assert res.pvalue > SIGNIFICANCE
 
     def test_mixture_pdf_equals_mean_of_element_pdfs(self):
-        spec = KernelSpec(1.0, 2)
-        elems = hessian_elements(2)
-        assert len(elems) == 3
-        taus, pdfs = sample_aggregate_offsets(elems, spec, self.table, RngStream(12), 1000)
-        mean_pdfs = np.array([np.mean([element_pdf(t, e, spec) for e in elems]) for t in taus])
-        assert np.max(np.abs(pdfs - mean_pdfs) / mean_pdfs) < 1e-12
+        for dim in (2, 3):
+            spec = KernelSpec(1.0, dim)
+            elems = hessian_elements(dim)
+            assert len(elems) == dim * (dim + 1) // 2
+            taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(12), 1000)
+            per_element = densities(taus, elems, spec)
+            element_pdfs = np.array([[element_pdf(t, e, spec) for e in elems] for t in taus])
+            assert_allclose(per_element, element_pdfs, rtol=1e-12)
+            mixture = np.array([mixture_pdf(t, elems, spec) for t in taus])
+            assert np.max(np.abs(per_element.mean(axis=1) - mixture) / mixture) < 1e-12
 
     def test_empirical_mixture_marginal_chi2(self):
         spec = KernelSpec(1.0, 2)
@@ -203,27 +216,33 @@ class TestAggregateSampler:
 
     def test_empty_elements_rejected(self):
         with pytest.raises(ValueError):
-            sample_aggregate_offset([], KernelSpec(1.0, 2), self.table, RngStream(0))
+            sample_aggregate_offsets([], KernelSpec(1.0, 2), self.table, RngStream(0), 1)
 
 
 class TestAntitheticPair:
-    def test_pair_sums_to_zero(self):
-        spec = KernelSpec(1.0, 4)
-        sample = sample_gradient_offset(2, spec, RngStream(20))
-        a, b = antithetic_pair(sample)
-        assert np.array_equal(a.tau + b.tau, np.zeros(4))
-
-    def test_pdf_even_for_all_densities(self):
+    def draws(self):
         spec = KernelSpec(1.2, 3)
         table = build_hessian_diag_table(2048)
-        samples = [
-            sample_gradient_offset(0, spec, RngStream(21)),
-            sample_hessian_offset(KernelElement.hessian_diag(1), spec, table, RngStream(22)),
-            sample_hessian_offset(KernelElement.hessian_off_diag(0, 2), spec, table, RngStream(23)),
+        return spec, [
+            ([KernelElement.gradient(0)], sample_gradient_offsets(0, spec, RngStream(21), 50)),
+            ([KernelElement.hessian_diag(1)],
+             sample_hessian_offsets(KernelElement.hessian_diag(1), spec, table, RngStream(22), 50)),
+            ([KernelElement.hessian_off_diag(0, 2)],
+             sample_hessian_offsets(KernelElement.hessian_off_diag(0, 2), spec, table, RngStream(23), 50)),
+            (hessian_elements(3), sample_aggregate_offsets(hessian_elements(3), spec, table, RngStream(24), 50)),
         ]
-        for s in samples:
-            mirrored = OffsetSample(tau=-s.tau, pdf_value=0.0, element=s.element)
-            assert_allclose(element_pdf(mirrored.tau, s.element, spec), s.pdf_value, rtol=1e-12)
-        elems = hessian_elements(3)
-        agg = sample_aggregate_offset(elems, spec, table, RngStream(24))
-        assert_allclose(mixture_pdf(-agg.tau, elems, spec), agg.pdf_value, rtol=1e-12)
+
+    def test_pair_sums_to_zero(self):
+        # the second item is the exact negation of the first
+        _, draws = self.draws()
+        for _, (taus, mirrored) in draws:
+            assert taus.shape == (50, 3)
+            assert np.array_equal(mirrored, -taus)
+
+    def test_pdf_even_for_all_densities(self):
+        spec, draws = self.draws()
+        for elems, (taus, mirrored) in draws:
+            assert np.array_equal(element_density_ratios(mirrored, elems, spec.sigma),
+                                  element_density_ratios(taus, elems, spec.sigma))
+            for t, m in zip(taus, mirrored):
+                assert_allclose(mixture_pdf(m, elems, spec), mixture_pdf(t, elems, spec), rtol=1e-12)
