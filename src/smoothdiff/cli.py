@@ -36,7 +36,11 @@ def _coerce(key: str, raw: str):
     if key in _FLOAT_KEYS:
         return float(raw)
     if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"config key {key!r}: expected 1/0, true/false, yes/no "
+                             f"or on/off, got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     return raw.strip()
 
 

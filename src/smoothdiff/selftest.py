@@ -2,8 +2,9 @@
 
 A condensed version of the test suite: checks the kernel closed forms
 against finite differences, sampler distributions against their CDFs,
-estimator evaluation budgets and unbiasedness on the quadratic, and the
-optimizer exactness identities.  Prints one line per check.
+estimator evaluation budgets and unbiasedness on the quadratic, the
+optimizer exactness identities, and the separable box and Phong losses
+against their pixel-by-pixel references.  Prints one line per check.
 """
 
 from __future__ import annotations
@@ -31,9 +32,45 @@ from .samplers import (
     sample_aggregate_offsets,
     sample_gradient_offsets,
 )
-from .tasks import quad_task
+from .tasks import (
+    BOX_SIDE,
+    PHONG_TRUE,
+    RasterScene,
+    _PhongScene,
+    _SHININESS_FLOOR,
+    _SHININESS_UNIT,
+    box_task,
+    phong_sphere_task,
+    quad_task,
+)
 from .estimators import GradientEstimate, HessianEstimate
 from .kernels import hessian_elements
+
+
+def rasterized_box_loss(targets: np.ndarray, resolution: tuple[int, int], theta) -> float:
+    """``box_task``'s loss from full rendered channel images, one per box."""
+    w, h = resolution
+    scene = RasterScene(width=w, height=h, box_half=BOX_SIDE / 2.0)
+    centers = np.clip(np.asarray(theta, dtype=float).reshape(-1, 2),
+                      scene.box_half, 1.0 - scene.box_half)
+    total = 0.0
+    for center, target in zip(centers, np.asarray(targets).reshape(-1, 2)):
+        diff = scene.render(center[None, :]) - scene.render(target[None, :])
+        total += float(np.sum(diff * diff))
+    return total / ((w * BOX_SIDE) * (h * BOX_SIDE))
+
+
+def per_pixel_phong_loss(theta, resolution: int = 32) -> float:
+    """``phong_sphere_task``'s loss, shading every sphere pixel directly."""
+    scene = _PhongScene(resolution)
+
+    def image(th):
+        alpha = max(float(th[6]) * _SHININESS_UNIT, _SHININESS_FLOOR)
+        spec = np.where(scene.spec_base > 0.0, scene.spec_base ** alpha, 0.0)
+        return scene.diffuse[:, None] * th[None, 0:3] + spec[:, None] * th[None, 3:6]
+
+    diff = image(np.asarray(theta, dtype=float)) - image(PHONG_TRUE)
+    return float(np.sum(diff * diff)) / (3.0 * scene.total_pixels)
 
 
 def run_selftest() -> int:
@@ -114,6 +151,17 @@ def run_selftest() -> int:
     new = newton_step(state, grad, hess, TrustRegion(delta=1e9))
     check("exact Newton step solves quad", np.linalg.norm(new.theta) < 1e-10,
           f"|theta|={np.linalg.norm(new.theta):.2e}")
+
+    # tasks: separable losses against pixel-by-pixel references
+    box = box_task(5)
+    phong = phong_sphere_task()
+    pairs = [(box.fn(th), rasterized_box_loss(box.theta_true, (64, 64), th))
+             for th in (np.linspace(0.2, 0.8, 10), np.full(10, 1.7), box.theta_true + 1e-4)]
+    pairs += [(phong.fn(th), per_pixel_phong_loss(th))
+              for th in (np.array([0.3, 0.5, 0.7, 0.2, 0.6, 0.1, 1.3]), PHONG_TRUE + 1e-4)]
+    worst = max(abs(got - want) / max(1.0, want) for got, want in pairs)
+    check("box and Phong losses match rasterized references", worst < 1e-12,
+          f"worst={worst:.2e}")
 
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failure(s)")
     return 0 if failures == 0 else 1

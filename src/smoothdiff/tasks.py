@@ -6,6 +6,14 @@ box-placement and texture tasks on a tiny software rasterizer, and a
 Phong-shaded sphere with analytic derivatives.  Every objective is a
 deterministic function of its parameters, so exact finite-difference
 oracles apply.
+
+The rendered losses are evaluated in separable form rather than pixel by
+pixel.  A box channel image is the outer product of the box's y and x
+coverage rows, so its squared error against the reference reduces to dot
+products of rows of length w and h (see ``box_task``).  The Phong image
+is two outer products, RGB colors times per-pixel diffuse and specular
+intensities, and the specular power is taken on lit pixels only.  Both
+equal the loss of the full image to rounding.
 """
 
 from __future__ import annotations
@@ -154,7 +162,11 @@ class RasterScene:
 
     Pixel values are the exact overlap area between the square and the
     pixel cell, so the image is a deterministic, piecewise-smooth
-    function of the square centers.
+    function of the square centers.  One square's image is the outer
+    product of its y and x coverage rows (``axis_coverage``); with the
+    background at 0 and coverages in [0, 1], clipping a single square's
+    image changes nothing, which is what lets ``box_task`` evaluate its
+    loss from the coverage rows alone.
     """
 
     width: int
@@ -162,18 +174,30 @@ class RasterScene:
     box_half: float
     background: float = 0.0
 
-    def axis_coverage(self, center: float, npix: int) -> np.ndarray:
-        lo = (center - self.box_half) * npix
-        hi = (center + self.box_half) * npix
-        cells = np.arange(npix, dtype=float)
+    def axis_coverage(self, centers, npix) -> np.ndarray:
+        """Overlap of the square with each pixel cell along one axis.
+
+        Returns one row per center (a single row for a scalar center).
+        ``npix`` is the axis's pixel count, or one count per center: rows
+        then run to the largest count, with zero coverage past a row's
+        own count.
+        """
+        centers = np.asarray(centers, dtype=float)[..., None]
+        counts = np.asarray(npix, dtype=float)[..., None]
+        cells = np.arange(int(counts.max()), dtype=float)
+        lo = (centers - self.box_half) * counts
+        # capping hi at the count zeroes the cells past it and leaves
+        # the others bit-for-bit unchanged
+        hi = np.minimum((centers + self.box_half) * counts, counts)
         return np.clip(np.minimum(hi, cells + 1.0) - np.maximum(lo, cells), 0.0, 1.0)
 
     def render(self, centers: np.ndarray) -> np.ndarray:
         """Coverage image for a set of square centers, clipped to [0, 1]."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         img = np.full((self.height, self.width), self.background)
-        for cx, cy in centers:
-            img += np.outer(self.axis_coverage(cy, self.height), self.axis_coverage(cx, self.width))
+        for cov_y, cov_x in zip(self.axis_coverage(centers[:, 1], self.height),
+                                self.axis_coverage(centers[:, 0], self.width)):
+            img += np.outer(cov_y, cov_x)
         return np.clip(img, 0.0, 1.0)
 
 
@@ -205,6 +229,16 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     the target.  Disjoint in-canvas placements are near-flat as well (the
     image error no longer depends on where a stray square sits, up to
     sub-pixel coverage ripple).
+
+    The loss is evaluated without forming images.  A channel holds one
+    square, so its image is exactly ``outer(a_y, a_x)`` of the coverage
+    rows (the render clip is a no-op there), and with ``d = a - r`` the
+    difference from the reference ``outer(r_y, r_x)`` is
+    ``outer(d_y, a_x) + outer(r_y, d_x)``.  Its squared norm is
+    ``|d_y|^2 |a_x|^2 + 2 (d_y . r_y)(a_x . d_x) + |r_y|^2 |d_x|^2``:
+    row dot products of length w and h instead of a sum over w*h pixels.
+    It matches the rasterized loss to rounding and is exactly 0 at the
+    truth, where every ``d`` is 0.
     """
     if not (1 <= num_boxes <= 8):
         raise ValueError(f"num_boxes must be in 1..8, got {num_boxes}")
@@ -213,7 +247,10 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
         raise ValueError(f"resolution must be at least 32x32, got {resolution}")
     scene = RasterScene(width=w, height=h, box_half=BOX_SIDE / 2.0)
     targets = _BOX_TARGETS[:num_boxes]
-    ref_channels = [scene.render(t[None, :]) for t in targets]
+    # rows alternate x, y per box, as the flattened parameter vector does
+    npix = np.tile([float(w), float(h)], num_boxes)
+    ref = scene.axis_coverage(targets.reshape(-1), npix)
+    ref_sq = np.einsum("ij,ij->i", ref, ref)
     # squared image error in units of one box footprint: a lost square
     # costs about 2.0, which keeps gradient scales usable at wide sigma
     norm = (w * BOX_SIDE) * (h * BOX_SIDE)
@@ -221,12 +258,18 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     hi = 1.0 - scene.box_half
 
     def fn(th):
-        centers = np.clip(np.asarray(th, dtype=float).reshape(num_boxes, 2), lo, hi)
-        total = 0.0
-        for k in range(num_boxes):
-            diff = scene.render(centers[k][None, :]) - ref_channels[k]
-            total += float(np.sum(diff * diff))
-        return total / norm
+        centers = np.clip(np.asarray(th, dtype=float), lo, hi)
+        d = scene.axis_coverage(centers, npix) - ref
+        d_sq = np.einsum("ij,ij->i", d, d)
+        d_ref = np.einsum("ij,ij->i", d, ref)
+        dx_sq, dy_sq = d_sq[0::2], d_sq[1::2]
+        dx_ref, dy_ref = d_ref[0::2], d_ref[1::2]
+        rx_sq, ry_sq = ref_sq[0::2], ref_sq[1::2]
+        # a_x . a_x and a_x . d_x from a_x = r_x + d_x
+        ax_sq = rx_sq + 2.0 * dx_ref + dx_sq
+        ax_dx = dx_ref + dx_sq
+        per_box = dy_sq * ax_sq + 2.0 * dy_ref * ax_dx + ry_sq * dx_sq
+        return float(per_box.sum()) / norm
 
     def init(gen):
         return gen.uniform(0.15, 0.85, size=2 * num_boxes)
@@ -316,15 +359,25 @@ class _PhongScene:
         # the reflected light direction
         refl_z = 2.0 * ndotl * nz - light[2]
         self.spec_base = np.clip(refl_z, 0.0, 1.0)
-        self.log_spec = np.where(self.spec_base > 0.0, np.log(np.clip(self.spec_base, 1e-300, None)), 0.0)
+        # about half the pixels get no highlight; only the others pay the power
+        self._lit = self.spec_base > 0.0
+        self._lit_base = self.spec_base[self._lit]
+        self.log_spec = np.zeros_like(self.spec_base)
+        self.log_spec[self._lit] = np.log(self._lit_base)
         self.total_pixels = resolution * resolution
 
+    def spec(self, alpha: float) -> np.ndarray:
+        """Specular intensity per pixel: spec_base ** alpha where lit, else 0."""
+        out = np.zeros_like(self.spec_base)
+        out[self._lit] = self._lit_base ** alpha
+        return out
+
     def shade(self, kd: np.ndarray, ks: np.ndarray, alpha: float) -> np.ndarray:
-        spec = np.where(self.spec_base > 0.0, self.spec_base ** alpha, 0.0)
-        return self.diffuse[:, None] * kd[None, :] + spec[:, None] * ks[None, :]
+        """The sphere's pixels, channel-major: shape (3, pixels)."""
+        return np.outer(kd, self.diffuse) + np.outer(ks, self.spec(alpha))
 
     def spec_terms(self, alpha: float):
-        spec = np.where(self.spec_base > 0.0, self.spec_base ** alpha, 0.0)
+        spec = self.spec(alpha)
         return spec, spec * self.log_spec, spec * self.log_spec * self.log_spec
 
 
@@ -347,16 +400,16 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     def fn(th):
         kd, ks, alpha = _split(th)
         diff = scene.shade(kd, ks, alpha) - ref
-        return float(np.sum(diff * diff) / norm)
+        return float(np.einsum("ij,ij->", diff, diff)) / norm
 
     def grad(th):
         kd, ks, alpha = _split(th)
         spec, spec_l, _ = scene.spec_terms(alpha)
         e = scene.shade(kd, ks, alpha) - ref
         g = np.empty(7)
-        g[0:3] = 2.0 * (e.T @ scene.diffuse) / norm
-        g[3:6] = 2.0 * (e.T @ spec) / norm
-        g[6] = 2.0 * _SHININESS_UNIT * float((e * (spec_l[:, None] * ks[None, :])).sum()) / norm
+        g[0:3] = 2.0 * (e @ scene.diffuse) / norm
+        g[3:6] = 2.0 * (e @ spec) / norm
+        g[6] = 2.0 * _SHININESS_UNIT * float(ks @ (e @ spec_l)) / norm
         return g
 
     def hess(th):
@@ -378,8 +431,8 @@ def phong_sphere_task(resolution: int = 32) -> Task:
         for c in range(3):
             h[c, 6] = h[6, c] = ks[c] * d_sl * unit
             # J_ks * J_alpha plus the e * d2I/(dks dalpha) curvature term
-            h[3 + c, 6] = h[6, 3 + c] = (ks[c] * s_sl + float(e[:, c] @ spec_l)) * unit
-        h[6, 6] = (sl_sl * float(ks @ ks) + float(((e * spec_l2[:, None]) @ ks).sum())) * unit * unit
+            h[3 + c, 6] = h[6, 3 + c] = (ks[c] * s_sl + float(e[c] @ spec_l)) * unit
+        h[6, 6] = (sl_sl * float(ks @ ks) + float(ks @ (e @ spec_l2))) * unit * unit
         return 2.0 * h / norm
 
     def init(gen):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothdiff.cli import main
+from smoothdiff.cli import _coerce, main
 from smoothdiff.estimators import SamplingMode
 from smoothdiff.harness import (
     CSV_HEADER,
@@ -59,6 +59,21 @@ class TestRunEnsemble:
     def test_threads_match_serial(self):
         serial = run_ensemble(RunConfig(**QUAD_CFG))
         threaded = run_ensemble(RunConfig(**{**QUAD_CFG, "threads": 3}))
+        for t1, t2 in zip(serial.traces, threaded.traces):
+            assert t1.records == t2.records
+
+    @pytest.mark.parametrize("cfg", [
+        dict(task="box10", method="OurHVPA", samples=4, trust_region=0.3, ls_iters=3,
+             sigma_start=0.2, sigma_end=0.01),
+        dict(task="phong", method="OurH", samples=2, trust_region=1.0, ls_iters=3,
+             sigma_start=0.3, sigma_end=0.01),
+    ], ids=["box10", "phong"])
+    def test_rendered_tasks_threads_match_serial(self, cfg):
+        # one Task is shared by every thread: the objectives keep no
+        # state between calls
+        base = dict(cfg, seed=7, budget_evals=300, ensemble=2, deterministic=True)
+        serial = run_ensemble(RunConfig(**base))
+        threaded = run_ensemble(RunConfig(**{**base, "threads": 2}))
         for t1, t2 in zip(serial.traces, threaded.traces):
             assert t1.records == t2.records
 
@@ -212,6 +227,18 @@ class TestCli:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\ntask = quad\nmethod = OurG\nbudget_evals = 10\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("word", ["ture", "2", "", "y"])
+    def test_unrecognized_boolean_exits_2(self, tmp_path, capsys, word):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + f"deterministic = {word}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'deterministic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                                            ("0", False), ("false", False), ("NO", False), ("Off", False)])
+    def test_boolean_words(self, word, value):
+        assert _coerce("deterministic", f" {word} ") is value
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2

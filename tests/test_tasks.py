@@ -14,7 +14,9 @@ from smoothdiff.estimators import (
 )
 from smoothdiff.kernels import KernelSpec
 from smoothdiff.samplers import RngStream
+from smoothdiff.selftest import per_pixel_phong_loss, rasterized_box_loss
 from smoothdiff.tasks import (
+    BOX_SIDE,
     RasterScene,
     box_task,
     make_task,
@@ -118,7 +120,38 @@ class TestRasterScene:
         assert img.sum() == pytest.approx(64, rel=1e-12)  # 8x8 px footprint
 
 
+def box_probe_points(task, count, seed):
+    """In-canvas, overlapping, off-canvas and near-truth parameter vectors."""
+    rng = np.random.default_rng(seed)
+    n = task.dim
+    quarter = count // 4
+    pts = [rng.uniform(0.0, 1.0, n) for _ in range(quarter)]
+    # every square partly overlapping its own target
+    pts += [task.theta_true + rng.uniform(-1.5, 1.5, n) * BOX_SIDE for _ in range(quarter)]
+    # past the visibility clamp on some or all coordinates
+    pts += [rng.uniform(-1.0, 2.0, n) for _ in range(quarter)]
+    pts += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(n)
+            for _ in range(count - 3 * quarter)]
+    return pts
+
+
 class TestBoxTask:
+    @pytest.mark.parametrize("boxes,resolution", [(5, (64, 64)), (2, (48, 32))],
+                             ids=["box10", "box4-48x32"])
+    def test_separable_loss_matches_rasterized(self, boxes, resolution):
+        task = box_task(boxes, resolution=resolution)
+        for p in box_probe_points(task, 1000, seed=11):
+            want = rasterized_box_loss(task.theta_true, resolution, p)
+            assert abs(task.fn(p) - want) <= 1e-12 * max(1.0, want), p
+
+    def test_loss_never_negative(self):
+        task = box_task(5)
+        pts = box_probe_points(task, 400, seed=12)
+        rng = np.random.default_rng(13)
+        pts += [task.theta_true + 10.0 ** rng.uniform(-15, -9) * rng.standard_normal(10)
+                for _ in range(200)]
+        assert min(task.fn(p) for p in pts) >= 0.0
+
     def test_zero_loss_at_truth(self):
         for boxes in (1, 5):
             task = box_task(boxes)
@@ -220,6 +253,17 @@ class TestPhongTask:
             fd_row = (task.analytic_grad(th + ea) - task.analytic_grad(th - ea)) / (2 * steps[a])
             denom = np.maximum(np.abs(h[a]), 1e-4)
             assert np.max(np.abs(h[a] - fd_row) / denom) < 1e-4
+
+    def test_loss_matches_per_pixel_shading(self):
+        task = phong_sphere_task()
+        rng = np.random.default_rng(14)
+        pts = [task.init_sampler(rng) for _ in range(100)]
+        pts += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(7)
+                for _ in range(50)]
+        pts.append(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, -1.0]))  # clamped exponent
+        for p in pts:
+            want = per_pixel_phong_loss(p)
+            assert abs(task.fn(p) - want) <= 1e-12 * max(1.0, want), p
 
     def test_shininess_clamp(self):
         task = phong_sphere_task()
