@@ -31,10 +31,13 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
+    if key in _INT_KEYS or key in _FLOAT_KEYS:
+        number = int if key in _INT_KEYS else float
+        try:
+            return number(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: expected {'an integer' if number is int else 'a number'}, "
+                             f"got {raw!r}") from None
     if key in _BOOL_KEYS:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:

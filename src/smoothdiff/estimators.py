@@ -8,14 +8,19 @@ by kernel(tau) / pdf(tau).
 
 Every estimator runs the same four stages:
 
-1. **Draw** blocks of antithetic rows (tau, -tau), each with the output
-   elements it serves and its density ratio q = pdf / N, where N is the
+1. **Draw** blocks of antithetic rows (tau, -tau), stacked into one
+   array of shape (blocks, 2 samples, dim), with the output elements each
+   block serves and its density ratio q = pdf / N, where N is the
    smoothing Gaussian.  Only this stage depends on the sampling mode:
 
    * ``PER_ELEMENT``: one block per derivative element, drawn from that
      element's optimally importance-sampled density and serving only that
      element (n evaluations per pair-half for a gradient, n(n+1)/2 for a
-     Hessian).
+     Hessian).  Only the random draws run element by element, in the
+     order a block-by-block loop would make them; inverse CDFs, density
+     ratios and every later stage run once over the stacked blocks.
+     Elements are taken in chunks, so that the stacked rows of a large
+     Hessian stay within a fixed memory bound.
    * ``AGGREGATE``: one block drawn from the uniform mixture of all
      element densities serves every element, so a pair-half costs a
      single evaluation regardless of dimension or derivative order.
@@ -29,10 +34,10 @@ Every estimator runs the same four stages:
    Gaussian normalization factors, so weights stay finite in high
    dimension.
 3. **Evaluate** f once per row, through one check that aborts the
-   estimate on a non-finite value.
-4. **Reduce** antithetic pairs to the estimate: pair means for the odd
-   gradient weights, a baseline-corrected mean for the even Hessian and
-   HVP weights.
+   estimate on the first non-finite value.
+4. **Reduce** each block's antithetic pairs to its estimates: pair
+   means for the odd gradient weights, a baseline-corrected mean for the
+   even Hessian and HVP weights.
 
 The HVP weight is the directional central difference of shifted
 gradient kernels; the same draws and the same evaluations serve both
@@ -47,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -178,8 +183,33 @@ class HvpEstimate:
 # the estimator path: draw -> weight -> evaluate -> reduce
 # ---------------------------------------------------------------------------
 
-# (rows, served elements, their output positions, q = pdf / N per row)
-_Block = tuple[np.ndarray, ElementSet, slice, np.ndarray]
+# Scratch memory one chunk of per-element blocks may take.  A chunk's
+# stacked rows get a quarter of it; alongside them live either the draws
+# and their mirror images or the evaluation points, about half the bound.
+_CHUNK_BYTES = 8 << 20
+
+
+class _Stack(NamedTuple):
+    """Stacked blocks of antithetic rows and the elements they serve.
+
+    ``rows`` has shape (B, 2 samples, dim) and ``q`` (B, 2 samples): the
+    density ratio pdf / N of every row.  Either block k serves element k
+    (B == K) or the one block serves every element (B == 1); the two
+    readings agree when K == 1.  ``start`` is the position of the first
+    served element in the estimate.
+    """
+
+    start: int
+    rows: np.ndarray
+    elements: ElementSet
+    q: np.ndarray
+
+    def axis(self, idx: np.ndarray, pos=slice(None)) -> np.ndarray:
+        """Shape (len(idx), 2 samples): axis idx[k] of the rows serving element pos[k]."""
+        rows = self.rows
+        if len(rows) == 1:
+            return rows[0].T[idx]
+        return rows[np.arange(len(rows))[pos], :, idx]
 
 
 def _check_theta(theta, dim: int) -> np.ndarray:
@@ -191,27 +221,45 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
-def _mixture_ratio(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
-    """q = pdf / N per row for the uniform mixture over ``elements`` (one element: its own density)."""
-    ratios = element_density_ratios(rows, elements, sigma)
-    return ratios.sum(axis=1) / ratios.shape[1]
+def _stacked(start: int, rows: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
+    """Stack with q from the element densities: each block's own, or the mixture's for one block."""
+    if len(rows) > 1:
+        q = element_density_ratios(rows, elements, sigma)
+    else:
+        ratios = element_density_ratios(rows[0], elements, sigma)
+        q = (ratios.sum(axis=1) / ratios.shape[1])[None]
+    return _Stack(start, rows, elements, q)
 
 
-def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Block]:
-    """Antithetic row blocks for ``cfg.mode``; the only stage that knows the mode."""
+def _mirrored(pair, count: int) -> np.ndarray:
+    """Rows (B, 2 count, dim) from a sampler's (taus, -taus): each block, then its mirror image."""
+    taus, mirror = pair
+    shape = (-1, count, taus.shape[-1])
+    return np.concatenate((taus.reshape(shape), mirror.reshape(shape)), axis=1)
+
+
+def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[tuple[int, ElementSet]]:
+    """(start, elements) chunks whose stacked rows stay within a quarter of _CHUNK_BYTES."""
+    size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
+    for start in range(0, len(elements), size):
+        yield start, elements if size >= len(elements) else ElementSet(elements[start:start + size])
+
+
+def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
+    """Stacks of antithetic rows for ``cfg.mode``; the only stage that knows the mode."""
     spec, count = cfg.spec, cfg.samples
     if cfg.mode is SamplingMode.PER_ELEMENT:
-        for k, (elem, single) in enumerate(zip(elements, elements.singles)):
-            if elem.kind is ElementKind.GRADIENT:
-                pair = sample_gradient_offsets(elem.i, spec, rng, count)
+        table = default_hessian_diag_table()
+        for start, chunk in _chunks(elements, count, spec.dim):
+            if chunk[0].kind is ElementKind.GRADIENT:
+                rows = _mirrored(sample_gradient_offsets(chunk.i, spec, rng, count), count)
             else:
-                pair = sample_hessian_offsets(elem, spec, default_hessian_diag_table(), rng, count)
-            rows = np.concatenate(pair)
-            yield rows, single, slice(k, k + 1), _mixture_ratio(rows, single, spec.sigma)
+                rows = _mirrored(sample_hessian_offsets(chunk, spec, table, rng, count), count)
+            yield _stacked(start, rows, chunk, spec.sigma)
+            del rows  # drawn chunks are not kept while the next one is drawn
     elif cfg.mode is SamplingMode.AGGREGATE:
         pair = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
-        rows = np.concatenate(pair)
-        yield rows, elements, slice(None), _mixture_ratio(rows, elements, spec.sigma)
+        yield _stacked(0, _mirrored(pair, count), elements, spec.sigma)
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
@@ -221,55 +269,65 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
         with np.errstate(over="ignore"):
             q = np.exp(np.sum(rows * rows, axis=1) / (2.0 * sigma * sigma)
                        - spec.dim * math.log(20.0 / SQRT_TWO_PI))
-        yield rows, elements, slice(None), q
+        yield _Stack(0, rows[None], elements, q[None])
 
 
-def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Block]:
+def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
     """FR22 draws: per-element gradient blocks that blur only their own axis."""
     spec, count = cfg.spec, cfg.samples
-    for k, single in enumerate(elements.singles):
-        u = gradient_inverse_cdf(open_unit(rng.uniform(count)), spec.sigma)
-        rows = np.zeros((2 * count, spec.dim))
-        rows[:count, k] = u
-        rows[count:, k] = -u
-        yield rows, single, slice(k, k + 1), _mixture_ratio(rows, single, spec.sigma)
+    for start, chunk in _chunks(elements, count, spec.dim):
+        k = len(chunk)
+        u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
+        rows = np.zeros((k, 2 * count, spec.dim))
+        rows[np.arange(k), :count, chunk.i] = u
+        rows[np.arange(k), count:, chunk.i] = -u
+        yield _stacked(start, rows, chunk, spec.sigma)
 
 
-def _weighted(blocks: Iterator[_Block], factor) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
-    """Weight stage: kernel factor (kernel / N) over q, per row and served element."""
-    for rows, elements, pos, q in blocks:
-        yield rows, pos, factor(rows, elements) / q[:, None]
+def _weights(stack: _Stack, factor) -> np.ndarray:
+    """Weight stage: kernel factor (kernel / N) over q, shape (B, 2 samples, elements per block)."""
+    by_element = factor(stack) / stack.q
+    if len(stack.rows) > 1:
+        return by_element[:, :, None]
+    # a view: the factor's memory order sets numpy's summation order in the
+    # reduction, and the factors' layouts keep seeded estimates bit-for-bit
+    return by_element.T[None]
 
 
 def _evaluate(obj: Objective, point: np.ndarray) -> float:
     v = obj.evaluate(point)
     if not math.isfinite(v):
-        raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point)
+        raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point.copy())
     return v
 
 
-def _reduce_blocks(obj: Objective, theta: np.ndarray, weighted, reduce, size: int) -> np.ndarray:
-    """Evaluate f(theta - row) for every row and reduce each block into its positions."""
+def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], factor, reduce,
+              size: int) -> np.ndarray:
+    """Weight each stack, evaluate f(theta - row) row by row, and reduce into the served positions."""
     out = np.empty(size)
-    for rows, pos, weights in weighted:
-        vals = np.array([_evaluate(obj, theta - row) for row in rows])
-        out[pos] = reduce(vals, weights)
+    for stack in stacks:
+        weights = _weights(stack, factor)
+        blocks, rows, dim = stack.rows.shape
+        vals = np.array([_evaluate(obj, point) for point in (theta - stack.rows).reshape(-1, dim)])
+        estimates = reduce(vals.reshape(blocks, rows), weights)
+        out[stack.start:stack.start + estimates.size] = estimates.ravel()
+        del stack  # see _draw
     return out
 
 
 def _pair_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Collapse mirrored rows pairwise, then average over pairs.
+    """Collapse mirrored rows pairwise, then average over pairs, per block.
 
     Fixes the reduction order: each antithetic pair combines before any
     cross-pair summation, so odd-weight cancellations are exact.
     """
-    per_row = vals[:, None] * weights
-    m = per_row.shape[0] // 2
-    return (0.5 * (per_row[:m] + per_row[m:])).sum(axis=0) / m
+    per_row = vals[:, :, None] * weights
+    m = per_row.shape[1] // 2
+    return (0.5 * (per_row[:, :m] + per_row[:, m:])).sum(axis=1) / m
 
 
 def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Baseline-corrected mean for estimators with even (pair-symmetric) weights.
+    """Baseline-corrected mean for estimators with even (pair-symmetric) weights, per block.
 
     Hessian and HVP weights are even in tau, so a pair contributes
     (pair value) * (pair weight) and the objective's absolute level does
@@ -280,31 +338,34 @@ def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     value-level variance term.  A constant objective yields exactly zero
     once there are at least two pairs.
     """
-    pairs = len(vals) // 2
-    pv = 0.5 * (vals[:pairs] + vals[pairs:])
-    w = 0.5 * (weights[:pairs] + weights[pairs:])
+    pairs = vals.shape[1] // 2
+    pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
+    w = 0.5 * (weights[:, :pairs] + weights[:, pairs:])
     if pairs == 1:
-        return pv[0] * w[0]
-    return ((pv - pv.mean()) @ w) / (pairs - 1)
+        return pv * w[:, 0]
+    centered = (pv - pv.sum(axis=1, keepdims=True) / pairs).reshape(len(pv), 1, pairs)
+    return (centered @ w)[:, 0] / (pairs - 1)
 
 
-def _gradient_factor(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
-    return -rows[:, elements.i] / sigma ** 2
+def _gradient_factor(stack: _Stack, sigma: float) -> np.ndarray:
+    return -stack.axis(stack.elements.i) / sigma ** 2
 
 
-def _hessian_factor(rows: np.ndarray, elements: ElementSet, sigma: float) -> np.ndarray:
+def _hessian_factor(stack: _Stack, sigma: float) -> np.ndarray:
     s2 = sigma * sigma
-    out = np.empty((rows.shape[0], len(elements)))
-    for kind, pos, i, j in elements.groups:
-        u = rows[:, i]
+    k, rows = len(stack.elements), stack.rows.shape[1]
+    # one shared block keeps its weights row-major per row (see _weights)
+    out = np.empty((rows, k)).T if len(stack.rows) == 1 else np.empty((k, rows))
+    for kind, pos, i, j in stack.elements.groups:
+        u = stack.axis(i, pos)
         if kind is ElementKind.HESSIAN_DIAG:
-            out[:, pos] = (u - sigma) * (u + sigma) / (s2 * s2)
+            out[pos] = (u - sigma) * (u + sigma) / (s2 * s2)
         else:
-            out[:, pos] = u * rows[:, j] / (s2 * s2)
+            out[pos] = u * stack.axis(j, pos) / (s2 * s2)
     return out
 
 
-def _hvp_factor(rows: np.ndarray, elements: ElementSet, sigma: float, v: np.ndarray, eps: float) -> np.ndarray:
+def _hvp_factor(stack: _Stack, sigma: float, v: np.ndarray, eps: float) -> np.ndarray:
     """Directional difference of shifted gradient kernels over N.
 
     (grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau))
@@ -313,12 +374,13 @@ def _hvp_factor(rows: np.ndarray, elements: ElementSet, sigma: float, v: np.ndar
     of draws and evaluations.
     """
     s2 = sigma * sigma
-    tv = rows @ v
+    tv = stack.rows @ v
     vv = float(v @ v)
-    r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))[:, None]
-    r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))[:, None]
-    u = rows[:, elements.i]
-    ev = eps * v[elements.i]
+    r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+    r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+    i = stack.elements.i
+    u = stack.axis(i)
+    ev = (eps * v[i])[:, None]
     return (-(u + ev) * r_plus + (u - ev) * r_minus) / (2.0 * eps * s2)
 
 
@@ -330,9 +392,8 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    elements = gradient_elements(n)
-    weighted = _weighted(draw(cfg, rng, elements), partial(_gradient_factor, sigma=cfg.spec.sigma))
-    g = _reduce_blocks(obj, theta, weighted, _pair_mean, n)
+    factor = partial(_gradient_factor, sigma=cfg.spec.sigma)
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), factor, _pair_mean, n)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -383,8 +444,8 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    weighted = _weighted(_draw(cfg, rng, elements), partial(_hessian_factor, sigma=cfg.spec.sigma))
-    values = _reduce_blocks(obj, theta, weighted, _even_weight_estimate, len(elements))
+    factor = partial(_hessian_factor, sigma=cfg.spec.sigma)
+    values = _estimate(obj, theta, _draw(cfg, rng, elements), factor, _even_weight_estimate, len(elements))
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -416,8 +477,7 @@ def estimate_hvp(
     v_scale = float(np.linalg.norm(v_raw))
     start = obj.eval_count
     factor = partial(_hvp_factor, sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
-    weighted = _weighted(_draw(cfg, rng, gradient_elements(n)), factor)
-    hv = _reduce_blocks(obj, theta, weighted, _even_weight_estimate, n)
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), factor, _even_weight_estimate, n)
     return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)
 
 

@@ -125,11 +125,6 @@ class ElementSet(Sequence):
     def __getitem__(self, k):
         return self._elements[k]
 
-    @functools.cached_property
-    def singles(self) -> tuple["ElementSet", ...]:
-        """One single-element set per element, in order."""
-        return tuple(ElementSet((e,)) for e in self._elements)
-
 
 @functools.lru_cache(maxsize=None)
 def gradient_elements(dim: int) -> ElementSet:

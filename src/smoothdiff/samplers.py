@@ -6,6 +6,9 @@ inverse-CDF for gradients, a tabulated inverse for the transcendental
 Hessian-diagonal CDF) and the remaining axes stay Gaussian.  Aggregate
 sampling draws one offset from the uniform mixture of all element
 densities so a single function evaluation can serve every element.
+The per-element samplers also draw the blocks of many elements in one
+call: their random draws stay element by element, in the order separate
+calls would make them, and the rest runs once over the stacked blocks.
 
 All sampling is driven by ``RngStream``, a counter-based generator:
 identical (seed, stream_id, draw sequence) reproduces identical samples
@@ -61,11 +64,13 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def uniform(self, size=None):
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniforms on [0, 1); ``out`` takes the same draws as ``size=out.shape``."""
+        return self._gen.random(size, out=out)
 
-    def normal(self, size=None):
-        return self._gen.standard_normal(size)
+    def normal(self, size=None, out=None):
+        """Standard normals; ``out`` takes the same draws as ``size=out.shape``."""
+        return self._gen.standard_normal(size, out=out)
 
     def integers(self, high: int, size=None):
         return self._gen.integers(0, high, size=size)
@@ -159,25 +164,37 @@ def mixture_pdf(tau, elements: Sequence[KernelElement], spec: KernelSpec) -> flo
 
 
 def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], sigma: float) -> np.ndarray:
-    """Ratios element_pdf / gaussian_pdf for a batch of offsets, shape (S, K).
+    """Ratios element_pdf / gaussian_pdf for a batch of offsets.
+
+    A batch of shape (S, dim) is taken against every element, giving shape
+    (S, K).  Stacked blocks of shape (K, S, dim) are taken block k against
+    element k, giving shape (K, S).
 
     The ratios involve no exponentials, which keeps mixture weights
     stable in high dimension where the Gaussian factor under- or
     overflows.
     """
     elements = ElementSet.of(elements)
-    taus = np.atleast_2d(np.asarray(taus, dtype=float))
-    out = np.empty((taus.shape[0], len(elements)))
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim == 3:
+        if len(taus) != len(elements):
+            raise ValueError(f"{len(taus)} stacked blocks for {len(elements)} elements")
+        out = np.empty(taus.shape[:2])
+        by_element, axis = out, lambda pos, idx: taus[pos, :, idx]
+    else:
+        taus = np.atleast_2d(taus)
+        out = np.empty((taus.shape[0], len(elements)))
+        by_element, axis = out.T, lambda pos, idx: taus.T[idx]
     grad_scale = SQRT_TWO_PI / (2.0 * sigma)
     hess_scale = SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
     for kind, pos, i, j in elements.groups:
-        u = taus[:, i]
+        u = axis(pos, i)
         if kind is ElementKind.GRADIENT:
-            out[:, pos] = np.abs(u) * grad_scale
+            by_element[pos] = np.abs(u) * grad_scale
         elif kind is ElementKind.HESSIAN_DIAG:
-            out[:, pos] = np.abs((u - sigma) * (u + sigma)) * hess_scale
+            by_element[pos] = np.abs((u - sigma) * (u + sigma)) * hess_scale
         else:
-            out[:, pos] = (np.abs(u) * grad_scale) * (np.abs(taus[:, j]) * grad_scale)
+            by_element[pos] = (np.abs(u) * grad_scale) * (np.abs(axis(pos, j)) * grad_scale)
     return out
 
 
@@ -186,51 +203,81 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
 # ---------------------------------------------------------------------------
 #
 # Every sampler returns the antithetic pair (taus, -taus) of (count, dim)
-# offset blocks.  All sampling densities are even, so the mirrored block
-# is drawn from the same density.
+# offset blocks, or of (K * count, dim) blocks stacked element by element
+# when the per-element samplers are given K elements.  All sampling
+# densities are even, so the mirrored block is drawn from the same
+# density.
 
-def sample_gradient_offsets(i: int, spec: KernelSpec, rng: RngStream, count: int):
-    """Batch of offsets for gradient element i.
+def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStream, count: int):
+    """Batch of offsets for gradient element i, or stacked batches for an array of axes.
 
     Axis i follows the positivized gradient density via the exact inverse
-    CDF; all other axes are Gaussian.
+    CDF; all other axes are Gaussian.  For an array of axes the blocks
+    are stacked in its order: rows ``k * count`` to ``(k + 1) * count``
+    serve axis ``i[k]``.
 
-    Draw order: ``count`` uniforms for axis i, then the Gaussian block.
+    Draw order, per axis in turn: ``count`` uniforms for axis i, then the
+    Gaussian block.  Only these draws run once per axis; the inverse CDF
+    runs once over all of them.
     """
-    if not (0 <= i < spec.dim):
+    axes = np.atleast_1d(np.asarray(i, dtype=np.intp))
+    if not np.all((0 <= axes) & (axes < spec.dim)):
         raise ValueError(f"axis index {i} out of range for dim {spec.dim}")
-    special = gradient_inverse_cdf(open_unit(rng.uniform(count)), spec.sigma)
-    others = rng.normal((count, spec.dim - 1)) * spec.sigma
-    taus = np.empty((count, spec.dim))
-    taus[:, :i] = others[:, :i]
-    taus[:, i] = special
-    taus[:, i + 1:] = others[:, i:]
+    n, k = spec.dim, len(axes)
+    xi = np.empty((k, count))
+    others = np.empty((k, count, n - 1))
+    for r in range(k):
+        rng.uniform(out=xi[r])
+        rng.normal(out=others[r])
+    taus = np.empty((k, count, n))
+    rest = np.broadcast_to(np.arange(n) != axes[:, None, None], taus.shape)
+    taus[rest] = (others * spec.sigma).ravel()
+    taus[np.arange(k), :, axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma)
+    taus = taus.reshape(k * count, n)
     return taus, -taus
 
 
 def sample_hessian_offsets(
-    elem: KernelElement,
+    elem: KernelElement | Sequence[KernelElement],
     spec: KernelSpec,
     table: TabulatedInverseCdf,
     rng: RngStream,
     count: int,
 ):
-    """Batch of offsets for one Hessian element.
+    """Batch of offsets for one Hessian element, or stacked batches for a sequence of them.
 
     Diagonal axes use the tabulated inverse CDF scaled by sigma;
     off-diagonal elements draw both axes independently from the gradient
-    density.
+    density.  For a sequence the blocks are stacked in its order, ``count``
+    rows each.
+
+    Draw order, per element in turn: the Gaussian block, then one uniform
+    block per special axis.  Only these draws run once per element; each
+    inverse CDF runs once per element kind.
     """
-    elem.check_index_bounds(spec.dim)
-    s = spec.sigma
-    taus = rng.normal((count, spec.dim)) * s
-    if elem.kind is ElementKind.HESSIAN_DIAG:
-        taus[:, elem.i] = table.lookup(open_unit(rng.uniform(count))) * s
-    elif elem.kind is ElementKind.HESSIAN_OFF_DIAG:
-        taus[:, elem.i] = gradient_inverse_cdf(open_unit(rng.uniform(count)), s)
-        taus[:, elem.j] = gradient_inverse_cdf(open_unit(rng.uniform(count)), s)
-    else:
-        raise ValueError(f"expected a Hessian element, got {elem.kind}")
+    elements = ElementSet.of((elem,) if isinstance(elem, KernelElement) else elem)
+    for kind, _, i, j in elements.groups:
+        if kind is ElementKind.GRADIENT:
+            raise ValueError(f"expected a Hessian element, got {kind}")
+        if i.min() < 0 or j.max() >= spec.dim:
+            raise ValueError(f"element index out of range for dim {spec.dim}")
+    s, k = spec.sigma, len(elements)
+    taus = np.empty((k, count, spec.dim))
+    xi = np.empty((k, 2, count))
+    for r, off_diag in enumerate((elements.i != elements.j).tolist()):
+        rng.normal(out=taus[r])
+        rng.uniform(out=xi[r, 0])
+        if off_diag:
+            rng.uniform(out=xi[r, 1])
+    taus *= s
+    for kind, pos, i, j in elements.groups:
+        if kind is ElementKind.HESSIAN_DIAG:
+            taus[pos, :, i] = table.lookup(open_unit(xi[pos, 0])) * s
+        else:
+            u = gradient_inverse_cdf(open_unit(xi[pos]), s)
+            taus[pos, :, i] = u[:, 0]
+            taus[pos, :, j] = u[:, 1]
+    taus = taus.reshape(k * count, spec.dim)
     return taus, -taus
 
 

@@ -3,8 +3,10 @@
 A condensed version of the test suite: checks the kernel closed forms
 against finite differences, sampler distributions against their CDFs,
 estimator evaluation budgets and unbiasedness on the quadratic, the
-optimizer exactness identities, and the separable box and Phong losses
-against their pixel-by-pixel references.  Prints one line per check.
+stacked per-element estimators against a block-by-block reference loop,
+the optimizer exactness identities, and the separable box and Phong
+losses against their pixel-by-pixel references.  Prints one line per
+check.
 """
 
 from __future__ import annotations
@@ -14,21 +16,36 @@ import math
 import numpy as np
 from scipy import stats
 
-from .estimators import EstimatorConfig, Objective, SamplingMode, estimate_gradient, estimate_hessian
+from .estimators import (
+    EstimatorConfig,
+    GradientEstimate,
+    HessianEstimate,
+    Objective,
+    SamplingMode,
+    estimate_gradient,
+    estimate_gradient_fr22,
+    estimate_hessian,
+    estimate_hvp,
+)
 from .kernels import (
+    ElementKind,
     KernelSpec,
     gaussian_pdf,
     gradient_cdf,
+    gradient_elements,
     gradient_inverse_cdf,
     gradient_kernel,
     hessian_diag_cdf,
+    hessian_elements,
 )
 from .optimizers import OptimizerState, TrustRegion, newton_step
 from .samplers import (
     RngStream,
     build_hessian_diag_table,
+    default_hessian_diag_table,
     element_density_ratios,
     mixture_pdf,
+    open_unit,
     sample_aggregate_offsets,
     sample_gradient_offsets,
 )
@@ -43,8 +60,6 @@ from .tasks import (
     phong_sphere_task,
     quad_task,
 )
-from .estimators import GradientEstimate, HessianEstimate
-from .kernels import hessian_elements
 
 
 def rasterized_box_loss(targets: np.ndarray, resolution: tuple[int, int], theta) -> float:
@@ -71,6 +86,82 @@ def per_pixel_phong_loss(theta, resolution: int = 32) -> float:
 
     diff = image(np.asarray(theta, dtype=float)) - image(PHONG_TRUE)
     return float(np.sum(diff * diff)) / (3.0 * scene.total_pixels)
+
+
+def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfig,
+                          rng: RngStream, v=None) -> np.ndarray:
+    """A per-element estimate computed one element's block at a time.
+
+    ``order`` is "gradient", "hessian", "hvp" (along ``v``) or "fr22".
+    Each element draws its own block straight from ``rng``, in the draw
+    order the per-element samplers document (FR22: uniforms for its own
+    axis only), weights it by kernel factor over its own density ratio,
+    evaluates it and reduces it on its own: the loop that the estimators
+    run as one stacked pass.  Returns the gradient, the symmetric Hessian
+    or the HVP.
+    """
+    spec, count = cfg.spec, cfg.samples
+    n, sigma = spec.dim, spec.sigma
+    s2 = sigma * sigma
+    theta = np.asarray(theta, dtype=float)
+    elements = hessian_elements(n) if order == "hessian" else gradient_elements(n)
+    if order == "hvp":
+        v = np.asarray(v, dtype=float)
+        scale = float(np.linalg.norm(v))
+        unit, eps = v / scale, cfg.epsilon()
+    values = np.empty(len(elements))
+    for k, elem in enumerate(elements):
+        if order == "fr22":
+            taus = np.zeros((count, n))
+            taus[:, k] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
+        elif elem.kind is ElementKind.GRADIENT:
+            special = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
+            taus = np.insert(rng.normal((count, n - 1)) * sigma, k, special, axis=1)
+        else:
+            taus = rng.normal((count, n)) * sigma
+            if elem.kind is ElementKind.HESSIAN_DIAG:
+                taus[:, elem.i] = default_hessian_diag_table().lookup(open_unit(rng.uniform(count))) * sigma
+            else:
+                taus[:, elem.i] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
+                taus[:, elem.j] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
+        rows = np.concatenate((taus, -taus))
+        u = rows[:, elem.i]
+        if order in ("gradient", "fr22"):
+            factor = -u / sigma ** 2
+        elif order == "hessian":
+            both = (u - sigma) * (u + sigma) if elem.kind is ElementKind.HESSIAN_DIAG else u * rows[:, elem.j]
+            factor = both / (s2 * s2)
+        else:
+            tv, vv, ev = rows @ unit, float(unit @ unit), eps * unit[k]
+            r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+            r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+            factor = (-(u + ev) * r_plus + (u - ev) * r_minus) / (2.0 * eps * s2)
+        weights = factor / element_density_ratios(rows, [elem], sigma)[:, 0]
+        vals = np.array([obj.evaluate(theta - row) for row in rows])
+        if order in ("gradient", "fr22"):
+            per_row = vals * weights
+            values[k] = (0.5 * (per_row[:count] + per_row[count:])).sum() / count
+            continue
+        pv = 0.5 * (vals[:count] + vals[count:])
+        w = 0.5 * (weights[:count] + weights[count:])
+        values[k] = pv[0] * w[0] if count == 1 else ((pv - pv.mean()) @ w) / (count - 1)
+    if order == "hessian":
+        h = np.zeros((n, n))
+        h[elements.i, elements.j] = values
+        h[elements.j, elements.i] = values
+        return h
+    return scale * values if order == "hvp" else values
+
+
+def stacked_estimate(order: str, obj: Objective, theta, cfg: EstimatorConfig,
+                     rng: RngStream, v=None) -> np.ndarray:
+    """The estimator's own result for an ``order`` of ``per_element_reference``."""
+    if order == "hessian":
+        return estimate_hessian(obj, theta, cfg, rng).h
+    if order == "hvp":
+        return estimate_hvp(obj, theta, v, cfg, rng).hv
+    estimate = estimate_gradient_fr22 if order == "fr22" else estimate_gradient
+    return estimate(obj, theta, cfg, rng).g
 
 
 def run_selftest() -> int:
@@ -143,6 +234,21 @@ def run_selftest() -> int:
     cfg_g = EstimatorConfig(spec=KernelSpec(sigma=1.0, dim=2), samples=20000, mode=SamplingMode.PER_ELEMENT)
     g = estimate_gradient(obj3, theta, cfg_g, RngStream(8)).g
     check("quad gradient unbiased", np.abs(g - np.array([17.5, 17.5])).max() < 0.5, f"g={g}")
+
+    # estimators: stacked per-element blocks equal the block-by-block loop
+    def wavy(th):
+        return float(np.sin(3.0 * th).sum() + th @ th)
+
+    cfg_ref = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=4), samples=3, mode=SamplingMode.PER_ELEMENT)
+    theta_ref, v_ref = np.array([0.3, -0.2, 0.5, 0.1]), np.array([1.0, -2.0, 0.5, 0.25])
+    mismatched = []
+    for order in ("gradient", "hessian", "hvp", "fr22"):
+        obj_s, obj_r = Objective(wavy, 4), Objective(wavy, 4)
+        got = stacked_estimate(order, obj_s, theta_ref, cfg_ref, RngStream(21), v_ref)
+        want = per_element_reference(order, obj_r, theta_ref, cfg_ref, RngStream(21), v_ref)
+        if not (np.array_equal(got, want) and obj_s.eval_count == obj_r.eval_count):
+            mismatched.append(order)
+    check("stacked per-element estimates equal the block loop", not mismatched, f"differ: {mismatched}")
 
     # optimizers: one exact Newton step solves the quadratic
     state = OptimizerState(theta=np.array([2.0, -1.5]))

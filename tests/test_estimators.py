@@ -1,6 +1,7 @@
 """Estimator correctness: oracles on closed-form objectives, eval budgets."""
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -24,12 +25,13 @@ from smoothdiff.estimators import (
     greybox_hessian,
 )
 from smoothdiff.estimators import (
+    _CHUNK_BYTES,
     _draw,
     _draw_axis_blur,
     _gradient_factor,
     _hessian_factor,
     _hvp_factor,
-    _weighted,
+    _weights,
 )
 from smoothdiff.kernels import (
     KernelSpec,
@@ -46,7 +48,9 @@ from smoothdiff.samplers import (
     element_pdf,
     mixture_pdf,
     sample_aggregate_offsets,
+    sample_gradient_offsets,
 )
+from smoothdiff.selftest import per_element_reference, stacked_estimate
 from smoothdiff.tasks import negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
@@ -412,11 +416,13 @@ def test_weight_stage_equals_kernel_over_pdf(mode, order):
               "hvp": lambda t, e: (gradient_kernel(t + eps * v, e.i, spec)
                                    - gradient_kernel(t - eps * v, e.i, spec)) / (2.0 * eps)}[order]
     draw = _draw_axis_blur if mode == "fr22" else _draw
-    blocks = list(_weighted(draw(c, RngStream(3), elements), factor))
-    assert len(blocks) == (1 if mode in ("aggregate", "uniform") else len(elements))
-    for rows, pos, weights in blocks:
-        served = elements[pos]
-        assert rows.shape == (10, 3) and weights.shape == (10, len(served))
+    (stack,) = draw(c, RngStream(3), elements)
+    weights = _weights(stack, factor)
+    blocks = 1 if mode in ("aggregate", "uniform") else len(elements)
+    per_block = len(elements) // blocks
+    assert stack.rows.shape == (blocks, 10, 3) and weights.shape == (blocks, 10, per_block)
+    for b, rows in enumerate(stack.rows):
+        served = elements[b * per_block:(b + 1) * per_block]
         if mode == "fr22":
             (e,) = served
             ref = [[axis_blur_gradient_kernel(t[e.i], sigma) / gradient_pdf(t[e.i], sigma)] for t in rows]
@@ -426,7 +432,63 @@ def test_weight_stage_equals_kernel_over_pdf(mode, order):
                    "uniform": lambda t: (20.0 * sigma) ** -3}[mode]
             ref = [[kernel(t, e) / pdf(t) for e in served] for t in rows]
         ref = np.array(ref)
-        assert np.max(np.abs(weights - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(weights[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def wavy(th):
+    return float(np.sin(3.0 * th).sum() + 0.5 * th @ th + np.cos(th[0] * th[-1]))
+
+
+# n = 256 stacks its gradient and HVP blocks in several chunks from 4 samples
+# on, n = 64 its Hessian blocks from 1 sample on
+STACKED_SIZES = [(order, n) for order in ("gradient", "hessian", "hvp", "fr22") for n in (1, 2, 3, 7)]
+STACKED_SIZES += [("gradient", 256), ("hvp", 256)]
+STACKED_CASES = [(order, n, samples, sigma) for order, n in STACKED_SIZES
+                 for samples in (1, 2, 4, 9) for sigma in (0.01, 0.3, 1.0)]
+STACKED_CASES += [("hessian", 64, 1, 0.3), ("hessian", 64, 2, 0.01)]
+
+
+@pytest.mark.parametrize("order,n,samples,sigma", STACKED_CASES)
+def test_stacked_per_element_equals_block_loop(order, n, samples, sigma):
+    c = cfg(sigma=sigma, dim=n, samples=samples)
+    theta = np.linspace(-0.7, 0.9, n)
+    v = np.cos(np.arange(n) + 0.3)
+    obj, obj_ref = Objective(wavy, n), Objective(wavy, n)
+    got = stacked_estimate(order, obj, theta, c, RngStream(5, samples), v)
+    want = per_element_reference(order, obj_ref, theta, c, RngStream(5, samples), v)
+    assert np.array_equal(got, want)
+    assert obj.eval_count == obj_ref.eval_count
+
+
+def test_non_finite_in_later_element_aborts_at_its_row():
+    # element 2's block holds calls 9-12; only calls from 10 on are non-finite
+    n, samples = 3, 2
+    c = cfg(dim=n, samples=samples)
+    theta = np.array([0.1, -0.2, 0.3])
+    obj = Objective(lambda th: float("nan") if obj.eval_count >= 10 else float(th @ th), dim=n)
+    with pytest.raises(EstimationError) as err:
+        estimate_gradient(obj, theta, c, RngStream(4))
+    assert obj.eval_count == 10
+    rng = RngStream(4)
+    taus, mirror = [sample_gradient_offsets(k, c.spec, rng, samples) for k in range(n)][2]
+    row = np.concatenate((taus, mirror))[1]
+    assert np.array_equal(err.value.point, theta - row)
+    assert err.value.point.flags.owndata
+
+
+def test_per_element_hessian_memory_stays_within_chunk_bound():
+    # unchunked, the stacked rows alone would take 8256 * 2 * 128 * 8 = 16.9 MB
+    n = 128
+    obj = Objective(lambda th: float(th[0]), dim=n)
+    hessian_elements(n), default_hessian_diag_table()  # cached set-up, not part of an estimate
+    tracemalloc.start()
+    try:
+        estimate_hessian(obj, np.zeros(n), cfg(dim=n, samples=1), RngStream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obj.eval_count == n * (n + 1)
+    assert peak < _CHUNK_BYTES
 
 
 def test_high_dimension_small_sigma_emits_no_warnings():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ class TestCli:
         cfg.write_text(cfg.read_text() + f"deterministic = {word}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "'deterministic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,bad", [("samples", "four"), ("sigma_start", "1.0.5")])
+    def test_malformed_number_exits_2_naming_its_key(self, tmp_path, capsys, key, bad):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {bad}", cfg.read_text(), flags=re.M))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
                                             ("0", False), ("false", False), ("NO", False), ("Off", False)])
