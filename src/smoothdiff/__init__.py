@@ -41,8 +41,6 @@ from .estimators import (
     estimate_gradient_fr22,
     estimate_hessian,
     estimate_hvp,
-    greybox_gradient,
-    greybox_hessian,
 )
 from .optimizers import (
     OptimizerState,

@@ -117,6 +117,9 @@ def cmd_sweep(args) -> int:
     if "sweep" not in parser:
         raise ValueError(f"{args.config}: missing [sweep] section")
     section = dict(parser["sweep"])
+    for key in ("methods", "tasks"):
+        if key not in section:
+            raise ValueError(f"{args.config}: [sweep] section needs a {key!r} key")
     methods = [m.strip() for m in section.pop("methods").split(",")]
     tasks = [t.strip() for t in section.pop("tasks").split(",")]
     base = {}
@@ -151,7 +154,7 @@ def cmd_variance(args) -> int:
     budgets = [int(b) for b in args.budgets.split(",")]
     report = harness.variance_report(
         task, theta, modes, budgets,
-        orders=tuple(args.orders.split(",")), reps=args.reps,
+        orders=tuple(o.strip() for o in args.orders.split(",")), reps=args.reps,
         sigma=args.sigma, seed=args.seed if args.seed is not None else 0,
     )
     print(report.format_table())

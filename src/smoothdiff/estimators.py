@@ -8,10 +8,12 @@ by kernel(tau) / pdf(tau).
 
 Every estimator runs the same four stages:
 
-1. **Draw** blocks of antithetic rows (tau, -tau), stacked into one
-   array of shape (blocks, 2 samples, dim), with the output elements each
-   block serves and its density ratio q = pdf / N, where N is the
-   smoothing Gaussian.  Only this stage depends on the sampling mode:
+1. **Draw** blocks of offsets tau, stacked into one array of shape
+   (blocks, samples, dim), with the output elements each block serves
+   and the density ratio q = pdf / N of its rows, where N is the
+   smoothing Gaussian.  Each drawn row tau stands for the antithetic pair
+   (tau, -tau); the mirrored half is never stored.  Only this stage
+   depends on the sampling mode:
 
    * ``PER_ELEMENT``: one block per derivative element, drawn from that
      element's optimally importance-sampled density and serving only that
@@ -29,12 +31,16 @@ Every estimator runs the same four stages:
 
    The FR22 baseline draws per-element gradient blocks with the other
    axes left unblurred.
-2. **Weight** each row by the kernel factor kernel / N of every element
-   the block serves, divided by q.  Both are ratios to N, free of
-   Gaussian normalization factors, so weights stay finite in high
-   dimension.
-3. **Evaluate** f once per row, through one check that aborts the
-   estimate on the first non-finite value.
+2. **Weight** each row of the pairs by the kernel factor kernel / N of
+   every element the block serves, divided by q.  Both are ratios to N,
+   free of Gaussian normalization factors, so weights stay finite in high
+   dimension.  Every density is even, so q at -tau is q at tau, and the
+   mirror rows' gradient and Hessian weights follow from the drawn rows'
+   by parity, exactly in IEEE arithmetic.  The HVP factor is taken over
+   both halves (see ``_hvp_weights``).
+3. **Evaluate** f once per row at theta - tau for a block's drawn rows,
+   then at theta + tau for their mirror images, all written into one
+   buffer; one check aborts the estimate on the first non-finite value.
 4. **Reduce** each block's antithetic pairs to its estimates: pair
    means for the odd gradient weights, a baseline-corrected mean for the
    even Hessian and HVP weights.
@@ -184,92 +190,87 @@ class HvpEstimate:
 # ---------------------------------------------------------------------------
 
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
-# stacked rows get a quarter of it; alongside them live either the draws
-# and their mirror images or the evaluation points, about half the bound.
+# evaluation points, two per drawn row, get a quarter of it; the drawn
+# rows, the sampler's mirror images and its scratch take about as much
+# again.
 _CHUNK_BYTES = 8 << 20
 
 
 class _Stack(NamedTuple):
-    """Stacked blocks of antithetic rows and the elements they serve.
+    """Stacked blocks of drawn offsets and the elements they serve.
 
-    ``rows`` has shape (B, 2 samples, dim) and ``q`` (B, 2 samples): the
-    density ratio pdf / N of every row.  Either block k serves element k
-    (B == K) or the one block serves every element (B == 1); the two
-    readings agree when K == 1.  ``start`` is the position of the first
-    served element in the estimate.
+    ``taus`` has shape (B, samples, dim): the drawn half of every block's
+    antithetic rows, whose mirror images -taus are the other half.  ``q``
+    (B, samples) is the density ratio pdf / N of the drawn rows, and of
+    their mirror images too, since every density is even.  Either block k
+    serves element k (B == K) or the one block serves every element
+    (B == 1); the two readings agree when K == 1.  ``start`` is the
+    position of the first served element in the estimate.
     """
 
     start: int
-    rows: np.ndarray
+    taus: np.ndarray
     elements: ElementSet
     q: np.ndarray
 
-    def axis(self, idx: np.ndarray, pos=slice(None)) -> np.ndarray:
-        """Shape (len(idx), 2 samples): axis idx[k] of the rows serving element pos[k]."""
-        rows = self.rows
-        if len(rows) == 1:
-            return rows[0].T[idx]
-        return rows[np.arange(len(rows))[pos], :, idx]
+
+def _axis(rows: np.ndarray, idx: np.ndarray, pos=slice(None)) -> np.ndarray:
+    """Shape (len(idx), R): axis idx[k] of the (B, R, dim) rows serving element pos[k]."""
+    if len(rows) == 1:
+        return rows[0].T[idx]
+    return rows[np.arange(len(rows))[pos], :, idx]
 
 
 def _check_theta(theta, dim: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dim,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     return theta
 
 
-def _stacked(start: int, rows: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
+def _stacked(start: int, taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
     """Stack with q from the element densities: each block's own, or the mixture's for one block."""
-    if len(rows) > 1:
-        q = element_density_ratios(rows, elements, sigma)
+    if len(taus) > 1:
+        q = element_density_ratios(taus, elements, sigma)
     else:
-        ratios = element_density_ratios(rows[0], elements, sigma)
+        ratios = element_density_ratios(taus[0], elements, sigma)
         q = (ratios.sum(axis=1) / ratios.shape[1])[None]
-    return _Stack(start, rows, elements, q)
-
-
-def _mirrored(pair, count: int) -> np.ndarray:
-    """Rows (B, 2 count, dim) from a sampler's (taus, -taus): each block, then its mirror image."""
-    taus, mirror = pair
-    shape = (-1, count, taus.shape[-1])
-    return np.concatenate((taus.reshape(shape), mirror.reshape(shape)), axis=1)
+    return _Stack(start, taus, elements, q)
 
 
 def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[tuple[int, ElementSet]]:
-    """(start, elements) chunks whose stacked rows stay within a quarter of _CHUNK_BYTES."""
+    """(start, elements) chunks whose evaluation points stay within a quarter of _CHUNK_BYTES."""
     size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
     for start in range(0, len(elements), size):
         yield start, elements if size >= len(elements) else ElementSet(elements[start:start + size])
 
 
 def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
-    """Stacks of antithetic rows for ``cfg.mode``; the only stage that knows the mode."""
+    """Stacks of drawn offsets for ``cfg.mode``; the only stage that knows the mode."""
     spec, count = cfg.spec, cfg.samples
     if cfg.mode is SamplingMode.PER_ELEMENT:
         table = default_hessian_diag_table()
         for start, chunk in _chunks(elements, count, spec.dim):
             if chunk[0].kind is ElementKind.GRADIENT:
-                rows = _mirrored(sample_gradient_offsets(chunk.i, spec, rng, count), count)
+                taus, _ = sample_gradient_offsets(chunk.i, spec, rng, count)
             else:
-                rows = _mirrored(sample_hessian_offsets(chunk, spec, table, rng, count), count)
-            yield _stacked(start, rows, chunk, spec.sigma)
-            del rows  # drawn chunks are not kept while the next one is drawn
+                taus, _ = sample_hessian_offsets(chunk, spec, table, rng, count)
+            yield _stacked(start, taus.reshape(len(chunk), count, spec.dim), chunk, spec.sigma)
+            del taus  # drawn chunks are not kept while the next one is drawn
     elif cfg.mode is SamplingMode.AGGREGATE:
-        pair = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
-        yield _stacked(0, _mirrored(pair, count), elements, spec.sigma)
+        taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
+        yield _stacked(0, taus[None], elements, spec.sigma)
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
-        rows = np.concatenate((taus, -taus))
         # uniform density over N, normalizations folded into one exponent;
         # rows far out in high dimension overflow to q = inf, i.e. weight 0
         with np.errstate(over="ignore"):
-            q = np.exp(np.sum(rows * rows, axis=1) / (2.0 * sigma * sigma)
+            q = np.exp(np.sum(taus * taus, axis=1) / (2.0 * sigma * sigma)
                        - spec.dim * math.log(20.0 / SQRT_TWO_PI))
-        yield _Stack(0, rows[None], elements, q[None])
+        yield _Stack(0, taus[None], elements, q[None])
 
 
 def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
@@ -278,20 +279,25 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
     for start, chunk in _chunks(elements, count, spec.dim):
         k = len(chunk)
         u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
-        rows = np.zeros((k, 2 * count, spec.dim))
-        rows[np.arange(k), :count, chunk.i] = u
-        rows[np.arange(k), count:, chunk.i] = -u
-        yield _stacked(start, rows, chunk, spec.sigma)
+        taus = np.zeros((k, count, spec.dim))
+        taus[np.arange(k), :, chunk.i] = u
+        yield _stacked(start, taus, chunk, spec.sigma)
 
 
-def _weights(stack: _Stack, factor) -> np.ndarray:
-    """Weight stage: kernel factor (kernel / N) over q, shape (B, 2 samples, elements per block)."""
-    by_element = factor(stack) / stack.q
-    if len(stack.rows) > 1:
-        return by_element[:, :, None]
-    # a view: the factor's memory order sets numpy's summation order in the
-    # reduction, and the factors' layouts keep seeded estimates bit-for-bit
-    return by_element.T[None]
+def _weights(stack: _Stack, weigh) -> tuple[np.ndarray, np.ndarray]:
+    """Weight stage: the weights of the drawn rows and of their mirror images.
+
+    ``weigh(stack)`` gives both, kernel factor (kernel / N) over q per
+    served element, each of shape (elements, samples) for one shared block
+    and (B, samples) for per-element blocks; both come back with shape
+    (B, samples, elements per block).
+    """
+    drawn, mirror = weigh(stack)
+    if len(stack.taus) > 1:
+        return drawn[:, :, None], mirror[:, :, None]
+    # views: the weights' memory order sets numpy's summation order in the
+    # reduction, and their layouts keep seeded estimates bit-for-bit
+    return drawn.T[None], mirror.T[None]
 
 
 def _evaluate(obj: Objective, point: np.ndarray) -> float:
@@ -301,32 +307,41 @@ def _evaluate(obj: Objective, point: np.ndarray) -> float:
     return v
 
 
-def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], factor, reduce,
+def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], weigh, reduce,
               size: int) -> np.ndarray:
-    """Weight each stack, evaluate f(theta - row) row by row, and reduce into the served positions."""
+    """Weight each stack, evaluate f row by row, and reduce into the served positions.
+
+    Each block's points are theta - tau for its drawn rows, then theta + tau
+    for their mirror images, written straight into one buffer.
+    """
     out = np.empty(size)
     for stack in stacks:
-        weights = _weights(stack, factor)
-        blocks, rows, dim = stack.rows.shape
-        vals = np.array([_evaluate(obj, point) for point in (theta - stack.rows).reshape(-1, dim)])
-        estimates = reduce(vals.reshape(blocks, rows), weights)
+        weights = _weights(stack, weigh)
+        taus = stack.taus
+        blocks, count, dim = taus.shape
+        points = np.empty((blocks, 2 * count, dim))
+        np.subtract(theta, taus, out=points[:, :count])
+        np.add(theta, taus, out=points[:, count:])
+        vals = np.array([_evaluate(obj, point) for point in points.reshape(-1, dim)])
+        estimates = reduce(vals.reshape(blocks, 2 * count), weights)
         out[stack.start:stack.start + estimates.size] = estimates.ravel()
-        del stack  # see _draw
+        del stack, taus, points  # see _draw
     return out
 
 
-def _pair_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pair_mean(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Collapse mirrored rows pairwise, then average over pairs, per block.
 
+    ``weights`` holds the drawn rows' weights and their mirror images'.
     Fixes the reduction order: each antithetic pair combines before any
     cross-pair summation, so odd-weight cancellations are exact.
     """
-    per_row = vals[:, :, None] * weights
-    m = per_row.shape[1] // 2
-    return (0.5 * (per_row[:, :m] + per_row[:, m:])).sum(axis=1) / m
+    drawn, mirror = weights
+    m = drawn.shape[1]
+    return (0.5 * (vals[:, :m, None] * drawn + vals[:, m:, None] * mirror)).sum(axis=1) / m
 
 
-def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _even_weight_estimate(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Baseline-corrected mean for estimators with even (pair-symmetric) weights, per block.
 
     Hessian and HVP weights are even in tau, so a pair contributes
@@ -338,50 +353,67 @@ def _even_weight_estimate(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     value-level variance term.  A constant objective yields exactly zero
     once there are at least two pairs.
     """
-    pairs = vals.shape[1] // 2
+    drawn, mirror = weights
+    pairs = drawn.shape[1]
     pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
-    w = 0.5 * (weights[:, :pairs] + weights[:, pairs:])
+    w = 0.5 * (drawn + mirror)
     if pairs == 1:
         return pv * w[:, 0]
     centered = (pv - pv.sum(axis=1, keepdims=True) / pairs).reshape(len(pv), 1, pairs)
     return (centered @ w)[:, 0] / (pairs - 1)
 
 
-def _gradient_factor(stack: _Stack, sigma: float) -> np.ndarray:
-    return -stack.axis(stack.elements.i) / sigma ** 2
+# The mirror rows' gradient and Hessian weights follow from the drawn
+# rows' by parity, exactly in IEEE arithmetic: q is even, the gradient
+# factor odd and the Hessian factor even.
+
+def _gradient_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    drawn = -_axis(stack.taus, stack.elements.i) / sigma ** 2 / stack.q
+    return drawn, -drawn
 
 
-def _hessian_factor(stack: _Stack, sigma: float) -> np.ndarray:
+def _hessian_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     s2 = sigma * sigma
-    k, rows = len(stack.elements), stack.rows.shape[1]
-    # one shared block keeps its weights row-major per row (see _weights)
-    out = np.empty((rows, k)).T if len(stack.rows) == 1 else np.empty((k, rows))
+    k, count = len(stack.elements), stack.taus.shape[1]
+    # one shared block keeps its factor row-major per row (see _weights)
+    factor = np.empty((count, k)).T if len(stack.taus) == 1 else np.empty((k, count))
     for kind, pos, i, j in stack.elements.groups:
-        u = stack.axis(i, pos)
+        u = _axis(stack.taus, i, pos)
         if kind is ElementKind.HESSIAN_DIAG:
-            out[pos] = (u - sigma) * (u + sigma) / (s2 * s2)
+            factor[pos] = (u - sigma) * (u + sigma) / (s2 * s2)
         else:
-            out[pos] = u * stack.axis(j, pos) / (s2 * s2)
-    return out
+            factor[pos] = u * _axis(stack.taus, j, pos) / (s2 * s2)
+    drawn = factor / stack.q
+    return drawn, drawn
 
 
-def _hvp_factor(stack: _Stack, sigma: float, v: np.ndarray, eps: float) -> np.ndarray:
-    """Directional difference of shifted gradient kernels over N.
+def _hvp_weights(stack: _Stack, sigma: float, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Directional difference of shifted gradient kernels over N, over q.
 
     (grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau))
     for the served axes; over q it equals the central difference of the
     two shifted smoothed-gradient estimators computed from one shared set
     of draws and evaluations.
+
+    The factor is even in tau, but it is taken over the mirror rows too:
+    tau.v comes from a BLAS matrix-vector product, whose summation order
+    for a row depends on the row's position, so a mirror row's tau.v need
+    not be the exact negation of its drawn row's.
     """
     s2 = sigma * sigma
-    tv = stack.rows @ v
-    vv = float(v @ v)
-    r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-    r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+    rows = np.concatenate((stack.taus, -stack.taus), axis=1)
+    shift = 2.0 * eps * (rows @ v)
+    level = eps * eps * float(v.dot(v))
+    # exp(-(2 eps tau.v + eps^2 v.v) / 2 s2) and the same at -tau
+    r_plus = np.exp((shift + level) / (-2.0 * s2))
+    r_minus = np.exp((shift - level) / (2.0 * s2))
     i = stack.elements.i
-    u = stack.axis(i)
+    u = _axis(rows, i)
     ev = (eps * v[i])[:, None]
-    return (-(u + ev) * r_plus + (u - ev) * r_minus) / (2.0 * eps * s2)
+    factor = ((u - ev) * r_minus - (u + ev) * r_plus) / (2.0 * eps * s2)
+    weights = factor / np.concatenate((stack.q, stack.q), axis=1)
+    count = stack.taus.shape[1]
+    return weights[:, :count], weights[:, count:]
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +424,8 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    factor = partial(_gradient_factor, sigma=cfg.spec.sigma)
-    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), factor, _pair_mean, n)
+    weigh = partial(_gradient_weights, sigma=cfg.spec.sigma)
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), weigh, _pair_mean, n)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -444,8 +476,8 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    factor = partial(_hessian_factor, sigma=cfg.spec.sigma)
-    values = _estimate(obj, theta, _draw(cfg, rng, elements), factor, _even_weight_estimate, len(elements))
+    weigh = partial(_hessian_weights, sigma=cfg.spec.sigma)
+    values = _estimate(obj, theta, _draw(cfg, rng, elements), weigh, _even_weight_estimate, len(elements))
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -472,36 +504,10 @@ def estimate_hvp(
     v_raw = np.asarray(v, dtype=float)
     if v_raw.shape != (n,):
         raise ValueError(f"direction has shape {v_raw.shape}, expected ({n},)")
-    if not np.any(v_raw != 0.0):
+    if not v_raw.any():
         raise ValueError("direction must be nonzero")
-    v_scale = float(np.linalg.norm(v_raw))
+    v_scale = math.sqrt(float(v_raw.dot(v_raw)))
     start = obj.eval_count
-    factor = partial(_hvp_factor, sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
-    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), factor, _even_weight_estimate, n)
+    weigh = partial(_hvp_weights, sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), weigh, _even_weight_estimate, n)
     return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)
-
-
-# ---------------------------------------------------------------------------
-# grey-box composition
-# ---------------------------------------------------------------------------
-
-def greybox_gradient(inner_jacobian: np.ndarray, outer_grad: GradientEstimate) -> GradientEstimate:
-    """Chain rule through a known inner map: J^T g.
-
-    The sampled gradient handles only the black-box outer function; the
-    white-box inner Jacobian composes analytically.
-    """
-    jac = np.asarray(inner_jacobian, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != outer_grad.g.shape[0]:
-        raise ValueError(f"jacobian shape {jac.shape} does not match gradient length {outer_grad.g.shape}")
-    return GradientEstimate(g=jac.T @ outer_grad.g, evals_used=outer_grad.evals_used)
-
-
-def greybox_hessian(inner_jacobian: np.ndarray, outer_hess: HessianEstimate) -> HessianEstimate:
-    """Gauss-Newton-style composition J^T H J; symmetric by construction."""
-    jac = np.asarray(inner_jacobian, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != outer_hess.h.shape[0]:
-        raise ValueError(f"jacobian shape {jac.shape} does not match hessian shape {outer_hess.h.shape}")
-    h = jac.T @ outer_hess.h @ jac
-    h = 0.5 * (h + h.T)
-    return HessianEstimate(h=h, evals_used=outer_hess.evals_used)

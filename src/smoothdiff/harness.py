@@ -122,8 +122,19 @@ class EnsembleResult:
 # method dispatch
 # ---------------------------------------------------------------------------
 
-def _estimator_cfg(cfg: RunConfig, dim: int, sigma: float, mode: SamplingMode) -> EstimatorConfig:
-    return EstimatorConfig(spec=KernelSpec(sigma=sigma, dim=dim), samples=cfg.samples, mode=mode)
+class _EstimatorConfigs:
+    """One run's estimator config per sampling mode, rebuilt only when sigma changes."""
+
+    def __init__(self, dim: int, samples: int):
+        self._dim, self._samples = dim, samples
+        self._last: dict[SamplingMode, EstimatorConfig] = {}
+
+    def __call__(self, sigma: float, mode: SamplingMode) -> EstimatorConfig:
+        cfg = self._last.get(mode)
+        if cfg is None or cfg.spec.sigma != sigma:
+            spec = KernelSpec(sigma=sigma, dim=self._dim)
+            cfg = self._last[mode] = EstimatorConfig(spec=spec, samples=self._samples, mode=mode)
+        return cfg
 
 
 def _grad_evals_per_iter(cfg: RunConfig, dim: int) -> int:
@@ -180,7 +191,7 @@ class SampledProvider:
         psd: bool = True,
     ):
         self._obj = obj
-        self._samples = samples
+        self._cfg = _EstimatorConfigs(obj.dim, samples)
         self._rng = rng
         self._grad_mode = grad_mode
         self._hvp_mode = hvp_mode
@@ -188,10 +199,6 @@ class SampledProvider:
         self._hessian_mode = hessian_mode
         self._psd = psd
         self._h: np.ndarray | None = None
-
-    def _cfg(self, sigma: float, mode: SamplingMode) -> EstimatorConfig:
-        return EstimatorConfig(spec=KernelSpec(sigma=sigma, dim=self._obj.dim),
-                               samples=self._samples, mode=mode)
 
     def refresh(self, theta: np.ndarray, sigma: float) -> None:
         if self._use_hessian:
@@ -225,14 +232,15 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
 
     try:
         if cfg.method in FIRST_ORDER_METHODS:
+            configs = _EstimatorConfigs(task.dim, cfg.samples)
             if cfg.method == "FD":
                 grad_fn = lambda th, s: estimate_gradient_fd(obj, th, cfg.fd_step)
             elif cfg.method == "FR22":
                 grad_fn = lambda th, s: estimate_gradient_fr22(
-                    obj, th, _estimator_cfg(cfg, task.dim, s, SamplingMode.PER_ELEMENT), est_rng)
+                    obj, th, configs(s, SamplingMode.PER_ELEMENT), est_rng)
             else:
                 grad_fn = lambda th, s: estimate_gradient(
-                    obj, th, _estimator_cfg(cfg, task.dim, s, SamplingMode.PER_ELEMENT), est_rng)
+                    obj, th, configs(s, SamplingMode.PER_ELEMENT), est_rng)
             return gd_adam_run(obj, grad_fn, theta0, schedule, cfg.lr, budget,
                                param_error_fn=task.param_error,
                                deterministic_clock=cfg.deterministic)
@@ -382,7 +390,12 @@ def variance_report(
     with as many antithetic pairs as the budget buys; the reported
     variance sums the elementwise variances over repetitions.  Slopes of
     log-variance against log-budget come from a least-squares fit.
+    ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError.
     """
+    orders = tuple(orders)
+    for order in orders:
+        if order not in ("G", "H", "HVP"):
+            raise ValueError(f"unknown derivative order {order!r}; expected G, H or HVP")
     theta = np.asarray(theta, dtype=float)
     budgets = list(budgets)
     modes = list(modes)

@@ -278,13 +278,13 @@ def gradient_inverse_cdf(xi, sigma: float):
         raise ValueError(f"sigma must be > 0, got {sigma}")
     xi_arr = np.asarray(xi, dtype=float)
     tail = np.minimum(xi_arr, 1.0 - xi_arr)  # mass beyond u on the nearer side, halved
-    if np.any(tail <= 0.0):
-        raise ValueError("xi must lie in the open interval (0, 1)")
+    # one reduction; a NaN fails the comparison too
+    if tail.size and not tail.min() > 0.0:
+        raise ValueError(f"xi must lie in the open interval (0, 1), got {xi}")
     mag = np.sqrt(-2.0 * np.log(2.0 * tail))
-    out = sigma * np.where(xi_arr <= 0.5, -mag, mag)
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return float(out)
-    return out
+    # the sign of xi - 1/2: negative below the median, +0.0 at it, where mag is -0.0
+    out = sigma * np.copysign(mag, xi_arr - 0.5)
+    return float(out) if xi_arr.ndim == 0 else out
 
 
 def hessian_diag_pdf(u, sigma: float):

@@ -77,35 +77,45 @@ class OptimizerState:
     iteration: int = 0
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    cg_direction: np.ndarray | None = None
-    cg_residual: np.ndarray | None = None
     trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
 
 
 def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> OptimizerState:
-    """One Adam update on a (possibly stochastic) gradient."""
+    """One Adam update on a (possibly stochastic) gradient, made in place.
+
+    ``state`` is updated and returned: the moment estimates ``adam_m`` and
+    ``adam_v`` are arrays owned by the state and change in place, created
+    on the first step; ``theta`` is replaced by a new array, so an array a
+    caller holds from before the step keeps its values.
+    """
     if not (lr > 0):
         raise ValueError(f"lr must be > 0, got {lr}")
     g = np.asarray(grad.g, dtype=float)
     if g.shape != state.theta.shape:
         raise ValueError(f"gradient shape {g.shape} does not match theta {state.theta.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteStateError("non-finite gradient in Adam step", state.trace)
-    m = state.adam_m if state.adam_m is not None else np.zeros_like(g)
-    v = state.adam_v if state.adam_v is not None else np.zeros_like(g)
+    if state.adam_m is None:
+        state.adam_m = np.zeros_like(g)
+    if state.adam_v is None:
+        state.adam_v = np.zeros_like(g)
+    m, v = state.adam_m, state.adam_v
     t = state.iteration + 1
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    theta = state.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return replace(state, theta=theta, iteration=t, adam_m=m, adam_v=v)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = lr * (m / (1.0 - ADAM_BETA1 ** t))
+    step /= np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS
+    state.theta = state.theta - step
+    state.iteration = t
+    return state
 
 
 def _clamped_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of symmetric h, eigenvalues floored at 1e-6 * max(|lambda|_max, 1)."""
     lam, vecs = np.linalg.eigh(h)
-    floor = 1e-6 * max(float(np.max(np.abs(lam))), 1.0)
+    floor = 1e-6 * max(float(np.abs(lam).max()), 1.0)
     return np.maximum(lam, floor), vecs
 
 
@@ -126,7 +136,7 @@ def newton_step(
     """Full Newton update with PSD modification and trust-region truncation."""
     g = np.asarray(grad.g, dtype=float)
     h = np.asarray(hess.h, dtype=float)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
         raise NonFiniteStateError("non-finite derivative in Newton step", state.trace)
     lam, vecs = _clamped_eigh(h)
     v = -(vecs @ ((vecs.T @ g) / lam))
@@ -172,47 +182,50 @@ def _steihaug_step(
 ) -> np.ndarray:
     """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta."""
 
-    def residual(center: np.ndarray) -> np.ndarray:
+    def residual(center: np.ndarray) -> tuple[np.ndarray, float]:
         g = provider.gradient(center, sigma).g
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteStateError("non-finite gradient estimate", trace)
-        return -g
+        return -g, float(g.dot(g))
 
+    # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
     p = np.zeros_like(theta)
     center = theta
-    r = residual(center)
+    r, rr = residual(center)
     v = r.copy()
-    r0_norm = float(np.linalg.norm(r))
+    r0_norm = math.sqrt(rr)
     if r0_norm == 0.0:
         return p
     for k in range(max_steps):
         if k > 0 and k % recompute == 0:
             center = theta + p
             provider.refresh(center, sigma)
-            r = residual(center)
+            r, rr = residual(center)
             v = r.copy()
-        if float(np.linalg.norm(r)) <= ls_tol * r0_norm:
+        if math.sqrt(rr) <= ls_tol * r0_norm:
             break
         hv = provider.hvp(center, v, sigma).hv
-        curv = float(v @ hv)
+        curv = float(v.dot(hv))
         fallback = curv <= 0.0
-        alpha = 0.0 if fallback else float(r @ v) / curv
-        at_boundary = fallback or float(np.linalg.norm(p + alpha * v)) >= delta
+        alpha = 0.0 if fallback else float(r.dot(v)) / curv
+        p_next = None if fallback else p + alpha * v
+        at_boundary = fallback or math.sqrt(float(p_next.dot(p_next))) >= delta
         if at_boundary:
             alpha = _boundary_step(p, v, delta)
+            p_next = p + alpha * v
         if on_inner_step is not None:
             on_inner_step({"outer": outer, "inner": k, "alpha": alpha, "v": v.copy(),
                            "hv": hv.copy(), "curv": curv, "fallback": fallback})
-        p = p + alpha * v
-        if not np.all(np.isfinite(p)):
+        p = p_next
+        if not np.isfinite(p).all():
             raise NonFiniteStateError("non-finite parameters in CG step", trace)
         if at_boundary:
             break
         r_new = r - alpha * hv
-        rr = float(r @ r)
-        beta = float(r_new @ r_new) / rr if rr > 0 else 0.0
+        rr_new = float(r_new.dot(r_new))
+        beta = rr_new / rr if rr > 0 else 0.0
         v = r_new + beta * v
-        r = r_new
+        r, rr = r_new, rr_new
     return p
 
 
@@ -337,7 +350,7 @@ def gd_adam_run(
         sigma = anneal_sigma(schedule, state.iteration)
         grad = gradient_fn(state.theta, sigma)
         state = gd_adam_step(state, grad, lr)
-        if not np.all(np.isfinite(state.theta)):
+        if not np.isfinite(state.theta).all():
             raise NonFiniteStateError("non-finite parameters in Adam step", trace)
         record(state.iteration)
     return trace

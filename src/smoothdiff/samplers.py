@@ -18,6 +18,7 @@ safe to use concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -90,18 +91,20 @@ class TabulatedInverseCdf:
     resolution: int
 
     def lookup(self, xi):
-        """Map uniform variates to offsets with cdf(lookup(xi)) ~= xi."""
+        """Map uniform variates in [0, 1] to offsets with cdf(lookup(xi)) ~= xi."""
         xi_arr = np.asarray(xi, dtype=float)
-        idx = np.clip(np.searchsorted(self.cdf_values, xi_arr), 1, self.resolution - 1)
-        c0 = self.cdf_values[idx - 1]
+        # a NaN fails both comparisons
+        if xi_arr.size and not (xi_arr.min() >= 0.0 and xi_arr.max() <= 1.0):
+            raise ValueError(f"xi must lie in [0, 1], got {xi}")
+        idx = np.minimum(np.maximum(np.searchsorted(self.cdf_values, xi_arr), 1), self.resolution - 1)
+        lo = idx - 1
+        c0 = self.cdf_values[lo]
         c1 = self.cdf_values[idx]
         # cells may collapse where the CDF saturates in float64 at the tails
         width = np.where(c1 > c0, c1 - c0, 1.0)
-        frac = np.clip((xi_arr - c0) / width, 0.0, 1.0)
-        out = self.grid[idx - 1] + frac * (self.grid[idx] - self.grid[idx - 1])
-        if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-            return float(out)
-        return out
+        frac = np.minimum(np.maximum((xi_arr - c0) / width, 0.0), 1.0)
+        out = self.grid[lo] + frac * (self.grid[idx] - self.grid[lo])
+        return float(out) if xi_arr.ndim == 0 else out
 
 
 def build_hessian_diag_table(resolution: int = 8192) -> TabulatedInverseCdf:
@@ -176,25 +179,36 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
     """
     elements = ElementSet.of(elements)
     taus = np.asarray(taus, dtype=float)
-    if taus.ndim == 3:
+    stacked = taus.ndim == 3
+    if stacked:
         if len(taus) != len(elements):
             raise ValueError(f"{len(taus)} stacked blocks for {len(elements)} elements")
-        out = np.empty(taus.shape[:2])
-        by_element, axis = out, lambda pos, idx: taus[pos, :, idx]
     else:
         taus = np.atleast_2d(taus)
-        out = np.empty((taus.shape[0], len(elements)))
-        by_element, axis = out.T, lambda pos, idx: taus.T[idx]
     grad_scale = SQRT_TWO_PI / (2.0 * sigma)
     hess_scale = SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
-    for kind, pos, i, j in elements.groups:
-        u = axis(pos, i)
+
+    def ratios(kind, pos, i, j):
+        # shape (len(pos), S) for stacked blocks, (S, len(pos)) for one batch;
+        # both C-ordered, since summing a batch's ratios over elements follows
+        # memory order
+        u = taus[pos, :, i] if stacked else taus.take(i, axis=1)
         if kind is ElementKind.GRADIENT:
-            by_element[pos] = np.abs(u) * grad_scale
-        elif kind is ElementKind.HESSIAN_DIAG:
-            by_element[pos] = np.abs((u - sigma) * (u + sigma)) * hess_scale
+            return np.abs(u) * grad_scale
+        if kind is ElementKind.HESSIAN_DIAG:
+            return np.abs((u - sigma) * (u + sigma)) * hess_scale
+        w = taus[pos, :, j] if stacked else taus.take(j, axis=1)
+        return (np.abs(u) * grad_scale) * (np.abs(w) * grad_scale)
+
+    if len(elements.groups) == 1:
+        return ratios(*elements.groups[0])
+    out = np.empty(taus.shape[:2] if stacked else (taus.shape[0], len(elements)))
+    for group in elements.groups:
+        pos = group[1]
+        if stacked:
+            out[pos] = ratios(*group)
         else:
-            by_element[pos] = (np.abs(u) * grad_scale) * (np.abs(axis(pos, j)) * grad_scale)
+            out[:, pos] = ratios(*group)
     return out
 
 
@@ -221,20 +235,33 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     runs once over all of them.
     """
     axes = np.atleast_1d(np.asarray(i, dtype=np.intp))
-    if not np.all((0 <= axes) & (axes < spec.dim)):
-        raise ValueError(f"axis index {i} out of range for dim {spec.dim}")
     n, k = spec.dim, len(axes)
+    # one reduction: a negative axis wraps to a huge unsigned one
+    if axes.view(np.uintp).max() >= n:
+        raise ValueError(f"axis index {i} out of range for dim {n}")
     xi = np.empty((k, count))
     others = np.empty((k, count, n - 1))
     for r in range(k):
         rng.uniform(out=xi[r])
         rng.normal(out=others[r])
-    taus = np.empty((k, count, n))
-    rest = np.broadcast_to(np.arange(n) != axes[:, None, None], taus.shape)
-    taus[rest] = (others * spec.sigma).ravel()
-    taus[np.arange(k), :, axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma)
-    taus = taus.reshape(k * count, n)
+    others *= spec.sigma
+    row_axes = axes.repeat(count)
+    taus = np.empty((k * count, n))
+    taus[_off_axis_mask(n)[row_axes]] = others.reshape(-1)
+    taus[np.arange(k * count), row_axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma).reshape(-1)
     return taus, -taus
+
+
+@functools.lru_cache(maxsize=None)
+def _off_axis_mask(n: int) -> np.ndarray:
+    """(n, n) table whose row a is True on every axis but a.
+
+    Its rows gathered by each stacked row's own axis form the mask that
+    scatters the Gaussian draws, row by row, around the special axes.
+    """
+    mask = np.arange(n) != np.arange(n)[:, None]
+    mask.flags.writeable = False
+    return mask
 
 
 def sample_hessian_offsets(
@@ -305,18 +332,26 @@ def sample_aggregate_offsets(
     s = spec.sigma
     taus = rng.normal((count, spec.dim)) * s
     xi_a = open_unit(rng.uniform(count))
-    xi_b = open_unit(rng.uniform(count))
-    group, axis_i, axis_j = elements.group[choices], elements.i[choices], elements.j[choices]
-    for g, (kind, _, _, _) in enumerate(elements.groups):
-        rows = np.flatnonzero(group == g)
-        if not rows.size:
-            continue
+    xi_b = rng.uniform(count)
+    # per kind drawn: (kind, its rows, the index that picks them from choices
+    # and the uniforms); a set of one kind skips the split into groups
+    if len(elements.groups) == 1:
+        parts = [(elements.groups[0][0], np.arange(count), slice(None))]
+    else:
+        group = elements.group[choices]
+        parts = []
+        for g, (kind, *_) in enumerate(elements.groups):
+            rows = np.flatnonzero(group == g)
+            if rows.size:
+                parts.append((kind, rows, rows))
+    for kind, rows, picked in parts:
+        axis_i = elements.i[choices[picked]]
         if kind is ElementKind.HESSIAN_DIAG:
-            taus[rows, axis_i[rows]] = table.lookup(xi_a[rows]) * s
+            taus[rows, axis_i] = table.lookup(xi_a[picked]) * s
         else:
-            taus[rows, axis_i[rows]] = gradient_inverse_cdf(xi_a[rows], s)
+            taus[rows, axis_i] = gradient_inverse_cdf(xi_a[picked], s)
         if kind is ElementKind.HESSIAN_OFF_DIAG:
-            taus[rows, axis_j[rows]] = gradient_inverse_cdf(xi_b[rows], s)
+            taus[rows, elements.j[choices[picked]]] = gradient_inverse_cdf(open_unit(xi_b[picked]), s)
     return taus, -taus
 
 

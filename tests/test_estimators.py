@@ -12,8 +12,6 @@ from numpy.testing import assert_allclose
 from smoothdiff.estimators import (
     EstimationError,
     EstimatorConfig,
-    GradientEstimate,
-    HessianEstimate,
     Objective,
     SamplingMode,
     estimate_gradient,
@@ -21,16 +19,14 @@ from smoothdiff.estimators import (
     estimate_gradient_fr22,
     estimate_hessian,
     estimate_hvp,
-    greybox_gradient,
-    greybox_hessian,
 )
 from smoothdiff.estimators import (
     _CHUNK_BYTES,
     _draw,
     _draw_axis_blur,
-    _gradient_factor,
-    _hessian_factor,
-    _hvp_factor,
+    _gradient_weights,
+    _hessian_weights,
+    _hvp_weights,
     _weights,
 )
 from smoothdiff.kernels import (
@@ -338,62 +334,6 @@ class TestHvp:
             assert est.evals_used == per_pair * 9
 
 
-class TestGreybox:
-    def test_identity_jacobian_leaves_gradient(self):
-        g = GradientEstimate(g=np.array([1.0, -2.0]), evals_used=10)
-        out = greybox_gradient(np.eye(2), g)
-        assert np.array_equal(out.g, g.g)
-        assert out.evals_used == 10
-
-    def test_zero_jacobian_gives_zero(self):
-        g = GradientEstimate(g=np.array([1.0, -2.0]), evals_used=4)
-        assert np.all(greybox_gradient(np.zeros((2, 2)), g).g == 0.0)
-
-    def test_linear_inner_sampled_outer_gradient(self):
-        # inner y = A x, outer f(y) = y0 + y1; composite gradient is A^T (1,1)
-        inner = np.array([[2.0, 0.0], [0.0, 3.0]])
-
-        def run(k):
-            obj = Objective(lambda y: float(y[0] + y[1]), dim=2)
-            outer = estimate_gradient(obj, inner @ np.array([0.2, -0.1]),
-                                      cfg(samples=400, mode=SamplingMode.AGGREGATE), RngStream(60, k))
-            return greybox_gradient(inner, outer).g
-
-        mean, se = chunked(run, 40)
-        assert_within_se(mean, [2.0, 3.0], se, 3)
-
-    def test_identity_jacobian_leaves_hessian(self):
-        h = HessianEstimate(h=np.array([[2.0, 1.0], [1.0, 4.0]]), evals_used=6)
-        assert np.array_equal(greybox_hessian(np.eye(2), h).h, h.h)
-
-    def test_linear_inner_sampled_outer_hessian(self):
-        # outer f(y) = ||y||^2 / 2 has unit Hessian; composite is A^T A
-        inner = np.array([[2.0, 0.0], [0.0, 3.0]])
-
-        def run(k):
-            obj = Objective(lambda y: 0.5 * float(y @ y), dim=2)
-            outer = estimate_hessian(obj, np.array([0.1, 0.4]),
-                                     cfg(samples=400, mode=SamplingMode.AGGREGATE), RngStream(61, k))
-            return greybox_hessian(inner, outer).h.ravel()
-
-        mean, se = chunked(run, 40)
-        assert_within_se(mean, np.diag([4.0, 9.0]).ravel(), se, 3)
-
-    def test_composite_symmetry_exact(self):
-        h = HessianEstimate(h=np.array([[2.0, 1.3], [1.3, 4.0]]), evals_used=0)
-        jac = np.array([[1.0, 2.0], [0.5, -1.0]])
-        out = greybox_hessian(jac, h).h
-        assert np.array_equal(out, out.T)
-
-    def test_shape_mismatch(self):
-        g = GradientEstimate(g=np.zeros(3), evals_used=0)
-        with pytest.raises(ValueError):
-            greybox_gradient(np.eye(2), g)
-        h = HessianEstimate(h=np.zeros((3, 3)), evals_used=0)
-        with pytest.raises(ValueError):
-            greybox_hessian(np.eye(2), h)
-
-
 # (mode, order) pairs of the weight stage; FR22 draws only gradients
 WEIGHT_CASES = [(mode, order) for mode in ("per_element", "aggregate", "uniform")
                 for order in ("gradient", "hessian", "hvp")] + [("fr22", "gradient")]
@@ -408,20 +348,21 @@ def test_weight_stage_equals_kernel_over_pdf(mode, order):
     c = cfg(sigma=sigma, dim=3, samples=5, mode=SamplingMode.PER_ELEMENT if mode == "fr22" else SamplingMode(mode))
     eps = c.epsilon()
     elements = hessian_elements(3) if order == "hessian" else gradient_elements(3)
-    factor = {"gradient": partial(_gradient_factor, sigma=sigma),
-              "hessian": partial(_hessian_factor, sigma=sigma),
-              "hvp": partial(_hvp_factor, sigma=sigma, v=v, eps=eps)}[order]
+    weigh = {"gradient": partial(_gradient_weights, sigma=sigma),
+             "hessian": partial(_hessian_weights, sigma=sigma),
+             "hvp": partial(_hvp_weights, sigma=sigma, v=v, eps=eps)}[order]
     kernel = {"gradient": lambda t, e: gradient_kernel(t, e.i, spec),
               "hessian": lambda t, e: hessian_kernel(t, e, spec),
               "hvp": lambda t, e: (gradient_kernel(t + eps * v, e.i, spec)
                                    - gradient_kernel(t - eps * v, e.i, spec)) / (2.0 * eps)}[order]
     draw = _draw_axis_blur if mode == "fr22" else _draw
     (stack,) = draw(c, RngStream(3), elements)
-    weights = _weights(stack, factor)
+    # a stack holds the drawn rows, and the stage weights them and their mirror images
+    weights = np.concatenate(_weights(stack, weigh), axis=1)
     blocks = 1 if mode in ("aggregate", "uniform") else len(elements)
     per_block = len(elements) // blocks
-    assert stack.rows.shape == (blocks, 10, 3) and weights.shape == (blocks, 10, per_block)
-    for b, rows in enumerate(stack.rows):
+    assert stack.taus.shape == (blocks, 5, 3) and weights.shape == (blocks, 10, per_block)
+    for b, rows in enumerate(np.concatenate((stack.taus, -stack.taus), axis=1)):
         served = elements[b * per_block:(b + 1) * per_block]
         if mode == "fr22":
             (e,) = served

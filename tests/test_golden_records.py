@@ -1,0 +1,67 @@
+"""Seeded records pinned against a stored reference.
+
+``golden_records.json`` holds the deterministic records of short
+ensembles over the benchmark's cells: every ``lowdim`` cell, both
+``texture16`` cells and the two second-order rendered cells.  A change
+that is meant to leave the numbers alone must reproduce them exactly:
+same iterations and evaluation counts, bit-equal losses and parameter
+errors.  Regenerate the file only for a change that is meant to move
+records, and say so where the change is described:
+
+    PYTHONPATH=src python tests/test_golden_records.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from smoothdiff.harness import RunConfig, run_ensemble
+
+GOLDEN = Path(__file__).with_name("golden_records.json")
+
+_NEWTON = dict(samples=4, sigma_start=1.0, sigma_end=0.05, trust_region=50.0,
+               ls_iters=5, ls_tol=1e-3, recompute=5)
+_FIRST = dict(samples=2, lr=0.3, sigma_start=1.0, sigma_end=0.05)
+_SHORT = dict(budget_evals=120, ensemble=2, deterministic=True)
+
+CELLS = {
+    "quad:OurHVPA": RunConfig(task="quad", method="OurHVPA", seed=11, **_NEWTON, **_SHORT),
+    "quad:OurG": RunConfig(task="quad", method="OurG", seed=12, **_FIRST, **_SHORT),
+    "quad:FR22": RunConfig(task="quad", method="FR22", seed=13, **_FIRST, **_SHORT),
+    "quad:FD": RunConfig(task="quad", method="FD", seed=14, **_FIRST, **_SHORT),
+    "neg_gauss:OurHVPA": RunConfig(task="neg_gauss", method="OurHVPA", seed=15, **_NEWTON, **_SHORT),
+    "neg_gauss:OurH": RunConfig(task="neg_gauss", method="OurH", seed=16, **_NEWTON, **_SHORT),
+    "neg_gauss:OurG": RunConfig(task="neg_gauss", method="OurG", seed=17, **_FIRST, **_SHORT),
+    "texture16:OurG": RunConfig(task="texture16", method="OurG", samples=1, lr=0.05, sigma_start=0.3,
+                                sigma_end=0.01, budget_evals=1100, ensemble=1, seed=21,
+                                deterministic=True),
+    "texture16:OurHVPA": RunConfig(task="texture16", method="OurHVPA", samples=4, trust_region=4.0,
+                                   ls_iters=3, ls_tol=1e-3, recompute=5, sigma_start=0.3,
+                                   sigma_end=0.01, budget_evals=300, ensemble=1, seed=22,
+                                   deterministic=True),
+    "box10:OurHVPA": RunConfig(task="box10", method="OurHVPA", samples=4, trust_region=0.3,
+                               ls_iters=3, sigma_start=0.2, sigma_end=0.01, budget_evals=300,
+                               ensemble=2, seed=23, deterministic=True),
+    "phong:OurH": RunConfig(task="phong", method="OurH", samples=2, trust_region=1.0, ls_iters=3,
+                            sigma_start=0.3, sigma_end=0.01, budget_evals=600, ensemble=1,
+                            seed=24, deterministic=True),
+}
+
+
+def records(cfg: RunConfig) -> list[list[list]]:
+    """Per run, the (iteration, evals, loss, param_error) of every record."""
+    return [[[r.iteration, r.evals, r.loss, r.param_error] for r in trace.records]
+            for trace in run_ensemble(cfg).traces]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_records_equal_golden(cell):
+    golden = json.loads(GOLDEN.read_text())[cell]
+    assert records(CELLS[cell]) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({name: records(cfg) for name, cfg in CELLS.items()},
+                                 indent=0, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -218,6 +218,26 @@ class TestCli:
         assert (out_dir / "quad_FD.csv").exists()
         assert (out_dir / "quad_OurHVPA.csv").exists()
 
+    @pytest.mark.parametrize("missing", ["methods", "tasks"])
+    def test_sweep_without_methods_or_tasks_exits_2(self, tmp_path, capsys, missing):
+        cfg = tmp_path / "sweep.ini"
+        keys = {"methods": "FD", "tasks": "quad"}
+        del keys[missing]
+        cfg.write_text("[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       + "lr = 0.5\nbudget_evals = 20\nensemble = 1\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(missing) in err
+
+    def test_variance_unknown_order_exits_2(self, capsys):
+        # an unknown order used to run the HVP estimator under its name
+        assert main(["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G,X",
+                     "--budgets", "16,64", "--reps", "2"]) == 2
+        assert "'X'" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            variance_report(negated_gaussian_task(), np.full(2, 0.5), [SamplingMode.AGGREGATE], [16],
+                            orders=("hvp",), reps=2)
+
     def test_variance_subcommand(self, tmp_path, capsys):
         assert main(["variance", "--task", "neg_gauss", "--theta", "0.5,0.5",
                      "--modes", "aggregate", "--orders", "G", "--budgets", "16,64",

@@ -235,6 +235,12 @@ class TestGradientInverseCdf:
             with pytest.raises(ValueError):
                 gradient_inverse_cdf(bad, 1.0)
 
+    def test_non_finite_rejected(self):
+        # a NaN used to pass the domain check and come back as NaN
+        for bad in (np.nan, np.inf, [0.3, np.nan], np.array([[0.2, 0.7], [np.nan, 0.5]])):
+            with pytest.raises(ValueError):
+                gradient_inverse_cdf(bad, 1.0)
+
 
 class TestHessianDiagCdf:
     @pytest.mark.parametrize("sigma", [0.4, 1.0, 3.1])

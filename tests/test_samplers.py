@@ -25,6 +25,7 @@ from smoothdiff.kernels import (
 from smoothdiff.samplers import (
     RngStream,
     build_hessian_diag_table,
+    default_hessian_diag_table,
     element_density_ratios,
     element_pdf,
     mixture_pdf,
@@ -92,6 +93,14 @@ class TestHessianDiagTable:
         xi = np.linspace(1e-4, 1 - 1e-4, 20_001)
         err = np.abs(hessian_diag_cdf(table.lookup(xi), 1.0) - xi)
         assert err.max() <= 1e-4
+
+    def test_rejects_nan_and_values_outside_unit_interval(self):
+        # NaN used to come back as NaN, and out-of-range values as the table's ends
+        table = default_hessian_diag_table()
+        for bad in (np.nan, -0.1, 1.5, -np.inf, [0.3, np.nan], [0.2, 1.0 + 1e-12]):
+            with pytest.raises(ValueError):
+                table.lookup(bad)
+        assert table.lookup(0.0) == -10.0 and table.lookup(1.0) <= 10.0
 
 
 class TestGradientSampler:
