@@ -50,7 +50,6 @@ from .optimizers import (
     gd_adam_run,
     gd_adam_step,
     newton_cg_run,
-    newton_step,
     psd_modify,
 )
 from .tasks import (

@@ -56,7 +56,10 @@ class RunConfig:
 
     First-order methods take a learning rate; second-order ones take a
     trust region plus the inner-loop controls.  Mixing them up is a
-    config error, caught here rather than deep in a run.
+    config error, caught here rather than deep in a run, and so is a
+    numeric setting no run can use: ``lr``, ``trust_region``, ``fd_step``,
+    ``ls_tol`` and the sigma endpoints must be finite and > 0 when set,
+    ``ls_iters`` and ``recompute`` at least 1.
     """
 
     task: str
@@ -101,6 +104,20 @@ class RunConfig:
                 raise ValueError(f"lr is not valid for second-order method {self.method}")
             if self.trust_region is None:
                 raise ValueError(f"method {self.method} requires trust_region")
+        for key in ("lr", "trust_region", "fd_step", "ls_tol", "sigma_start", "sigma_end"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+        for key in ("ls_iters", "recompute"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+
+    def cg_settings(self) -> tuple[int, float, int]:
+        """``ls_iters``, ``ls_tol`` and ``recompute``, with 1, 1e-3 and 1 for unset keys."""
+        return (1 if self.ls_iters is None else self.ls_iters,
+                1e-3 if self.ls_tol is None else self.ls_tol,
+                1 if self.recompute is None else self.recompute)
 
 
 @dataclass(frozen=True)
@@ -147,7 +164,7 @@ def _grad_evals_per_iter(cfg: RunConfig, dim: int) -> int:
 
 def _cg_evals_per_outer(cfg: RunConfig, dim: int) -> int:
     pair = 2 * cfg.samples
-    inner = cfg.ls_iters or 1
+    inner = cfg.cg_settings()[0]
     if cfg.method == "OurH":
         grad = dim * pair
         hess = dim * (dim + 1) // 2 * pair
@@ -257,8 +274,7 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
                                        grad_mode=SamplingMode.AGGREGATE,
                                        hvp_mode=SamplingMode.AGGREGATE)
         return newton_cg_run(obj, provider, theta0, schedule,
-                             TrustRegion(cfg.trust_region),
-                             cfg.ls_iters or 1, cfg.ls_tol or 1e-3, cfg.recompute or 1,
+                             TrustRegion(cfg.trust_region), *cfg.cg_settings(),
                              budget, param_error_fn=task.param_error,
                              deterministic_clock=cfg.deterministic)
     except NonFiniteStateError as err:

@@ -1,24 +1,23 @@
 """Optimization loops driven by sampled derivatives.
 
-Three flavors: Adam gradient descent, a full Newton step with eigenvalue
-clamping and a trust region, and trust-region Newton conjugate gradient
-(Steihaug-Toint truncated CG with Fletcher-Reeves directions; Steihaug
-1983, Nocedal & Wright, *Numerical Optimization*, Sec. 7.2).  Newton-CG
-bounds the whole step of an outer iteration by the trust radius, runs at
-most ``dim`` conjugate steps, and keeps a trial point only if its exact
-loss does not rise.  Second-order methods take raw steps; Adam
-preconditioning applies to gradient descent only.
+Two flavors: Adam gradient descent and trust-region Newton conjugate
+gradient (Steihaug-Toint truncated CG with Fletcher-Reeves directions;
+Steihaug 1983, Nocedal & Wright, *Numerical Optimization*, Sec. 7.2).
+Newton-CG bounds the whole step of an outer iteration by the trust
+radius, runs at most ``dim`` conjugate steps, and keeps a trial point
+only if its exact loss does not rise.  Second-order methods take raw
+steps; Adam preconditioning applies to gradient descent only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .estimators import GradientEstimate, HessianEstimate, HvpEstimate, Objective
+from .estimators import GradientEstimate, HvpEstimate, Objective
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
 
 ADAM_BETA1 = 0.9
@@ -59,7 +58,6 @@ def anneal_sigma(schedule: SigmaSchedule, iteration: int) -> float:
 class TrustRegion:
     """Trust radius delta: the bound on the step ||theta - theta_outer|| of one outer iteration.
 
-    ``newton_step`` truncates the Newton direction to length delta.
     ``newton_cg_run`` bounds the cumulative Steihaug-Toint step of each
     outer iteration, scaling delta with the annealed bandwidth.
     """
@@ -112,13 +110,6 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     return state
 
 
-def _clamped_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of symmetric h, eigenvalues floored at 1e-6 * max(|lambda|_max, 1)."""
-    lam, vecs = np.linalg.eigh(h)
-    floor = 1e-6 * max(float(np.abs(lam).max()), 1.0)
-    return np.maximum(lam, floor), vecs
-
-
 def psd_modify(h: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues from below so the matrix is safely positive definite.
 
@@ -126,23 +117,9 @@ def psd_modify(h: np.ndarray) -> np.ndarray:
     original eigenvectors, so Newton directions through it always have a
     nonnegative component along the negative gradient.
     """
-    lam, vecs = _clamped_eigh(np.asarray(h, dtype=float))
+    lam, vecs = np.linalg.eigh(np.asarray(h, dtype=float))
+    lam = np.maximum(lam, 1e-6 * max(float(np.abs(lam).max()), 1.0))
     return (vecs * lam) @ vecs.T
-
-
-def newton_step(
-    state: OptimizerState, grad: GradientEstimate, hess: HessianEstimate, tr: TrustRegion
-) -> OptimizerState:
-    """Full Newton update with PSD modification and trust-region truncation."""
-    g = np.asarray(grad.g, dtype=float)
-    h = np.asarray(hess.h, dtype=float)
-    if not (np.isfinite(g).all() and np.isfinite(h).all()):
-        raise NonFiniteStateError("non-finite derivative in Newton step", state.trace)
-    lam, vecs = _clamped_eigh(h)
-    v = -(vecs @ ((vecs.T @ g) / lam))
-    norm = float(np.linalg.norm(v))
-    scale = min(1.0, tr.delta / norm) if norm > 0 else 1.0
-    return replace(state, theta=state.theta + scale * v, iteration=state.iteration + 1)
 
 
 class DerivativeProvider(Protocol):

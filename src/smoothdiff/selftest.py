@@ -4,9 +4,8 @@ A condensed version of the test suite: checks the kernel closed forms
 against finite differences, sampler distributions against their CDFs,
 estimator evaluation budgets and unbiasedness on the quadratic, the
 stacked per-element estimators against a block-by-block reference loop,
-the optimizer exactness identities, and the separable box and Phong
-losses against their pixel-by-pixel references.  Prints one line per
-check.
+and the separable box and Phong losses against their pixel-by-pixel
+references.  Prints one line per check.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from scipy import stats
 
 from .estimators import (
     EstimatorConfig,
-    GradientEstimate,
-    HessianEstimate,
     Objective,
     SamplingMode,
     estimate_gradient,
@@ -38,7 +35,6 @@ from .kernels import (
     hessian_diag_cdf,
     hessian_elements,
 )
-from .optimizers import OptimizerState, TrustRegion, newton_step
 from .samplers import (
     RngStream,
     build_hessian_diag_table,
@@ -249,14 +245,6 @@ def run_selftest() -> int:
         if not (np.array_equal(got, want) and obj_s.eval_count == obj_r.eval_count):
             mismatched.append(order)
     check("stacked per-element estimates equal the block loop", not mismatched, f"differ: {mismatched}")
-
-    # optimizers: one exact Newton step solves the quadratic
-    state = OptimizerState(theta=np.array([2.0, -1.5]))
-    grad = GradientEstimate(g=task.analytic_grad(state.theta), evals_used=0)
-    hess = HessianEstimate(h=task.analytic_hess(state.theta), evals_used=0)
-    new = newton_step(state, grad, hess, TrustRegion(delta=1e9))
-    check("exact Newton step solves quad", np.linalg.norm(new.theta) < 1e-10,
-          f"|theta|={np.linalg.norm(new.theta):.2e}")
 
     # tasks: separable losses against pixel-by-pixel references
     box = box_task(5)

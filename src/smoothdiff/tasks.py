@@ -14,6 +14,13 @@ products of rows of length w and h (see ``box_task``).  The Phong image
 is two outer products, RGB colors times per-pixel diffuse and specular
 intensities, and the specular power is taken on lit pixels only.  Both
 equal the loss of the full image to rounding.
+
+A loss call pays only for its arithmetic: what does not depend on the
+parameters is built once per task (see ``box_task`` and ``_PhongScene``),
+and clamps call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python
+wrapper costs more than the arithmetic on these small arrays.  Each loss
+stays bit for bit the value of its first separable form, which
+``tests/test_tasks.py`` keeps as reference.
 """
 
 from __future__ import annotations
@@ -175,29 +182,38 @@ class RasterScene:
     box_half: float
     background: float = 0.0
 
-    def axis_coverage(self, centers, npix) -> np.ndarray:
-        """Overlap of the square with each pixel cell along one axis.
+    @staticmethod
+    def axis_grid(npix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pixel cells of one axis for ``axis_coverage``, built once.
 
-        Returns one row per center (a single row for a scalar center).
-        ``npix`` is the axis's pixel count, or one count per center: rows
-        then run to the largest count, with zero coverage past a row's
-        own count.
+        ``npix`` is the axis's pixel count, or one count per coverage
+        row: cells then run to the largest count.  Returns the counts,
+        the cell indices k and the caps ``min(k + 1, count)`` on each
+        cell's upper edge, which zero the coverage past a row's count.
         """
-        centers = np.asarray(centers, dtype=float)[..., None]
         counts = np.asarray(npix, dtype=float)[..., None]
         cells = np.arange(int(counts.max()), dtype=float)
-        lo = (centers - self.box_half) * counts
-        # capping hi at the count zeroes the cells past it and leaves
-        # the others bit-for-bit unchanged
-        hi = np.minimum((centers + self.box_half) * counts, counts)
-        return np.clip(np.minimum(hi, cells + 1.0) - np.maximum(lo, cells), 0.0, 1.0)
+        return counts, cells, np.minimum(cells + 1.0, counts)
+
+    def axis_coverage(self, centers, grid: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Overlap of the square with each pixel cell of ``grid`` along one axis.
+
+        Returns one row per center (a single row for a scalar center).
+        The overlap needs no clip at 1: it is at most (k + 1) - k = 1, and
+        rounded subtraction is monotone.
+        """
+        counts, cells, caps = grid
+        c = np.asarray(centers, dtype=float)[..., None]
+        cov = np.minimum((c + self.box_half) * counts, caps)
+        cov -= np.maximum((c - self.box_half) * counts, cells)
+        return np.maximum(cov, 0.0, out=cov)
 
     def render(self, centers: np.ndarray) -> np.ndarray:
         """Coverage image for a set of square centers, clipped to [0, 1]."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         img = np.full((self.height, self.width), self.background)
-        for cov_y, cov_x in zip(self.axis_coverage(centers[:, 1], self.height),
-                                self.axis_coverage(centers[:, 0], self.width)):
+        for cov_y, cov_x in zip(self.axis_coverage(centers[:, 1], self.axis_grid(self.height)),
+                                self.axis_coverage(centers[:, 0], self.axis_grid(self.width))):
             img += np.outer(cov_y, cov_x)
         return np.clip(img, 0.0, 1.0)
 
@@ -216,6 +232,22 @@ def _box_plateau_points(num_boxes: int, count: int) -> list[np.ndarray]:
             theta[2 * b: 2 * b + 2] = 0.5 + corner * reach
         pts.append(theta)
     return pts
+
+
+def _numpy_sum(terms: list[float]) -> float:
+    """``float(np.sum(terms))`` for at most 8 float64 terms, on Python floats.
+
+    numpy's pairwise summation adds fewer than 8 terms in sequence and 8
+    as ``((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7))``, both onto
+    an initial 0.0.  ``tests/test_tasks.py`` pins the equality.
+    """
+    if len(terms) == 8:
+        t0, t1, t2, t3, t4, t5, t6, t7 = terms
+        return 0.0 + (((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)))
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
@@ -240,6 +272,13 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     row dot products of length w and h instead of a sum over w*h pixels.
     It matches the rasterized loss to rounding and is exactly 0 at the
     truth, where every ``d`` is 0.
+
+    Built once: the pixel grid of ``RasterScene.axis_grid``, the
+    reference rows ``r`` and their ``|r|^2``.  Each call makes the two
+    row reductions ``|d|^2`` and ``d . r`` with ``einsum`` and combines
+    the per-box terms on Python floats, which round exactly as numpy's
+    elementwise float64 operations do; ``_numpy_sum`` adds them in
+    numpy's order.  So the loss is bit-identical to the all-numpy form.
     """
     if not (1 <= num_boxes <= 8):
         raise ValueError(f"num_boxes must be in 1..8, got {num_boxes}")
@@ -249,9 +288,10 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     scene = RasterScene(width=w, height=h, box_half=BOX_SIDE / 2.0)
     targets = _BOX_TARGETS[:num_boxes]
     # rows alternate x, y per box, as the flattened parameter vector does
-    npix = np.tile([float(w), float(h)], num_boxes)
-    ref = scene.axis_coverage(targets.reshape(-1), npix)
-    ref_sq = np.einsum("ij,ij->i", ref, ref)
+    grid = scene.axis_grid(np.tile([float(w), float(h)], num_boxes))
+    ref = scene.axis_coverage(targets.reshape(-1), grid)
+    ref_sq = np.einsum("ij,ij->i", ref, ref).tolist()
+    ref_x_sq, ref_y_sq = ref_sq[0::2], ref_sq[1::2]
     # squared image error in units of one box footprint: a lost square
     # costs about 2.0, which keeps gradient scales usable at wide sigma
     norm = (w * BOX_SIDE) * (h * BOX_SIDE)
@@ -259,18 +299,18 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     hi = 1.0 - scene.box_half
 
     def fn(th):
-        centers = np.clip(np.asarray(th, dtype=float), lo, hi)
-        d = scene.axis_coverage(centers, npix) - ref
-        d_sq = np.einsum("ij,ij->i", d, d)
-        d_ref = np.einsum("ij,ij->i", d, ref)
-        dx_sq, dy_sq = d_sq[0::2], d_sq[1::2]
-        dx_ref, dy_ref = d_ref[0::2], d_ref[1::2]
-        rx_sq, ry_sq = ref_sq[0::2], ref_sq[1::2]
-        # a_x . a_x and a_x . d_x from a_x = r_x + d_x
-        ax_sq = rx_sq + 2.0 * dx_ref + dx_sq
-        ax_dx = dx_ref + dx_sq
-        per_box = dy_sq * ax_sq + 2.0 * dy_ref * ax_dx + ry_sq * dx_sq
-        return float(per_box.sum()) / norm
+        centers = np.minimum(np.maximum(np.asarray(th, dtype=float), lo), hi)
+        d = scene.axis_coverage(centers, grid)
+        d -= ref
+        d_sq = np.einsum("ij,ij->i", d, d).tolist()
+        d_ref = np.einsum("ij,ij->i", d, ref).tolist()
+        per_box = [
+            # a_x . a_x and a_x . d_x from a_x = r_x + d_x
+            dy_sq * (rx_sq + 2.0 * dx_ref + dx_sq) + 2.0 * dy_ref * (dx_ref + dx_sq) + ry_sq * dx_sq
+            for dx_sq, dy_sq, dx_ref, dy_ref, rx_sq, ry_sq
+            in zip(d_sq[0::2], d_sq[1::2], d_ref[0::2], d_ref[1::2], ref_x_sq, ref_y_sq)
+        ]
+        return _numpy_sum(per_box) / norm
 
     def init(gen):
         return gen.uniform(0.15, 0.85, size=2 * num_boxes)
@@ -303,9 +343,9 @@ def texture_task(side: int = 16) -> Task:
     n = side * side
 
     def fn(th):
-        t = np.clip(np.asarray(th, dtype=float), 0.0, 1.0)
-        d = t - ref
-        return float(d @ d / n)
+        d = np.minimum(np.maximum(np.asarray(th, dtype=float), 0.0), 1.0)
+        d -= ref
+        return float(d @ d) / n
 
     def grad(th):
         th = np.asarray(th, dtype=float)
@@ -341,7 +381,14 @@ _SHININESS_UNIT = 10.0  # th[6] carries the exponent in tens, keeping all
 
 
 class _PhongScene:
-    """Direct per-pixel shading of a sphere under one point light."""
+    """Direct per-pixel shading of a sphere under one point light.
+
+    Geometry, light and the specular base are fixed, so the diffuse
+    intensities, the lit-pixel index and its bases are built once; a
+    shade call pays the power on lit pixels, one scatter and two
+    broadcast products.  ``kd[:, None] * diffuse`` is exactly what
+    ``np.outer`` computes, so the image keeps its bits.
+    """
 
     def __init__(self, resolution: int = 32):
         radius = 0.95
@@ -361,7 +408,7 @@ class _PhongScene:
         refl_z = 2.0 * ndotl * nz - light[2]
         self.spec_base = np.clip(refl_z, 0.0, 1.0)
         # about half the pixels get no highlight; only the others pay the power
-        self._lit = self.spec_base > 0.0
+        self._lit = np.flatnonzero(self.spec_base > 0.0)
         self._lit_base = self.spec_base[self._lit]
         self.log_spec = np.zeros_like(self.spec_base)
         self.log_spec[self._lit] = np.log(self._lit_base)
@@ -375,7 +422,9 @@ class _PhongScene:
 
     def shade(self, kd: np.ndarray, ks: np.ndarray, alpha: float) -> np.ndarray:
         """The sphere's pixels, channel-major: shape (3, pixels)."""
-        return np.outer(kd, self.diffuse) + np.outer(ks, self.spec(alpha))
+        img = kd[:, None] * self.diffuse
+        img += ks[:, None] * self.spec(alpha)
+        return img
 
     def spec_terms(self, alpha: float):
         spec = self.spec(alpha)
@@ -399,8 +448,8 @@ def phong_sphere_task(resolution: int = 32) -> Task:
         return th[0:3], th[3:6], max(float(th[6]) * _SHININESS_UNIT, _SHININESS_FLOOR)
 
     def fn(th):
-        kd, ks, alpha = _split(th)
-        diff = scene.shade(kd, ks, alpha) - ref
+        diff = scene.shade(*_split(th))
+        diff -= ref
         return float(np.einsum("ij,ij->", diff, diff)) / norm
 
     def grad(th):

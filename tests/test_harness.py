@@ -49,6 +49,27 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(task="quad", method="LBFGS", lr=0.1, budget_evals=10)
 
+    @pytest.mark.parametrize("key,value", [
+        ("trust_region", 0.0), ("trust_region", math.inf), ("trust_region", math.nan),
+        ("ls_tol", 0.0), ("ls_tol", -1e-3), ("ls_tol", math.inf),
+        ("ls_iters", 0), ("ls_iters", -1), ("recompute", 0),
+        ("sigma_start", 0.0), ("sigma_start", math.inf), ("sigma_end", -0.01),
+        ("sigma_end", math.nan), ("fd_step", 0.0), ("fd_step", math.inf),
+    ])
+    def test_second_order_rejects_bad_numbers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{**QUAD_CFG, key: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    def test_first_order_rejects_bad_lr(self, value):
+        with pytest.raises(ValueError, match="lr"):
+            RunConfig(task="quad", method="OurG", lr=value, budget_evals=10)
+
+    def test_unset_inner_loop_keys_take_defaults(self):
+        cfg = RunConfig(task="quad", method="OurHVPA", trust_region=1.0, budget_evals=10)
+        assert cfg.cg_settings() == (1, 1e-3, 1)
+        assert RunConfig(**QUAD_CFG).cg_settings() == (5, 1e-3, 5)
+
 
 class TestRunEnsemble:
     def test_deterministic_repeatability(self):
@@ -267,6 +288,13 @@ class TestCli:
                                             ("0", False), ("false", False), ("NO", False), ("Off", False)])
     def test_boolean_words(self, word, value):
         assert _coerce("deterministic", f" {word} ") is value
+
+    @pytest.mark.parametrize("key", ["ls_iters", "ls_tol", "recompute"])
+    def test_zero_inner_loop_setting_exits_2(self, tmp_path, capsys, key):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = 0", cfg.read_text(), flags=re.M))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2

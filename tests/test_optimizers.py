@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothdiff.estimators import GradientEstimate, HessianEstimate, HvpEstimate, Objective
+from smoothdiff.estimators import GradientEstimate, HvpEstimate, Objective
 from smoothdiff.optimizers import (
     OptimizerState,
     SigmaSchedule,
@@ -15,7 +15,6 @@ from smoothdiff.optimizers import (
     gd_adam_run,
     gd_adam_step,
     newton_cg_run,
-    newton_step,
     psd_modify,
 )
 from smoothdiff.tasks import negated_gaussian_task, quad_task
@@ -120,40 +119,6 @@ class TestAdam:
         state = OptimizerState(theta=np.zeros(2))
         with pytest.raises(ValueError):
             gd_adam_step(state, GradientEstimate(g=np.zeros(2), evals_used=0), lr=0.0)
-
-
-class TestNewtonStep:
-    def test_one_step_solves_quad_from_anywhere(self):
-        task = quad_task()
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            theta = rng.uniform(-5, 5, size=2)
-            state = OptimizerState(theta=theta)
-            new = newton_step(state,
-                              GradientEstimate(g=task.analytic_grad(theta), evals_used=0),
-                              HessianEstimate(h=task.analytic_hess(theta), evals_used=0),
-                              TrustRegion(delta=1e12))
-            assert np.linalg.norm(new.theta) < 1e-10
-
-    def test_negative_definite_hessian_still_descends(self):
-        g = np.array([3.0, -1.0])
-        state = OptimizerState(theta=np.zeros(2))
-        new = newton_step(state, GradientEstimate(g=g, evals_used=0),
-                          HessianEstimate(h=-np.eye(2), evals_used=0), TrustRegion(delta=1e12))
-        step = new.theta - state.theta
-        assert float(step @ (-g)) > 0.0
-
-    def test_trust_region_cap_exact(self):
-        task = quad_task()
-        theta = np.array([4.0, 4.0])
-        delta = 0.5
-        state = OptimizerState(theta=theta)
-        new = newton_step(state,
-                          GradientEstimate(g=task.analytic_grad(theta), evals_used=0),
-                          HessianEstimate(h=task.analytic_hess(theta), evals_used=0),
-                          TrustRegion(delta=delta))
-        assert np.linalg.norm(new.theta - theta) <= delta + 1e-12
-        assert np.linalg.norm(new.theta - theta) == pytest.approx(delta, rel=1e-12)
 
 
 class TestPsdModify:

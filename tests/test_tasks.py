@@ -17,7 +17,9 @@ from smoothdiff.samplers import RngStream
 from smoothdiff.selftest import per_pixel_phong_loss, rasterized_box_loss
 from smoothdiff.tasks import (
     BOX_SIDE,
+    PHONG_TRUE,
     RasterScene,
+    _PhongScene,
     box_task,
     make_task,
     negated_gaussian_task,
@@ -135,7 +137,58 @@ def box_probe_points(task, count, seed):
     return pts
 
 
+def reference_axis_coverage(centers, npix, box_half):
+    """``RasterScene.axis_coverage`` as first written in separable form, on ``npix``."""
+    centers = np.asarray(centers, dtype=float)[..., None]
+    counts = np.asarray(npix, dtype=float)[..., None]
+    cells = np.arange(int(counts.max()), dtype=float)
+    lo = (centers - box_half) * counts
+    hi = np.minimum((centers + box_half) * counts, counts)
+    return np.clip(np.minimum(hi, cells + 1.0) - np.maximum(lo, cells), 0.0, 1.0)
+
+
+def reference_box_loss(task, resolution, th):
+    """``box_task``'s loss as first written in separable form, all in numpy.
+
+    The task's loss must equal it bit for bit: its per-call constants and
+    Python-float arithmetic change the cost, not the rounding.
+    """
+    w, h = resolution
+    half = BOX_SIDE / 2.0
+    npix = np.tile([float(w), float(h)], task.dim // 2)
+    ref = reference_axis_coverage(task.theta_true, npix, half)
+    ref_sq = np.einsum("ij,ij->i", ref, ref)
+    centers = np.clip(np.asarray(th, dtype=float), half, 1.0 - half)
+    d = reference_axis_coverage(centers, npix, half) - ref
+    d_sq = np.einsum("ij,ij->i", d, d)
+    d_ref = np.einsum("ij,ij->i", d, ref)
+    dx_sq, dy_sq = d_sq[0::2], d_sq[1::2]
+    dx_ref, dy_ref = d_ref[0::2], d_ref[1::2]
+    rx_sq, ry_sq = ref_sq[0::2], ref_sq[1::2]
+    ax_sq = rx_sq + 2.0 * dx_ref + dx_sq
+    ax_dx = dx_ref + dx_sq
+    per_box = dy_sq * ax_sq + 2.0 * dy_ref * ax_dx + ry_sq * dx_sq
+    return float(per_box.sum()) / ((w * BOX_SIDE) * (h * BOX_SIDE))
+
+
 class TestBoxTask:
+    @pytest.mark.parametrize("boxes", range(1, 9))
+    @pytest.mark.parametrize("resolution", [(64, 64), (48, 32), (40, 56)], ids=str)
+    def test_loss_equals_reference_bit_for_bit(self, boxes, resolution):
+        task = box_task(boxes, resolution=resolution)
+        pts = box_probe_points(task, 200, seed=15 + boxes) + task.plateau_points
+        for p in pts:
+            assert task.fn(p) == reference_box_loss(task, resolution, p), p
+
+    @pytest.mark.parametrize("npix", [64, 48, [40.0, 56.0, 40.0]], ids=str)
+    def test_axis_coverage_equals_reference_bit_for_bit(self, npix):
+        scene = RasterScene(width=64, height=64, box_half=BOX_SIDE / 2.0)
+        centers = np.random.default_rng(16).uniform(-1.0, 2.0, (200, 3))
+        centers[0] = [-np.inf, np.inf, 0.5]
+        for c in list(centers) + list(centers[:, 0]):
+            want = reference_axis_coverage(c, npix, scene.box_half)
+            assert np.array_equal(scene.axis_coverage(c, scene.axis_grid(npix)), want)
+
     @pytest.mark.parametrize("boxes,resolution", [(5, (64, 64)), (2, (48, 32))],
                              ids=["box10", "box4-48x32"])
     def test_separable_loss_matches_rasterized(self, boxes, resolution):
@@ -199,6 +252,21 @@ class TestBoxTask:
 
 
 class TestTextureTask:
+    def test_loss_equals_reference_bit_for_bit(self):
+        # the loss as first written, clip and all, is the reference
+        task = texture_task(16)
+        rng = np.random.default_rng(17)
+        n = task.dim
+        pts = [rng.uniform(0.0, 1.0, n) for _ in range(100)]
+        pts += [rng.uniform(-1.0, 2.0, n) for _ in range(100)]
+        pts += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(n)
+                for _ in range(100)]
+        pts += [np.zeros(n), np.full(n, -0.0), np.ones(n), task.theta_true]
+        for p in pts:
+            t = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+            d = t - task.theta_true
+            assert task.fn(p) == float(d @ d / n)
+
     def test_zero_at_reference(self):
         task = texture_task(8)
         assert task.fn(task.theta_true) == 0.0
@@ -225,7 +293,35 @@ class TestTextureTask:
         assert texture_task().dim == 256
 
 
+def reference_phong_loss(th):
+    """``phong_sphere_task``'s loss as first written in separable form."""
+    scene = _PhongScene(32)
+    lit = scene.spec_base > 0.0
+
+    def image(p):
+        p = np.asarray(p, dtype=float)
+        spec = np.zeros_like(scene.spec_base)
+        spec[lit] = scene.spec_base[lit] ** max(float(p[6]) * 10.0, 1e-3)
+        return np.outer(p[0:3], scene.diffuse) + np.outer(p[3:6], spec)
+
+    diff = image(th) - image(PHONG_TRUE)
+    return float(np.einsum("ij,ij->", diff, diff)) / (3.0 * scene.total_pixels)
+
+
 class TestPhongTask:
+    def test_loss_equals_reference_bit_for_bit(self):
+        task = phong_sphere_task()
+        rng = np.random.default_rng(18)
+        pts = [task.init_sampler(rng) for _ in range(100)]
+        pts += [rng.uniform(-1.0, 2.0, 7) for _ in range(100)]
+        pts += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(7)
+                for _ in range(100)]
+        # shininess at, just below and far below the exponent floor
+        for s in (1e-4, 5e-5, 0.0, -0.0, -1.0, -1e300):
+            pts.append(np.append(rng.uniform(0.0, 1.0, 6), s))
+        for p in pts:
+            assert task.fn(p) == reference_phong_loss(p), p
+
     def test_zero_at_truth(self):
         task = phong_sphere_task()
         assert task.fn(task.theta_true) == 0.0
