@@ -3,8 +3,16 @@
 Subcommands: ``run`` (one ensemble from a config file), ``sweep``
 (method x task matrix), ``variance`` (estimator variance tables),
 ``summarize`` (threshold tables from exported traces), and ``selftest``
-(fast kernel/sampler/estimator invariant checks).  Config files use INI
-syntax; see README for the grammar.
+(fast kernel/sampler/estimator invariant checks).
+
+Config files use INI syntax.  ``run`` reads a ``[run]`` section whose
+keys are ``RunConfig`` fields, each coerced to its field's type
+(booleans take 1/0, true/false, yes/no or on/off).  ``sweep`` reads a
+``[sweep]`` section with comma-separated ``methods`` and ``tasks`` plus
+any ``RunConfig`` fields shared by every cell; each method keeps only the
+keys it accepts, so one section can hold both ``lr`` and the Newton-CG
+settings.  ``--seed``, ``--budget-seconds``, ``--budget-evals``,
+``--threads`` and ``--deterministic`` override the file.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,39 +30,32 @@ from .estimators import SamplingMode
 from .harness import RunConfig, VarianceReport, run_ensemble
 from .tasks import TASK_NAMES, make_task
 
-_INT_KEYS = {"samples", "ls_iters", "recompute", "seed", "budget_evals",
-             "ensemble", "anneal_iters", "threads"}
-_FLOAT_KEYS = {"sigma_start", "sigma_end", "lr", "trust_region", "ls_tol",
-               "budget_seconds", "fd_step"}
-_BOOL_KEYS = {"deterministic"}
-_STR_KEYS = {"task", "method", "init"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# each RunConfig field's type, with ``X | None`` read as X
+_KEY_TYPES = {key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+              for key, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS or key in _FLOAT_KEYS:
-        number = int if key in _INT_KEYS else float
-        try:
-            return number(raw)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: expected {'an integer' if number is int else 'a number'}, "
-                             f"got {raw!r}") from None
-    if key in _BOOL_KEYS:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ValueError(f"unknown config key {key!r}")
+    if kind is bool:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ValueError(f"config key {key!r}: expected 1/0, true/false, yes/no "
                              f"or on/off, got {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[word]
-    return raw.strip()
+    if kind is str:
+        return raw.strip()
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected {'an integer' if kind is int else 'a number'}, "
+                         f"got {raw!r}") from None
 
 
 def _section_to_kwargs(section) -> dict:
-    kwargs = {}
-    for key, raw in section.items():
-        if key not in _ALL_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, raw)
-    return kwargs
+    return {key: _coerce(key, raw) for key, raw in section.items()}
 
 
 def _apply_overrides(kwargs: dict, args) -> dict:
@@ -80,21 +82,11 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-_METHOD_ONLY_KEYS = {
-    "first": {"lr"},
-    "second": {"trust_region", "ls_iters", "ls_tol", "recompute"},
-}
-
-
 def _kwargs_for_method(base: dict, method: str) -> dict:
     # a sweep config may carry both first- and second-order keys; keep
     # only the ones the method accepts
-    out = dict(base)
-    drop = _METHOD_ONLY_KEYS["second"] if method in harness.FIRST_ORDER_METHODS else _METHOD_ONLY_KEYS["first"]
-    for key in drop:
-        out.pop(key, None)
-    out["method"] = method
-    return out
+    drop = harness.foreign_keys(method)
+    return {**{key: value for key, value in base.items() if key not in drop}, "method": method}
 
 
 def cmd_run(args) -> int:
@@ -122,11 +114,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{args.config}: [sweep] section needs a {key!r} key")
     methods = [m.strip() for m in section.pop("methods").split(",")]
     tasks = [t.strip() for t in section.pop("tasks").split(",")]
-    base = {}
-    for key, raw in section.items():
-        if key not in _ALL_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        base[key] = _coerce(key, raw)
+    base = _section_to_kwargs(section)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

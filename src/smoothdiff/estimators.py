@@ -146,24 +146,27 @@ class EstimatorConfig:
     """Sampling configuration shared by the derivative estimators.
 
     ``samples`` counts antithetic pairs; every estimate touches 2*samples
-    offsets.  ``hvp_epsilon`` defaults to 0.01 * sigma when unset: large
-    enough that the kernel difference dominates MC noise, small against
-    the kernel bandwidth.
+    offsets per block (see ``evals_per_estimate``).
     """
 
     spec: KernelSpec
     samples: int = 1
-    hvp_epsilon: float | None = None
     mode: SamplingMode = SamplingMode.AGGREGATE
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.hvp_epsilon is not None and not (self.hvp_epsilon > 0):
-            raise ValueError(f"hvp_epsilon must be > 0, got {self.hvp_epsilon}")
 
     def epsilon(self) -> float:
-        return self.hvp_epsilon if self.hvp_epsilon is not None else 0.01 * self.spec.sigma
+        # the HVP kernel shift: large enough that the kernel difference
+        # dominates MC noise, small against the kernel bandwidth
+        return 0.01 * self.spec.sigma
+
+
+def evals_per_estimate(mode: SamplingMode, elements: int, samples: int) -> int:
+    """Evaluations of one estimate: 2 * samples per element in per-element mode
+    (and FR22; central differences are one pair), 2 * samples for one shared block."""
+    return 2 * samples * (elements if mode is SamplingMode.PER_ELEMENT else 1)
 
 
 @dataclass(frozen=True)

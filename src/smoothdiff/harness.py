@@ -14,10 +14,11 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+# the gradient estimators are also looked up by name (see _Method)
 from .estimators import (
     EstimatorConfig,
     GradientEstimate,
@@ -29,6 +30,7 @@ from .estimators import (
     estimate_gradient_fr22,
     estimate_hessian,
     estimate_hvp,
+    evals_per_estimate,
 )
 from .kernels import KernelSpec
 from .optimizers import (
@@ -42,12 +44,49 @@ from .samplers import RngStream
 from .tasks import Task, make_task
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 
-FIRST_ORDER_METHODS = ("FD", "FR22", "OurG")
-SECOND_ORDER_METHODS = ("OurH", "OurHVP", "OurHVPA")
-METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
 THRESHOLD_FRACTIONS = (0.9, 0.99, 0.999)
 
 CSV_HEADER = "run,wall_time_s,iter,evals,loss,param_error"
+
+
+class _Method(NamedTuple):
+    """A method's derivative estimators and optimizer.
+
+    ``gradient`` names a gradient estimator of this module, looked up when
+    a run starts so that a patched attribute takes effect; ``mode`` is its
+    sampling mode, None for central differences.  ``newton`` methods run
+    Newton-CG with ``estimate_gradient`` and HVPs estimated in mode ``hvp``,
+    or products with the PSD-modified per-element Hessian if it is None.
+    """
+
+    gradient: str
+    mode: SamplingMode | None
+    newton: bool = False
+    hvp: SamplingMode | None = None
+
+
+_PER, _AGG = SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE
+_METHODS = {
+    "FD": _Method("estimate_gradient_fd", None),
+    "FR22": _Method("estimate_gradient_fr22", _PER),
+    "OurG": _Method("estimate_gradient", _PER),
+    "OurH": _Method("estimate_gradient", _PER, newton=True, hvp=None),
+    "OurHVP": _Method("estimate_gradient", _PER, newton=True, hvp=_PER),
+    "OurHVPA": _Method("estimate_gradient", _AGG, newton=True, hvp=_AGG),
+}
+METHODS = tuple(_METHODS)
+_NEWTON_KEYS = ("trust_region", "ls_iters", "ls_tol", "recompute")
+
+
+def _method(name: str) -> _Method:
+    if name not in _METHODS:
+        raise ValueError(f"unknown method {name!r}; expected one of {METHODS}")
+    return _METHODS[name]
+
+
+def foreign_keys(method: str) -> tuple[str, ...]:
+    """The ``RunConfig`` keys ``method`` rejects: the other optimizer's settings."""
+    return ("lr",) if _method(method).newton else _NEWTON_KEYS
 
 
 @dataclass(frozen=True)
@@ -58,8 +97,9 @@ class RunConfig:
     trust region plus the inner-loop controls.  Mixing them up is a
     config error, caught here rather than deep in a run, and so is a
     numeric setting no run can use: ``lr``, ``trust_region``, ``fd_step``,
-    ``ls_tol`` and the sigma endpoints must be finite and > 0 when set,
-    ``ls_iters`` and ``recompute`` at least 1.
+    ``ls_tol``, ``budget_seconds`` and the sigma endpoints must be finite
+    and > 0 when set, ``samples``, ``ensemble``, ``ls_iters``,
+    ``recompute``, ``budget_evals`` and ``threads`` at least 1.
     """
 
     task: str
@@ -78,37 +118,28 @@ class RunConfig:
     ensemble: int = 20
     init: str = "default"
     fd_step: float = 1e-6
-    anneal_iters: int | None = None
     threads: int = 1
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be >= 1")
+        newton = _method(self.method).newton
         if self.budget_seconds is None and self.budget_evals is None:
             raise ValueError("config needs budget_seconds or budget_evals")
         if self.init not in ("default", "plateau"):
             raise ValueError(f"init must be 'default' or 'plateau', got {self.init!r}")
-        if self.method in FIRST_ORDER_METHODS:
-            if self.lr is None:
-                raise ValueError(f"method {self.method} requires lr")
-            for key in ("trust_region", "ls_iters", "ls_tol", "recompute"):
-                if getattr(self, key) is not None:
-                    raise ValueError(f"{key} is not valid for first-order method {self.method}")
-        else:
-            if self.lr is not None:
-                raise ValueError(f"lr is not valid for second-order method {self.method}")
-            if self.trust_region is None:
-                raise ValueError(f"method {self.method} requires trust_region")
-        for key in ("lr", "trust_region", "fd_step", "ls_tol", "sigma_start", "sigma_end"):
+        for key in foreign_keys(self.method):
+            if getattr(self, key) is not None:
+                order = "second" if newton else "first"
+                raise ValueError(f"{key} is not valid for {order}-order method {self.method}")
+        required = "trust_region" if newton else "lr"
+        if getattr(self, required) is None:
+            raise ValueError(f"method {self.method} requires {required}")
+        for key in ("lr", "trust_region", "fd_step", "ls_tol", "sigma_start", "sigma_end",
+                    "budget_seconds"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
-        for key in ("ls_iters", "recompute"):
+        for key in ("samples", "ensemble", "ls_iters", "recompute", "budget_evals", "threads"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
@@ -154,79 +185,68 @@ class _EstimatorConfigs:
         return cfg
 
 
-def _grad_evals_per_iter(cfg: RunConfig, dim: int) -> int:
-    if cfg.method == "FD":
-        return 2 * dim
-    if cfg.method in ("FR22", "OurG"):
-        return 2 * dim * cfg.samples
-    raise AssertionError(cfg.method)
-
-
-def _cg_evals_per_outer(cfg: RunConfig, dim: int) -> int:
-    pair = 2 * cfg.samples
-    inner = cfg.cg_settings()[0]
-    if cfg.method == "OurH":
-        grad = dim * pair
-        hess = dim * (dim + 1) // 2 * pair
-        return grad + hess + inner
-    if cfg.method == "OurHVP":
-        grad = dim * pair
-        return grad + inner * (dim * pair + 1)
-    grad = pair
-    return grad + inner * (pair + 1)
-
-
 def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
-    if cfg.anneal_iters is not None:
-        return max(1, cfg.anneal_iters)
+    """Iterations the sigma schedule spans: the eval budget over what one iteration plans.
+
+    That is a loss and a gradient estimate, and for Newton-CG a Hessian
+    estimate (``hvp`` None) and ``ls_iters`` inner steps of an HVP estimate
+    and a loss each.
+    """
     if cfg.budget_evals is None:
         return 200
-    if cfg.method in FIRST_ORDER_METHODS:
-        per = _grad_evals_per_iter(cfg, dim) + 1
+    method = _METHODS[cfg.method]
+    if method.mode is None:
+        grad = evals_per_estimate(_PER, dim, 1)
     else:
-        per = _cg_evals_per_outer(cfg, dim) + 1
-    return max(1, cfg.budget_evals // per)
+        grad = evals_per_estimate(method.mode, dim, cfg.samples)
+    hess = hvp = inner = 0
+    if method.newton:
+        inner = cfg.cg_settings()[0]
+        if method.hvp is None:
+            hess = evals_per_estimate(_PER, dim * (dim + 1) // 2, cfg.samples)
+        else:
+            hvp = evals_per_estimate(method.hvp, dim, cfg.samples)
+    return max(1, cfg.budget_evals // (1 + grad + hess + inner * (hvp + 1)))
+
+
+def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
+                 rng: RngStream) -> Callable[[np.ndarray, float], GradientEstimate]:
+    """``method``'s gradient estimator as grad_fn(theta, sigma)."""
+    estimate = globals()[method.gradient]
+    if method.mode is None:
+        return lambda theta, sigma: estimate(obj, theta, cfg.fd_step)
+    configs = _EstimatorConfigs(obj.dim, cfg.samples)
+    return lambda theta, sigma: estimate(obj, theta, configs(sigma, method.mode), rng)
 
 
 class SampledProvider:
     """Derivative provider backed by the Monte Carlo estimators.
 
-    ``use_hessian`` switches the Hessian-vector products from direct HVP
-    estimation to products with an explicitly estimated (and PSD-clamped)
-    Hessian, refreshed on the optimizer's recompute schedule.
+    Hessian-vector products are estimated in ``hvp_mode``.  With
+    ``hvp_mode=None`` they are products with a per-element Hessian
+    estimate instead, PSD-modified and refreshed on the optimizer's
+    recompute schedule.
     """
 
-    def __init__(
-        self,
-        obj: Objective,
-        samples: int,
-        rng: RngStream,
-        grad_mode: SamplingMode,
-        hvp_mode: SamplingMode | None = None,
-        use_hessian: bool = False,
-        hessian_mode: SamplingMode = SamplingMode.PER_ELEMENT,
-        psd: bool = True,
-    ):
+    def __init__(self, obj: Objective, samples: int, rng: RngStream,
+                 grad_mode: SamplingMode, hvp_mode: SamplingMode | None):
         self._obj = obj
         self._cfg = _EstimatorConfigs(obj.dim, samples)
         self._rng = rng
         self._grad_mode = grad_mode
         self._hvp_mode = hvp_mode
-        self._use_hessian = use_hessian
-        self._hessian_mode = hessian_mode
-        self._psd = psd
         self._h: np.ndarray | None = None
 
     def refresh(self, theta: np.ndarray, sigma: float) -> None:
-        if self._use_hessian:
-            est = estimate_hessian(self._obj, theta, self._cfg(sigma, self._hessian_mode), self._rng)
-            self._h = psd_modify(est.h) if self._psd else est.h
+        if self._hvp_mode is None:
+            est = estimate_hessian(self._obj, theta, self._cfg(sigma, _PER), self._rng)
+            self._h = psd_modify(est.h)
 
     def gradient(self, theta: np.ndarray, sigma: float) -> GradientEstimate:
         return estimate_gradient(self._obj, theta, self._cfg(sigma, self._grad_mode), self._rng)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray, sigma: float) -> HvpEstimate:
-        if self._use_hessian:
+        if self._hvp_mode is None:
             if self._h is None:
                 self.refresh(theta, sigma)
             return HvpEstimate(hv=self._h @ v, direction=np.asarray(v, dtype=float), evals_used=0)
@@ -246,33 +266,14 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
     obj = task.objective()
     budget = Budget(seconds=cfg.budget_seconds, evals=cfg.budget_evals)
     schedule = SigmaSchedule(cfg.sigma_start, cfg.sigma_end, _anneal_total_iters(cfg, task.dim))
+    method = _METHODS[cfg.method]
 
     try:
-        if cfg.method in FIRST_ORDER_METHODS:
-            configs = _EstimatorConfigs(task.dim, cfg.samples)
-            if cfg.method == "FD":
-                grad_fn = lambda th, s: estimate_gradient_fd(obj, th, cfg.fd_step)
-            elif cfg.method == "FR22":
-                grad_fn = lambda th, s: estimate_gradient_fr22(
-                    obj, th, configs(s, SamplingMode.PER_ELEMENT), est_rng)
-            else:
-                grad_fn = lambda th, s: estimate_gradient(
-                    obj, th, configs(s, SamplingMode.PER_ELEMENT), est_rng)
-            return gd_adam_run(obj, grad_fn, theta0, schedule, cfg.lr, budget,
-                               param_error_fn=task.param_error,
+        if not method.newton:
+            return gd_adam_run(obj, _gradient_fn(method, cfg, obj, est_rng), theta0, schedule,
+                               cfg.lr, budget, param_error_fn=task.param_error,
                                deterministic_clock=cfg.deterministic)
-        if cfg.method == "OurH":
-            provider = SampledProvider(obj, cfg.samples, est_rng,
-                                       grad_mode=SamplingMode.PER_ELEMENT,
-                                       use_hessian=True)
-        elif cfg.method == "OurHVP":
-            provider = SampledProvider(obj, cfg.samples, est_rng,
-                                       grad_mode=SamplingMode.PER_ELEMENT,
-                                       hvp_mode=SamplingMode.PER_ELEMENT)
-        else:
-            provider = SampledProvider(obj, cfg.samples, est_rng,
-                                       grad_mode=SamplingMode.AGGREGATE,
-                                       hvp_mode=SamplingMode.AGGREGATE)
+        provider = SampledProvider(obj, cfg.samples, est_rng, method.mode, method.hvp)
         return newton_cg_run(obj, provider, theta0, schedule,
                              TrustRegion(cfg.trust_region), *cfg.cg_settings(),
                              budget, param_error_fn=task.param_error,
@@ -381,11 +382,8 @@ class VarianceReport:
 
 
 def _pairs_for_budget(mode: SamplingMode, order: str, budget: int, dim: int) -> int:
-    if mode is SamplingMode.PER_ELEMENT:
-        per_pair = dim * (dim + 1) if order == "H" else 2 * dim
-    else:
-        per_pair = 2
-    return max(1, budget // per_pair)
+    elements = dim * (dim + 1) // 2 if order == "H" else dim
+    return max(1, budget // evals_per_estimate(mode, elements, 1))
 
 
 def variance_report(

@@ -19,6 +19,7 @@ from smoothdiff.estimators import (
     estimate_gradient_fr22,
     estimate_hessian,
     estimate_hvp,
+    evals_per_estimate,
 )
 from smoothdiff.estimators import (
     _CHUNK_BYTES,
@@ -52,9 +53,9 @@ from smoothdiff.tasks import negated_gaussian_task, quad_task
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
 
 
-def cfg(sigma=1.0, dim=2, samples=1, mode=SamplingMode.PER_ELEMENT, eps=None):
+def cfg(sigma=1.0, dim=2, samples=1, mode=SamplingMode.PER_ELEMENT):
     return EstimatorConfig(spec=KernelSpec(sigma=sigma, dim=dim), samples=samples,
-                           mode=mode, hvp_epsilon=eps)
+                           mode=mode)
 
 
 def chunked(fn, chunks):
@@ -84,12 +85,9 @@ class TestEstimatorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             cfg(samples=0)
-        with pytest.raises(ValueError):
-            cfg(eps=0.0)
 
     def test_epsilon_default_tracks_sigma(self):
         assert cfg(sigma=2.5).epsilon() == pytest.approx(0.025)
-        assert cfg(sigma=2.5, eps=0.1).epsilon() == 0.1
 
 
 class TestGradient:
@@ -457,6 +455,27 @@ def test_table1_eval_complexity_across_dimensions():
         estimate_hessian(obj2, np.zeros(dim), cfg(dim=dim, samples=3, mode=SamplingMode.PER_ELEMENT),
                          RngStream(4))
         assert obj2.eval_count == dim * (dim + 1) * 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_evals_per_estimate_matches_evals_used(dim, samples):
+    """The cost model the harness plans with is what every estimator spends."""
+    obj = Objective(lambda th: float(th @ th), dim=dim)
+    theta, v = np.full(dim, 0.25), np.ones(dim)
+    for mode in SamplingMode:
+        c = cfg(dim=dim, samples=samples, mode=mode)
+        assert estimate_gradient(obj, theta, c, RngStream(1)).evals_used == \
+            evals_per_estimate(mode, dim, samples)
+        assert estimate_hessian(obj, theta, c, RngStream(2)).evals_used == \
+            evals_per_estimate(mode, dim * (dim + 1) // 2, samples)
+        assert estimate_hvp(obj, theta, v, c, RngStream(3)).evals_used == \
+            evals_per_estimate(mode, dim, samples)
+    c = cfg(dim=dim, samples=samples)
+    assert estimate_gradient_fr22(obj, theta, c, RngStream(4)).evals_used == \
+        evals_per_estimate(SamplingMode.PER_ELEMENT, dim, samples)
+    assert estimate_gradient_fd(obj, theta, 1e-6).evals_used == \
+        evals_per_estimate(SamplingMode.PER_ELEMENT, dim, 1)
 
 
 @pytest.mark.slow

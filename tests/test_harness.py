@@ -1,13 +1,16 @@
 """Harness behavior: config validation, determinism, export formats, CLI."""
 
+import configparser
 import json
 import math
 import re
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from smoothdiff.cli import _coerce, main
+from smoothdiff.cli import _coerce, _section_to_kwargs, main
 from smoothdiff.estimators import SamplingMode
 from smoothdiff.harness import (
     CSV_HEADER,
@@ -55,6 +58,11 @@ class TestRunConfig:
         ("ls_iters", 0), ("ls_iters", -1), ("recompute", 0),
         ("sigma_start", 0.0), ("sigma_start", math.inf), ("sigma_end", -0.01),
         ("sigma_end", math.nan), ("fd_step", 0.0), ("fd_step", math.inf),
+        ("budget_evals", 0), ("budget_evals", -5),
+        # a NaN time budget never runs out; checked by construction only
+        ("budget_seconds", math.nan), ("budget_seconds", math.inf),
+        ("budget_seconds", 0.0), ("budget_seconds", -1.0),
+        ("threads", 0), ("threads", -1),
     ])
     def test_second_order_rejects_bad_numbers(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -298,6 +306,33 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2
+
+    def test_zero_eval_budget_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(re.sub(r"^budget_evals = .*$", "budget_evals = 0", cfg.read_text(), flags=re.M))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "budget_evals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+    def test_every_run_config_field_is_a_key_of_its_type(self, field):
+        hint = typing.get_type_hints(RunConfig)[field]
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        raw, value = {int: ("3", 3), float: ("0.25", 0.25), bool: ("yes", True),
+                      str: (" quad ", "quad")}[kind]
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[run]\n{field} = {raw}\n")
+        kwargs = _section_to_kwargs(parser["run"])
+        assert kwargs == {field: value} and type(kwargs[field]) is kind
+
+    def test_removed_anneal_iters_key_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + "anneal_iters = 5\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "'anneal_iters'" in capsys.readouterr().err
+
+    def test_selftest_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def test_budget_accounting_matches_counter():
