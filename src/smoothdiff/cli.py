@@ -11,8 +11,11 @@ keys are ``RunConfig`` fields, each coerced to its field's type
 ``[sweep]`` section with comma-separated ``methods`` and ``tasks`` plus
 any ``RunConfig`` fields shared by every cell; each method keeps only the
 keys it accepts, so one section can hold both ``lr`` and the Newton-CG
-settings.  ``--seed``, ``--budget-seconds``, ``--budget-evals``,
-``--threads`` and ``--deterministic`` override the file.
+settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
+``--budget-evals``, ``--threads`` and ``--deterministic`` override the
+file; ``variance`` takes only ``--seed`` and ``--out`` of these.  A sweep
+builds every cell's config before its first run, so a bad method or key
+in any cell exits before anything runs.
 """
 
 from __future__ import annotations
@@ -118,19 +121,16 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for task in tasks:
-        for method in methods:
-            kwargs = _kwargs_for_method(base, method)
-            kwargs["task"] = task
-            kwargs = _apply_overrides(kwargs, args)
-            cfg = RunConfig(**kwargs)
-            result = run_ensemble(cfg)
-            print(f"--- task={task} method={method}")
-            print(harness.summarize_traces(result.traces))
-            if out_dir:
-                path = out_dir / f"{task}_{method}.{args.format}"
-                harness.export_traces(result, path, args.format)
-                print(f"wrote {path}")
+    cells = [RunConfig(**_apply_overrides({**_kwargs_for_method(base, method), "task": task}, args))
+             for task in tasks for method in methods]
+    for cfg in cells:
+        result = run_ensemble(cfg)
+        print(f"--- task={cfg.task} method={cfg.method}")
+        print(harness.summarize_traces(result.traces))
+        if out_dir:
+            path = out_dir / f"{cfg.task}_{cfg.method}.{args.format}"
+            harness.export_traces(result, path, args.format)
+            print(f"wrote {path}")
     return 0
 
 
@@ -175,21 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None)
+
+    def add_overrides(p):
+        add_common(p)
         p.add_argument("--budget-seconds", type=float, default=None, dest="budget_seconds")
         p.add_argument("--budget-evals", type=int, default=None, dest="budget_evals")
-        p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--deterministic", action="store_true")
 
     p_run = sub.add_parser("run", help="run one ensemble from a config file")
     p_run.add_argument("--config", required=True)
-    add_common(p_run)
+    add_overrides(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a method x task matrix")
     p_sweep.add_argument("--config", required=True)
-    add_common(p_sweep)
+    add_overrides(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_var = sub.add_parser("variance", help="estimator variance tables")

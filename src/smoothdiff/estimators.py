@@ -36,14 +36,24 @@ Every estimator runs the same four stages:
    free of Gaussian normalization factors, so weights stay finite in high
    dimension.  Every density is even, so q at -tau is q at tau, and the
    mirror rows' gradient and Hessian weights follow from the drawn rows'
-   by parity, exactly in IEEE arithmetic.  The HVP factor is taken over
-   both halves (see ``_hvp_weights``).
+   by parity, exactly in IEEE arithmetic.  For per-element blocks the HVP
+   factor is taken over both halves (see ``_hvp_weights``).
 3. **Evaluate** f once per row at theta - tau for a block's drawn rows,
-   then at theta + tau for their mirror images, all written into one
-   buffer; one check aborts the estimate on the first non-finite value.
+   then at theta + tau for their mirror images, all in one call to
+   ``Objective.evaluate_rows``, which aborts the estimate on the first
+   non-finite value.
 4. **Reduce** each block's antithetic pairs to its estimates: pair
    means for the odd gradient weights, a baseline-corrected mean for the
    even Hessian and HVP weights.
+
+For the one shared block of ``AGGREGATE`` and ``UNIFORM`` mode, stages 2
+and 4 are one contraction: every served element's weight is a fixed
+polynomial in the row's coordinates, so each estimate is the drawn
+offsets tau contracted against one coefficient per row (see
+``_gradient_contraction``, ``_hessian_contraction`` and
+``_hvp_contraction``).  That keeps the cost of the arithmetic at
+O(samples * dim) per gradient or HVP instead of a weight per row and
+element.  The path is chosen by mode, not by block count.
 
 The HVP weight is the directional central difference of shifted
 gradient kernels; the same draws and the same evaluations serve both
@@ -120,7 +130,8 @@ class Objective:
     """Black-box scalar objective with an exact evaluation counter.
 
     ``evaluate`` may be stochastic; the counter increments exactly once
-    per call.  A single instance is meant to be owned by one run; share
+    per call, and once per row through ``evaluate_rows``, the estimators'
+    entry point.  A single instance is meant to be owned by one run; share
     across threads only if the wrapped function tolerates it.
     """
 
@@ -135,6 +146,23 @@ class Objective:
     def evaluate(self, theta: np.ndarray) -> float:
         self._evals += 1
         return float(self._fn(theta))
+
+    def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of ``points`` (m, dim), one counted call per row.
+
+        Raises ``EstimationError`` at the first non-finite value, carrying
+        an owned copy of its row; later rows are not evaluated.
+        """
+        fn = self._fn
+        vals = np.empty(len(points))
+        for k, point in enumerate(points):
+            self._evals += 1
+            v = float(fn(point))
+            if not math.isfinite(v):
+                raise EstimationError(f"objective returned non-finite value {v} at {point}",
+                                      point=point.copy())
+            vals[k] = v
+        return vals
 
     @property
     def eval_count(self) -> int:
@@ -293,43 +321,43 @@ def _weights(stack: _Stack, weigh) -> tuple[np.ndarray, np.ndarray]:
     ``weigh(stack)`` gives both, kernel factor (kernel / N) over q per
     served element, each of shape (elements, samples) for one shared block
     and (B, samples) for per-element blocks; both come back with shape
-    (B, samples, elements per block).
+    (B, samples, elements per block).  The estimators weigh per-element
+    blocks only; a shared block's weights are the reference its
+    contraction is tested against.
     """
     drawn, mirror = weigh(stack)
     if len(stack.taus) > 1:
         return drawn[:, :, None], mirror[:, :, None]
-    # views: the weights' memory order sets numpy's summation order in the
-    # reduction, and their layouts keep seeded estimates bit-for-bit
     return drawn.T[None], mirror.T[None]
 
 
-def _evaluate(obj: Objective, point: np.ndarray) -> float:
-    v = obj.evaluate(point)
-    if not math.isfinite(v):
-        raise EstimationError(f"objective returned non-finite value {v} at {point}", point=point.copy())
-    return v
-
-
-def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], weigh, reduce,
+def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], reduce,
               size: int) -> np.ndarray:
-    """Weight each stack, evaluate f row by row, and reduce into the served positions.
+    """Evaluate f row by row for each stack and reduce into the served positions.
 
     Each block's points are theta - tau for its drawn rows, then theta + tau
     for their mirror images, written straight into one buffer.
+    ``reduce(stack, vals)`` turns a stack and its values, shape
+    (blocks, 2 * samples), into the estimates of the elements it serves.
     """
     out = np.empty(size)
     for stack in stacks:
-        weights = _weights(stack, weigh)
         taus = stack.taus
         blocks, count, dim = taus.shape
         points = np.empty((blocks, 2 * count, dim))
         np.subtract(theta, taus, out=points[:, :count])
         np.add(theta, taus, out=points[:, count:])
-        vals = np.array([_evaluate(obj, point) for point in points.reshape(-1, dim)])
-        estimates = reduce(vals.reshape(blocks, 2 * count), weights)
+        vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
+        del points
+        estimates = reduce(stack, vals)
         out[stack.start:stack.start + estimates.size] = estimates.ravel()
-        del stack, taus, points  # see _draw
+        del stack, taus  # see _draw
     return out
+
+
+def _weighted(weigh, reduce):
+    """Per-element reduce stage: weight the stack's rows, then reduce its pairs."""
+    return lambda stack, vals: reduce(vals, _weights(stack, weigh))
 
 
 def _pair_mean(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -378,8 +406,7 @@ def _gradient_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarr
 def _hessian_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     s2 = sigma * sigma
     k, count = len(stack.elements), stack.taus.shape[1]
-    # one shared block keeps its factor row-major per row (see _weights)
-    factor = np.empty((count, k)).T if len(stack.taus) == 1 else np.empty((k, count))
+    factor = np.empty((k, count))
     for kind, pos, i, j in stack.elements.groups:
         u = _axis(stack.taus, i, pos)
         if kind is ElementKind.HESSIAN_DIAG:
@@ -419,16 +446,78 @@ def _hvp_weights(stack: _Stack, sigma: float, v: np.ndarray, eps: float) -> tupl
     return weights[:, :count], weights[:, count:]
 
 
+# A shared block's estimates as one contraction of its drawn rows tau
+# (samples, dim) against one coefficient per row: every served element's
+# weight is a polynomial in tau's coordinates, so the weighted pair sums
+# of _pair_mean and _even_weight_estimate regroup, exactly in real
+# arithmetic, into tau^T c plus, for even weights, a multiple of the
+# identity.  A shared block serves every element in order.
+
+def _shared(cfg: EstimatorConfig) -> bool:
+    """Whether ``_draw`` yields one shared block for ``cfg``: the contraction path."""
+    return cfg.mode is not SamplingMode.PER_ELEMENT
+
+
+def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A shared block's pair values as ``_even_weight_estimate`` weighs them, over q.
+
+    One pair keeps its uncentred value; more are centred against their
+    mean and divided by pairs - 1.
+    """
+    pairs = len(q)
+    pv = 0.5 * (vals[0, :pairs] + vals[0, pairs:])
+    if pairs > 1:
+        pv = (pv - pv.sum() / pairs) / (pairs - 1)
+    return pv / q
+
+
+def _gradient_contraction(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """g = tau^T c, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
+    taus, q = stack.taus[0], stack.q[0]
+    count = len(q)
+    c = (vals[0, count:] - vals[0, :count]) / (2.0 * sigma * sigma * count * q)
+    return c @ taus
+
+
+def _hessian_contraction(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """H = (tau^T diag(c/q) tau - sigma^2 sum(c/q) I) / sigma^4 at the served elements."""
+    taus, s2 = stack.taus[0], sigma * sigma
+    w = _even_coefficients(vals, stack.q[0])
+    h = (taus.T * w) @ taus
+    h.flat[::len(h) + 1] -= s2 * w.sum()
+    return h[stack.elements.i, stack.elements.j] / (s2 * s2)
+
+
+def _hvp_contraction(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
+                     eps: float) -> np.ndarray:
+    """hv = tau^T a - b v for the unit direction v.
+
+    The kernel shifts r+ and r- of ``_hvp_weights`` are taken at the drawn
+    rows' tau.v only: at a mirror row they swap, so each pair's weight
+    (tau (r- - r+) - eps v (r- + r+)) / (2 eps sigma^2 q) needs no mirror
+    product, and the estimate does not depend on how BLAS groups rows.
+    """
+    taus, s2 = stack.taus[0], sigma * sigma
+    c = _even_coefficients(vals, stack.q[0]) / (2.0 * s2)
+    shift = 2.0 * eps * (taus @ v)
+    level = eps * eps * float(v.dot(v))
+    r_plus = np.exp((shift + level) / (-2.0 * s2))
+    r_minus = np.exp((shift - level) / (2.0 * s2))
+    return (c * (r_minus - r_plus) / eps) @ taus - float(c @ (r_minus + r_plus)) * v
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
-def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream, draw) -> GradientEstimate:
-    n = cfg.spec.dim
+def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream, draw,
+              shared: bool) -> GradientEstimate:
+    n, sigma = cfg.spec.dim, cfg.spec.sigma
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    weigh = partial(_gradient_weights, sigma=cfg.spec.sigma)
-    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), weigh, _pair_mean, n)
+    reduce = (partial(_gradient_contraction, sigma=sigma) if shared
+              else _weighted(partial(_gradient_weights, sigma=sigma), _pair_mean))
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), reduce, n)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -436,7 +525,7 @@ def estimate_gradient(
     obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream
 ) -> GradientEstimate:
     """Unbiased estimate of the sigma-smoothed gradient at ``theta``."""
-    return _gradient(obj, theta, cfg, rng, _draw)
+    return _gradient(obj, theta, cfg, rng, _draw, _shared(cfg))
 
 
 def estimate_gradient_fr22(
@@ -448,7 +537,7 @@ def estimate_gradient_fr22(
     evaluation serves one dimension; distributionally identical to
     ``estimate_gradient`` at dim == 1.
     """
-    return _gradient(obj, theta, cfg, rng, _draw_axis_blur)
+    return _gradient(obj, theta, cfg, rng, _draw_axis_blur, False)
 
 
 def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> GradientEstimate:
@@ -457,13 +546,14 @@ def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> Grad
         raise ValueError(f"step must be > 0, got {step}")
     theta = _check_theta(theta, obj.dim)
     start = obj.eval_count
-    g = np.empty(obj.dim)
-    for i in range(obj.dim):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[i] += step
-        lo[i] -= step
-        g[i] = (_evaluate(obj, hi) - _evaluate(obj, lo)) / (2.0 * step)
+    n = obj.dim
+    # rows theta + step e_i, theta - step e_i for each axis i in turn
+    points = np.tile(theta, (n, 2, 1))
+    axes = np.arange(n)
+    points[axes, 0, axes] += step
+    points[axes, 1, axes] -= step
+    vals = obj.evaluate_rows(points.reshape(2 * n, n)).reshape(n, 2)
+    g = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -479,8 +569,10 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    weigh = partial(_hessian_weights, sigma=cfg.spec.sigma)
-    values = _estimate(obj, theta, _draw(cfg, rng, elements), weigh, _even_weight_estimate, len(elements))
+    sigma = cfg.spec.sigma
+    reduce = (partial(_hessian_contraction, sigma=sigma) if _shared(cfg)
+              else _weighted(partial(_hessian_weights, sigma=sigma), _even_weight_estimate))
+    values = _estimate(obj, theta, _draw(cfg, rng, elements), reduce, len(elements))
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -511,6 +603,8 @@ def estimate_hvp(
         raise ValueError("direction must be nonzero")
     v_scale = math.sqrt(float(v_raw.dot(v_raw)))
     start = obj.eval_count
-    weigh = partial(_hvp_weights, sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
-    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), weigh, _even_weight_estimate, n)
+    shifts = dict(sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
+    reduce = (partial(_hvp_contraction, **shifts) if _shared(cfg)
+              else _weighted(partial(_hvp_weights, **shifts), _even_weight_estimate))
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), reduce, n)
     return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)

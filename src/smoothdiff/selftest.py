@@ -4,13 +4,15 @@ A condensed version of the test suite: checks the kernel closed forms
 against finite differences, sampler distributions against their CDFs,
 estimator evaluation budgets and unbiasedness on the quadratic, the
 stacked per-element estimators against a block-by-block reference loop,
-and the separable box and Phong losses against their pixel-by-pixel
-references.  Prints one line per check.
+the shared-block contractions against the weighted reductions they
+replace, and the separable box and Phong losses against their
+pixel-by-pixel references.  Prints one line per check.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -19,6 +21,16 @@ from .estimators import (
     EstimatorConfig,
     Objective,
     SamplingMode,
+    _draw,
+    _even_weight_estimate,
+    _gradient_contraction,
+    _gradient_weights,
+    _hessian_contraction,
+    _hessian_weights,
+    _hvp_contraction,
+    _hvp_weights,
+    _pair_mean,
+    _weights,
     estimate_gradient,
     estimate_gradient_fr22,
     estimate_hessian,
@@ -160,6 +172,36 @@ def stacked_estimate(order: str, obj: Objective, theta, cfg: EstimatorConfig,
     return estimate(obj, theta, cfg, rng).g
 
 
+def shared_block_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream,
+                           v=None) -> tuple[np.ndarray, np.ndarray]:
+    """A shared block's estimates contracted and weighted: (contraction, reduction).
+
+    ``order`` is "gradient", "hessian" or "hvp" (along the unit vector of
+    ``v``); ``cfg.mode`` is aggregate or uniform.  Draws the one block,
+    evaluates ``fn`` at its points and reduces the same values both ways:
+    by the contraction the estimators run, and by ``_weights`` followed by
+    ``_pair_mean`` / ``_even_weight_estimate``.
+    """
+    sigma = cfg.spec.sigma
+    elements = hessian_elements(cfg.spec.dim) if order == "hessian" else gradient_elements(cfg.spec.dim)
+    (stack,) = _draw(cfg, rng, elements)
+    theta = np.asarray(theta, dtype=float)
+    points = np.concatenate((theta - stack.taus[0], theta + stack.taus[0]))
+    vals = np.array([[fn(point) for point in points]])
+    contract, weigh, reduce = {
+        "gradient": (_gradient_contraction, _gradient_weights, _pair_mean),
+        "hessian": (_hessian_contraction, _hessian_weights, _even_weight_estimate),
+        "hvp": (_hvp_contraction, _hvp_weights, _even_weight_estimate),
+    }[order]
+    shifts = {}
+    if order == "hvp":
+        v = np.asarray(v, dtype=float)
+        shifts = dict(v=v / np.linalg.norm(v), eps=cfg.epsilon())
+    contracted = contract(stack, vals, sigma=sigma, **shifts)
+    weighted = reduce(vals, _weights(stack, partial(weigh, sigma=sigma, **shifts)))
+    return contracted.ravel(), weighted.ravel()
+
+
 def run_selftest() -> int:
     failures = 0
 
@@ -245,6 +287,15 @@ def run_selftest() -> int:
         if not (np.array_equal(got, want) and obj_s.eval_count == obj_r.eval_count):
             mismatched.append(order)
     check("stacked per-element estimates equal the block loop", not mismatched, f"differ: {mismatched}")
+
+    # estimators: a shared block's contraction equals its weighted reduction
+    cfg_agg = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=4), samples=3, mode=SamplingMode.AGGREGATE)
+    worst = 0.0
+    for order in ("gradient", "hessian", "hvp"):
+        got, want = shared_block_estimates(order, wavy, theta_ref, cfg_agg, RngStream(22), v_ref)
+        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+    check("shared-block contractions equal the weighted reductions", worst <= 1e-12,
+          f"worst rel={worst:.2e}")
 
     # tasks: separable losses against pixel-by-pixel references
     box = box_task(5)

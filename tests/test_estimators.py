@@ -47,7 +47,7 @@ from smoothdiff.samplers import (
     sample_aggregate_offsets,
     sample_gradient_offsets,
 )
-from smoothdiff.selftest import per_element_reference, stacked_estimate
+from smoothdiff.selftest import per_element_reference, shared_block_estimates, stacked_estimate
 from smoothdiff.tasks import negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
@@ -75,6 +75,24 @@ class TestObjective:
         for k in range(5):
             obj.evaluate(np.zeros(2))
         assert obj.eval_count == 5
+
+    def test_evaluate_rows_counts_each_row(self):
+        obj = Objective(lambda th: float(th.sum()), dim=3)
+        points = np.arange(12.0).reshape(4, 3)
+        assert np.array_equal(obj.evaluate_rows(points), points.sum(axis=1))
+        assert obj.eval_count == 4
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_evaluate_rows_aborts_at_first_non_finite_row(self, j):
+        obj = Objective(lambda th: float(th[0]), dim=2)
+        points = np.arange(10.0).reshape(5, 2)
+        points[j, 0] = np.nan
+        points[4, 0] = np.inf
+        with pytest.raises(EstimationError) as err:
+            obj.evaluate_rows(points)
+        assert obj.eval_count == j + 1
+        assert np.array_equal(err.value.point, points[j], equal_nan=True)
+        assert err.value.point.flags.owndata
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
@@ -397,6 +415,25 @@ def test_stacked_per_element_equals_block_loop(order, n, samples, sigma):
     want = per_element_reference(order, obj_ref, theta, c, RngStream(5, samples), v)
     assert np.array_equal(got, want)
     assert obj.eval_count == obj_ref.eval_count
+
+
+# n = 256 for gradients and HVPs and n = 64 for Hessians: the sizes of the
+# stacked per-element cases above
+SHARED_CASES = [(mode, order, n, samples, sigma)
+                for mode in (SamplingMode.AGGREGATE, SamplingMode.UNIFORM)
+                for order in ("gradient", "hessian", "hvp")
+                for n in (1, 2, 3, 7, 64 if order == "hessian" else 256)
+                for samples in (1, 2, 4, 9) for sigma in (0.01, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("mode,order,n,samples,sigma", SHARED_CASES)
+def test_shared_block_contraction_equals_weighted_reduction(mode, order, n, samples, sigma):
+    c = cfg(sigma=sigma, dim=n, samples=samples, mode=mode)
+    theta = np.linspace(-0.7, 0.9, n)
+    got, want = shared_block_estimates(order, wavy, theta, c, RngStream(6, samples),
+                                       np.cos(np.arange(n) + 0.3))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_non_finite_in_later_element_aborts_at_its_row():

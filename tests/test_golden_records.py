@@ -9,9 +9,15 @@ same iterations and evaluation counts, bit-equal losses and parameter
 errors.  Regenerate the file only for a change that is meant to move
 records, and say so where the change is described:
 
-    PYTHONPATH=src python tests/test_golden_records.py
+    PYTHONPATH=src python tests/test_golden_records.py [CELL ...]
+
+rewrites the named cells (all of them when none is named) and leaves the
+other keys as they are.  With ``--diff`` it writes nothing and prints, per
+cell, "identical" or whether every (iteration, evals) pair still matches,
+with the largest relative change in loss and in param_error.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -63,7 +69,36 @@ def test_records_equal_golden(cell):
     assert records(CELLS[cell]) == golden
 
 
+def _max_rel(old: list, new: list, column: int) -> float:
+    pairs = [(a[column], b[column]) for run_a, run_b in zip(old, new) for a, b in zip(run_a, run_b)]
+    return max((abs(b - a) / abs(a) if a else abs(b - a) for a, b in pairs), default=0.0)
+
+
+def _describe_change(old: list | None, new: list) -> str:
+    """Either "identical", or whether the (iteration, evals) pairs match and how far values moved."""
+    if old is None:
+        return "new cell"
+    if old == new:
+        return "identical"
+    keys = [[r[:2] for r in run] for run in old] == [[r[:2] for r in run] for run in new]
+    return (f"(iteration, evals) pairs {'all match' if keys else 'DIFFER'}; max relative "
+            f"difference: loss {_max_rel(old, new, 2):.3g}, param_error {_max_rel(old, new, 3):.3g}")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: records(cfg) for name, cfg in CELLS.items()},
-                                 indent=0, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    parser = argparse.ArgumentParser(description="Regenerate or compare the golden records.")
+    parser.add_argument("cells", nargs="*", metavar="CELL",
+                        help="cells to rewrite or compare (default: all)")
+    parser.add_argument("--diff", action="store_true", help="compare only; write nothing")
+    args = parser.parse_args()
+    unknown = sorted(set(args.cells) - set(CELLS))
+    if unknown:
+        parser.error(f"unknown cells {unknown}; expected some of {sorted(CELLS)}")
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    fresh = {name: records(CELLS[name]) for name in args.cells or sorted(CELLS)}
+    if args.diff:
+        for name, new in fresh.items():
+            print(f"{name}: {_describe_change(golden.get(name), new)}")
+    else:
+        GOLDEN.write_text(json.dumps({**golden, **fresh}, indent=0, sort_keys=True) + "\n")
+        print(f"wrote {', '.join(fresh)} to {GOLDEN}")

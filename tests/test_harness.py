@@ -258,6 +258,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(missing) in err
 
+    def test_sweep_with_unknown_method_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\nmethods = FD, Bogus\ntasks = quad\n"
+                       "lr = 0.5\nseed = 1\nbudget_evals = 20\nensemble = 1\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "'Bogus'" in captured.err
+        assert "--- task=" not in captured.out
+
+    def test_variance_rejects_run_overrides(self, capsys):
+        # variance reads only --seed and --out; a flag it would ignore is an error
+        with pytest.raises(SystemExit) as exit_:
+            main(["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G",
+                  "--budgets", "16", "--reps", "2", "--threads", "2"])
+        assert exit_.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_variance_unknown_order_exits_2(self, capsys):
         # an unknown order used to run the HVP estimator under its name
         assert main(["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G,X",
