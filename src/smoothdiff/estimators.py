@@ -3,10 +3,10 @@
 The smoothed gradient, Hessian, and Hessian-vector product of an
 objective f are integrals of f against derivative kernels of the
 smoothing Gaussian.  Estimators importance-sample offsets from the
-positivized kernel densities and weight each evaluation f(theta - tau)
-by kernel(tau) / pdf(tau).
+positivized kernel densities, and each evaluation f(theta - tau) counts
+with weight kernel(tau) / pdf(tau).
 
-Every estimator runs the same four stages:
+Every estimator runs the same three stages:
 
 1. **Draw** blocks of offsets tau, stacked into one array of shape
    (blocks, samples, dim), with the output elements each block serves
@@ -31,29 +31,14 @@ Every estimator runs the same four stages:
 
    The FR22 baseline draws per-element gradient blocks with the other
    axes left unblurred.
-2. **Weight** each row of the pairs by the kernel factor kernel / N of
-   every element the block serves, divided by q.  Both are ratios to N,
-   free of Gaussian normalization factors, so weights stay finite in high
-   dimension.  Every density is even, so q at -tau is q at tau, and the
-   mirror rows' gradient and Hessian weights follow from the drawn rows'
-   by parity, exactly in IEEE arithmetic.  For per-element blocks the HVP
-   factor is taken over both halves (see ``_hvp_weights``).
-3. **Evaluate** f once per row at theta - tau for a block's drawn rows,
+2. **Evaluate** f once per row at theta - tau for a block's drawn rows,
    then at theta + tau for their mirror images, all in one call to
    ``Objective.evaluate_rows``, which aborts the estimate on the first
    non-finite value.
-4. **Reduce** each block's antithetic pairs to its estimates: pair
-   means for the odd gradient weights, a baseline-corrected mean for the
-   even Hessian and HVP weights.
-
-For the one shared block of ``AGGREGATE`` and ``UNIFORM`` mode, stages 2
-and 4 are one contraction: every served element's weight is a fixed
-polynomial in the row's coordinates, so each estimate is the drawn
-offsets tau contracted against one coefficient per row (see
-``_gradient_contraction``, ``_hessian_contraction`` and
-``_hvp_contraction``).  That keeps the cost of the arithmetic at
-O(samples * dim) per gradient or HVP instead of a weight per row and
-element.  The path is chosen by mode, not by block count.
+3. **Contract** each block's values into one coefficient per drawn row,
+   contracted against the drawn offsets (see the reduce stage below).
+   Kernel / N and q are free of Gaussian normalization factors, so they
+   stay finite in high dimension, and no mirror row is ever weighted.
 
 The HVP weight is the directional central difference of shifted
 gradient kernels; the same draws and the same evaluations serve both
@@ -217,7 +202,7 @@ class HvpEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the estimator path: draw -> weight -> evaluate -> reduce
+# the estimator path: draw -> evaluate -> contract
 # ---------------------------------------------------------------------------
 
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
@@ -235,8 +220,9 @@ class _Stack(NamedTuple):
     (B, samples) is the density ratio pdf / N of the drawn rows, and of
     their mirror images too, since every density is even.  Either block k
     serves element k (B == K) or the one block serves every element
-    (B == 1); the two readings agree when K == 1.  ``start`` is the
-    position of the first served element in the estimate.
+    (B == 1); the two readings agree when K == 1.  The reduce stage reads
+    a stack by this layout, whatever the mode.  ``start`` is the position
+    of the first served element in the estimate.
     """
 
     start: int
@@ -315,25 +301,9 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
         yield _stacked(start, taus, chunk, spec.sigma)
 
 
-def _weights(stack: _Stack, weigh) -> tuple[np.ndarray, np.ndarray]:
-    """Weight stage: the weights of the drawn rows and of their mirror images.
-
-    ``weigh(stack)`` gives both, kernel factor (kernel / N) over q per
-    served element, each of shape (elements, samples) for one shared block
-    and (B, samples) for per-element blocks; both come back with shape
-    (B, samples, elements per block).  The estimators weigh per-element
-    blocks only; a shared block's weights are the reference its
-    contraction is tested against.
-    """
-    drawn, mirror = weigh(stack)
-    if len(stack.taus) > 1:
-        return drawn[:, :, None], mirror[:, :, None]
-    return drawn.T[None], mirror.T[None]
-
-
 def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], reduce,
               size: int) -> np.ndarray:
-    """Evaluate f row by row for each stack and reduce into the served positions.
+    """Evaluate f row by row for each stack and contract into the served positions.
 
     Each block's points are theta - tau for its drawn rows, then theta + tau
     for their mirror images, written straight into one buffer.
@@ -355,169 +325,92 @@ def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], reduc
     return out
 
 
-def _weighted(weigh, reduce):
-    """Per-element reduce stage: weight the stack's rows, then reduce its pairs."""
-    return lambda stack, vals: reduce(vals, _weights(stack, weigh))
+# The reduce stage.  A served element's weight, kernel / N over q, is a
+# polynomial in its block's coordinates, so the weighted sums over a block's
+# pairs regroup, exactly in real arithmetic, into one coefficient per drawn
+# row (c, shape (B, samples)) contracted against tau.  By layout: one block
+# serving more elements than there are blocks is contracted whole, at
+# O(samples * dim) per gradient or HVP; otherwise each element gathers its own.
 
-
-def _pair_mean(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Collapse mirrored rows pairwise, then average over pairs, per block.
-
-    ``weights`` holds the drawn rows' weights and their mirror images'.
-    Fixes the reduction order: each antithetic pair combines before any
-    cross-pair summation, so odd-weight cancellations are exact.
-    """
-    drawn, mirror = weights
-    m = drawn.shape[1]
-    return (0.5 * (vals[:, :m, None] * drawn + vals[:, m:, None] * mirror)).sum(axis=1) / m
-
-
-def _even_weight_estimate(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Baseline-corrected mean for estimators with even (pair-symmetric) weights, per block.
-
-    Hessian and HVP weights are even in tau, so a pair contributes
-    (pair value) * (pair weight) and the objective's absolute level does
-    not cancel between mirrored samples the way it does for gradients.
-    Each pair's value is therefore centered against the mean of the other
-    pairs; the weights integrate to zero and pairs are independent, so
-    the correction is exactly unbiased while removing the dominant
-    value-level variance term.  A constant objective yields exactly zero
-    once there are at least two pairs.
-    """
-    drawn, mirror = weights
-    pairs = drawn.shape[1]
-    pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
-    w = 0.5 * (drawn + mirror)
-    if pairs == 1:
-        return pv * w[:, 0]
-    centered = (pv - pv.sum(axis=1, keepdims=True) / pairs).reshape(len(pv), 1, pairs)
-    return (centered @ w)[:, 0] / (pairs - 1)
-
-
-# The mirror rows' gradient and Hessian weights follow from the drawn
-# rows' by parity, exactly in IEEE arithmetic: q is even, the gradient
-# factor odd and the Hessian factor even.
-
-def _gradient_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    drawn = -_axis(stack.taus, stack.elements.i) / sigma ** 2 / stack.q
-    return drawn, -drawn
-
-
-def _hessian_weights(stack: _Stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    s2 = sigma * sigma
-    k, count = len(stack.elements), stack.taus.shape[1]
-    factor = np.empty((k, count))
-    for kind, pos, i, j in stack.elements.groups:
-        u = _axis(stack.taus, i, pos)
-        if kind is ElementKind.HESSIAN_DIAG:
-            factor[pos] = (u - sigma) * (u + sigma) / (s2 * s2)
-        else:
-            factor[pos] = u * _axis(stack.taus, j, pos) / (s2 * s2)
-    drawn = factor / stack.q
-    return drawn, drawn
-
-
-def _hvp_weights(stack: _Stack, sigma: float, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Directional difference of shifted gradient kernels over N, over q.
-
-    (grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau))
-    for the served axes; over q it equals the central difference of the
-    two shifted smoothed-gradient estimators computed from one shared set
-    of draws and evaluations.
-
-    The factor is even in tau, but it is taken over the mirror rows too:
-    tau.v comes from a BLAS matrix-vector product, whose summation order
-    for a row depends on the row's position, so a mirror row's tau.v need
-    not be the exact negation of its drawn row's.
-    """
-    s2 = sigma * sigma
-    rows = np.concatenate((stack.taus, -stack.taus), axis=1)
-    shift = 2.0 * eps * (rows @ v)
-    level = eps * eps * float(v.dot(v))
-    # exp(-(2 eps tau.v + eps^2 v.v) / 2 s2) and the same at -tau
-    r_plus = np.exp((shift + level) / (-2.0 * s2))
-    r_minus = np.exp((shift - level) / (2.0 * s2))
-    i = stack.elements.i
-    u = _axis(rows, i)
-    ev = (eps * v[i])[:, None]
-    factor = ((u - ev) * r_minus - (u + ev) * r_plus) / (2.0 * eps * s2)
-    weights = factor / np.concatenate((stack.q, stack.q), axis=1)
-    count = stack.taus.shape[1]
-    return weights[:, :count], weights[:, count:]
-
-
-# A shared block's estimates as one contraction of its drawn rows tau
-# (samples, dim) against one coefficient per row: every served element's
-# weight is a polynomial in tau's coordinates, so the weighted pair sums
-# of _pair_mean and _even_weight_estimate regroup, exactly in real
-# arithmetic, into tau^T c plus, for even weights, a multiple of the
-# identity.  A shared block serves every element in order.
-
-def _shared(cfg: EstimatorConfig) -> bool:
-    """Whether ``_draw`` yields one shared block for ``cfg``: the contraction path."""
-    return cfg.mode is not SamplingMode.PER_ELEMENT
+def _contracted_whole(stack: _Stack) -> bool:
+    """Whether one block serves more elements than there are blocks."""
+    return len(stack.elements) > len(stack.taus)
 
 
 def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """A shared block's pair values as ``_even_weight_estimate`` weighs them, over q.
+    """Each block's pair values over q, for the even Hessian and HVP weights.
 
-    One pair keeps its uncentred value; more are centred against their
-    mean and divided by pairs - 1.
+    Even weights keep the objective's level in every pair.  One pair keeps
+    its uncentred value; more are centred against their block's mean and
+    divided by pairs - 1, which stays unbiased (the weights integrate to
+    zero) and removes the dominant value-level variance term.
     """
-    pairs = len(q)
-    pv = 0.5 * (vals[0, :pairs] + vals[0, pairs:])
+    pairs = q.shape[1]
+    pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
     if pairs > 1:
-        pv = (pv - pv.sum() / pairs) / (pairs - 1)
+        pv = (pv - pv.sum(axis=1, keepdims=True) / pairs) / (pairs - 1)
     return pv / q
 
 
-def _gradient_contraction(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
-    """g = tau^T c, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
-    taus, q = stack.taus[0], stack.q[0]
-    count = len(q)
-    c = (vals[0, count:] - vals[0, :count]) / (2.0 * sigma * sigma * count * q)
-    return c @ taus
+def _reduce_gradient(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """g_i = sum_r c_r tau_ri, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
+    taus, q = stack.taus, stack.q
+    count = q.shape[1]
+    c = (vals[:, count:] - vals[:, :count]) / (2.0 * sigma * sigma * count * q)
+    if _contracted_whole(stack):
+        return c[0] @ taus[0]
+    return (_axis(taus, stack.elements.i) * c).sum(axis=1)
 
 
-def _hessian_contraction(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
-    """H = (tau^T diag(c/q) tau - sigma^2 sum(c/q) I) / sigma^4 at the served elements."""
-    taus, s2 = stack.taus[0], sigma * sigma
-    w = _even_coefficients(vals, stack.q[0])
-    h = (taus.T * w) @ taus
-    h.flat[::len(h) + 1] -= s2 * w.sum()
-    return h[stack.elements.i, stack.elements.j] / (s2 * s2)
+def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """H_ij = sum_r c_r (tau_ri tau_rj - sigma^2 delta_ij) / sigma^4, c from ``_even_coefficients``."""
+    taus, s2 = stack.taus, sigma * sigma
+    c = _even_coefficients(vals, stack.q)
+    if _contracted_whole(stack):
+        h = (taus[0].T * c[0]) @ taus[0]
+        h.flat[::len(h) + 1] -= s2 * c[0].sum()
+        return h[stack.elements.i, stack.elements.j] / (s2 * s2)
+    out = np.empty(len(stack.elements))
+    for kind, pos, i, j in stack.elements.groups:
+        u = _axis(taus, i, pos)
+        both = (u - sigma) * (u + sigma) if kind is ElementKind.HESSIAN_DIAG else u * _axis(taus, j, pos)
+        out[pos] = (both * c[pos]).sum(axis=1)
+    return out / (s2 * s2)
 
 
-def _hvp_contraction(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
-                     eps: float) -> np.ndarray:
-    """hv = tau^T a - b v for the unit direction v.
+def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
+                eps: float) -> np.ndarray:
+    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
 
-    The kernel shifts r+ and r- of ``_hvp_weights`` are taken at the drawn
-    rows' tau.v only: at a mirror row they swap, so each pair's weight
-    (tau (r- - r+) - eps v (r- + r+)) / (2 eps sigma^2 q) needs no mirror
-    product, and the estimate does not depend on how BLAS groups rows.
+    The weight, the central difference of the gradient kernels shifted by
+    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
+    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
+    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
     """
-    taus, s2 = stack.taus[0], sigma * sigma
-    c = _even_coefficients(vals, stack.q[0]) / (2.0 * s2)
+    taus, s2 = stack.taus, sigma * sigma
+    c = _even_coefficients(vals, stack.q) / (2.0 * s2)
     shift = 2.0 * eps * (taus @ v)
     level = eps * eps * float(v.dot(v))
     r_plus = np.exp((shift + level) / (-2.0 * s2))
     r_minus = np.exp((shift - level) / (2.0 * s2))
-    return (c * (r_minus - r_plus) / eps) @ taus - float(c @ (r_minus + r_plus)) * v
+    a = c * (r_minus - r_plus) / eps
+    if _contracted_whole(stack):
+        return a[0] @ taus[0] - float(c[0] @ (r_minus[0] + r_plus[0])) * v
+    i = stack.elements.i
+    return (_axis(taus, i) * a).sum(axis=1) - v[i] * (c * (r_minus + r_plus)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
-def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream, draw,
-              shared: bool) -> GradientEstimate:
-    n, sigma = cfg.spec.dim, cfg.spec.sigma
+def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream,
+              draw) -> GradientEstimate:
+    n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    reduce = (partial(_gradient_contraction, sigma=sigma) if shared
-              else _weighted(partial(_gradient_weights, sigma=sigma), _pair_mean))
-    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), reduce, n)
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)),
+                  partial(_reduce_gradient, sigma=cfg.spec.sigma), n)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -525,7 +418,7 @@ def estimate_gradient(
     obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream
 ) -> GradientEstimate:
     """Unbiased estimate of the sigma-smoothed gradient at ``theta``."""
-    return _gradient(obj, theta, cfg, rng, _draw, _shared(cfg))
+    return _gradient(obj, theta, cfg, rng, _draw)
 
 
 def estimate_gradient_fr22(
@@ -537,7 +430,7 @@ def estimate_gradient_fr22(
     evaluation serves one dimension; distributionally identical to
     ``estimate_gradient`` at dim == 1.
     """
-    return _gradient(obj, theta, cfg, rng, _draw_axis_blur, False)
+    return _gradient(obj, theta, cfg, rng, _draw_axis_blur)
 
 
 def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> GradientEstimate:
@@ -569,9 +462,7 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    sigma = cfg.spec.sigma
-    reduce = (partial(_hessian_contraction, sigma=sigma) if _shared(cfg)
-              else _weighted(partial(_hessian_weights, sigma=sigma), _even_weight_estimate))
+    reduce = partial(_reduce_hessian, sigma=cfg.spec.sigma)
     values = _estimate(obj, theta, _draw(cfg, rng, elements), reduce, len(elements))
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
@@ -590,21 +481,20 @@ def estimate_hvp(
     cost matches a single gradient estimate.
 
     The product is linear in v, so the kernels are shifted along the unit
-    direction and the result rescaled by ||v||; this keeps eps*||v||
-    small against the bandwidth no matter how large a direction the
-    caller passes.
+    direction and the result rescaled by ||v||, which keeps eps*||v|| small
+    against the bandwidth for any direction the caller passes.
     """
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     v_raw = np.asarray(v, dtype=float)
     if v_raw.shape != (n,):
         raise ValueError(f"direction has shape {v_raw.shape}, expected ({n},)")
+    if not np.isfinite(v_raw).all():
+        raise ValueError("direction must be finite")
     if not v_raw.any():
         raise ValueError("direction must be nonzero")
     v_scale = math.sqrt(float(v_raw.dot(v_raw)))
     start = obj.eval_count
     shifts = dict(sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
-    reduce = (partial(_hvp_contraction, **shifts) if _shared(cfg)
-              else _weighted(partial(_hvp_weights, **shifts), _even_weight_estimate))
-    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), reduce, n)
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), partial(_reduce_hvp, **shifts), n)
     return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)

@@ -404,8 +404,12 @@ def variance_report(
     with as many antithetic pairs as the budget buys; the reported
     variance sums the elementwise variances over repetitions.  Slopes of
     log-variance against log-budget come from a least-squares fit.
-    ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError.
+    ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError,
+    and so is ``reps`` below 2, since an unbiased variance needs two
+    estimates.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
     orders = tuple(orders)
     for order in orders:
         if order not in ("G", "H", "HVP"):

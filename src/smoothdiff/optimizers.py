@@ -40,8 +40,9 @@ class SigmaSchedule:
     total_iters: int
 
     def __post_init__(self):
-        if self.sigma_start <= 0 or self.sigma_end <= 0:
-            raise ValueError("schedule endpoints must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.sigma_start, self.sigma_end)):
+            raise ValueError(f"schedule endpoints must be finite and > 0, got "
+                             f"{self.sigma_start} and {self.sigma_end}")
         if self.total_iters < 1:
             raise ValueError("total_iters must be >= 1")
 

@@ -4,14 +4,14 @@ A condensed version of the test suite: checks the kernel closed forms
 against finite differences, sampler distributions against their CDFs,
 estimator evaluation budgets and unbiasedness on the quadratic, the
 stacked per-element estimators against a block-by-block reference loop,
-the shared-block contractions against the weighted reductions they
-replace, and the separable box and Phong losses against their
+the estimators' per-row contractions against the weighted sums of a
+weight stage (kernel over density per row, kept here as their formula
+reference), and the separable box and Phong losses against their
 pixel-by-pixel references.  Prints one line per check.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -21,16 +21,12 @@ from .estimators import (
     EstimatorConfig,
     Objective,
     SamplingMode,
+    _axis,
     _draw,
-    _even_weight_estimate,
-    _gradient_contraction,
-    _gradient_weights,
-    _hessian_contraction,
-    _hessian_weights,
-    _hvp_contraction,
-    _hvp_weights,
-    _pair_mean,
-    _weights,
+    _draw_axis_blur,
+    _reduce_gradient,
+    _reduce_hessian,
+    _reduce_hvp,
     estimate_gradient,
     estimate_gradient_fr22,
     estimate_hessian,
@@ -103,10 +99,11 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
     ``order`` is "gradient", "hessian", "hvp" (along ``v``) or "fr22".
     Each element draws its own block straight from ``rng``, in the draw
     order the per-element samplers document (FR22: uniforms for its own
-    axis only), weights it by kernel factor over its own density ratio,
-    evaluates it and reduces it on its own: the loop that the estimators
-    run as one stacked pass.  Returns the gradient, the symmetric Hessian
-    or the HVP.
+    axis only), evaluates it and contracts it on its own, with its own
+    density ratio: the loop that the estimators run as one stacked pass.
+    Each block's arithmetic is the estimators' per-row coefficient
+    contraction, taken in the same order, so the two agree bit for bit.
+    Returns the gradient, the symmetric Hessian or the HVP.
     """
     spec, count = cfg.spec, cfg.samples
     n, sigma = spec.dim, spec.sigma
@@ -132,27 +129,25 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
             else:
                 taus[:, elem.i] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
                 taus[:, elem.j] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
-        rows = np.concatenate((taus, -taus))
-        u = rows[:, elem.i]
+        q = element_density_ratios(taus, [elem], sigma)[:, 0]
+        vals = np.array([obj.evaluate(theta - row) for row in np.concatenate((taus, -taus))])
+        u = taus[:, elem.i]
         if order in ("gradient", "fr22"):
-            factor = -u / sigma ** 2
-        elif order == "hessian":
-            both = (u - sigma) * (u + sigma) if elem.kind is ElementKind.HESSIAN_DIAG else u * rows[:, elem.j]
-            factor = both / (s2 * s2)
-        else:
-            tv, vv, ev = rows @ unit, float(unit @ unit), eps * unit[k]
-            r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-            r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-            factor = (-(u + ev) * r_plus + (u - ev) * r_minus) / (2.0 * eps * s2)
-        weights = factor / element_density_ratios(rows, [elem], sigma)[:, 0]
-        vals = np.array([obj.evaluate(theta - row) for row in rows])
-        if order in ("gradient", "fr22"):
-            per_row = vals * weights
-            values[k] = (0.5 * (per_row[:count] + per_row[count:])).sum() / count
+            values[k] = (u * ((vals[count:] - vals[:count]) / (2.0 * sigma * sigma * count * q))).sum()
             continue
         pv = 0.5 * (vals[:count] + vals[count:])
-        w = 0.5 * (weights[:count] + weights[count:])
-        values[k] = pv[0] * w[0] if count == 1 else ((pv - pv.mean()) @ w) / (count - 1)
+        if count > 1:
+            pv = (pv - pv.sum() / count) / (count - 1)
+        c = pv / q
+        if order == "hessian":
+            both = (u - sigma) * (u + sigma) if elem.kind is ElementKind.HESSIAN_DIAG else u * taus[:, elem.j]
+            values[k] = (both * c).sum() / (s2 * s2)
+            continue
+        c = c / (2.0 * s2)
+        tv, vv = taus @ unit, float(unit @ unit)
+        r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+        r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
+        values[k] = (u * (c * (r_minus - r_plus) / eps)).sum() - unit[k] * (c * (r_minus + r_plus)).sum()
     if order == "hessian":
         h = np.zeros((n, n))
         h[elements.i, elements.j] = values
@@ -172,34 +167,112 @@ def stacked_estimate(order: str, obj: Objective, theta, cfg: EstimatorConfig,
     return estimate(obj, theta, cfg, rng).g
 
 
-def shared_block_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream,
-                           v=None) -> tuple[np.ndarray, np.ndarray]:
-    """A shared block's estimates contracted and weighted: (contraction, reduction).
+# The weight stage, the formula reference of the contractions: each row of
+# a stack and its mirror image weighted by the kernel factor (kernel / N)
+# of every element the block serves, over q.  The mirror rows' gradient and
+# Hessian weights follow from the drawn rows' by parity, exactly in IEEE
+# arithmetic: q is even, the gradient factor odd and the Hessian factor even.
 
-    ``order`` is "gradient", "hessian" or "hvp" (along the unit vector of
-    ``v``); ``cfg.mode`` is aggregate or uniform.  Draws the one block,
-    evaluates ``fn`` at its points and reduces the same values both ways:
-    by the contraction the estimators run, and by ``_weights`` followed by
-    ``_pair_mean`` / ``_even_weight_estimate``.
+def _weights(stack, weigh) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of a stack's drawn rows and of their mirror images.
+
+    ``weigh(stack)`` gives both, each of shape (elements, samples) for one
+    shared block and (B, samples) for per-element blocks; both come back
+    with shape (B, samples, elements per block).
     """
-    sigma = cfg.spec.sigma
-    elements = hessian_elements(cfg.spec.dim) if order == "hessian" else gradient_elements(cfg.spec.dim)
-    (stack,) = _draw(cfg, rng, elements)
-    theta = np.asarray(theta, dtype=float)
-    points = np.concatenate((theta - stack.taus[0], theta + stack.taus[0]))
-    vals = np.array([[fn(point) for point in points]])
-    contract, weigh, reduce = {
-        "gradient": (_gradient_contraction, _gradient_weights, _pair_mean),
-        "hessian": (_hessian_contraction, _hessian_weights, _even_weight_estimate),
-        "hvp": (_hvp_contraction, _hvp_weights, _even_weight_estimate),
-    }[order]
+    drawn, mirror = weigh(stack)
+    if len(stack.taus) > 1:
+        return drawn[:, :, None], mirror[:, :, None]
+    return drawn.T[None], mirror.T[None]
+
+
+def _gradient_weights(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    drawn = -_axis(stack.taus, stack.elements.i) / sigma ** 2 / stack.q
+    return drawn, -drawn
+
+
+def _hessian_weights(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    s2 = sigma * sigma
+    k, count = len(stack.elements), stack.taus.shape[1]
+    factor = np.empty((k, count))
+    for kind, pos, i, j in stack.elements.groups:
+        u = _axis(stack.taus, i, pos)
+        if kind is ElementKind.HESSIAN_DIAG:
+            factor[pos] = (u - sigma) * (u + sigma) / (s2 * s2)
+        else:
+            factor[pos] = u * _axis(stack.taus, j, pos) / (s2 * s2)
+    drawn = factor / stack.q
+    return drawn, drawn
+
+
+def _hvp_weights(stack, sigma: float, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau)) over q, per served axis."""
+    s2 = sigma * sigma
+    rows = np.concatenate((stack.taus, -stack.taus), axis=1)
+    shift = 2.0 * eps * (rows @ v)
+    level = eps * eps * float(v.dot(v))
+    r_plus = np.exp((shift + level) / (-2.0 * s2))
+    r_minus = np.exp((shift - level) / (2.0 * s2))
+    i = stack.elements.i
+    u = _axis(rows, i)
+    ev = (eps * v[i])[:, None]
+    factor = ((u - ev) * r_minus - (u + ev) * r_plus) / (2.0 * eps * s2)
+    weights = factor / np.concatenate((stack.q, stack.q), axis=1)
+    count = stack.taus.shape[1]
+    return weights[:, :count], weights[:, count:]
+
+
+def _weighted_sums(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray], even: bool) -> np.ndarray:
+    """Each block's weighted pairs summed, shape (B, elements per block).
+
+    Odd (gradient) weights: the mean over pairs of each pair's mean
+    weighted value.  Even (Hessian, HVP) weights: each pair's mean value,
+    centred against the mean of all pairs when there are more than one
+    and then divided by pairs - 1, times its mean weight.
+    """
+    drawn, mirror = weights
+    pairs = drawn.shape[1]
+    if not even:
+        return (0.5 * (vals[:, :pairs, None] * drawn + vals[:, pairs:, None] * mirror)).sum(axis=1) / pairs
+    pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
+    w = 0.5 * (drawn + mirror)
+    if pairs == 1:
+        return pv * w[:, 0]
+    centered = (pv - pv.sum(axis=1, keepdims=True) / pairs).reshape(len(pv), 1, pairs)
+    return (centered @ w)[:, 0] / (pairs - 1)
+
+
+def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream,
+                     v=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every stack's estimates contracted and weighted: (contraction, weighted sums).
+
+    ``order`` is "gradient", "hessian", "hvp" (along the unit vector of
+    ``v``) or "fr22" (per-element mode only).  Draws every stack the
+    estimator would for ``cfg.mode``, evaluates ``fn`` at its points and
+    reduces the same values both ways: by the contraction the estimators
+    run, and by the weight stage above summed over antithetic pairs.  Both
+    come back in the estimate's element order.
+    """
+    sigma, n = cfg.spec.sigma, cfg.spec.dim
+    elements = hessian_elements(n) if order == "hessian" else gradient_elements(n)
+    draw = _draw_axis_blur if order == "fr22" else _draw
+    contract, weigh = {"gradient": (_reduce_gradient, _gradient_weights),
+                       "fr22": (_reduce_gradient, _gradient_weights),
+                       "hessian": (_reduce_hessian, _hessian_weights),
+                       "hvp": (_reduce_hvp, _hvp_weights)}[order]
     shifts = {}
     if order == "hvp":
         v = np.asarray(v, dtype=float)
         shifts = dict(v=v / np.linalg.norm(v), eps=cfg.epsilon())
-    contracted = contract(stack, vals, sigma=sigma, **shifts)
-    weighted = reduce(vals, _weights(stack, partial(weigh, sigma=sigma, **shifts)))
-    return contracted.ravel(), weighted.ravel()
+    theta = np.asarray(theta, dtype=float)
+    contracted, weighted = [], []
+    for stack in draw(cfg, rng, elements):
+        points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=1)
+        vals = np.array([[fn(point) for point in block] for block in points])
+        contracted.append(contract(stack, vals, sigma=sigma, **shifts).ravel())
+        weights = _weights(stack, partial(weigh, sigma=sigma, **shifts))
+        weighted.append(_weighted_sums(vals, weights, order in ("hessian", "hvp")).ravel())
+    return np.concatenate(contracted), np.concatenate(weighted)
 
 
 def run_selftest() -> int:
@@ -288,14 +361,18 @@ def run_selftest() -> int:
             mismatched.append(order)
     check("stacked per-element estimates equal the block loop", not mismatched, f"differ: {mismatched}")
 
-    # estimators: a shared block's contraction equals its weighted reduction
-    cfg_agg = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=4), samples=3, mode=SamplingMode.AGGREGATE)
+    # estimators: every stack's contraction equals its weighted reduction;
+    # per-element gradients at n = 256 and 4 samples span two chunks
+    reduce_cases = [(mode, order, 4) for mode in (SamplingMode.AGGREGATE, SamplingMode.PER_ELEMENT)
+                    for order in ("gradient", "hessian", "hvp")]
+    reduce_cases += [(SamplingMode.PER_ELEMENT, "fr22", 4), (SamplingMode.PER_ELEMENT, "gradient", 256)]
     worst = 0.0
-    for order in ("gradient", "hessian", "hvp"):
-        got, want = shared_block_estimates(order, wavy, theta_ref, cfg_agg, RngStream(22), v_ref)
+    for mode, order, n in reduce_cases:
+        cfg_red = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=n), samples=3 if n == 4 else 4, mode=mode)
+        got, want = reduce_estimates(order, wavy, np.linspace(-0.7, 0.9, n), cfg_red, RngStream(22),
+                                     np.cos(np.arange(n) + 0.3))
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-    check("shared-block contractions equal the weighted reductions", worst <= 1e-12,
-          f"worst rel={worst:.2e}")
+    check("contractions equal the weighted reductions", worst <= 1e-12, f"worst rel={worst:.2e}")
 
     # tasks: separable losses against pixel-by-pixel references
     box = box_task(5)

@@ -21,15 +21,7 @@ from smoothdiff.estimators import (
     estimate_hvp,
     evals_per_estimate,
 )
-from smoothdiff.estimators import (
-    _CHUNK_BYTES,
-    _draw,
-    _draw_axis_blur,
-    _gradient_weights,
-    _hessian_weights,
-    _hvp_weights,
-    _weights,
-)
+from smoothdiff.estimators import _CHUNK_BYTES, _draw, _draw_axis_blur
 from smoothdiff.kernels import (
     KernelSpec,
     axis_blur_gradient_kernel,
@@ -47,7 +39,15 @@ from smoothdiff.samplers import (
     sample_aggregate_offsets,
     sample_gradient_offsets,
 )
-from smoothdiff.selftest import per_element_reference, shared_block_estimates, stacked_estimate
+from smoothdiff.selftest import (
+    _gradient_weights,
+    _hessian_weights,
+    _hvp_weights,
+    _weights,
+    per_element_reference,
+    reduce_estimates,
+    stacked_estimate,
+)
 from smoothdiff.tasks import negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
@@ -339,6 +339,16 @@ class TestHvp:
         with pytest.raises(ValueError):
             estimate_hvp(task.objective(), np.zeros(2), np.zeros(2), cfg(), RngStream(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_non_finite_direction_rejected_before_any_evaluation(self, bad, mode):
+        # checked before the draw: it would spend 2 * samples evaluations on an all-nan estimate
+        obj = Objective(lambda th: float(th @ th), dim=3)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_hvp(obj, np.zeros(3), np.array([bad, 1.0, 0.0]), cfg(dim=3, samples=2, mode=mode),
+                         RngStream(0))
+        assert obj.eval_count == 0
+
     def test_eval_budget(self):
         task = quad_task()
         v = np.array([1.0, 1.0])
@@ -418,20 +428,22 @@ def test_stacked_per_element_equals_block_loop(order, n, samples, sigma):
 
 
 # n = 256 for gradients and HVPs and n = 64 for Hessians: the sizes of the
-# stacked per-element cases above
-SHARED_CASES = [(mode, order, n, samples, sigma)
-                for mode in (SamplingMode.AGGREGATE, SamplingMode.UNIFORM)
-                for order in ("gradient", "hessian", "hvp")
+# stacked per-element cases above, where per-element stacks span several
+# chunks; FR22 ("fr22") draws per-element gradient blocks only
+REDUCE_CASES = [(mode, order, n, samples, sigma)
+                for mode in (SamplingMode.AGGREGATE, SamplingMode.UNIFORM, SamplingMode.PER_ELEMENT)
+                for order in ("gradient", "hessian", "hvp", "fr22")
+                if order != "fr22" or mode is SamplingMode.PER_ELEMENT
                 for n in (1, 2, 3, 7, 64 if order == "hessian" else 256)
                 for samples in (1, 2, 4, 9) for sigma in (0.01, 0.3, 1.0)]
 
 
-@pytest.mark.parametrize("mode,order,n,samples,sigma", SHARED_CASES)
-def test_shared_block_contraction_equals_weighted_reduction(mode, order, n, samples, sigma):
+@pytest.mark.parametrize("mode,order,n,samples,sigma", REDUCE_CASES)
+def test_reduce_equals_weighted_reduction(mode, order, n, samples, sigma):
     c = cfg(sigma=sigma, dim=n, samples=samples, mode=mode)
     theta = np.linspace(-0.7, 0.9, n)
-    got, want = shared_block_estimates(order, wavy, theta, c, RngStream(6, samples),
-                                       np.cos(np.arange(n) + 0.3))
+    got, want = reduce_estimates(order, wavy, theta, c, RngStream(6, samples),
+                                 np.cos(np.arange(n) + 0.3))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -194,6 +194,13 @@ class TestVarianceReport:
                                  budgets=[16], orders=("G",), reps=10, sigma=1.0, seed=6)
         assert report.rows[0].variance == 0.0
 
+    @pytest.mark.parametrize("reps", [1, 0])
+    def test_rejects_fewer_than_two_reps(self, reps):
+        # one estimate has no unbiased variance: the report would read nan
+        with pytest.raises(ValueError, match="reps"):
+            variance_report(negated_gaussian_task(), np.full(2, 0.5), [SamplingMode.AGGREGATE], [16],
+                            orders=("G",), reps=reps)
+
 
 class TestCli:
     def write_cfg(self, tmp_path):
@@ -283,6 +290,13 @@ class TestCli:
         with pytest.raises(ValueError):
             variance_report(negated_gaussian_task(), np.full(2, 0.5), [SamplingMode.AGGREGATE], [16],
                             orders=("hvp",), reps=2)
+
+    def test_variance_single_rep_exits_2(self, capsys):
+        assert main(["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G",
+                     "--budgets", "16,64", "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "reps" in captured.err
+        assert "nan" not in captured.out
 
     def test_variance_subcommand(self, tmp_path, capsys):
         assert main(["variance", "--task", "neg_gauss", "--theta", "0.5,0.5",

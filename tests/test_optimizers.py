@@ -75,6 +75,14 @@ class TestAnnealSigma:
         with pytest.raises(ValueError):
             anneal_sigma(SigmaSchedule(1.0, 0.1, 10), -1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_endpoints(self, bad):
+        # anneal_sigma would interpolate to sigma = nan or inf
+        with pytest.raises(ValueError, match="finite"):
+            SigmaSchedule(bad, 0.1, 10)
+        with pytest.raises(ValueError, match="finite"):
+            SigmaSchedule(1.0, bad, 10)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_theta(self):
