@@ -60,9 +60,7 @@ from .tasks import (
     negated_gaussian_task,
     phong_sphere_task,
     quad_task,
-    read_image,
     texture_task,
-    write_image,
 )
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 from .harness import (

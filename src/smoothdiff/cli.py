@@ -16,6 +16,8 @@ settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
 file; ``variance`` takes only ``--seed`` and ``--out`` of these.  A sweep
 builds every cell's config before its first run, so a bad method or key
 in any cell exits before anything runs.
+
+Bad input and unreadable files exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -120,12 +120,11 @@ class Objective:
     across threads only if the wrapped function tolerates it.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], float], dim: int, name: str = ""):
+    def __init__(self, fn: Callable[[np.ndarray], float], dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self._fn = fn
         self.dim = dim
-        self.name = name
         self._evals = 0
 
     def evaluate(self, theta: np.ndarray) -> float:
@@ -197,7 +196,6 @@ class HessianEstimate:
 @dataclass(frozen=True)
 class HvpEstimate:
     hv: np.ndarray
-    direction: np.ndarray
     evals_used: int
 
 
@@ -435,8 +433,8 @@ def estimate_gradient_fr22(
 
 def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> GradientEstimate:
     """Classic central-difference gradient; 2n evaluations."""
-    if not (step > 0):
-        raise ValueError(f"step must be > 0, got {step}")
+    if not (0 < step < math.inf):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     theta = _check_theta(theta, obj.dim)
     start = obj.eval_count
     n = obj.dim
@@ -497,4 +495,4 @@ def estimate_hvp(
     start = obj.eval_count
     shifts = dict(sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
     hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), partial(_reduce_hvp, **shifts), n)
-    return HvpEstimate(hv=v_scale * hv, direction=v_raw, evals_used=obj.eval_count - start)
+    return HvpEstimate(hv=v_scale * hv, evals_used=obj.eval_count - start)

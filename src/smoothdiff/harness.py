@@ -225,7 +225,8 @@ class SampledProvider:
     Hessian-vector products are estimated in ``hvp_mode``.  With
     ``hvp_mode=None`` they are products with a per-element Hessian
     estimate instead, PSD-modified and refreshed on the optimizer's
-    recompute schedule.
+    recompute schedule; ``newton_cg_run`` refreshes before every CG
+    solve, so ``hvp`` always finds one.
     """
 
     def __init__(self, obj: Objective, samples: int, rng: RngStream,
@@ -247,9 +248,7 @@ class SampledProvider:
 
     def hvp(self, theta: np.ndarray, v: np.ndarray, sigma: float) -> HvpEstimate:
         if self._hvp_mode is None:
-            if self._h is None:
-                self.refresh(theta, sigma)
-            return HvpEstimate(hv=self._h @ v, direction=np.asarray(v, dtype=float), evals_used=0)
+            return HvpEstimate(hv=self._h @ v, evals_used=0)
         return estimate_hvp(self._obj, theta, v, self._cfg(sigma, self._hvp_mode), self._rng)
 
 
@@ -362,7 +361,6 @@ class VarianceRow:
     mode: str
     order: str
     budget_evals: int
-    estimates: int
     variance: float
 
 
@@ -406,7 +404,7 @@ def variance_report(
     log-variance against log-budget come from a least-squares fit.
     ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError,
     and so is ``reps`` below 2, since an unbiased variance needs two
-    estimates.
+    estimates, and a budget below 1, which has no logarithm to fit.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
@@ -414,8 +412,11 @@ def variance_report(
     for order in orders:
         if order not in ("G", "H", "HVP"):
             raise ValueError(f"unknown derivative order {order!r}; expected G, H or HVP")
-    theta = np.asarray(theta, dtype=float)
     budgets = list(budgets)
+    for budget in budgets:
+        if budget < 1:
+            raise ValueError(f"budgets must be >= 1, got {budget}")
+    theta = np.asarray(theta, dtype=float)
     modes = list(modes)
     v = direction if direction is not None else np.ones(task.dim) / math.sqrt(task.dim)
     rows: list[VarianceRow] = []
@@ -442,8 +443,7 @@ def variance_report(
                 arr = np.array(ests)
                 var = float(arr.var(axis=0, ddof=1).sum())
                 cell_vars.append(var)
-                rows.append(VarianceRow(mode=mode.value, order=order,
-                                        budget_evals=budget, estimates=reps, variance=var))
+                rows.append(VarianceRow(mode=mode.value, order=order, budget_evals=budget, variance=var))
             if len(budgets) >= 2:
                 slope = float(np.polyfit(np.log(budgets), np.log(cell_vars), 1)[0])
                 slopes[(mode.value, order)] = slope
@@ -524,8 +524,11 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
 
 def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
     """Reload traces written by ``export_traces``; returns (traces, config)."""
-    text_head = open(path, "rb").read(1).decode("ascii", errors="replace")
-    if text_head == "{":
+    with open(path, "rb") as fh:
+        head = fh.read(1)
+    if not head:
+        raise ValueError(f"{path}: empty trace file")
+    if head == b"{":
         with open(path) as fh:
             payload = json.load(fh)
         traces = []

@@ -3,9 +3,9 @@
 Four families: an analytic quadratic, a negated Gaussian whose smoothed
 derivatives have closed forms (a non-PSD testbed), plateaued
 box-placement and texture tasks on a tiny software rasterizer, and a
-Phong-shaded sphere with analytic derivatives.  Every objective is a
-deterministic function of its parameters, so exact finite-difference
-oracles apply.
+Phong-shaded sphere.  Only the two analytic tasks carry derivative
+oracles (see ``Task``).  Every objective is a deterministic function of
+its parameters, so exact finite-difference oracles apply.
 
 The rendered losses are evaluated in separable form rather than pixel by
 pixel.  A box channel image is the outer product of the box's y and x
@@ -26,7 +26,6 @@ stays bit for bit the value of its first separable form, which
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,9 +40,12 @@ TWO_PI = 2.0 * math.pi
 class Task:
     """An objective with ground truth and optional derivative oracles.
 
-    ``smoothed_grad``/``smoothed_hess`` take (theta, kernel_sigma) and
-    return derivatives of the Gaussian-smoothed objective; they exist
-    only where the convolution has a closed form.
+    Only ``quad`` and ``neg_gauss`` carry oracles.  ``smoothed_grad`` /
+    ``smoothed_hess`` take (theta, kernel_sigma) and return derivatives of
+    the Gaussian-smoothed objective; the benchmark's correctness gate and
+    the estimator tests read them.  ``analytic_grad`` / ``analytic_hess``
+    are the plain derivatives; the exact derivative providers of the
+    optimizer tests read them.
     """
 
     name: str
@@ -58,7 +60,7 @@ class Task:
     plateau_points: list[np.ndarray] = field(default_factory=list)
 
     def objective(self) -> Objective:
-        return Objective(self.fn, self.dim, name=self.name)
+        return Objective(self.fn, self.dim)
 
     def param_error(self, theta: np.ndarray) -> float:
         d = np.asarray(theta, dtype=float) - self.theta_true
@@ -171,16 +173,15 @@ class RasterScene:
     Pixel values are the exact overlap area between the square and the
     pixel cell, so the image is a deterministic, piecewise-smooth
     function of the square centers.  One square's image is the outer
-    product of its y and x coverage rows (``axis_coverage``); with the
-    background at 0 and coverages in [0, 1], clipping a single square's
-    image changes nothing, which is what lets ``box_task`` evaluate its
-    loss from the coverage rows alone.
+    product of its y and x coverage rows (``axis_coverage``); with
+    coverages in [0, 1], clipping a single square's image changes
+    nothing, which is what lets ``box_task`` evaluate its loss from the
+    coverage rows alone.
     """
 
     width: int
     height: int
     box_half: float
-    background: float = 0.0
 
     @staticmethod
     def axis_grid(npix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,7 +212,7 @@ class RasterScene:
     def render(self, centers: np.ndarray) -> np.ndarray:
         """Coverage image for a set of square centers, clipped to [0, 1]."""
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        img = np.full((self.height, self.width), self.background)
+        img = np.zeros((self.height, self.width))
         for cov_y, cov_x in zip(self.axis_coverage(centers[:, 1], self.axis_grid(self.height)),
                                 self.axis_coverage(centers[:, 0], self.axis_grid(self.width))):
             img += np.outer(cov_y, cov_x)
@@ -334,8 +335,8 @@ def _texture_reference(side: int) -> np.ndarray:
 def texture_task(side: int = 16) -> Task:
     """Per-texel intensity recovery: separable, convex, n = side^2.
 
-    Texels clamp to [0, 1] inside the objective; the analytic gradient is
-    2(theta - ref)/n on the interior and 0 where the clamp is active.
+    Texels clamp to [0, 1] inside the objective, so the loss is flat in
+    any texel pushed past the clamp.
     """
     if side < 4:
         raise ValueError(f"side must be >= 4, got {side}")
@@ -347,26 +348,12 @@ def texture_task(side: int = 16) -> Task:
         d -= ref
         return float(d @ d) / n
 
-    def grad(th):
-        th = np.asarray(th, dtype=float)
-        t = np.clip(th, 0.0, 1.0)
-        g = 2.0 * (t - ref) / n
-        g[(th < 0.0) | (th > 1.0)] = 0.0
-        return g
-
-    def hess(th):
-        th = np.asarray(th, dtype=float)
-        d = np.where((th < 0.0) | (th > 1.0), 0.0, 2.0 / n)
-        return np.diag(d)
-
     return Task(
         name=f"texture{side}",
         dim=n,
         fn=fn,
         theta_true=ref.copy(),
         init_sampler=lambda gen: gen.uniform(0.0, 1.0, size=n),
-        analytic_grad=grad,
-        analytic_hess=hess,
     )
 
 
@@ -410,25 +397,18 @@ class _PhongScene:
         # about half the pixels get no highlight; only the others pay the power
         self._lit = np.flatnonzero(self.spec_base > 0.0)
         self._lit_base = self.spec_base[self._lit]
-        self.log_spec = np.zeros_like(self.spec_base)
-        self.log_spec[self._lit] = np.log(self._lit_base)
         self.total_pixels = resolution * resolution
 
-    def spec(self, alpha: float) -> np.ndarray:
-        """Specular intensity per pixel: spec_base ** alpha where lit, else 0."""
-        out = np.zeros_like(self.spec_base)
-        out[self._lit] = self._lit_base ** alpha
-        return out
-
     def shade(self, kd: np.ndarray, ks: np.ndarray, alpha: float) -> np.ndarray:
-        """The sphere's pixels, channel-major: shape (3, pixels)."""
-        img = kd[:, None] * self.diffuse
-        img += ks[:, None] * self.spec(alpha)
-        return img
+        """The sphere's pixels, channel-major: shape (3, pixels).
 
-    def spec_terms(self, alpha: float):
-        spec = self.spec(alpha)
-        return spec, spec * self.log_spec, spec * self.log_spec * self.log_spec
+        The specular intensity is spec_base ** alpha where lit, else 0.
+        """
+        spec = np.zeros_like(self.spec_base)
+        spec[self._lit] = self._lit_base ** alpha
+        img = kd[:, None] * self.diffuse
+        img += ks[:, None] * spec
+        return img
 
 
 def phong_sphere_task(resolution: int = 32) -> Task:
@@ -443,47 +423,11 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     ref = scene.shade(PHONG_TRUE[0:3], PHONG_TRUE[3:6], PHONG_TRUE[6] * _SHININESS_UNIT)
     norm = 3.0 * scene.total_pixels
 
-    def _split(th):
-        th = np.asarray(th, dtype=float)
-        return th[0:3], th[3:6], max(float(th[6]) * _SHININESS_UNIT, _SHININESS_FLOOR)
-
     def fn(th):
-        diff = scene.shade(*_split(th))
+        th = np.asarray(th, dtype=float)
+        diff = scene.shade(th[0:3], th[3:6], max(float(th[6]) * _SHININESS_UNIT, _SHININESS_FLOOR))
         diff -= ref
         return float(np.einsum("ij,ij->", diff, diff)) / norm
-
-    def grad(th):
-        kd, ks, alpha = _split(th)
-        spec, spec_l, _ = scene.spec_terms(alpha)
-        e = scene.shade(kd, ks, alpha) - ref
-        g = np.empty(7)
-        g[0:3] = 2.0 * (e @ scene.diffuse) / norm
-        g[3:6] = 2.0 * (e @ spec) / norm
-        g[6] = 2.0 * _SHININESS_UNIT * float(ks @ (e @ spec_l)) / norm
-        return g
-
-    def hess(th):
-        kd, ks, alpha = _split(th)
-        spec, spec_l, spec_l2 = scene.spec_terms(alpha)
-        e = scene.shade(kd, ks, alpha) - ref
-        h = np.zeros((7, 7))
-        dd = float(scene.diffuse @ scene.diffuse)
-        ds = float(scene.diffuse @ spec)
-        ss = float(spec @ spec)
-        for c in range(3):
-            h[c, c] = dd
-            h[c, 3 + c] = h[3 + c, c] = ds
-            h[3 + c, 3 + c] = ss
-        d_sl = float(scene.diffuse @ spec_l)
-        s_sl = float(spec @ spec_l)
-        sl_sl = float(spec_l @ spec_l)
-        unit = _SHININESS_UNIT
-        for c in range(3):
-            h[c, 6] = h[6, c] = ks[c] * d_sl * unit
-            # J_ks * J_alpha plus the e * d2I/(dks dalpha) curvature term
-            h[3 + c, 6] = h[6, 3 + c] = (ks[c] * s_sl + float(e[c] @ spec_l)) * unit
-        h[6, 6] = (sl_sl * float(ks @ ks) + float(ks @ (e @ spec_l2))) * unit * unit
-        return 2.0 * h / norm
 
     def init(gen):
         th = np.empty(7)
@@ -497,8 +441,6 @@ def phong_sphere_task(resolution: int = 32) -> Task:
         fn=fn,
         theta_true=PHONG_TRUE.copy(),
         init_sampler=init,
-        analytic_grad=grad,
-        analytic_hess=hess,
     )
 
 
@@ -526,42 +468,3 @@ def make_task(name: str) -> Task:
 
 
 TASK_NAMES = ("quad", "neg_gauss", "box2", "box10", "texture8", "texture16", "phong")
-
-
-# ---------------------------------------------------------------------------
-# reference image files: magic, width/height/channels, row-major float32
-# ---------------------------------------------------------------------------
-
-_IMAGE_MAGIC = b"F32I"
-
-
-def write_image(path, image: np.ndarray) -> None:
-    """Write a grayscale or RGB float image in the lossless raw layout.
-
-    Layout: 4-byte magic ``F32I``, then width, height, channels as
-    little-endian uint32, then the pixel data as little-endian float32 in
-    row-major order.
-    """
-    arr = np.asarray(image, dtype=np.float32)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError(f"image must be HxW or HxWxC, got shape {arr.shape}")
-    h, w, c = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(_IMAGE_MAGIC)
-        fh.write(struct.pack("<III", w, h, c))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
-
-
-def read_image(path) -> np.ndarray:
-    """Read an image written by ``write_image``; returns (H, W, C) float32."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _IMAGE_MAGIC:
-            raise ValueError(f"{path}: not a float32 image file (magic {magic!r})")
-        w, h, c = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != w * h * c:
-        raise ValueError(f"{path}: truncated image data")
-    return data.reshape(h, w, c).astype(np.float32)

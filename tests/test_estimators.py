@@ -48,7 +48,7 @@ from smoothdiff.selftest import (
     reduce_estimates,
     stacked_estimate,
 )
-from smoothdiff.tasks import negated_gaussian_task, quad_task
+from smoothdiff.tasks import box_task, negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
 
@@ -230,6 +230,15 @@ class TestFd:
         obj = Objective(lambda th: 0.0, dim=1)
         with pytest.raises(ValueError):
             estimate_gradient_fd(obj, np.zeros(1), step=0.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1e-6])
+    def test_bad_step_rejected_before_any_evaluation(self, step):
+        # box10 clamps its centres, so an infinite step used to spend 20
+        # evaluations and return an all-zero gradient
+        obj = box_task(5).objective()
+        with pytest.raises(ValueError, match="step"):
+            estimate_gradient_fd(obj, np.full(10, 0.5), step=step)
+        assert obj.eval_count == 0
 
 
 class TestHessian:

@@ -14,11 +14,13 @@ records, and say so where the change is described:
 rewrites the named cells (all of them when none is named) and leaves the
 other keys as they are.  With ``--diff`` it writes nothing and prints, per
 cell, "identical" or whether every (iteration, evals) pair still matches,
-with the largest relative change in loss and in param_error.
+with the largest relative change in loss and in param_error; it exits 1
+when any compared cell is not identical and 0 otherwise.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,8 +99,10 @@ if __name__ == "__main__":
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     fresh = {name: records(CELLS[name]) for name in args.cells or sorted(CELLS)}
     if args.diff:
-        for name, new in fresh.items():
-            print(f"{name}: {_describe_change(golden.get(name), new)}")
+        changes = {name: _describe_change(golden.get(name), new) for name, new in fresh.items()}
+        for name, change in changes.items():
+            print(f"{name}: {change}")
+        sys.exit(any(change != "identical" for change in changes.values()))
     else:
         GOLDEN.write_text(json.dumps({**golden, **fresh}, indent=0, sort_keys=True) + "\n")
         print(f"wrote {', '.join(fresh)} to {GOLDEN}")

@@ -1,11 +1,13 @@
 """Harness behavior: config validation, determinism, export formats, CLI."""
 
 import configparser
+import gc
 import json
 import math
 import re
 import typing
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -172,6 +174,22 @@ class TestExport:
         text = summarize_traces(result.traces)
         assert "param_error" in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_load_closes_its_files(self, result, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        export_traces(result, path, fmt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_traces(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_load_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty"):
+            load_traces(path)
+
 
 class TestVarianceReport:
     def test_slope_and_rows(self):
@@ -200,6 +218,17 @@ class TestVarianceReport:
         with pytest.raises(ValueError, match="reps"):
             variance_report(negated_gaussian_task(), np.full(2, 0.5), [SamplingMode.AGGREGATE], [16],
                             orders=("G",), reps=reps)
+
+    @pytest.mark.parametrize("budgets,bad", [([0], "0"), ([16, -8], "-8"), ([0, -8], "0")])
+    def test_rejects_budget_below_one_before_any_estimate(self, budgets, bad):
+        # such budgets used to buy one pair each, run every estimate and
+        # then fail in the slope fit on log(0) or log(-8)
+        calls = []
+        task = replace(negated_gaussian_task(), fn=lambda th: calls.append(1) or 0.0)
+        with pytest.raises(ValueError, match=f"budgets must be >= 1, got {bad}$"):
+            variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], budgets,
+                            orders=("G",), reps=3)
+        assert calls == []
 
 
 class TestCli:
@@ -298,6 +327,13 @@ class TestCli:
         assert "reps" in captured.err
         assert "nan" not in captured.out
 
+    def test_variance_budget_below_one_exits_2(self, capsys):
+        assert main(["variance", "--task", "quad", "--modes", "aggregate", "--orders", "G",
+                     "--budgets", "0,-8", "--reps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: budgets must be >= 1, got 0"]
+        assert captured.out == ""
+
     def test_variance_subcommand(self, tmp_path, capsys):
         assert main(["variance", "--task", "neg_gauss", "--theta", "0.5,0.5",
                      "--modes", "aggregate", "--orders", "G", "--budgets", "16,64",
@@ -337,6 +373,19 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.ini"]) == 2
+
+    def test_summarize_empty_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert main(["summarize", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "empty" in err[0]
+
+    def test_summarize_directory_exits_2(self, tmp_path, capsys):
+        # an OSError other than a missing file used to escape as a traceback
+        assert main(["summarize", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_zero_eval_budget_exits_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

@@ -36,7 +36,7 @@ class AnalyticProvider:
         return GradientEstimate(g=self.task.analytic_grad(theta), evals_used=0)
 
     def hvp(self, theta, v, sigma):
-        return HvpEstimate(hv=self.task.analytic_hess(theta) @ v, direction=v, evals_used=0)
+        return HvpEstimate(hv=self.task.analytic_hess(theta) @ v, evals_used=0)
 
 
 class ScaledHvpProvider(AnalyticProvider):
@@ -51,8 +51,7 @@ class ScaledHvpProvider(AnalyticProvider):
         self.log.append(("refresh", np.array(theta), sigma))
 
     def hvp(self, theta, v, sigma):
-        return HvpEstimate(hv=self.scale * (self.task.analytic_hess(theta) @ v),
-                           direction=v, evals_used=0)
+        return HvpEstimate(hv=self.scale * (self.task.analytic_hess(theta) @ v), evals_used=0)
 
 
 class TestAnnealSigma:

@@ -25,9 +25,7 @@ from smoothdiff.tasks import (
     negated_gaussian_task,
     phong_sphere_task,
     quad_task,
-    read_image,
     texture_task,
-    write_image,
 )
 
 
@@ -271,24 +269,6 @@ class TestTextureTask:
         task = texture_task(8)
         assert task.fn(task.theta_true) == 0.0
 
-    def test_analytic_grad_matches_fd(self):
-        task = texture_task(8)
-        rng = np.random.default_rng(4)
-        th = rng.uniform(0.05, 0.95, size=task.dim)
-        assert np.abs(task.analytic_grad(th) - fd_grad(task.fn, th, 1e-6)).max() < 1e-6
-
-    def test_gradient_formula(self):
-        task = texture_task(8)
-        th = np.full(task.dim, 0.5)
-        expected = 2.0 * (th - task.theta_true) / task.dim
-        assert_allclose(task.analytic_grad(th), expected, rtol=1e-12)
-
-    def test_clamped_region_has_zero_gradient(self):
-        task = texture_task(8)
-        th = np.full(task.dim, 0.5)
-        th[3] = 1.7
-        assert task.analytic_grad(th)[3] == 0.0
-
     def test_default_side(self):
         assert texture_task().dim == 256
 
@@ -326,30 +306,6 @@ class TestPhongTask:
         task = phong_sphere_task()
         assert task.fn(task.theta_true) == 0.0
 
-    def test_analytic_grad_matches_fd_20_points(self):
-        task = phong_sphere_task()
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            th = task.init_sampler(rng)
-            g = task.analytic_grad(th)
-            fd = fd_grad(task.fn, th, 1e-5)
-            denom = np.maximum(np.abs(g), 1e-6)
-            assert np.max(np.abs(g - fd) / denom) < 1e-4
-
-    def test_analytic_hessian_matches_fd(self):
-        task = phong_sphere_task()
-        rng = np.random.default_rng(6)
-        th = task.init_sampler(rng)
-        h = task.analytic_hess(th)
-        assert np.array_equal(h, h.T)
-        steps = np.where(np.arange(7) == 6, 1e-3, 1e-5)
-        for a in range(7):
-            ea = np.zeros(7)
-            ea[a] = steps[a]
-            fd_row = (task.analytic_grad(th + ea) - task.analytic_grad(th - ea)) / (2 * steps[a])
-            denom = np.maximum(np.abs(h[a]), 1e-4)
-            assert np.max(np.abs(h[a] - fd_row) / denom) < 1e-4
-
     def test_loss_matches_per_pixel_shading(self):
         task = phong_sphere_task()
         rng = np.random.default_rng(14)
@@ -383,37 +339,6 @@ class TestMakeTask:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_task("nope")
-
-
-class TestImageIo:
-    def test_round_trip_grayscale(self, tmp_path):
-        img = np.random.default_rng(8).random((5, 7)).astype(np.float32)
-        path = tmp_path / "img.f32"
-        write_image(path, img)
-        back = read_image(path)
-        assert back.shape == (5, 7, 1)
-        assert np.array_equal(back[:, :, 0], img)
-
-    def test_round_trip_rgb(self, tmp_path):
-        img = np.random.default_rng(9).random((4, 6, 3)).astype(np.float32)
-        path = tmp_path / "img.f32"
-        write_image(path, img)
-        assert np.array_equal(read_image(path), img)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.f32"
-        path.write_bytes(b"JUNKxxxxxxxxxxxxxxxx")
-        with pytest.raises(ValueError):
-            read_image(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        img = np.ones((4, 4), dtype=np.float32)
-        path = tmp_path / "img.f32"
-        write_image(path, img)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError):
-            read_image(path)
 
 
 def test_objective_determinism_across_tasks():
