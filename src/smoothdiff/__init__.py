@@ -35,6 +35,7 @@ from .estimators import (
     HessianEstimate,
     HvpEstimate,
     Objective,
+    SampledBatch,
     SamplingMode,
     estimate_gradient,
     estimate_gradient_fd,

@@ -34,7 +34,9 @@ Every estimator runs the same three stages:
 2. **Evaluate** f once per row at theta - tau for a block's drawn rows,
    then at theta + tau for their mirror images, all in one call to
    ``Objective.evaluate_rows``, which aborts the estimate on the first
-   non-finite value.
+   non-finite value.  This stage yields each stack with its values; an
+   estimate streams them into the contraction one chunk at a time, and a
+   ``SampledBatch`` keeps them all.
 3. **Contract** each block's values into one coefficient per drawn row,
    contracted against the drawn offsets (see the reduce stage below).
    Kernel / N and q are free of Gaussian normalization factors, so they
@@ -43,8 +45,13 @@ Every estimator runs the same three stages:
 The HVP weight is the directional central difference of shifted
 gradient kernels; the same draws and the same evaluations serve both
 shifted gradient estimates, which is what keeps its cost at one
-evaluation per pair-half.  Per call, accumulation runs in a fixed order,
-so results are reproducible.
+evaluation per pair-half.  An HVP draws the gradient's offsets and the
+direction enters only its contraction, so one evaluated batch gives the
+gradient and the HVP along every direction: ``estimate_gradient`` with
+``keep_batch`` returns that batch, and ``SampledBatch.hvp`` contracts it
+with no further evaluation.  ``estimate_hvp`` is the per-call form,
+which draws a batch of its own.  Per call, accumulation runs in a fixed
+order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -185,6 +192,7 @@ def evals_per_estimate(mode: SamplingMode, elements: int, samples: int) -> int:
 class GradientEstimate:
     g: np.ndarray
     evals_used: int
+    batch: SampledBatch | None = None
 
 
 @dataclass(frozen=True)
@@ -299,16 +307,13 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
         yield _stacked(start, taus, chunk, spec.sigma)
 
 
-def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], reduce,
-              size: int) -> np.ndarray:
-    """Evaluate f row by row for each stack and contract into the served positions.
+def _evaluate(obj: Objective, theta: np.ndarray,
+              stacks: Iterator[_Stack]) -> Iterator[tuple[_Stack, np.ndarray]]:
+    """The evaluate stage: each stack with its values, shape (blocks, 2 * samples).
 
     Each block's points are theta - tau for its drawn rows, then theta + tau
     for their mirror images, written straight into one buffer.
-    ``reduce(stack, vals)`` turns a stack and its values, shape
-    (blocks, 2 * samples), into the estimates of the elements it serves.
     """
-    out = np.empty(size)
     for stack in stacks:
         taus = stack.taus
         blocks, count, dim = taus.shape
@@ -316,10 +321,24 @@ def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterator[_Stack], reduc
         np.subtract(theta, taus, out=points[:, :count])
         np.add(theta, taus, out=points[:, count:])
         vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
-        del points
-        estimates = reduce(stack, vals)
+        del points, taus
+        yield stack, vals
+        del stack, vals  # see _draw
+
+
+def _contract(evaluated: Iterable[tuple[_Stack, object]], reduce, size: int) -> np.ndarray:
+    """Contract each stack into the served positions of an estimate of ``size`` elements.
+
+    ``reduce(stack, x)`` turns a stack and what it is paired with, its
+    values or coefficients formed from them, into the estimates of the
+    elements it serves.  Pairs are taken one at a time, so a stream of
+    evaluated stacks is never held whole.
+    """
+    out = np.empty(size)
+    for stack, x in evaluated:
+        estimates = reduce(stack, x)
         out[stack.start:stack.start + estimates.size] = estimates.ravel()
-        del stack, taus  # see _draw
+        del stack, x  # see _draw
     return out
 
 
@@ -376,17 +395,15 @@ def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray
     return out / (s2 * s2)
 
 
-def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
-                eps: float) -> np.ndarray:
-    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
+def _hvp_coefficients(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """The per-row HVP coefficients c of ``_reduce_hvp``, free of the direction."""
+    return _even_coefficients(vals, stack.q) / (2.0 * sigma * sigma)
 
-    The weight, the central difference of the gradient kernels shifted by
-    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
-    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
-    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
-    """
+
+def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
+                  eps: float) -> np.ndarray:
+    """``_reduce_hvp`` from the coefficients c of ``_hvp_coefficients``."""
     taus, s2 = stack.taus, sigma * sigma
-    c = _even_coefficients(vals, stack.q) / (2.0 * s2)
     shift = 2.0 * eps * (taus @ v)
     level = eps * eps * float(v.dot(v))
     r_plus = np.exp((shift + level) / (-2.0 * s2))
@@ -398,25 +415,110 @@ def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
     return (_axis(taus, i) * a).sum(axis=1) - v[i] * (c * (r_minus + r_plus)).sum(axis=1)
 
 
+def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
+                eps: float) -> np.ndarray:
+    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
+
+    The weight, the central difference of the gradient kernels shifted by
+    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
+    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
+    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
+    c comes from ``_even_coefficients`` and does not depend on v, so a
+    batch forms it once for every direction (``SampledBatch``).
+    """
+    return _contract_hvp(stack, _hvp_coefficients(stack, vals, sigma), sigma, v, eps)
+
+
+# ---------------------------------------------------------------------------
+# the evaluated batch of a gradient estimate
+# ---------------------------------------------------------------------------
+
+def _check_direction(v, dim: int) -> tuple[np.ndarray, float]:
+    """``v`` as floats and its norm, which must be finite and nonzero."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
+    vv = float(v.dot(v))
+    if not math.isfinite(vv):
+        raise ValueError("direction must be finite, with a finite norm")
+    if vv == 0.0:
+        raise ValueError("direction must be nonzero, with a nonzero norm")
+    return v, math.sqrt(vv)
+
+
+class SampledBatch:
+    """The evaluated offsets of one gradient estimate: a sampled quadratic model at ``theta``.
+
+    ``evaluated`` holds every drawn stack with its values, and ``cfg`` the
+    bandwidth they were drawn for.  The direction of an HVP enters only
+    the contraction, so ``hvp(v)`` contracts these values for any v at no
+    further evaluation.  Every product comes from the same samples, so
+    they form one fixed operator: hv(a v) = a hv(v) to rounding, and it is
+    symmetric and additive in v up to O(eps^2) of the kernel shift.  The
+    direction-free coefficients are formed once per batch.
+    """
+
+    def __init__(self, theta: np.ndarray, cfg: EstimatorConfig,
+                 evaluated: tuple[tuple[_Stack, np.ndarray], ...]):
+        self.theta = theta
+        self.cfg = cfg
+        self.evaluated = evaluated
+        self._terms: list[tuple[_Stack, np.ndarray]] | None = None  # (stack, coefficients)
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """The smoothed Hessian applied to ``v``, from this batch alone."""
+        v, norm = _check_direction(v, self.cfg.spec.dim)
+        if self._terms is None:
+            sigma = self.cfg.spec.sigma
+            self._terms = [(stack, _hvp_coefficients(stack, vals, sigma))
+                           for stack, vals in self.evaluated]
+        return _hvp(self._terms, _contract_hvp, v, norm, self.cfg)
+
+
+def _hvp(pairs: Iterable[tuple[_Stack, np.ndarray]], reduce, v: np.ndarray, norm: float,
+         cfg: EstimatorConfig) -> np.ndarray:
+    """The HVP along v, of norm ``norm``, contracted from (stack, x) pairs by ``reduce``.
+
+    ``reduce`` is ``_reduce_hvp`` for values or ``_contract_hvp`` for
+    coefficients.  The product is linear in v, so the kernels are shifted
+    along the unit direction and the result rescaled by ||v||, which keeps
+    eps*||v|| small against the bandwidth for any direction.
+    """
+    along = partial(reduce, sigma=cfg.spec.sigma, v=v / norm, eps=cfg.epsilon())
+    return norm * _contract(pairs, along, len(v))
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
 def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream,
-              draw) -> GradientEstimate:
+              draw, keep_batch: bool = False) -> GradientEstimate:
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)),
-                  partial(_reduce_gradient, sigma=cfg.spec.sigma), n)
-    return GradientEstimate(g=g, evals_used=obj.eval_count - start)
+    evaluated = _evaluate(obj, theta, draw(cfg, rng, gradient_elements(n)))
+    batch = None
+    if keep_batch:
+        batch = SampledBatch(theta.copy(), cfg, tuple(evaluated))
+        evaluated = batch.evaluated
+    g = _contract(evaluated, partial(_reduce_gradient, sigma=cfg.spec.sigma), n)
+    return GradientEstimate(g=g, evals_used=obj.eval_count - start, batch=batch)
 
 
 def estimate_gradient(
-    obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream
+    obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream, *,
+    keep_batch: bool = False,
 ) -> GradientEstimate:
-    """Unbiased estimate of the sigma-smoothed gradient at ``theta``."""
-    return _gradient(obj, theta, cfg, rng, _draw)
+    """Unbiased estimate of the sigma-smoothed gradient at ``theta``.
+
+    Stacks are drawn, evaluated and contracted one chunk at a time, so the
+    estimate stays within ``_CHUNK_BYTES`` of scratch memory.  With
+    ``keep_batch`` the estimate also carries its evaluated offsets as a
+    ``SampledBatch`` (``batch``), whose ``hvp`` gives HVPs at ``theta`` at
+    no further evaluation; the batch holds every stack at once.
+    """
+    return _gradient(obj, theta, cfg, rng, _draw, keep_batch)
 
 
 def estimate_gradient_fr22(
@@ -461,7 +563,7 @@ def estimate_hessian(
     start = obj.eval_count
     elements = hessian_elements(n)
     reduce = partial(_reduce_hessian, sigma=cfg.spec.sigma)
-    values = _estimate(obj, theta, _draw(cfg, rng, elements), reduce, len(elements))
+    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), reduce, len(elements))
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -478,21 +580,16 @@ def estimate_hvp(
     share the same offset draws and the same function evaluations, so the
     cost matches a single gradient estimate.
 
-    The product is linear in v, so the kernels are shifted along the unit
-    direction and the result rescaled by ||v||, which keeps eps*||v|| small
-    against the bandwidth for any direction the caller passes.
+    This is the per-call form: every call draws and evaluates a batch of
+    its own, streamed one chunk at a time, as ``variance_report`` and
+    equal-budget comparisons need.  Products along many directions at one
+    point come from one batch instead (``estimate_gradient`` with
+    ``keep_batch``, then ``SampledBatch.hvp``), which is what Newton-CG
+    uses; both contract the same draws to the same bits.
     """
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
-    v_raw = np.asarray(v, dtype=float)
-    if v_raw.shape != (n,):
-        raise ValueError(f"direction has shape {v_raw.shape}, expected ({n},)")
-    if not np.isfinite(v_raw).all():
-        raise ValueError("direction must be finite")
-    if not v_raw.any():
-        raise ValueError("direction must be nonzero")
-    v_scale = math.sqrt(float(v_raw.dot(v_raw)))
+    v, norm = _check_direction(v, n)
     start = obj.eval_count
-    shifts = dict(sigma=cfg.spec.sigma, v=v_raw / v_scale, eps=cfg.epsilon())
-    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), partial(_reduce_hvp, **shifts), n)
-    return HvpEstimate(hv=v_scale * hv, evals_used=obj.eval_count - start)
+    hv = _hvp(_evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n))), _reduce_hvp, v, norm, cfg)
+    return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

@@ -24,6 +24,7 @@ from .estimators import (
     GradientEstimate,
     HvpEstimate,
     Objective,
+    SampledBatch,
     SamplingMode,
     estimate_gradient,
     estimate_gradient_fd,
@@ -55,14 +56,15 @@ class _Method(NamedTuple):
     ``gradient`` names a gradient estimator of this module, looked up when
     a run starts so that a patched attribute takes effect; ``mode`` is its
     sampling mode, None for central differences.  ``newton`` methods run
-    Newton-CG with ``estimate_gradient`` and HVPs estimated in mode ``hvp``,
-    or products with the PSD-modified per-element Hessian if it is None.
+    Newton-CG with ``estimate_gradient``, and with ``sampled_hvp`` their
+    HVPs are contracted from the gradient's evaluated batch; without it
+    they are products with the PSD-modified per-element Hessian.
     """
 
     gradient: str
     mode: SamplingMode | None
     newton: bool = False
-    hvp: SamplingMode | None = None
+    sampled_hvp: bool = False
 
 
 _PER, _AGG = SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE
@@ -70,9 +72,9 @@ _METHODS = {
     "FD": _Method("estimate_gradient_fd", None),
     "FR22": _Method("estimate_gradient_fr22", _PER),
     "OurG": _Method("estimate_gradient", _PER),
-    "OurH": _Method("estimate_gradient", _PER, newton=True, hvp=None),
-    "OurHVP": _Method("estimate_gradient", _PER, newton=True, hvp=_PER),
-    "OurHVPA": _Method("estimate_gradient", _AGG, newton=True, hvp=_AGG),
+    "OurH": _Method("estimate_gradient", _PER, newton=True),
+    "OurHVP": _Method("estimate_gradient", _PER, newton=True, sampled_hvp=True),
+    "OurHVPA": _Method("estimate_gradient", _AGG, newton=True, sampled_hvp=True),
 }
 METHODS = tuple(_METHODS)
 _NEWTON_KEYS = ("trust_region", "ls_iters", "ls_tol", "recompute")
@@ -186,11 +188,13 @@ class _EstimatorConfigs:
 
 
 def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
-    """Iterations the sigma schedule spans: the eval budget over what one iteration plans.
+    """Iterations the sigma schedule spans: the eval budget over what one iteration costs.
 
-    That is a loss and a gradient estimate, and for Newton-CG a Hessian
-    estimate (``hvp`` None) and ``ls_iters`` inner steps of an HVP estimate
-    and a loss each.
+    That is a gradient estimate and a loss evaluation for the trial
+    point, or for Adam the record.  A sampled-HVP Newton-CG iteration
+    spends nothing more, since its HVPs contract the gradient's batch;
+    one with a per-element Hessian (``sampled_hvp`` False) also plans
+    that Hessian estimate and a loss for each of ``ls_iters`` inner steps.
     """
     if cfg.budget_evals is None:
         return 200
@@ -199,14 +203,10 @@ def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
         grad = evals_per_estimate(_PER, dim, 1)
     else:
         grad = evals_per_estimate(method.mode, dim, cfg.samples)
-    hess = hvp = inner = 0
-    if method.newton:
-        inner = cfg.cg_settings()[0]
-        if method.hvp is None:
-            hess = evals_per_estimate(_PER, dim * (dim + 1) // 2, cfg.samples)
-        else:
-            hvp = evals_per_estimate(method.hvp, dim, cfg.samples)
-    return max(1, cfg.budget_evals // (1 + grad + hess + inner * (hvp + 1)))
+    per_iter = 1 + grad
+    if method.newton and not method.sampled_hvp:
+        per_iter += evals_per_estimate(_PER, dim * (dim + 1) // 2, cfg.samples) + cfg.cg_settings()[0]
+    return max(1, cfg.budget_evals // per_iter)
 
 
 def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
@@ -222,34 +222,49 @@ def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
 class SampledProvider:
     """Derivative provider backed by the Monte Carlo estimators.
 
-    Hessian-vector products are estimated in ``hvp_mode``.  With
-    ``hvp_mode=None`` they are products with a per-element Hessian
-    estimate instead, PSD-modified and refreshed on the optimizer's
-    recompute schedule; ``newton_cg_run`` refreshes before every CG
-    solve, so ``hvp`` always finds one.
+    Every ``gradient(theta, sigma)`` call draws and evaluates one batch of
+    offsets in ``mode`` through ``estimate_gradient``.  With
+    ``sampled_hvp`` the provider keeps that batch, and every
+    ``hvp(theta, v, sigma)`` until the next ``refresh`` is a contraction
+    of it that spends no evaluation: CG runs on one sampled quadratic
+    model, the subsampled-Newton model of Byrd, Chin, Neveitt & Nocedal
+    (2011) and Roosta-Khorasani & Mahoney (2019).  An ``hvp`` at any other
+    centre or sigma than the batch's, or with no batch since the last
+    ``refresh``, raises rather than contract a stale batch.  Without
+    ``sampled_hvp``, products are with a per-element Hessian estimate,
+    PSD-modified at every ``refresh``.
     """
 
     def __init__(self, obj: Objective, samples: int, rng: RngStream,
-                 grad_mode: SamplingMode, hvp_mode: SamplingMode | None):
+                 mode: SamplingMode, sampled_hvp: bool):
         self._obj = obj
         self._cfg = _EstimatorConfigs(obj.dim, samples)
         self._rng = rng
-        self._grad_mode = grad_mode
-        self._hvp_mode = hvp_mode
+        self._mode = mode
+        self._sampled_hvp = sampled_hvp
+        self._batch: SampledBatch | None = None
         self._h: np.ndarray | None = None
 
     def refresh(self, theta: np.ndarray, sigma: float) -> None:
-        if self._hvp_mode is None:
+        self._batch = None
+        if not self._sampled_hvp:
             est = estimate_hessian(self._obj, theta, self._cfg(sigma, _PER), self._rng)
             self._h = psd_modify(est.h)
 
     def gradient(self, theta: np.ndarray, sigma: float) -> GradientEstimate:
-        return estimate_gradient(self._obj, theta, self._cfg(sigma, self._grad_mode), self._rng)
+        est = estimate_gradient(self._obj, theta, self._cfg(sigma, self._mode), self._rng,
+                                keep_batch=self._sampled_hvp)
+        self._batch = est.batch
+        return est
 
     def hvp(self, theta: np.ndarray, v: np.ndarray, sigma: float) -> HvpEstimate:
-        if self._hvp_mode is None:
+        if not self._sampled_hvp:
             return HvpEstimate(hv=self._h @ v, evals_used=0)
-        return estimate_hvp(self._obj, theta, v, self._cfg(sigma, self._hvp_mode), self._rng)
+        batch = self._batch
+        if batch is None or sigma != batch.cfg.spec.sigma or not np.array_equal(theta, batch.theta):
+            raise RuntimeError("hvp asked at a centre or sigma other than those of the batch "
+                               "the last gradient evaluated")
+        return HvpEstimate(hv=batch.hvp(v), evals_used=0)
 
 
 def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
@@ -272,7 +287,7 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
             return gd_adam_run(obj, _gradient_fn(method, cfg, obj, est_rng), theta0, schedule,
                                cfg.lr, budget, param_error_fn=task.param_error,
                                deterministic_clock=cfg.deterministic)
-        provider = SampledProvider(obj, cfg.samples, est_rng, method.mode, method.hvp)
+        provider = SampledProvider(obj, cfg.samples, est_rng, method.mode, method.sampled_hvp)
         return newton_cg_run(obj, provider, theta0, schedule,
                              TrustRegion(cfg.trust_region), *cfg.cg_settings(),
                              budget, param_error_fn=task.param_error,
@@ -522,8 +537,21 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
+_RECORD_KEYS = ("wall_time_s", "iter", "evals", "loss", "param_error")
+
+
+def _field(path, entry: dict, key: str, where: str):
+    if key not in entry:
+        raise ValueError(f"{path}: {where} has no {key!r}")
+    return entry[key]
+
+
 def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
-    """Reload traces written by ``export_traces``; returns (traces, config)."""
+    """Reload traces written by ``export_traces``; returns (traces, config).
+
+    A file that lacks a field or column the export writes is a ValueError
+    naming the file and what is missing.
+    """
     with open(path, "rb") as fh:
         head = fh.read(1)
     if not head:
@@ -532,11 +560,11 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
         with open(path) as fh:
             payload = json.load(fh)
         traces = []
-        for run in payload["runs"]:
+        for k, run in enumerate(_field(path, payload, "runs", "JSON trace file")):
             trace = ConvergenceTrace(aborted=run.get("aborted", False), note=run.get("note", ""))
-            for rec in run["records"]:
-                trace.append(TraceRecord(rec["wall_time_s"], rec["iter"], rec["evals"],
-                                         rec["loss"], rec["param_error"]))
+            for j, rec in enumerate(_field(path, run, "records", f"run {k}")):
+                trace.append(TraceRecord(*(_field(path, rec, key, f"run {k} record {j}")
+                                           for key in _RECORD_KEYS)))
             traces.append(trace)
         return traces, payload.get("config")
     with open(path, newline="") as fh:
@@ -546,6 +574,9 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         by_run: dict[int, ConvergenceTrace] = {}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} of the "
+                                 f"{len(header)} columns {CSV_HEADER}")
             run = int(row[0])
             trace = by_run.setdefault(run, ConvergenceTrace())
             trace.append(TraceRecord(float(row[1]), int(row[2]), int(row[3]),

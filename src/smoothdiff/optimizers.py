@@ -126,9 +126,10 @@ def psd_modify(h: np.ndarray) -> np.ndarray:
 class DerivativeProvider(Protocol):
     """Derivative source for the Newton-CG loop.
 
-    ``hvp`` may be backed by a sampled estimator or by an explicit
-    (modified) Hessian; ``refresh`` re-estimates whatever the provider
-    caches for the current point and bandwidth.
+    ``hvp`` may contract the samples the last ``gradient`` call evaluated
+    or multiply by an explicit (modified) Hessian; ``refresh`` drops or
+    re-estimates whatever the provider caches, for the current point and
+    bandwidth.
     """
 
     def gradient(self, theta: np.ndarray, sigma: float) -> GradientEstimate: ...
@@ -237,9 +238,11 @@ def newton_cg_run(
     ``min(ls_iters, dim)`` steps -- in exact arithmetic CG is done after
     ``dim`` steps, so further steps would follow nothing but HVP noise --
     or when ||r|| <= ``ls_tol`` ||r_0||.  Every ``recompute`` inner steps
-    the derivative estimates are refreshed at the current point and the
-    recursion restarts there; the bound is still measured from
-    theta_outer.
+    the provider is refreshed at the current point, its gradient is
+    estimated there and the recursion restarts; the bound is still
+    measured from theta_outer.  A sampled provider's HVPs contract the
+    batch its last gradient evaluated, so each refresh costs one batch at
+    the new point and the HVPs between refreshes cost no evaluation.
 
     ``tr.delta`` is the initial radius; the working radius shrinks
     proportionally with the annealed bandwidth, since the smoothed

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import smoothdiff.estimators
 from smoothdiff.estimators import (
     EstimationError,
     EstimatorConfig,
@@ -21,7 +22,7 @@ from smoothdiff.estimators import (
     estimate_hvp,
     evals_per_estimate,
 )
-from smoothdiff.estimators import _CHUNK_BYTES, _draw, _draw_axis_blur
+from smoothdiff.estimators import _CHUNK_BYTES, _draw, _draw_axis_blur, _reduce_gradient, _reduce_hvp
 from smoothdiff.kernels import (
     KernelSpec,
     axis_blur_gradient_kernel,
@@ -369,6 +370,80 @@ class TestHvp:
             assert est.evals_used == per_pair * 9
 
 
+class TestSampledBatch:
+    """The evaluated batch a gradient estimate keeps, and the HVPs contracted from it."""
+
+    THETA = np.array([0.4, -0.7, 0.2])
+    V = np.array([0.3, -1.1, 0.5])
+
+    def keep(self, mode, seed=8, samples=3, obj=None):
+        obj = obj or Objective(wavy, 3)
+        return estimate_gradient(obj, self.THETA, cfg(sigma=0.6, dim=3, samples=samples, mode=mode),
+                                 RngStream(seed), keep_batch=True)
+
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_estimates_equal_reductions_of_the_same_stacks_and_values(self, mode):
+        est = self.keep(mode)
+        batch = est.batch
+        sigma, eps = batch.cfg.spec.sigma, batch.cfg.epsilon()
+        assert np.array_equal(est.g, np.concatenate(
+            [_reduce_gradient(stack, vals, sigma) for stack, vals in batch.evaluated]))
+        for v in (self.V, -2.0 * self.V, np.array([0.0, 0.0, 3.0])):
+            scale = math.sqrt(float(v.dot(v)))
+            want = scale * np.concatenate([_reduce_hvp(stack, vals, sigma, v / scale, eps)
+                                           for stack, vals in batch.evaluated])
+            assert np.array_equal(batch.hvp(v), want)
+
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_same_bits_as_the_per_call_estimators(self, mode):
+        c = cfg(sigma=0.6, dim=3, samples=3, mode=mode)
+        kept = self.keep(mode)
+        streamed = estimate_gradient(Objective(wavy, 3), self.THETA, c, RngStream(8))
+        assert streamed.batch is None
+        assert np.array_equal(kept.g, streamed.g) and kept.evals_used == streamed.evals_used
+        per_call = estimate_hvp(Objective(wavy, 3), self.THETA, self.V, c, RngStream(8)).hv
+        assert np.array_equal(kept.batch.hvp(self.V), per_call)
+
+    @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
+    @pytest.mark.parametrize("a", [2.5, -0.3, 1e-4])
+    def test_homogeneous_in_direction(self, mode, a):
+        batch = self.keep(mode).batch
+        assert_allclose(batch.hvp(a * self.V), a * batch.hvp(self.V), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
+    def test_products_spend_no_evaluation(self, mode):
+        obj = Objective(wavy, 3)
+        est = self.keep(mode, obj=obj)
+        assert obj.eval_count == est.evals_used == evals_per_estimate(mode, 3, 3)
+        for k in range(4):
+            est.batch.hvp(np.roll(self.V, k))
+        assert obj.eval_count == est.evals_used
+
+    @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
+    def test_even_coefficients_formed_once_per_batch(self, mode, monkeypatch):
+        calls = []
+        real = smoothdiff.estimators._even_coefficients
+        monkeypatch.setattr(smoothdiff.estimators, "_even_coefficients",
+                            lambda vals, q: calls.append(1) or real(vals, q))
+        batch = self.keep(mode).batch
+        for k in range(3):
+            batch.hvp(np.roll(self.V, k))
+        assert len(calls) == len(batch.evaluated)
+
+    def test_bad_direction_rejected(self):
+        batch = self.keep(SamplingMode.AGGREGATE).batch
+        for bad in (np.zeros(3), np.array([math.nan, 1.0, 0.0]), np.ones(2)):
+            with pytest.raises(ValueError, match="direction"):
+                batch.hvp(bad)
+
+    def test_batch_keeps_its_own_centre(self):
+        theta = self.THETA.copy()
+        est = estimate_gradient(Objective(wavy, 3), theta, cfg(dim=3, mode=SamplingMode.AGGREGATE),
+                                RngStream(1), keep_batch=True)
+        theta += 1.0
+        assert np.array_equal(est.batch.theta, self.THETA)
+
+
 # (mode, order) pairs of the weight stage; FR22 draws only gradients
 WEIGHT_CASES = [(mode, order) for mode in ("per_element", "aggregate", "uniform")
                 for order in ("gradient", "hessian", "hvp")] + [("fr22", "gradient")]
@@ -485,6 +560,22 @@ def test_per_element_hessian_memory_stays_within_chunk_bound():
     finally:
         tracemalloc.stop()
     assert obj.eval_count == n * (n + 1)
+    assert peak < _CHUNK_BYTES
+
+
+def test_per_element_gradient_memory_stays_within_chunk_bound():
+    # Adam's streamed estimate; its 512 blocks of 4 drawn rows, held whole
+    # as a kept batch holds them, would take 512 * 4 * 512 * 8 = 8.4 MB
+    n, samples = 512, 4
+    obj = Objective(lambda th: float(th[0]), dim=n)
+    gradient_elements(n)  # cached set-up, not part of an estimate
+    tracemalloc.start()
+    try:
+        est = estimate_gradient(obj, np.zeros(n), cfg(dim=n, samples=samples), RngStream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.batch is None and obj.eval_count == 2 * samples * n
     assert peak < _CHUNK_BYTES
 
 

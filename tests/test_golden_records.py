@@ -9,19 +9,24 @@ same iterations and evaluation counts, bit-equal losses and parameter
 errors.  Regenerate the file only for a change that is meant to move
 records, and say so where the change is described:
 
-    PYTHONPATH=src python tests/test_golden_records.py [CELL ...]
+    python tests/test_golden_records.py [CELL ...]
 
 rewrites the named cells (all of them when none is named) and leaves the
-other keys as they are.  With ``--diff`` it writes nothing and prints, per
-cell, "identical" or whether every (iteration, evals) pair still matches,
-with the largest relative change in loss and in param_error; it exits 1
-when any compared cell is not identical and 0 otherwise.
+other keys as they are; run as a script, it puts the checkout's ``src/``
+on the path itself, as ``bench/run.py`` does.  With ``--diff`` it writes
+nothing and prints, per cell, "identical" or whether every (iteration,
+evals) pair still matches, with the largest relative change in loss and
+in param_error; it exits 1 when any compared cell is not identical and 0
+otherwise.
 """
 
 import argparse
 import json
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from smoothdiff.cli import _coerce, _section_to_kwargs, main
-from smoothdiff.estimators import SamplingMode
+from smoothdiff.estimators import SamplingMode, evals_per_estimate
 from smoothdiff.harness import (
     CSV_HEADER,
     RunConfig,
+    SampledProvider,
+    _anneal_total_iters,
     compute_thresholds,
     export_traces,
     first_crossings,
@@ -25,8 +27,10 @@ from smoothdiff.harness import (
     summarize_traces,
     variance_report,
 )
-from smoothdiff.tasks import negated_gaussian_task
-from smoothdiff.trace import ConvergenceTrace, TraceRecord
+from smoothdiff.optimizers import SigmaSchedule, TrustRegion, newton_cg_run
+from smoothdiff.samplers import RngStream
+from smoothdiff.tasks import negated_gaussian_task, quad_task
+from smoothdiff.trace import Budget, ConvergenceTrace, TraceRecord
 
 QUAD_CFG = dict(task="quad", method="OurHVPA", samples=4, sigma_start=1.0, sigma_end=0.05,
                 trust_region=50.0, ls_iters=5, ls_tol=1e-3, recompute=5,
@@ -133,6 +137,102 @@ class TestRunEnsemble:
             assert stat.reached_runs == 0
 
 
+class TestSampledProvider:
+    """Newton-CG's sampled HVPs contract the batch of the gradient before them."""
+
+    THETA = np.array([1.5, -2.0])
+
+    def provider(self, obj=None, mode=SamplingMode.AGGREGATE):
+        obj = obj or quad_task().objective()
+        return SampledProvider(obj, 4, RngStream(9, 1), mode, True)
+
+    def run_one_outer_iteration(self, provider, obj, recompute, on_inner_step=None):
+        # the initial loss leaves the budget of 2 unspent, so exactly one outer iteration runs
+        newton_cg_run(obj, provider, self.THETA, SigmaSchedule(1.0, 0.05, 10), TrustRegion(50.0),
+                      5, 1e-9, recompute, Budget(evals=2), on_inner_step=on_inner_step)
+
+    @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
+    def test_hvps_of_an_outer_iteration_spend_no_evaluation(self, mode):
+        obj = quad_task().objective()
+        counts = []
+        self.run_one_outer_iteration(self.provider(obj, mode), obj, 5,
+                                     lambda info: counts.append(obj.eval_count))
+        assert len(counts) == 2  # min(ls_iters, dim) inner steps, both after one gradient
+        assert counts == [1 + evals_per_estimate(mode, 2, 4)] * 2
+
+    def test_recompute_one_costs_one_batch_per_refresh_at_the_new_centre(self):
+        obj = quad_task().objective()
+        log = []
+
+        class Logged(SampledProvider):
+            def refresh(self, theta, sigma):
+                log.append(("refresh", theta.copy(), obj.eval_count))
+                super().refresh(theta, sigma)
+
+            def gradient(self, theta, sigma):
+                est = super().gradient(theta, sigma)
+                log.append(("gradient", est.batch.theta, est.evals_used))
+                return est
+
+            def hvp(self, theta, v, sigma):
+                est = super().hvp(theta, v, sigma)
+                log.append(("hvp", theta.copy(), est.evals_used))
+                return est
+
+        self.run_one_outer_iteration(Logged(obj, 4, RngStream(9, 1), SamplingMode.AGGREGATE, True),
+                                     obj, 1)
+        kinds = [entry[0] for entry in log]
+        assert kinds == ["refresh", "gradient", "hvp", "refresh", "gradient", "hvp"]
+        refreshes = [k for k, kind in enumerate(kinds) if kind == "refresh"]
+        assert not np.array_equal(log[refreshes[0]][1], log[refreshes[1]][1])
+        for k in refreshes:
+            centre = log[k][1]
+            assert np.array_equal(log[k + 1][1], centre) and log[k + 1][2] == 8
+            assert np.array_equal(log[k + 2][1], centre) and log[k + 2][2] == 0
+
+    def test_hvp_off_the_batch_raises(self):
+        provider = self.provider()
+        v = np.array([1.0, 0.5])
+        with pytest.raises(RuntimeError):
+            provider.hvp(self.THETA, v, 0.5)  # no batch yet
+        provider.gradient(self.THETA, 0.5)
+        assert provider.hvp(self.THETA.copy(), v, 0.5).evals_used == 0
+        with pytest.raises(RuntimeError):
+            provider.hvp(self.THETA + 1e-9, v, 0.5)
+        with pytest.raises(RuntimeError):
+            provider.hvp(self.THETA, v, 0.25)
+        provider.refresh(self.THETA, 0.5)
+        with pytest.raises(RuntimeError):
+            provider.hvp(self.THETA, v, 0.5)
+
+    @pytest.mark.parametrize("task", ["quad", "neg_gauss"])
+    def test_quad_cfg_reaches_99_percent_within_200_evals(self, task):
+        # 343.5 (quad) and 235.3 (neg_gauss) when every CG step drew a batch of its own
+        result = run_ensemble(RunConfig(**{**QUAD_CFG, "task": task, "ensemble": 10}))
+        evals = []
+        for trace in result.traces:
+            hit = first_crossings(trace, "param_error")[0.99]
+            evals.append(hit[1] if hit is not None else trace.records[-1].evals)
+        assert sum(evals) / len(evals) < 200
+
+
+_FIRST = dict(samples=2, lr=0.3)
+_SECOND = dict(samples=4, trust_region=50.0, ls_iters=5)
+
+
+@pytest.mark.parametrize("method,keys,iters", [
+    # budget // (1 + one gradient): 8 evaluations aggregate, 16 per-element
+    ("OurHVPA", _SECOND, 600 // 9), ("OurHVP", _SECOND, 600 // 17),
+    # first order: a gradient and the record's loss
+    ("FD", _FIRST, 600 // 5), ("FR22", _FIRST, 600 // 9), ("OurG", _FIRST, 600 // 9),
+    # a gradient, a per-element Hessian (24), and a loss per planned inner step
+    ("OurH", _SECOND, 600 // (1 + 16 + 24 + 5)),
+])
+def test_sigma_schedule_spans_one_batch_and_one_trial_per_outer_iteration(method, keys, iters):
+    cfg = RunConfig(task="quad", method=method, budget_evals=600, **keys)
+    assert _anneal_total_iters(cfg, 2) == iters
+
+
 class TestExport:
     @pytest.fixture()
     def result(self):
@@ -189,6 +289,23 @@ class TestExport:
         path.write_bytes(b"")
         with pytest.raises(ValueError, match="empty"):
             load_traces(path)
+
+    @pytest.mark.parametrize("name,content,missing", [
+        ("t.json", "{}", "'runs'"),
+        ("t.json", json.dumps({"runs": [{"records": [
+            {"iter": 0, "evals": 1, "loss": 1.0, "param_error": 1.0}]}]}), "'wall_time_s'"),
+        ("t.csv", CSV_HEADER + "\n0,1.0\n", "line 2 has 2 of the 6 columns"),
+    ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row"])
+    def test_malformed_file_rejected_naming_file_and_missing_part(self, tmp_path, capsys, name,
+                                                                  content, missing):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(ValueError) as err:
+            load_traces(path)
+        assert str(path) in str(err.value) and missing in str(err.value)
+        assert main(["summarize", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and missing in lines[0]
 
 
 class TestVarianceReport:
