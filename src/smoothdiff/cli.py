@@ -14,7 +14,7 @@ keys it accepts, so one section can hold both ``lr`` and the Newton-CG
 settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
 ``--budget-evals``, ``--threads`` and ``--deterministic`` override the
 file; ``variance`` takes only ``--seed`` and ``--out`` of these.  A sweep
-builds every cell's config before its first run, so a bad method or key
+builds every cell's config before its first run, so a bad method, task or key
 in any cell exits before anything runs.
 
 Bad input and unreadable files exit 2 with one ``error:`` line.

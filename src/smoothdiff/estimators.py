@@ -49,9 +49,12 @@ evaluation per pair-half.  An HVP draws the gradient's offsets and the
 direction enters only its contraction, so one evaluated batch gives the
 gradient and the HVP along every direction: ``estimate_gradient`` with
 ``keep_batch`` returns that batch, and ``SampledBatch.hvp`` contracts it
-with no further evaluation.  ``estimate_hvp`` is the per-call form,
-which draws a batch of its own.  Per call, accumulation runs in a fixed
-order, so results are reproducible.
+with no further evaluation.  The operator is bound to its batch, so it
+gives products only at the point and bandwidth the batch was drawn for;
+Newton-CG's sampled local model returns it with the gradient.
+``estimate_hvp`` is the per-call form, which draws a batch of its own.
+Per call, accumulation runs in a fixed order, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -447,20 +450,19 @@ def _check_direction(v, dim: int) -> tuple[np.ndarray, float]:
 
 
 class SampledBatch:
-    """The evaluated offsets of one gradient estimate: a sampled quadratic model at ``theta``.
+    """The evaluated offsets of one gradient estimate: a sampled quadratic model.
 
     ``evaluated`` holds every drawn stack with its values, and ``cfg`` the
-    bandwidth they were drawn for.  The direction of an HVP enters only
-    the contraction, so ``hvp(v)`` contracts these values for any v at no
+    bandwidth they were drawn for; the model is centred where the
+    estimate was made.  The direction of an HVP enters only the
+    contraction, so ``hvp(v)`` contracts these values for any v at no
     further evaluation.  Every product comes from the same samples, so
     they form one fixed operator: hv(a v) = a hv(v) to rounding, and it is
     symmetric and additive in v up to O(eps^2) of the kernel shift.  The
     direction-free coefficients are formed once per batch.
     """
 
-    def __init__(self, theta: np.ndarray, cfg: EstimatorConfig,
-                 evaluated: tuple[tuple[_Stack, np.ndarray], ...]):
-        self.theta = theta
+    def __init__(self, cfg: EstimatorConfig, evaluated: tuple[tuple[_Stack, np.ndarray], ...]):
         self.cfg = cfg
         self.evaluated = evaluated
         self._terms: list[tuple[_Stack, np.ndarray]] | None = None  # (stack, coefficients)
@@ -500,7 +502,7 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     evaluated = _evaluate(obj, theta, draw(cfg, rng, gradient_elements(n)))
     batch = None
     if keep_batch:
-        batch = SampledBatch(theta.copy(), cfg, tuple(evaluated))
+        batch = SampledBatch(cfg, tuple(evaluated))
         evaluated = batch.evaluated
     g = _contract(evaluated, partial(_reduce_gradient, sigma=cfg.spec.sigma), n)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start, batch=batch)

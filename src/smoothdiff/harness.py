@@ -22,9 +22,7 @@ import numpy as np
 from .estimators import (
     EstimatorConfig,
     GradientEstimate,
-    HvpEstimate,
     Objective,
-    SampledBatch,
     SamplingMode,
     estimate_gradient,
     estimate_gradient_fd,
@@ -35,6 +33,7 @@ from .estimators import (
 )
 from .kernels import KernelSpec
 from .optimizers import (
+    LocalModel,
     SigmaSchedule,
     TrustRegion,
     gd_adam_run,
@@ -42,7 +41,7 @@ from .optimizers import (
     psd_modify,
 )
 from .samplers import RngStream
-from .tasks import Task, make_task
+from .tasks import Task, make_task, task_builder
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 
 THRESHOLD_FRACTIONS = (0.9, 0.99, 0.999)
@@ -97,8 +96,9 @@ class RunConfig:
 
     First-order methods take a learning rate; second-order ones take a
     trust region plus the inner-loop controls.  Mixing them up is a
-    config error, caught here rather than deep in a run, and so is a
-    numeric setting no run can use: ``lr``, ``trust_region``, ``fd_step``,
+    config error, caught here rather than deep in a run, and so are an
+    unknown task name (checked without building the task) and a numeric
+    setting no run can use: ``lr``, ``trust_region``, ``fd_step``,
     ``ls_tol``, ``budget_seconds`` and the sigma endpoints must be finite
     and > 0 when set, ``samples``, ``ensemble``, ``ls_iters``,
     ``recompute``, ``budget_evals`` and ``threads`` at least 1.
@@ -125,6 +125,7 @@ class RunConfig:
 
     def __post_init__(self):
         newton = _method(self.method).newton
+        task_builder(self.task)
         if self.budget_seconds is None and self.budget_evals is None:
             raise ValueError("config needs budget_seconds or budget_evals")
         if self.init not in ("default", "plateau"):
@@ -190,11 +191,14 @@ class _EstimatorConfigs:
 def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
     """Iterations the sigma schedule spans: the eval budget over what one iteration costs.
 
-    That is a gradient estimate and a loss evaluation for the trial
-    point, or for Adam the record.  A sampled-HVP Newton-CG iteration
-    spends nothing more, since its HVPs contract the gradient's batch;
-    one with a per-element Hessian (``sampled_hvp`` False) also plans
-    that Hessian estimate and a loss for each of ``ls_iters`` inner steps.
+    That is a gradient estimate and a loss evaluation: for Newton-CG one
+    call of its local model and the trial point, for Adam the record.  A
+    sampled-HVP model spends nothing more, since its products contract
+    the gradient's batch.  For the Hessian model (``sampled_hvp`` False)
+    the plan adds that model's per-element Hessian estimate and
+    ``ls_iters`` evaluations, which no inner step spends.  The plan counts
+    one model call per outer iteration; each ``recompute`` restart makes
+    one more.
     """
     if cfg.budget_evals is None:
         return 200
@@ -219,52 +223,30 @@ def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
     return lambda theta, sigma: estimate(obj, theta, configs(sigma, method.mode), rng)
 
 
-class SampledProvider:
-    """Derivative provider backed by the Monte Carlo estimators.
+def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMode,
+                  sampled_hvp: bool) -> LocalModel:
+    """Newton-CG's local model backed by the Monte Carlo estimators.
 
-    Every ``gradient(theta, sigma)`` call draws and evaluates one batch of
-    offsets in ``mode`` through ``estimate_gradient``.  With
-    ``sampled_hvp`` the provider keeps that batch, and every
-    ``hvp(theta, v, sigma)`` until the next ``refresh`` is a contraction
-    of it that spends no evaluation: CG runs on one sampled quadratic
-    model, the subsampled-Newton model of Byrd, Chin, Neveitt & Nocedal
-    (2011) and Roosta-Khorasani & Mahoney (2019).  An ``hvp`` at any other
-    centre or sigma than the batch's, or with no batch since the last
-    ``refresh``, raises rather than contract a stale batch.  Without
-    ``sampled_hvp``, products are with a per-element Hessian estimate,
-    PSD-modified at every ``refresh``.
+    Every call at (theta, sigma) draws and evaluates one batch of offsets
+    in ``mode`` through ``estimate_gradient``.  With ``sampled_hvp`` the
+    operator it returns contracts that batch and spends no evaluation: CG
+    runs on one sampled quadratic model, the subsampled-Newton model of
+    Byrd, Chin, Neveitt & Nocedal (2011) and Roosta-Khorasani & Mahoney
+    (2019).  Without it, each call first estimates the per-element
+    Hessian, and the operator multiplies by its PSD modification.  The
+    estimators and ``psd_modify`` are looked up when called, so that a
+    patched attribute takes effect.
     """
+    configs = _EstimatorConfigs(obj.dim, samples)
 
-    def __init__(self, obj: Objective, samples: int, rng: RngStream,
-                 mode: SamplingMode, sampled_hvp: bool):
-        self._obj = obj
-        self._cfg = _EstimatorConfigs(obj.dim, samples)
-        self._rng = rng
-        self._mode = mode
-        self._sampled_hvp = sampled_hvp
-        self._batch: SampledBatch | None = None
-        self._h: np.ndarray | None = None
+    def model(theta: np.ndarray, sigma: float):
+        if sampled_hvp:
+            est = estimate_gradient(obj, theta, configs(sigma, mode), rng, keep_batch=True)
+            return est, est.batch.hvp
+        h = psd_modify(estimate_hessian(obj, theta, configs(sigma, _PER), rng).h)
+        return estimate_gradient(obj, theta, configs(sigma, mode), rng), lambda v: h @ v
 
-    def refresh(self, theta: np.ndarray, sigma: float) -> None:
-        self._batch = None
-        if not self._sampled_hvp:
-            est = estimate_hessian(self._obj, theta, self._cfg(sigma, _PER), self._rng)
-            self._h = psd_modify(est.h)
-
-    def gradient(self, theta: np.ndarray, sigma: float) -> GradientEstimate:
-        est = estimate_gradient(self._obj, theta, self._cfg(sigma, self._mode), self._rng,
-                                keep_batch=self._sampled_hvp)
-        self._batch = est.batch
-        return est
-
-    def hvp(self, theta: np.ndarray, v: np.ndarray, sigma: float) -> HvpEstimate:
-        if not self._sampled_hvp:
-            return HvpEstimate(hv=self._h @ v, evals_used=0)
-        batch = self._batch
-        if batch is None or sigma != batch.cfg.spec.sigma or not np.array_equal(theta, batch.theta):
-            raise RuntimeError("hvp asked at a centre or sigma other than those of the batch "
-                               "the last gradient evaluated")
-        return HvpEstimate(hv=batch.hvp(v), evals_used=0)
+    return model
 
 
 def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
@@ -287,8 +269,8 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
             return gd_adam_run(obj, _gradient_fn(method, cfg, obj, est_rng), theta0, schedule,
                                cfg.lr, budget, param_error_fn=task.param_error,
                                deterministic_clock=cfg.deterministic)
-        provider = SampledProvider(obj, cfg.samples, est_rng, method.mode, method.sampled_hvp)
-        return newton_cg_run(obj, provider, theta0, schedule,
+        model = sampled_model(obj, cfg.samples, est_rng, method.mode, method.sampled_hvp)
+        return newton_cg_run(obj, model, theta0, schedule,
                              TrustRegion(cfg.trust_region), *cfg.cg_settings(),
                              budget, param_error_fn=task.param_error,
                              deterministic_clock=cfg.deterministic)
@@ -537,20 +519,30 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-_RECORD_KEYS = ("wall_time_s", "iter", "evals", "loss", "param_error")
+# each JSON record field with the types it may have
+_RECORD_KEYS = (("wall_time_s", (int, float)), ("iter", int), ("evals", int),
+                ("loss", (int, float)), ("param_error", (int, float)))
+_TYPE_NAMES = {list: "a list", int: "an integer", (int, float): "a number"}
 
 
-def _field(path, entry: dict, key: str, where: str):
+def _field(path, entry, key: str, where: str, kind):
+    """``entry[key]``, checked to be of ``kind``; a ValueError names the file and ``where``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: {where} is not a JSON object")
     if key not in entry:
         raise ValueError(f"{path}: {where} has no {key!r}")
-    return entry[key]
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{path}: {where} has {key!r} = {value!r}, not {_TYPE_NAMES[kind]}")
+    return value
 
 
 def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
     """Reload traces written by ``export_traces``; returns (traces, config).
 
-    A file that lacks a field or column the export writes is a ValueError
-    naming the file and what is missing.
+    A file that lacks a field or column the export writes, or holds one of
+    the wrong type, is a ValueError naming the file and the run and record
+    or line.
     """
     with open(path, "rb") as fh:
         head = fh.read(1)
@@ -558,13 +550,17 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
         raise ValueError(f"{path}: empty trace file")
     if head == b"{":
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}: not valid JSON: {err}") from None
         traces = []
-        for k, run in enumerate(_field(path, payload, "runs", "JSON trace file")):
+        for k, run in enumerate(_field(path, payload, "runs", "JSON trace file", list)):
+            records = _field(path, run, "records", f"run {k}", list)
             trace = ConvergenceTrace(aborted=run.get("aborted", False), note=run.get("note", ""))
-            for j, rec in enumerate(_field(path, run, "records", f"run {k}")):
-                trace.append(TraceRecord(*(_field(path, rec, key, f"run {k} record {j}")
-                                           for key in _RECORD_KEYS)))
+            for j, rec in enumerate(records):
+                trace.append(TraceRecord(*(_field(path, rec, key, f"run {k} record {j}", kind)
+                                           for key, kind in _RECORD_KEYS)))
             traces.append(trace)
         return traces, payload.get("config")
     with open(path, newline="") as fh:
@@ -577,10 +573,13 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} of the "
                                  f"{len(header)} columns {CSV_HEADER}")
-            run = int(row[0])
-            trace = by_run.setdefault(run, ConvergenceTrace())
-            trace.append(TraceRecord(float(row[1]), int(row[2]), int(row[3]),
-                                     float(row[4]), float(row[5])))
+            try:
+                run = int(row[0])
+                rec = TraceRecord(float(row[1]), int(row[2]), int(row[3]),
+                                  float(row[4]), float(row[5]))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+            by_run.setdefault(run, ConvergenceTrace()).append(rec)
     return [by_run[k] for k in sorted(by_run)], None
 
 

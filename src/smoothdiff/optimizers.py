@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
-from .estimators import GradientEstimate, HvpEstimate, Objective
+from .estimators import GradientEstimate, Objective
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
 
 ADAM_BETA1 = 0.9
@@ -123,20 +123,8 @@ def psd_modify(h: np.ndarray) -> np.ndarray:
     return (vecs * lam) @ vecs.T
 
 
-class DerivativeProvider(Protocol):
-    """Derivative source for the Newton-CG loop.
-
-    ``hvp`` may contract the samples the last ``gradient`` call evaluated
-    or multiply by an explicit (modified) Hessian; ``refresh`` drops or
-    re-estimates whatever the provider caches, for the current point and
-    bandwidth.
-    """
-
-    def gradient(self, theta: np.ndarray, sigma: float) -> GradientEstimate: ...
-
-    def hvp(self, theta: np.ndarray, v: np.ndarray, sigma: float) -> HvpEstimate: ...
-
-    def refresh(self, theta: np.ndarray, sigma: float) -> None: ...
+# Newton-CG's local quadratic model: model(theta, sigma) -> (gradient, v -> H v)
+LocalModel = Callable[[np.ndarray, float], tuple[GradientEstimate, Callable[[np.ndarray], np.ndarray]]]
 
 
 def _boundary_step(p: np.ndarray, v: np.ndarray, delta: float) -> float:
@@ -148,7 +136,7 @@ def _boundary_step(p: np.ndarray, v: np.ndarray, delta: float) -> float:
 
 
 def _steihaug_step(
-    provider: DerivativeProvider,
+    model: LocalModel,
     theta: np.ndarray,
     sigma: float,
     delta: float,
@@ -161,29 +149,27 @@ def _steihaug_step(
 ) -> np.ndarray:
     """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta."""
 
-    def residual(center: np.ndarray) -> tuple[np.ndarray, float]:
-        g = provider.gradient(center, sigma).g
+    def residual(center: np.ndarray):
+        est, hvp = model(center, sigma)
+        g = est.g
         if not np.isfinite(g).all():
             raise NonFiniteStateError("non-finite gradient estimate", trace)
-        return -g, float(g.dot(g))
+        return -g, float(g.dot(g)), hvp
 
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
     p = np.zeros_like(theta)
-    center = theta
-    r, rr = residual(center)
+    r, rr, hvp = residual(theta)
     v = r.copy()
     r0_norm = math.sqrt(rr)
     if r0_norm == 0.0:
         return p
     for k in range(max_steps):
         if k > 0 and k % recompute == 0:
-            center = theta + p
-            provider.refresh(center, sigma)
-            r, rr = residual(center)
+            r, rr, hvp = residual(theta + p)
             v = r.copy()
         if math.sqrt(rr) <= ls_tol * r0_norm:
             break
-        hv = provider.hvp(center, v, sigma).hv
+        hv = hvp(v)
         curv = float(v.dot(hv))
         fallback = curv <= 0.0
         alpha = 0.0 if fallback else float(r.dot(v)) / curv
@@ -210,7 +196,7 @@ def _steihaug_step(
 
 def newton_cg_run(
     obj: Objective,
-    provider: DerivativeProvider,
+    model: LocalModel,
     init: np.ndarray,
     schedule: SigmaSchedule,
     tr: TrustRegion,
@@ -225,10 +211,11 @@ def newton_cg_run(
 ) -> ConvergenceTrace:
     """Trust-region Newton conjugate gradient (Steihaug-Toint) with Fletcher-Reeves directions.
 
-    Per outer iteration: estimate the gradient at theta_outer and the
-    annealed bandwidth, then run truncated CG on the local quadratic
-    model (Steihaug 1983; Nocedal & Wright, *Numerical Optimization*,
-    2nd ed., Sec. 7.2, Algorithm 7.2).  Step k moves by
+    Per outer iteration: ask ``model`` for the gradient estimate at
+    theta_outer and the annealed bandwidth, with the HVP operator bound
+    to it, then run truncated CG on that local quadratic model (Steihaug
+    1983; Nocedal & Wright, *Numerical Optimization*, 2nd ed., Sec. 7.2,
+    Algorithm 7.2).  Step k moves by
     alpha = r^T v / (v^T H v) along v; the residual updates as
     r <- r - alpha H v and the next direction is r + beta v with the
     Fletcher-Reeves beta.  The cumulative step p obeys ||p|| <= delta:
@@ -238,11 +225,11 @@ def newton_cg_run(
     ``min(ls_iters, dim)`` steps -- in exact arithmetic CG is done after
     ``dim`` steps, so further steps would follow nothing but HVP noise --
     or when ||r|| <= ``ls_tol`` ||r_0||.  Every ``recompute`` inner steps
-    the provider is refreshed at the current point, its gradient is
-    estimated there and the recursion restarts; the bound is still
-    measured from theta_outer.  A sampled provider's HVPs contract the
-    batch its last gradient evaluated, so each refresh costs one batch at
-    the new point and the HVPs between refreshes cost no evaluation.
+    ``model`` is called again at the current point and the recursion
+    restarts from its gradient and operator; the bound is still measured
+    from theta_outer.  The products of a sampled model contract the batch
+    its gradient evaluated, so each model call costs one batch and the
+    products cost no evaluation.
 
     ``tr.delta`` is the initial radius; the working radius shrinks
     proportionally with the annealed bandwidth, since the smoothed
@@ -283,8 +270,7 @@ def newton_cg_run(
     while not budget.exhausted(clock.now(), obj.eval_count):
         sigma = anneal_sigma(schedule, outer)
         delta = radius_scale * tr.delta * sigma / schedule.sigma_start
-        provider.refresh(theta, sigma)
-        step = _steihaug_step(provider, theta, sigma, delta, max_steps, ls_tol, recompute,
+        step = _steihaug_step(model, theta, sigma, delta, max_steps, ls_tol, recompute,
                               trace, outer, on_inner_step)
         outer += 1
         # the trial evaluation also guarantees budget progress when the

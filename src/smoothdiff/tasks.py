@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -44,8 +45,8 @@ class Task:
     ``smoothed_hess`` take (theta, kernel_sigma) and return derivatives of
     the Gaussian-smoothed objective; the benchmark's correctness gate and
     the estimator tests read them.  ``analytic_grad`` / ``analytic_hess``
-    are the plain derivatives; the exact derivative providers of the
-    optimizer tests read them.
+    are the plain derivatives; the exact local models of the optimizer
+    tests read them.
     """
 
     name: str
@@ -448,23 +449,33 @@ def phong_sphere_task(resolution: int = 32) -> Task:
 # task registry
 # ---------------------------------------------------------------------------
 
+_BUILDERS = {"quad": quad_task, "neg_gauss": negated_gaussian_task,
+             "negated_gaussian": negated_gaussian_task, "neggauss": negated_gaussian_task,
+             "box2": partial(box_task, 1), "box10": partial(box_task, 5),
+             "phong": phong_sphere_task}
+
+
+def task_builder(name: str) -> Callable[[], Task]:
+    """The builder of the task registered as ``name``, found without building the task.
+
+    ``texture<side>`` takes an integer side of at least 4, and a bare
+    ``texture`` means side 16.  An unknown name is a ValueError.
+    """
+    key = name.strip().lower()
+    if key.startswith("texture"):
+        side = key.removeprefix("texture") or "16"
+        if not side.isdecimal() or int(side) < 4:
+            raise ValueError(f"unknown task {name!r}: texture tasks are texture<side>, "
+                             f"with an integer side >= 4")
+        return partial(texture_task, int(side))
+    if key not in _BUILDERS:
+        raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
+    return _BUILDERS[key]
+
+
 def make_task(name: str) -> Task:
     """Build a task from its registry name (used by configs and the CLI)."""
-    key = name.strip().lower()
-    if key == "quad":
-        return quad_task()
-    if key in ("neg_gauss", "negated_gaussian", "neggauss"):
-        return negated_gaussian_task()
-    if key == "box2":
-        return box_task(1)
-    if key == "box10":
-        return box_task(5)
-    if key.startswith("texture"):
-        side = int(key.removeprefix("texture") or 16)
-        return texture_task(side)
-    if key == "phong":
-        return phong_sphere_task()
-    raise ValueError(f"unknown task {name!r}")
+    return task_builder(name)()
 
 
 TASK_NAMES = ("quad", "neg_gauss", "box2", "box10", "texture8", "texture16", "phong")

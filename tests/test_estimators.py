@@ -436,13 +436,6 @@ class TestSampledBatch:
             with pytest.raises(ValueError, match="direction"):
                 batch.hvp(bad)
 
-    def test_batch_keeps_its_own_centre(self):
-        theta = self.THETA.copy()
-        est = estimate_gradient(Objective(wavy, 3), theta, cfg(dim=3, mode=SamplingMode.AGGREGATE),
-                                RngStream(1), keep_batch=True)
-        theta += 1.0
-        assert np.array_equal(est.batch.theta, self.THETA)
-
 
 # (mode, order) pairs of the weight stage; FR22 draws only gradients
 WEIGHT_CASES = [(mode, order) for mode in ("per_element", "aggregate", "uniform")

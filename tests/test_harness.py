@@ -13,23 +13,30 @@ import numpy as np
 import pytest
 
 from smoothdiff.cli import _coerce, _section_to_kwargs, main
-from smoothdiff.estimators import SamplingMode, evals_per_estimate
+from smoothdiff.estimators import (
+    EstimatorConfig,
+    SamplingMode,
+    estimate_gradient,
+    estimate_hessian,
+    evals_per_estimate,
+)
 from smoothdiff.harness import (
     CSV_HEADER,
     RunConfig,
-    SampledProvider,
     _anneal_total_iters,
     compute_thresholds,
     export_traces,
     first_crossings,
     load_traces,
     run_ensemble,
+    sampled_model,
     summarize_traces,
     variance_report,
 )
-from smoothdiff.optimizers import SigmaSchedule, TrustRegion, newton_cg_run
+from smoothdiff.kernels import KernelSpec
+from smoothdiff.optimizers import SigmaSchedule, TrustRegion, newton_cg_run, psd_modify
 from smoothdiff.samplers import RngStream
-from smoothdiff.tasks import negated_gaussian_task, quad_task
+from smoothdiff.tasks import make_task, negated_gaussian_task, quad_task
 from smoothdiff.trace import Budget, ConvergenceTrace, TraceRecord
 
 QUAD_CFG = dict(task="quad", method="OurHVPA", samples=4, sigma_start=1.0, sigma_end=0.05,
@@ -138,72 +145,66 @@ class TestRunEnsemble:
 
 
 class TestSampledProvider:
-    """Newton-CG's sampled HVPs contract the batch of the gradient before them."""
+    """Newton-CG's local model: sampled HVPs contract the batch of the gradient they come with."""
 
     THETA = np.array([1.5, -2.0])
 
-    def provider(self, obj=None, mode=SamplingMode.AGGREGATE):
-        obj = obj or quad_task().objective()
-        return SampledProvider(obj, 4, RngStream(9, 1), mode, True)
+    def model(self, obj, mode=SamplingMode.AGGREGATE, sampled_hvp=True):
+        return sampled_model(obj, 4, RngStream(9, 1), mode, sampled_hvp)
 
-    def run_one_outer_iteration(self, provider, obj, recompute, on_inner_step=None):
+    def run_one_outer_iteration(self, model, obj, recompute, on_inner_step=None):
         # the initial loss leaves the budget of 2 unspent, so exactly one outer iteration runs
-        newton_cg_run(obj, provider, self.THETA, SigmaSchedule(1.0, 0.05, 10), TrustRegion(50.0),
+        newton_cg_run(obj, model, self.THETA, SigmaSchedule(1.0, 0.05, 10), TrustRegion(50.0),
                       5, 1e-9, recompute, Budget(evals=2), on_inner_step=on_inner_step)
 
     @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
     def test_hvps_of_an_outer_iteration_spend_no_evaluation(self, mode):
         obj = quad_task().objective()
         counts = []
-        self.run_one_outer_iteration(self.provider(obj, mode), obj, 5,
+        self.run_one_outer_iteration(self.model(obj, mode), obj, 5,
                                      lambda info: counts.append(obj.eval_count))
         assert len(counts) == 2  # min(ls_iters, dim) inner steps, both after one gradient
         assert counts == [1 + evals_per_estimate(mode, 2, 4)] * 2
 
     def test_recompute_one_costs_one_batch_per_refresh_at_the_new_centre(self):
         obj = quad_task().objective()
+        model = self.model(obj)
         log = []
 
-        class Logged(SampledProvider):
-            def refresh(self, theta, sigma):
-                log.append(("refresh", theta.copy(), obj.eval_count))
-                super().refresh(theta, sigma)
+        def logged(theta, sigma):
+            before = obj.eval_count
+            est, hvp = model(theta, sigma)
+            centre = theta.copy()
+            log.append(("gradient", centre, obj.eval_count - before))
 
-            def gradient(self, theta, sigma):
-                est = super().gradient(theta, sigma)
-                log.append(("gradient", est.batch.theta, est.evals_used))
-                return est
+            def logged_hvp(v):
+                before = obj.eval_count
+                hv = hvp(v)
+                log.append(("hvp", centre, obj.eval_count - before))
+                return hv
 
-            def hvp(self, theta, v, sigma):
-                est = super().hvp(theta, v, sigma)
-                log.append(("hvp", theta.copy(), est.evals_used))
-                return est
+            return est, logged_hvp
 
-        self.run_one_outer_iteration(Logged(obj, 4, RngStream(9, 1), SamplingMode.AGGREGATE, True),
-                                     obj, 1)
-        kinds = [entry[0] for entry in log]
-        assert kinds == ["refresh", "gradient", "hvp", "refresh", "gradient", "hvp"]
-        refreshes = [k for k, kind in enumerate(kinds) if kind == "refresh"]
-        assert not np.array_equal(log[refreshes[0]][1], log[refreshes[1]][1])
-        for k in refreshes:
-            centre = log[k][1]
-            assert np.array_equal(log[k + 1][1], centre) and log[k + 1][2] == 8
-            assert np.array_equal(log[k + 2][1], centre) and log[k + 2][2] == 0
+        self.run_one_outer_iteration(logged, obj, 1)
+        assert [entry[0] for entry in log] == ["gradient", "hvp", "gradient", "hvp"]
+        assert not np.array_equal(log[0][1], log[2][1])
+        assert [entry[2] for entry in log] == [8, 0, 8, 0]
 
-    def test_hvp_off_the_batch_raises(self):
-        provider = self.provider()
+    def test_hessian_model_is_the_hessian_then_the_gradient(self):
+        # OurH: per-element Hessian, then the gradient, from one stream
+        obj = quad_task().objective()
+        est, hvp = self.model(obj, SamplingMode.PER_ELEMENT, sampled_hvp=False)(self.THETA, 0.5)
+        spent = obj.eval_count
+        ref_obj, rng = quad_task().objective(), RngStream(9, 1)
+        cfg = EstimatorConfig(spec=KernelSpec(sigma=0.5, dim=2), samples=4,
+                              mode=SamplingMode.PER_ELEMENT)
+        h = estimate_hessian(ref_obj, self.THETA, cfg, rng)
+        g = estimate_gradient(ref_obj, self.THETA, cfg, rng)
+        assert np.array_equal(est.g, g.g)
+        assert spent == ref_obj.eval_count == h.evals_used + g.evals_used
         v = np.array([1.0, 0.5])
-        with pytest.raises(RuntimeError):
-            provider.hvp(self.THETA, v, 0.5)  # no batch yet
-        provider.gradient(self.THETA, 0.5)
-        assert provider.hvp(self.THETA.copy(), v, 0.5).evals_used == 0
-        with pytest.raises(RuntimeError):
-            provider.hvp(self.THETA + 1e-9, v, 0.5)
-        with pytest.raises(RuntimeError):
-            provider.hvp(self.THETA, v, 0.25)
-        provider.refresh(self.THETA, 0.5)
-        with pytest.raises(RuntimeError):
-            provider.hvp(self.THETA, v, 0.5)
+        assert np.array_equal(hvp(v), psd_modify(h.h) @ v)
+        assert obj.eval_count == spent
 
     @pytest.mark.parametrize("task", ["quad", "neg_gauss"])
     def test_quad_cfg_reaches_99_percent_within_200_evals(self, task):
@@ -295,7 +296,19 @@ class TestExport:
         ("t.json", json.dumps({"runs": [{"records": [
             {"iter": 0, "evals": 1, "loss": 1.0, "param_error": 1.0}]}]}), "'wall_time_s'"),
         ("t.csv", CSV_HEADER + "\n0,1.0\n", "line 2 has 2 of the 6 columns"),
-    ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row"])
+        ("t.json", json.dumps({"runs": 5}), "'runs' = 5, not a list"),
+        ("t.json", json.dumps({"runs": [1]}), "run 0 is not a JSON object"),
+        ("t.json", json.dumps({"runs": [{"records": [
+            {"wall_time_s": 0.0, "iter": 0, "evals": 1, "loss": "a", "param_error": 1.0}]}]}),
+         "run 0 record 0 has 'loss' = 'a', not a number"),
+        ("t.json", json.dumps({"runs": [{"records": [
+            {"wall_time_s": 0.0, "iter": 0, "evals": 1, "loss": None, "param_error": 1.0}]}]}),
+         "run 0 record 0 has 'loss' = None, not a number"),
+        ("t.json", "{runs", "not valid JSON"),
+        ("t.csv", CSV_HEADER + "\nx,0,0,0,1,1\n", "line 2: invalid literal for int()"),
+    ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row",
+            "json_runs_not_a_list", "json_run_not_an_object", "json_loss_a_string",
+            "json_loss_null", "json_invalid", "csv_run_not_an_integer"])
     def test_malformed_file_rejected_naming_file_and_missing_part(self, tmp_path, capsys, name,
                                                                   content, missing):
         path = tmp_path / name
@@ -419,6 +432,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert "'Bogus'" in captured.err
         assert "--- task=" not in captured.out
+
+    def test_sweep_with_unknown_task_exits_2_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\nmethods = FD\ntasks = quad, qaud\n"
+                       "lr = 0.5\nseed = 1\nbudget_evals = 20\nensemble = 1\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "'qaud'" in captured.err
+        assert "--- task=" not in captured.out
+
+    @pytest.mark.parametrize("name", ["qaud", "texturex", "texture2", "texture-8"])
+    def test_unknown_task_is_named(self, name):
+        with pytest.raises(ValueError, match=f"unknown task {name!r}"):
+            RunConfig(task=name, method="FD", lr=0.5, budget_evals=20)
+        with pytest.raises(ValueError, match=f"unknown task {name!r}"):
+            make_task(name)
+
+    def test_config_checks_its_task_without_building_it(self, monkeypatch):
+        # box tasks render their references when built
+        import smoothdiff.tasks
+
+        built = []
+        monkeypatch.setitem(smoothdiff.tasks._BUILDERS, "box10", lambda: built.append(1))
+        RunConfig(task="box10", method="FD", lr=0.5, budget_evals=20)
+        assert not built
 
     def test_variance_rejects_run_overrides(self, capsys):
         # variance reads only --seed and --out; a flag it would ignore is an error

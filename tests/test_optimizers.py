@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothdiff.estimators import GradientEstimate, HvpEstimate, Objective
+from smoothdiff.estimators import GradientEstimate, Objective
 from smoothdiff.optimizers import (
     OptimizerState,
     SigmaSchedule,
@@ -23,35 +23,17 @@ from smoothdiff.trace import Budget, NonFiniteStateError
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
 
 
-class AnalyticProvider:
-    """Exact derivatives for optimizer identity tests."""
+def analytic_model(task, scale=1.0, log=None):
+    """Exact local model with the curvature scaled by ``scale``; logs each call to ``log``."""
 
-    def __init__(self, task):
-        self.task = task
+    def model(theta, sigma):
+        if log is not None:
+            log.append(("model", np.array(theta), sigma))
+        hess = task.analytic_hess(theta)
+        return (GradientEstimate(g=task.analytic_grad(theta), evals_used=0),
+                lambda v: scale * (hess @ v))
 
-    def refresh(self, theta, sigma):
-        pass
-
-    def gradient(self, theta, sigma):
-        return GradientEstimate(g=self.task.analytic_grad(theta), evals_used=0)
-
-    def hvp(self, theta, v, sigma):
-        return HvpEstimate(hv=self.task.analytic_hess(theta) @ v, evals_used=0)
-
-
-class ScaledHvpProvider(AnalyticProvider):
-    """Exact gradients with the curvature scaled by ``scale``; logs refreshes."""
-
-    def __init__(self, task, scale, log=None):
-        super().__init__(task)
-        self.scale = scale
-        self.log = log if log is not None else []
-
-    def refresh(self, theta, sigma):
-        self.log.append(("refresh", np.array(theta), sigma))
-
-    def hvp(self, theta, v, sigma):
-        return HvpEstimate(hv=self.scale * (self.task.analytic_hess(theta) @ v), evals_used=0)
+    return model
 
 
 class TestAnnealSigma:
@@ -153,7 +135,7 @@ class TestNewtonCg:
     def test_quad_converges_in_two_outer_iterations(self):
         task = quad_task()
         obj = task.objective()
-        trace = newton_cg_run(obj, AnalyticProvider(task), np.array([2.0, -3.0]),
+        trace = newton_cg_run(obj, analytic_model(task), np.array([2.0, -3.0]),
                               SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
                               ls_iters=5, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=3), param_error_fn=task.param_error)
@@ -164,7 +146,7 @@ class TestNewtonCg:
         # from theta=(1,1): r = v = -g = (-17.5,-17.5); v^T H v = 17.5^2*35
         task = quad_task()
         seen = []
-        newton_cg_run(task.objective(), AnalyticProvider(task), np.array([1.0, 1.0]),
+        newton_cg_run(task.objective(), analytic_model(task), np.array([1.0, 1.0]),
                       SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
                       ls_iters=2, ls_tol=1e-12, recompute=10,
                       budget=Budget(evals=2), on_inner_step=seen.append)
@@ -173,7 +155,7 @@ class TestNewtonCg:
     def test_fletcher_reeves_conjugacy(self):
         task = quad_task()
         seen = []
-        newton_cg_run(task.objective(), AnalyticProvider(task), np.array([2.0, -3.0]),
+        newton_cg_run(task.objective(), analytic_model(task), np.array([2.0, -3.0]),
                       SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
                       ls_iters=5, ls_tol=1e-12, recompute=10,
                       budget=Budget(evals=2), on_inner_step=seen.append)
@@ -189,7 +171,7 @@ class TestNewtonCg:
         task = quad_task()
         delta = 0.25
         seen = []
-        newton_cg_run(task.objective(), AnalyticProvider(task), np.array([4.0, 4.0]),
+        newton_cg_run(task.objective(), analytic_model(task), np.array([4.0, 4.0]),
                       SigmaSchedule(1.0, 0.1, 10), TrustRegion(delta),
                       ls_iters=4, ls_tol=1e-10, recompute=10,
                       budget=Budget(evals=6), on_inner_step=seen.append)
@@ -203,7 +185,7 @@ class TestNewtonCg:
         task = negated_gaussian_task(1.0)
         obj = task.objective()
         seen = []
-        trace = newton_cg_run(obj, AnalyticProvider(task), np.array([1.8, 1.8]),
+        trace = newton_cg_run(obj, analytic_model(task), np.array([1.8, 1.8]),
                               SigmaSchedule(1.0, 1.0, 10), TrustRegion(0.5),
                               ls_iters=3, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=40), param_error_fn=task.param_error,
@@ -224,15 +206,15 @@ class TestNewtonCg:
             return task.fn(th)
 
         obj = Objective(fn, 2)
-        provider = ScaledHvpProvider(task, 0.01, log)
+        model = analytic_model(task, 0.01, log)
         sched = SigmaSchedule(1.0, 0.1, 10)
         tr = TrustRegion(0.5)
-        newton_cg_run(obj, provider, np.array([2.0, -3.0]), sched, tr,
+        newton_cg_run(obj, model, np.array([2.0, -3.0]), sched, tr,
                       ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=12))
         outer_starts = 0
         center = None
         for entry in log:
-            if entry[0] == "refresh":
+            if entry[0] == "model":
                 center, delta = entry[1], tr.delta * entry[2] / sched.sigma_start
                 outer_starts += 1
             elif center is not None:
@@ -244,7 +226,7 @@ class TestNewtonCg:
         # on a deterministic objective the recorded loss must not rise
         task = quad_task()
         obj = task.objective()
-        trace = newton_cg_run(obj, ScaledHvpProvider(task, 0.05), np.array([2.0, -3.0]),
+        trace = newton_cg_run(obj, analytic_model(task, 0.05), np.array([2.0, -3.0]),
                               SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
                               ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=40))
         losses = [r.loss for r in trace.records]
@@ -255,7 +237,7 @@ class TestNewtonCg:
     def test_budget_is_normal_termination(self):
         task = quad_task()
         obj = task.objective()
-        trace = newton_cg_run(obj, AnalyticProvider(task), np.array([1.0, 1.0]),
+        trace = newton_cg_run(obj, analytic_model(task), np.array([1.0, 1.0]),
                               SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
                               ls_iters=2, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=5))
@@ -265,7 +247,7 @@ class TestNewtonCg:
     def test_parameter_validation(self):
         task = quad_task()
         with pytest.raises(ValueError):
-            newton_cg_run(task.objective(), AnalyticProvider(task), np.zeros(2),
+            newton_cg_run(task.objective(), analytic_model(task), np.zeros(2),
                           SigmaSchedule(1.0, 0.1, 10), TrustRegion(1.0),
                           ls_iters=0, ls_tol=1e-3, recompute=1, budget=Budget(evals=5))
         with pytest.raises(ValueError):
