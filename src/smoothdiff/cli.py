@@ -136,12 +136,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _listed(option: str, raw: str, kind) -> list:
+    try:
+        return [kind(x) for x in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"{option}: expected comma-separated {kind.__name__}s, got {raw!r}") from None
+
+
 def cmd_variance(args) -> int:
     task = make_task(args.task)
-    theta = (np.array([float(x) for x in args.theta.split(",")])
-             if args.theta else np.full(task.dim, 0.5))
+    theta = np.array(_listed("--theta", args.theta, float)) if args.theta else np.full(task.dim, 0.5)
     modes = [SamplingMode.parse(m) for m in args.modes.split(",")]
-    budgets = [int(b) for b in args.budgets.split(",")]
+    budgets = _listed("--budgets", args.budgets, int)
     report = harness.variance_report(
         task, theta, modes, budgets,
         orders=tuple(o.strip() for o in args.orders.split(",")), reps=args.reps,

@@ -34,27 +34,27 @@ Every estimator runs the same three stages:
 2. **Evaluate** f once per row at theta - tau for a block's drawn rows,
    then at theta + tau for their mirror images, all in one call to
    ``Objective.evaluate_rows``, which aborts the estimate on the first
-   non-finite value.  This stage yields each stack with its values; an
-   estimate streams them into the contraction one chunk at a time, and a
-   ``SampledBatch`` keeps them all.
+   non-finite value.  This stage yields each stack with its values, one
+   chunk at a time.
 3. **Contract** each block's values into one coefficient per drawn row,
    contracted against the drawn offsets (see the reduce stage below).
    Kernel / N and q are free of Gaussian normalization factors, so they
    stay finite in high dimension, and no mirror row is ever weighted.
 
-The HVP weight is the directional central difference of shifted
-gradient kernels; the same draws and the same evaluations serve both
-shifted gradient estimates, which is what keeps its cost at one
-evaluation per pair-half.  An HVP draws the gradient's offsets and the
-direction enters only its contraction, so one evaluated batch gives the
-gradient and the HVP along every direction: ``estimate_gradient`` with
-``keep_batch`` returns that batch, and ``SampledBatch.hvp`` contracts it
-with no further evaluation.  The operator is bound to its batch, so it
-gives products only at the point and bandwidth the batch was drawn for;
-Newton-CG's sampled local model returns it with the gradient.
-``estimate_hvp`` is the per-call form, which draws a batch of its own.
-Per call, accumulation runs in a fixed order, so results are
-reproducible.
+The HVP weight is the directional central difference of shifted gradient
+kernels; the same draws and the same evaluations serve both shifted
+gradient estimates, which is what keeps its cost at one evaluation per
+pair-half.  An HVP draws the gradient's offsets, and the direction
+enters only ``_contract_hvp``, the one HVP contraction.  So one
+evaluated batch gives the gradient and the HVP along every direction:
+``estimate_gradient`` with ``keep_batch`` returns a ``SampledBatch`` of
+each stack with its HVP coefficients, and ``SampledBatch.hvp`` contracts
+them with no further evaluation.  The operator is bound to its batch, so
+it gives products only at the point and bandwidth the batch was drawn
+for; Newton-CG's sampled local model returns it with the gradient.
+``estimate_hvp`` is the per-call form, which streams the terms of a
+batch of its own into the same contraction.  Per call, accumulation runs
+in a fixed order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -230,11 +230,9 @@ class _Stack(NamedTuple):
     their mirror images too, since every density is even.  Either block k
     serves element k (B == K) or the one block serves every element
     (B == 1); the two readings agree when K == 1.  The reduce stage reads
-    a stack by this layout, whatever the mode.  ``start`` is the position
-    of the first served element in the estimate.
+    a stack by this layout, whatever the mode.
     """
 
-    start: int
     taus: np.ndarray
     elements: ElementSet
     q: np.ndarray
@@ -256,21 +254,21 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
-def _stacked(start: int, taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
+def _stacked(taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
     """Stack with q from the element densities: each block's own, or the mixture's for one block."""
     if len(taus) > 1:
         q = element_density_ratios(taus, elements, sigma)
     else:
         ratios = element_density_ratios(taus[0], elements, sigma)
         q = (ratios.sum(axis=1) / ratios.shape[1])[None]
-    return _Stack(start, taus, elements, q)
+    return _Stack(taus, elements, q)
 
 
-def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[tuple[int, ElementSet]]:
-    """(start, elements) chunks whose evaluation points stay within a quarter of _CHUNK_BYTES."""
+def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
+    """In-order chunks of ``elements`` whose evaluation points fit a quarter of _CHUNK_BYTES."""
     size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
     for start in range(0, len(elements), size):
-        yield start, elements if size >= len(elements) else ElementSet(elements[start:start + size])
+        yield elements if size >= len(elements) else ElementSet(elements[start:start + size])
 
 
 def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
@@ -278,16 +276,16 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
     spec, count = cfg.spec, cfg.samples
     if cfg.mode is SamplingMode.PER_ELEMENT:
         table = default_hessian_diag_table()
-        for start, chunk in _chunks(elements, count, spec.dim):
+        for chunk in _chunks(elements, count, spec.dim):
             if chunk[0].kind is ElementKind.GRADIENT:
                 taus, _ = sample_gradient_offsets(chunk.i, spec, rng, count)
             else:
                 taus, _ = sample_hessian_offsets(chunk, spec, table, rng, count)
-            yield _stacked(start, taus.reshape(len(chunk), count, spec.dim), chunk, spec.sigma)
+            yield _stacked(taus.reshape(len(chunk), count, spec.dim), chunk, spec.sigma)
             del taus  # drawn chunks are not kept while the next one is drawn
     elif cfg.mode is SamplingMode.AGGREGATE:
         taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
-        yield _stacked(0, taus[None], elements, spec.sigma)
+        yield _stacked(taus[None], elements, spec.sigma)
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
@@ -296,18 +294,18 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
         with np.errstate(over="ignore"):
             q = np.exp(np.sum(taus * taus, axis=1) / (2.0 * sigma * sigma)
                        - spec.dim * math.log(20.0 / SQRT_TWO_PI))
-        yield _Stack(0, taus[None], elements, q[None])
+        yield _Stack(taus[None], elements, q[None])
 
 
 def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
     """FR22 draws: per-element gradient blocks that blur only their own axis."""
     spec, count = cfg.spec, cfg.samples
-    for start, chunk in _chunks(elements, count, spec.dim):
+    for chunk in _chunks(elements, count, spec.dim):
         k = len(chunk)
         u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
         taus = np.zeros((k, count, spec.dim))
         taus[np.arange(k), :, chunk.i] = u
-        yield _stacked(start, taus, chunk, spec.sigma)
+        yield _stacked(taus, chunk, spec.sigma)
 
 
 def _evaluate(obj: Objective, theta: np.ndarray,
@@ -329,20 +327,20 @@ def _evaluate(obj: Objective, theta: np.ndarray,
         del stack, vals  # see _draw
 
 
-def _contract(evaluated: Iterable[tuple[_Stack, object]], reduce, size: int) -> np.ndarray:
-    """Contract each stack into the served positions of an estimate of ``size`` elements.
+def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce) -> np.ndarray:
+    """The estimate: each stack's contraction, concatenated in element order.
 
     ``reduce(stack, x)`` turns a stack and what it is paired with, its
-    values or coefficients formed from them, into the estimates of the
-    elements it serves.  Pairs are taken one at a time, so a stream of
-    evaluated stacks is never held whole.
+    values or the HVP coefficients formed from them, into the estimates
+    of the elements it serves.  Stacks arrive in the order of the elements
+    they serve, and are taken one at a time, so a stream of evaluated
+    stacks is never held whole.
     """
-    out = np.empty(size)
-    for stack, x in evaluated:
-        estimates = reduce(stack, x)
-        out[stack.start:stack.start + estimates.size] = estimates.ravel()
+    parts = []
+    for stack, x in terms:
+        parts.append(reduce(stack, x).ravel())
         del stack, x  # see _draw
-    return out
+    return np.concatenate(parts)
 
 
 # The reduce stage.  A served element's weight, kernel / N over q, is a
@@ -399,13 +397,28 @@ def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray
 
 
 def _hvp_coefficients(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
-    """The per-row HVP coefficients c of ``_reduce_hvp``, free of the direction."""
+    """The per-row HVP coefficients c of ``_contract_hvp``, free of the direction."""
     return _even_coefficients(vals, stack.q) / (2.0 * sigma * sigma)
+
+
+def _hvp_terms(evaluated: Iterable[tuple[_Stack, np.ndarray]], sigma: float) -> Iterator[tuple]:
+    """Each evaluated stack with its HVP coefficients, one at a time (see _draw)."""
+    for stack, vals in evaluated:
+        yield stack, _hvp_coefficients(stack, vals, sigma)
+        del stack, vals
 
 
 def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
                   eps: float) -> np.ndarray:
-    """``_reduce_hvp`` from the coefficients c of ``_hvp_coefficients``."""
+    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
+
+    The weight, the central difference of the gradient kernels shifted by
+    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
+    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
+    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
+    c comes from ``_hvp_coefficients`` and does not depend on v, so a batch
+    forms it once for every direction (``SampledBatch``).
+    """
     taus, s2 = stack.taus, sigma * sigma
     shift = 2.0 * eps * (taus @ v)
     level = eps * eps * float(v.dot(v))
@@ -416,20 +429,6 @@ def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
         return a[0] @ taus[0] - float(c[0] @ (r_minus[0] + r_plus[0])) * v
     i = stack.elements.i
     return (_axis(taus, i) * a).sum(axis=1) - v[i] * (c * (r_minus + r_plus)).sum(axis=1)
-
-
-def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray,
-                eps: float) -> np.ndarray:
-    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
-
-    The weight, the central difference of the gradient kernels shifted by
-    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
-    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
-    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
-    c comes from ``_even_coefficients`` and does not depend on v, so a
-    batch forms it once for every direction (``SampledBatch``).
-    """
-    return _contract_hvp(stack, _hvp_coefficients(stack, vals, sigma), sigma, v, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -452,42 +451,35 @@ def _check_direction(v, dim: int) -> tuple[np.ndarray, float]:
 class SampledBatch:
     """The evaluated offsets of one gradient estimate: a sampled quadratic model.
 
-    ``evaluated`` holds every drawn stack with its values, and ``cfg`` the
-    bandwidth they were drawn for; the model is centred where the
-    estimate was made.  The direction of an HVP enters only the
-    contraction, so ``hvp(v)`` contracts these values for any v at no
-    further evaluation.  Every product comes from the same samples, so
-    they form one fixed operator: hv(a v) = a hv(v) to rounding, and it is
-    symmetric and additive in v up to O(eps^2) of the kernel shift.  The
-    direction-free coefficients are formed once per batch.
+    It keeps ``terms``, each drawn stack with its HVP coefficients, and
+    ``cfg``, the bandwidth they were drawn for; the model is centred where
+    the estimate was made.  The direction of an HVP enters only the
+    contraction, so ``hvp(v)`` contracts the terms for any v at no further
+    evaluation.  Every product comes from the same samples, so they form
+    one fixed operator: hv(a v) = a hv(v) to rounding, and it is symmetric
+    and additive in v up to O(eps^2) of the kernel shift.
     """
 
-    def __init__(self, cfg: EstimatorConfig, evaluated: tuple[tuple[_Stack, np.ndarray], ...]):
+    def __init__(self, cfg: EstimatorConfig, evaluated: Iterable[tuple[_Stack, np.ndarray]]):
         self.cfg = cfg
-        self.evaluated = evaluated
-        self._terms: list[tuple[_Stack, np.ndarray]] | None = None  # (stack, coefficients)
+        self.terms = tuple(_hvp_terms(evaluated, cfg.spec.sigma))
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
         v, norm = _check_direction(v, self.cfg.spec.dim)
-        if self._terms is None:
-            sigma = self.cfg.spec.sigma
-            self._terms = [(stack, _hvp_coefficients(stack, vals, sigma))
-                           for stack, vals in self.evaluated]
-        return _hvp(self._terms, _contract_hvp, v, norm, self.cfg)
+        return _hvp(self.terms, v, norm, self.cfg)
 
 
-def _hvp(pairs: Iterable[tuple[_Stack, np.ndarray]], reduce, v: np.ndarray, norm: float,
+def _hvp(terms: Iterable[tuple[_Stack, np.ndarray]], v: np.ndarray, norm: float,
          cfg: EstimatorConfig) -> np.ndarray:
-    """The HVP along v, of norm ``norm``, contracted from (stack, x) pairs by ``reduce``.
+    """The HVP along v, of norm ``norm``, contracted from (stack, coefficients) terms.
 
-    ``reduce`` is ``_reduce_hvp`` for values or ``_contract_hvp`` for
-    coefficients.  The product is linear in v, so the kernels are shifted
-    along the unit direction and the result rescaled by ||v||, which keeps
-    eps*||v|| small against the bandwidth for any direction.
+    The product is linear in v, so the kernels are shifted along the unit
+    direction and the result rescaled by ||v||, which keeps eps*||v||
+    small against the bandwidth for any direction.
     """
-    along = partial(reduce, sigma=cfg.spec.sigma, v=v / norm, eps=cfg.epsilon())
-    return norm * _contract(pairs, along, len(v))
+    along = partial(_contract_hvp, sigma=cfg.spec.sigma, v=v / norm, eps=cfg.epsilon())
+    return norm * _contract(terms, along)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +494,9 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     evaluated = _evaluate(obj, theta, draw(cfg, rng, gradient_elements(n)))
     batch = None
     if keep_batch:
-        batch = SampledBatch(cfg, tuple(evaluated))
-        evaluated = batch.evaluated
-    g = _contract(evaluated, partial(_reduce_gradient, sigma=cfg.spec.sigma), n)
+        evaluated = tuple(evaluated)
+        batch = SampledBatch(cfg, evaluated)
+    g = _contract(evaluated, partial(_reduce_gradient, sigma=cfg.spec.sigma))
     return GradientEstimate(g=g, evals_used=obj.eval_count - start, batch=batch)
 
 
@@ -518,7 +510,8 @@ def estimate_gradient(
     estimate stays within ``_CHUNK_BYTES`` of scratch memory.  With
     ``keep_batch`` the estimate also carries its evaluated offsets as a
     ``SampledBatch`` (``batch``), whose ``hvp`` gives HVPs at ``theta`` at
-    no further evaluation; the batch holds every stack at once.
+    no further evaluation; the batch holds every stack at once, with its
+    HVP coefficients in place of its values.
     """
     return _gradient(obj, theta, cfg, rng, _draw, keep_batch)
 
@@ -565,7 +558,7 @@ def estimate_hessian(
     start = obj.eval_count
     elements = hessian_elements(n)
     reduce = partial(_reduce_hessian, sigma=cfg.spec.sigma)
-    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), reduce, len(elements))
+    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), reduce)
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -583,15 +576,17 @@ def estimate_hvp(
     cost matches a single gradient estimate.
 
     This is the per-call form: every call draws and evaluates a batch of
-    its own, streamed one chunk at a time, as ``variance_report`` and
-    equal-budget comparisons need.  Products along many directions at one
-    point come from one batch instead (``estimate_gradient`` with
-    ``keep_batch``, then ``SampledBatch.hvp``), which is what Newton-CG
-    uses; both contract the same draws to the same bits.
+    its own, as ``variance_report`` and equal-budget comparisons need, and
+    streams its (stack, coefficients) terms into ``_contract_hvp`` one
+    chunk at a time.  Products along many directions at one point come
+    from one batch instead (``estimate_gradient`` with ``keep_batch``,
+    then ``SampledBatch.hvp``), which is what Newton-CG uses; both
+    contract the same terms to the same bits.
     """
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     v, norm = _check_direction(v, n)
     start = obj.eval_count
-    hv = _hvp(_evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n))), _reduce_hvp, v, norm, cfg)
+    evaluated = _evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n)))
+    hv = _hvp(_hvp_terms(evaluated, cfg.spec.sigma), v, norm, cfg)
     return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

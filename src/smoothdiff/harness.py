@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -57,7 +57,7 @@ class _Method(NamedTuple):
     sampling mode, None for central differences.  ``newton`` methods run
     Newton-CG with ``estimate_gradient``, and with ``sampled_hvp`` their
     HVPs are contracted from the gradient's evaluated batch; without it
-    they are products with the PSD-modified per-element Hessian.
+    they are products with the PSD-modified Hessian estimated in ``mode``.
     """
 
     gradient: str
@@ -95,13 +95,15 @@ class RunConfig:
     """One benchmark cell: task, method, and every knob either needs.
 
     First-order methods take a learning rate; second-order ones take a
-    trust region plus the inner-loop controls.  Mixing them up is a
-    config error, caught here rather than deep in a run, and so are an
-    unknown task name (checked without building the task) and a numeric
-    setting no run can use: ``lr``, ``trust_region``, ``fd_step``,
-    ``ls_tol``, ``budget_seconds`` and the sigma endpoints must be finite
-    and > 0 when set, ``samples``, ``ensemble``, ``ls_iters``,
-    ``recompute``, ``budget_evals`` and ``threads`` at least 1.
+    trust region plus the inner-loop controls.  Mixing them up is a config
+    error, caught here rather than deep in a run, and so are an unknown
+    task name (checked without building the task), a plateau start on a
+    task without plateau points and a numeric setting no run can use:
+    ``lr``, ``trust_region``, ``fd_step``, ``ls_tol``, ``budget_seconds``
+    and the sigma endpoints must be finite and > 0 when set; ``seed``,
+    ``samples``, ``ensemble``, ``ls_iters``, ``recompute``,
+    ``budget_evals`` and ``threads`` must be integers, not bools, and all
+    but ``seed`` at least 1.
     """
 
     task: str
@@ -125,7 +127,7 @@ class RunConfig:
 
     def __post_init__(self):
         newton = _method(self.method).newton
-        task_builder(self.task)
+        build = task_builder(self.task)
         if self.budget_seconds is None and self.budget_evals is None:
             raise ValueError("config needs budget_seconds or budget_evals")
         if self.init not in ("default", "plateau"):
@@ -142,10 +144,17 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
-        for key in ("samples", "ensemble", "ls_iters", "recompute", "budget_evals", "threads"):
+        for key in ("seed", "samples", "ensemble", "ls_iters", "recompute", "budget_evals", "threads"):
             value = getattr(self, key)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))  # a numpy integer becomes a plain int
+            if value < 1 and key != "seed":
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        if self.init == "plateau" and not build().plateau_points:
+            raise ValueError(f"task {self.task} has no plateau starting points")
 
     def cg_settings(self) -> tuple[int, float, int]:
         """``ls_iters``, ``ls_tol`` and ``recompute``, with 1, 1e-3 and 1 for unset keys."""
@@ -173,21 +182,6 @@ class EnsembleResult:
 # method dispatch
 # ---------------------------------------------------------------------------
 
-class _EstimatorConfigs:
-    """One run's estimator config per sampling mode, rebuilt only when sigma changes."""
-
-    def __init__(self, dim: int, samples: int):
-        self._dim, self._samples = dim, samples
-        self._last: dict[SamplingMode, EstimatorConfig] = {}
-
-    def __call__(self, sigma: float, mode: SamplingMode) -> EstimatorConfig:
-        cfg = self._last.get(mode)
-        if cfg is None or cfg.spec.sigma != sigma:
-            spec = KernelSpec(sigma=sigma, dim=self._dim)
-            cfg = self._last[mode] = EstimatorConfig(spec=spec, samples=self._samples, mode=mode)
-        return cfg
-
-
 def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
     """Iterations the sigma schedule spans: the eval budget over what one iteration costs.
 
@@ -195,7 +189,7 @@ def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
     call of its local model and the trial point, for Adam the record.  A
     sampled-HVP model spends nothing more, since its products contract
     the gradient's batch.  For the Hessian model (``sampled_hvp`` False)
-    the plan adds that model's per-element Hessian estimate and
+    the plan adds that model's Hessian estimate and
     ``ls_iters`` evaluations, which no inner step spends.  The plan counts
     one model call per outer iteration; each ``recompute`` restart makes
     one more.
@@ -209,7 +203,8 @@ def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
         grad = evals_per_estimate(method.mode, dim, cfg.samples)
     per_iter = 1 + grad
     if method.newton and not method.sampled_hvp:
-        per_iter += evals_per_estimate(_PER, dim * (dim + 1) // 2, cfg.samples) + cfg.cg_settings()[0]
+        hessian = evals_per_estimate(method.mode, dim * (dim + 1) // 2, cfg.samples)
+        per_iter += hessian + cfg.cg_settings()[0]
     return max(1, cfg.budget_evals // per_iter)
 
 
@@ -219,8 +214,8 @@ def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
     estimate = globals()[method.gradient]
     if method.mode is None:
         return lambda theta, sigma: estimate(obj, theta, cfg.fd_step)
-    configs = _EstimatorConfigs(obj.dim, cfg.samples)
-    return lambda theta, sigma: estimate(obj, theta, configs(sigma, method.mode), rng)
+    return lambda theta, sigma: estimate(
+        obj, theta, EstimatorConfig(KernelSpec(sigma=sigma, dim=obj.dim), cfg.samples, method.mode), rng)
 
 
 def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMode,
@@ -232,19 +227,18 @@ def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMo
     operator it returns contracts that batch and spends no evaluation: CG
     runs on one sampled quadratic model, the subsampled-Newton model of
     Byrd, Chin, Neveitt & Nocedal (2011) and Roosta-Khorasani & Mahoney
-    (2019).  Without it, each call first estimates the per-element
-    Hessian, and the operator multiplies by its PSD modification.  The
-    estimators and ``psd_modify`` are looked up when called, so that a
-    patched attribute takes effect.
+    (2019).  Without it, each call first estimates the Hessian in ``mode``
+    (per-element for ``OurH``), and the operator multiplies by its PSD
+    modification.  The estimators and ``psd_modify`` are looked up when
+    called, so that a patched attribute takes effect.
     """
-    configs = _EstimatorConfigs(obj.dim, samples)
-
     def model(theta: np.ndarray, sigma: float):
+        cfg = EstimatorConfig(KernelSpec(sigma=sigma, dim=obj.dim), samples, mode)
         if sampled_hvp:
-            est = estimate_gradient(obj, theta, configs(sigma, mode), rng, keep_batch=True)
+            est = estimate_gradient(obj, theta, cfg, rng, keep_batch=True)
             return est, est.batch.hvp
-        h = psd_modify(estimate_hessian(obj, theta, configs(sigma, _PER), rng).h)
-        return estimate_gradient(obj, theta, configs(sigma, mode), rng), lambda v: h @ v
+        h = psd_modify(estimate_hessian(obj, theta, cfg, rng).h)
+        return estimate_gradient(obj, theta, cfg, rng), lambda v: h @ v
 
     return model
 
@@ -254,8 +248,6 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
     init_rng = RngStream(seed_k, stream_id=0)
     est_rng = RngStream(seed_k, stream_id=1)
     if cfg.init == "plateau":
-        if not task.plateau_points:
-            raise ValueError(f"task {task.name} has no plateau starting points")
         theta0 = task.plateau_points[run_index % len(task.plateau_points)].copy()
     else:
         theta0 = task.init_sampler(init_rng.generator)
@@ -306,13 +298,13 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
 def first_crossings(trace: ConvergenceTrace, metric: str) -> dict[float, tuple[float, int] | None]:
     """First (time, evals) at which each error-reduction fraction is met.
 
-    Reduction is measured against the metric's value at the first record
-    of the run.
+    Reduction is measured against the metric's first value in the run; a
+    run whose first value is not finite and > 0 crosses no threshold.
     """
     values = [getattr(rec, "loss" if metric == "loss" else "param_error") for rec in trace.records]
-    if not values:
+    initial = values[0] if values else math.nan
+    if not (math.isfinite(initial) and initial > 0):
         return {frac: None for frac in THRESHOLD_FRACTIONS}
-    initial = values[0]
     out: dict[float, tuple[float, int] | None] = {}
     for frac in THRESHOLD_FRACTIONS:
         target = (1.0 - frac) * initial
@@ -401,7 +393,7 @@ def variance_report(
     log-variance against log-budget come from a least-squares fit.
     ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError,
     and so is ``reps`` below 2, since an unbiased variance needs two
-    estimates, and a budget below 1, which has no logarithm to fit.
+    estimates, and a budget below 1 or a repeated one, which leave no slope to fit.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
@@ -413,6 +405,8 @@ def variance_report(
     for budget in budgets:
         if budget < 1:
             raise ValueError(f"budgets must be >= 1, got {budget}")
+    if len(set(budgets)) < len(budgets):
+        raise ValueError(f"budgets must be distinct, got {budgets}")
     theta = np.asarray(theta, dtype=float)
     modes = list(modes)
     v = direction if direction is not None else np.ones(task.dim) / math.sqrt(task.dim)
@@ -540,9 +534,9 @@ def _field(path, entry, key: str, where: str, kind):
 def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
     """Reload traces written by ``export_traces``; returns (traces, config).
 
-    A file that lacks a field or column the export writes, or holds one of
-    the wrong type, is a ValueError naming the file and the run and record
-    or line.
+    A file that lacks a field or column the export writes, holds one of
+    the wrong type, or has a run whose time or evals go backwards, is a
+    ValueError naming the file and the run and record or line.
     """
     with open(path, "rb") as fh:
         head = fh.read(1)
@@ -559,8 +553,12 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
             records = _field(path, run, "records", f"run {k}", list)
             trace = ConvergenceTrace(aborted=run.get("aborted", False), note=run.get("note", ""))
             for j, rec in enumerate(records):
-                trace.append(TraceRecord(*(_field(path, rec, key, f"run {k} record {j}", kind)
-                                           for key, kind in _RECORD_KEYS)))
+                record = TraceRecord(*(_field(path, rec, key, f"run {k} record {j}", kind)
+                                       for key, kind in _RECORD_KEYS))
+                try:
+                    trace.append(record)
+                except ValueError as err:
+                    raise ValueError(f"{path}: run {k} record {j}: {err}") from None
             traces.append(trace)
         return traces, payload.get("config")
     with open(path, newline="") as fh:
@@ -577,9 +575,9 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
                 run = int(row[0])
                 rec = TraceRecord(float(row[1]), int(row[2]), int(row[3]),
                                   float(row[4]), float(row[5]))
+                by_run.setdefault(run, ConvergenceTrace()).append(rec)
             except ValueError as err:
                 raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
-            by_run.setdefault(run, ConvergenceTrace()).append(rec)
     return [by_run[k] for k in sorted(by_run)], None
 
 

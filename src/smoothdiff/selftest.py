@@ -22,11 +22,12 @@ from .estimators import (
     Objective,
     SamplingMode,
     _axis,
+    _contract_hvp,
     _draw,
     _draw_axis_blur,
+    _hvp_coefficients,
     _reduce_gradient,
     _reduce_hessian,
-    _reduce_hvp,
     estimate_gradient,
     estimate_gradient_fr22,
     estimate_hessian,
@@ -259,7 +260,7 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
     contract, weigh = {"gradient": (_reduce_gradient, _gradient_weights),
                        "fr22": (_reduce_gradient, _gradient_weights),
                        "hessian": (_reduce_hessian, _hessian_weights),
-                       "hvp": (_reduce_hvp, _hvp_weights)}[order]
+                       "hvp": (_contract_hvp, _hvp_weights)}[order]
     shifts = {}
     if order == "hvp":
         v = np.asarray(v, dtype=float)
@@ -269,7 +270,8 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
     for stack in draw(cfg, rng, elements):
         points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=1)
         vals = np.array([[fn(point) for point in block] for block in points])
-        contracted.append(contract(stack, vals, sigma=sigma, **shifts).ravel())
+        x = _hvp_coefficients(stack, vals, sigma) if order == "hvp" else vals
+        contracted.append(contract(stack, x, sigma=sigma, **shifts).ravel())
         weights = _weights(stack, partial(weigh, sigma=sigma, **shifts))
         weighted.append(_weighted_sums(vals, weights, order in ("hessian", "hvp")).ravel())
     return np.concatenate(contracted), np.concatenate(weighted)

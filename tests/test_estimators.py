@@ -22,7 +22,15 @@ from smoothdiff.estimators import (
     estimate_hvp,
     evals_per_estimate,
 )
-from smoothdiff.estimators import _CHUNK_BYTES, _draw, _draw_axis_blur, _reduce_gradient, _reduce_hvp
+from smoothdiff.estimators import (
+    _CHUNK_BYTES,
+    _contract_hvp,
+    _draw,
+    _draw_axis_blur,
+    _evaluate,
+    _hvp_coefficients,
+    _reduce_gradient,
+)
 from smoothdiff.kernels import (
     KernelSpec,
     axis_blur_gradient_kernel,
@@ -381,17 +389,24 @@ class TestSampledBatch:
         return estimate_gradient(obj, self.THETA, cfg(sigma=0.6, dim=3, samples=samples, mode=mode),
                                  RngStream(seed), keep_batch=True)
 
+    def evaluated(self, mode):
+        """The stacks and values ``keep`` evaluates, re-drawn from a fresh stream at its address."""
+        stacks = _draw(cfg(sigma=0.6, dim=3, samples=3, mode=mode), RngStream(8), gradient_elements(3))
+        return list(_evaluate(Objective(wavy, 3), self.THETA, stacks))
+
     @pytest.mark.parametrize("mode", list(SamplingMode))
     def test_estimates_equal_reductions_of_the_same_stacks_and_values(self, mode):
         est = self.keep(mode)
         batch = est.batch
         sigma, eps = batch.cfg.spec.sigma, batch.cfg.epsilon()
+        evaluated = self.evaluated(mode)
         assert np.array_equal(est.g, np.concatenate(
-            [_reduce_gradient(stack, vals, sigma) for stack, vals in batch.evaluated]))
+            [_reduce_gradient(stack, vals, sigma) for stack, vals in evaluated]))
         for v in (self.V, -2.0 * self.V, np.array([0.0, 0.0, 3.0])):
             scale = math.sqrt(float(v.dot(v)))
-            want = scale * np.concatenate([_reduce_hvp(stack, vals, sigma, v / scale, eps)
-                                           for stack, vals in batch.evaluated])
+            want = scale * np.concatenate(
+                [_contract_hvp(stack, _hvp_coefficients(stack, vals, sigma), sigma, v / scale, eps)
+                 for stack, vals in evaluated])
             assert np.array_equal(batch.hvp(v), want)
 
     @pytest.mark.parametrize("mode", list(SamplingMode))
@@ -428,7 +443,7 @@ class TestSampledBatch:
         batch = self.keep(mode).batch
         for k in range(3):
             batch.hvp(np.roll(self.V, k))
-        assert len(calls) == len(batch.evaluated)
+        assert len(calls) == len(self.evaluated(mode))
 
     def test_bad_direction_rejected(self):
         batch = self.keep(SamplingMode.AGGREGATE).batch

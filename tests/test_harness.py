@@ -81,6 +81,28 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=key):
             RunConfig(**{**QUAD_CFG, key: value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("samples", 1.5), ("ensemble", 1.5), ("samples", True), ("samples", math.nan),
+        ("budget_evals", 20.5), ("seed", 0.5), ("seed", False), ("ls_iters", 3.0),
+        ("recompute", np.float64(5.0)), ("threads", 2.0),
+    ])
+    def test_integer_keys_reject_non_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got "):
+            RunConfig(**{**QUAD_CFG, key: value})
+
+    def test_integer_keys_take_numpy_integers(self):
+        cfg = RunConfig(**{**QUAD_CFG, "samples": np.int64(4), "seed": np.int32(3),
+                           "budget_evals": np.int64(600), "ensemble": np.uint8(3)})
+        assert all(type(getattr(cfg, key)) is int for key in ("samples", "seed", "budget_evals"))
+        plain = run_ensemble(RunConfig(**QUAD_CFG))
+        for t1, t2 in zip(run_ensemble(cfg).traces, plain.traces, strict=True):
+            assert t1.records == t2.records
+
+    def test_plateau_start_needs_plateau_points(self):
+        with pytest.raises(ValueError, match="task quad has no plateau starting points"):
+            RunConfig(task="quad", method="FD", lr=0.5, budget_evals=20, init="plateau")
+        RunConfig(task="box2", method="FD", lr=0.5, budget_evals=20, init="plateau")
+
     @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
     def test_first_order_rejects_bad_lr(self, value):
         with pytest.raises(ValueError, match="lr"):
@@ -142,6 +164,29 @@ class TestRunEnsemble:
         for frac, stat in result.thresholds["param_error"].items():
             assert stat.median_time is None
             assert stat.reached_runs == 0
+
+    @pytest.mark.parametrize("initial", [-0.5, 0.0, -0.0, math.nan, -math.inf])
+    def test_no_reduction_from_a_start_at_or_below_zero(self, initial):
+        trace = ConvergenceTrace()
+        for k, (loss, err) in enumerate(zip([initial, -1.0, -2.0, 0.0, 1e-9],
+                                            [1.0, 0.05, 0.005, 5e-4, 0.0])):
+            trace.append(TraceRecord(float(k), k, k + 1, loss, err))
+        assert first_crossings(trace, "loss") == {0.9: None, 0.99: None, 0.999: None}
+        assert first_crossings(trace, "param_error") == {0.9: (1.0, 2), 0.99: (2.0, 3),
+                                                         0.999: (3.0, 4)}
+
+    def test_neg_gauss_loss_crosses_no_threshold(self):
+        # the loss starts below zero in every run, so a reduction of it
+        # means nothing; it used to count as crossed at the first record
+        cfg = RunConfig(task="neg_gauss", method="OurG", lr=0.3, samples=2, sigma_end=0.05,
+                        budget_evals=200, ensemble=4, deterministic=True)
+        result = run_ensemble(cfg)
+        assert all(t.records[0].loss < 0 for t in result.traces)
+        for stat in result.thresholds["loss"].values():
+            assert stat.reached_runs == 0 and stat.median_evals is None
+        param = result.thresholds["param_error"]
+        assert (param[0.9].reached_runs, param[0.9].median_evals) == (4, 131.5)
+        assert param[0.99].reached_runs == param[0.999].reached_runs == 0
 
 
 class TestSampledProvider:
@@ -306,9 +351,16 @@ class TestExport:
          "run 0 record 0 has 'loss' = None, not a number"),
         ("t.json", "{runs", "not valid JSON"),
         ("t.csv", CSV_HEADER + "\nx,0,0,0,1,1\n", "line 2: invalid literal for int()"),
+        ("t.csv", CSV_HEADER + "\n0,0.5,0,4,1,1\n1,0.1,0,1,1,1\n0,0.5,1,3,1,1\n",
+         "line 4: trace records must have nondecreasing time and evals"),
+        ("t.json", json.dumps({"runs": [{"records": [
+            {"wall_time_s": 0.5, "iter": 0, "evals": 4, "loss": 1.0, "param_error": 1.0},
+            {"wall_time_s": 0.4, "iter": 1, "evals": 5, "loss": 1.0, "param_error": 1.0}]}]}),
+         "run 0 record 1: trace records must have nondecreasing time and evals"),
     ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row",
             "json_runs_not_a_list", "json_run_not_an_object", "json_loss_a_string",
-            "json_loss_null", "json_invalid", "csv_run_not_an_integer"])
+            "json_loss_null", "json_invalid", "csv_run_not_an_integer", "csv_evals_go_back",
+            "json_time_goes_back"])
     def test_malformed_file_rejected_naming_file_and_missing_part(self, tmp_path, capsys, name,
                                                                   content, missing):
         path = tmp_path / name
@@ -357,6 +409,15 @@ class TestVarianceReport:
         task = replace(negated_gaussian_task(), fn=lambda th: calls.append(1) or 0.0)
         with pytest.raises(ValueError, match=f"budgets must be >= 1, got {bad}$"):
             variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], budgets,
+                            orders=("G",), reps=3)
+        assert calls == []
+
+    def test_rejects_repeated_budget_before_any_estimate(self):
+        # one distinct budget left np.polyfit a rank-deficient fit
+        calls = []
+        task = replace(negated_gaussian_task(), fn=lambda th: calls.append(1) or 0.0)
+        with pytest.raises(ValueError, match=r"budgets must be distinct, got \[24, 96, 24\]$"):
+            variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], [24, 96, 24],
                             orders=("G",), reps=3)
         assert calls == []
 
@@ -442,6 +503,16 @@ class TestCli:
         assert "'qaud'" in captured.err
         assert "--- task=" not in captured.out
 
+    def test_sweep_with_plateau_start_on_a_task_without_plateaus_exits_2_before_any_run(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text("[sweep]\nmethods = FD\ntasks = box2, quad\ninit = plateau\n"
+                       "lr = 0.5\nseed = 1\nbudget_evals = 20\nensemble = 1\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: task quad has no plateau starting points"]
+        assert "--- task=" not in captured.out
+
     @pytest.mark.parametrize("name", ["qaud", "texturex", "texture2", "texture-8"])
     def test_unknown_task_is_named(self, name):
         with pytest.raises(ValueError, match=f"unknown task {name!r}"):
@@ -487,6 +558,27 @@ class TestCli:
                      "--budgets", "0,-8", "--reps", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: budgets must be >= 1, got 0"]
+        assert captured.out == ""
+
+    def test_variance_repeated_budget_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["variance", "--task", "quad", "--modes", "aggregate", "--orders", "G",
+                         "--budgets", "24,24", "--reps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: budgets must be distinct, got [24, 24]"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option,raw,kind", [
+        ("--budgets", "24,x", "ints"), ("--budgets", "24,1.5", "ints"),
+        ("--theta", "0.5,y", "floats"),
+    ])
+    def test_variance_unparsed_value_names_its_option(self, capsys, option, raw, kind):
+        assert main(["variance", "--task", "quad", "--modes", "aggregate", "--orders", "G",
+                     "--reps", "3", option, raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {option}: expected comma-separated {kind}, got {raw!r}"]
         assert captured.out == ""
 
     def test_variance_subcommand(self, tmp_path, capsys):
