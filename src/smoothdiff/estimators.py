@@ -41,12 +41,12 @@ Every estimator runs the same three stages:
    Kernel / N and q are free of Gaussian normalization factors, so they
    stay finite in high dimension, and no mirror row is ever weighted.
 
-The HVP weight is the directional central difference of shifted gradient
-kernels; the same draws and the same evaluations serve both shifted
-gradient estimates, which is what keeps its cost at one evaluation per
-pair-half.  An HVP draws the gradient's offsets, and the direction
-enters only ``_contract_hvp``, the one HVP contraction.  So one
-evaluated batch gives the gradient and the HVP along every direction:
+The HVP weight is the Hessian kernel contracted with the direction v,
+sum_j (tau_i tau_j - sigma^2 delta_ij) v_j / sigma^4 over q (Stein's
+second-order identity for Gaussian smoothing).  An HVP draws the
+gradient's offsets, and the direction enters only ``_contract_hvp``, the
+one HVP contraction, which is exactly linear in v.  So one evaluated
+batch gives the gradient and the HVP along every direction:
 ``estimate_gradient`` with ``keep_batch`` returns a ``SampledBatch`` of
 each stack with its HVP coefficients, and ``SampledBatch.hvp`` contracts
 them with no further evaluation.  The operator is bound to its batch, so
@@ -178,11 +178,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-
-    def epsilon(self) -> float:
-        # the HVP kernel shift: large enough that the kernel difference
-        # dominates MC noise, small against the kernel bandwidth
-        return 0.01 * self.spec.sigma
 
 
 def evals_per_estimate(mode: SamplingMode, elements: int, samples: int) -> int:
@@ -396,56 +391,45 @@ def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray
     return out / (s2 * s2)
 
 
-def _hvp_coefficients(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
-    """The per-row HVP coefficients c of ``_contract_hvp``, free of the direction."""
-    return _even_coefficients(vals, stack.q) / (2.0 * sigma * sigma)
-
-
-def _hvp_terms(evaluated: Iterable[tuple[_Stack, np.ndarray]], sigma: float) -> Iterator[tuple]:
+def _hvp_terms(evaluated: Iterable[tuple[_Stack, np.ndarray]]) -> Iterator[tuple]:
     """Each evaluated stack with its HVP coefficients, one at a time (see _draw)."""
     for stack, vals in evaluated:
-        yield stack, _hvp_coefficients(stack, vals, sigma)
+        yield stack, _even_coefficients(vals, stack.q)
         del stack, vals
 
 
-def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
-                  eps: float) -> np.ndarray:
-    """hv_i = sum_r c_r (tau_ri (r- - r+) / eps - v_i (r- + r+)) for the unit direction v.
+def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+    """hv_i = sum_r c_r (tau_ri (tau_r . v) - sigma^2 v_i) / sigma^4, c from ``_even_coefficients``.
 
-    The weight, the central difference of the gradient kernels shifted by
-    -+eps v over N and q, is (tau_i (r- - r+) - eps v_i (r- + r+)) /
-    (2 eps sigma^2 q) with r+- = exp(-(+-2 eps tau.v + eps^2) / 2 sigma^2).
-    r+ and r- swap at a mirror row, so they are taken at the drawn rows only.
-    c comes from ``_hvp_coefficients`` and does not depend on v, so a batch
-    forms it once for every direction (``SampledBatch``).
+    The weight is the Hessian kernel contracted with v, over N and q.  It
+    is even in tau, so a mirror row weighs as its drawn row, and linear
+    in v.  c does not depend on v, so a batch forms it once for every
+    direction (``SampledBatch``).
     """
     taus, s2 = stack.taus, sigma * sigma
-    shift = 2.0 * eps * (taus @ v)
-    level = eps * eps * float(v.dot(v))
-    r_plus = np.exp((shift + level) / (-2.0 * s2))
-    r_minus = np.exp((shift - level) / (2.0 * s2))
-    a = c * (r_minus - r_plus) / eps
+    a = c * (taus @ v)
     if _contracted_whole(stack):
-        return a[0] @ taus[0] - float(c[0] @ (r_minus[0] + r_plus[0])) * v
-    i = stack.elements.i
-    return (_axis(taus, i) * a).sum(axis=1) - v[i] * (c * (r_minus + r_plus)).sum(axis=1)
+        hv = a[0] @ taus[0] - s2 * float(c[0].sum()) * v
+    else:
+        i = stack.elements.i
+        hv = (_axis(taus, i) * a).sum(axis=1) - s2 * v[i] * c.sum(axis=1)
+    return hv / (s2 * s2)
 
 
 # ---------------------------------------------------------------------------
 # the evaluated batch of a gradient estimate
 # ---------------------------------------------------------------------------
 
-def _check_direction(v, dim: int) -> tuple[np.ndarray, float]:
-    """``v`` as floats and its norm, which must be finite and nonzero."""
+def _check_direction(v, dim: int) -> np.ndarray:
+    """``v`` as floats; it must be finite and nonzero."""
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
-    vv = float(v.dot(v))
-    if not math.isfinite(vv):
-        raise ValueError("direction must be finite, with a finite norm")
-    if vv == 0.0:
-        raise ValueError("direction must be nonzero, with a nonzero norm")
-    return v, math.sqrt(vv)
+    if not np.isfinite(v).all():
+        raise ValueError("direction must be finite")
+    if not v.any():
+        raise ValueError("direction must be nonzero")
+    return v
 
 
 class SampledBatch:
@@ -456,30 +440,20 @@ class SampledBatch:
     the estimate was made.  The direction of an HVP enters only the
     contraction, so ``hvp(v)`` contracts the terms for any v at no further
     evaluation.  Every product comes from the same samples, so they form
-    one fixed operator: hv(a v) = a hv(v) to rounding, and it is symmetric
-    and additive in v up to O(eps^2) of the kernel shift.
+    one fixed operator, linear in v to rounding.  It is symmetric to
+    rounding for a shared block (``AGGREGATE``, ``UNIFORM``); in
+    ``PER_ELEMENT`` mode each row of it comes from a block of its own, so
+    it is not symmetric.
     """
 
     def __init__(self, cfg: EstimatorConfig, evaluated: Iterable[tuple[_Stack, np.ndarray]]):
         self.cfg = cfg
-        self.terms = tuple(_hvp_terms(evaluated, cfg.spec.sigma))
+        self.terms = tuple(_hvp_terms(evaluated))
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
-        v, norm = _check_direction(v, self.cfg.spec.dim)
-        return _hvp(self.terms, v, norm, self.cfg)
-
-
-def _hvp(terms: Iterable[tuple[_Stack, np.ndarray]], v: np.ndarray, norm: float,
-         cfg: EstimatorConfig) -> np.ndarray:
-    """The HVP along v, of norm ``norm``, contracted from (stack, coefficients) terms.
-
-    The product is linear in v, so the kernels are shifted along the unit
-    direction and the result rescaled by ||v||, which keeps eps*||v||
-    small against the bandwidth for any direction.
-    """
-    along = partial(_contract_hvp, sigma=cfg.spec.sigma, v=v / norm, eps=cfg.epsilon())
-    return norm * _contract(terms, along)
+        v = _check_direction(v, self.cfg.spec.dim)
+        return _contract(self.terms, partial(_contract_hvp, sigma=self.cfg.spec.sigma, v=v))
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +544,9 @@ def estimate_hvp(
 ) -> HvpEstimate:
     """Unbiased estimate of the smoothed Hessian applied to direction ``v``.
 
-    Computed as the difference of gradient estimates at theta + eps*v and
-    theta - eps*v under common random numbers: both shifted estimates
-    share the same offset draws and the same function evaluations, so the
-    cost matches a single gradient estimate.
+    Importance-samples f against the Hessian kernel contracted with v,
+    on the gradient's offset draws, so it costs what a gradient estimate
+    costs.
 
     This is the per-call form: every call draws and evaluates a batch of
     its own, as ``variance_report`` and equal-budget comparisons need, and
@@ -585,8 +558,8 @@ def estimate_hvp(
     """
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
-    v, norm = _check_direction(v, n)
+    v = _check_direction(v, n)
     start = obj.eval_count
     evaluated = _evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n)))
-    hv = _hvp(_hvp_terms(evaluated, cfg.spec.sigma), v, norm, cfg)
+    hv = _contract(_hvp_terms(evaluated), partial(_contract_hvp, sigma=cfg.spec.sigma, v=v))
     return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

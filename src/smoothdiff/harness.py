@@ -24,6 +24,7 @@ from .estimators import (
     GradientEstimate,
     Objective,
     SamplingMode,
+    _check_direction,
     estimate_gradient,
     estimate_gradient_fd,
     estimate_gradient_fr22,
@@ -363,8 +364,11 @@ class VarianceReport:
         for row in self.rows:
             lines.append(f"{row.mode},{row.order},{row.budget_evals},{row.variance!r}")
         lines.append("")
-        for (mode, order), slope in sorted(self.slopes.items()):
-            lines.append(f"slope {mode} {order}: {slope:.3f}")
+        for cell in sorted({(row.mode, row.order) for row in self.rows}):
+            if cell in self.slopes:
+                lines.append(f"slope {cell[0]} {cell[1]}: {self.slopes[cell]:.3f}")
+            elif sum((row.mode, row.order) == cell for row in self.rows) >= 2:
+                lines.append(f"slope {cell[0]} {cell[1]}: none, a variance is 0 or not finite")
         return "\n".join(lines)
 
 
@@ -390,10 +394,13 @@ def variance_report(
     For each (mode, order, budget) cell the estimator runs ``reps`` times
     with as many antithetic pairs as the budget buys; the reported
     variance sums the elementwise variances over repetitions.  Slopes of
-    log-variance against log-budget come from a least-squares fit.
-    ``orders`` takes "G", "H" and "HVP"; any other name is a ValueError,
-    and so is ``reps`` below 2, since an unbiased variance needs two
-    estimates, and a budget below 1 or a repeated one, which leave no slope to fit.
+    log-variance against log-budget come from a least-squares fit, for
+    each cell whose variances are all finite and > 0; other cells have no
+    slope.  ``orders`` takes "G", "H" and "HVP"; any other name is a
+    ValueError, and so is ``reps`` below 2, since an unbiased variance
+    needs two estimates, a budget below 1 or a repeated one, which leave
+    no slope to fit, and, with "HVP" among the orders, a ``direction`` of
+    the wrong shape, not finite or zero.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
@@ -410,6 +417,8 @@ def variance_report(
     theta = np.asarray(theta, dtype=float)
     modes = list(modes)
     v = direction if direction is not None else np.ones(task.dim) / math.sqrt(task.dim)
+    if "HVP" in orders:
+        v = _check_direction(v, task.dim)
     rows: list[VarianceRow] = []
     slopes: dict[tuple[str, str], float] = {}
     stream = 0
@@ -435,7 +444,7 @@ def variance_report(
                 var = float(arr.var(axis=0, ddof=1).sum())
                 cell_vars.append(var)
                 rows.append(VarianceRow(mode=mode.value, order=order, budget_evals=budget, variance=var))
-            if len(budgets) >= 2:
+            if len(budgets) >= 2 and all(0.0 < var < math.inf for var in cell_vars):
                 slope = float(np.polyfit(np.log(budgets), np.log(cell_vars), 1)[0])
                 slopes[(mode.value, order)] = slope
     return VarianceReport(rows=rows, slopes=slopes)
@@ -516,7 +525,9 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
 # each JSON record field with the types it may have
 _RECORD_KEYS = (("wall_time_s", (int, float)), ("iter", int), ("evals", int),
                 ("loss", (int, float)), ("param_error", (int, float)))
-_TYPE_NAMES = {list: "a list", int: "an integer", (int, float): "a number"}
+_RUN_KEYS = (("aborted", bool), ("note", str))
+_TYPE_NAMES = {list: "a list", int: "an integer", (int, float): "a number", bool: "a boolean",
+               str: "a string"}
 
 
 def _field(path, entry, key: str, where: str, kind):
@@ -526,7 +537,7 @@ def _field(path, entry, key: str, where: str, kind):
     if key not in entry:
         raise ValueError(f"{path}: {where} has no {key!r}")
     value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ValueError(f"{path}: {where} has {key!r} = {value!r}, not {_TYPE_NAMES[kind]}")
     return value
 
@@ -536,7 +547,8 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
 
     A file that lacks a field or column the export writes, holds one of
     the wrong type, or has a run whose time or evals go backwards, is a
-    ValueError naming the file and the run and record or line.
+    ValueError naming the file and the run and record or line.  A JSON
+    run without ``aborted`` or ``note`` keeps that field's default.
     """
     with open(path, "rb") as fh:
         head = fh.read(1)
@@ -551,7 +563,8 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
         traces = []
         for k, run in enumerate(_field(path, payload, "runs", "JSON trace file", list)):
             records = _field(path, run, "records", f"run {k}", list)
-            trace = ConvergenceTrace(aborted=run.get("aborted", False), note=run.get("note", ""))
+            trace = ConvergenceTrace(**{key: _field(path, run, key, f"run {k}", kind)
+                                        for key, kind in _RUN_KEYS if key in run})
             for j, rec in enumerate(records):
                 record = TraceRecord(*(_field(path, rec, key, f"run {k} record {j}", kind)
                                        for key, kind in _RECORD_KEYS))

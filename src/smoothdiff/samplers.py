@@ -58,7 +58,8 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        # int(): a numpy integer would mask in its own fixed width and overflow
+        key = np.array([int(self.seed) & _MASK64, int(self.stream_id) & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     @property

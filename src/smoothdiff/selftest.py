@@ -25,7 +25,7 @@ from .estimators import (
     _contract_hvp,
     _draw,
     _draw_axis_blur,
-    _hvp_coefficients,
+    _even_coefficients,
     _reduce_gradient,
     _reduce_hessian,
     estimate_gradient,
@@ -113,8 +113,6 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
     elements = hessian_elements(n) if order == "hessian" else gradient_elements(n)
     if order == "hvp":
         v = np.asarray(v, dtype=float)
-        scale = float(np.linalg.norm(v))
-        unit, eps = v / scale, cfg.epsilon()
     values = np.empty(len(elements))
     for k, elem in enumerate(elements):
         if order == "fr22":
@@ -144,17 +142,13 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
             both = (u - sigma) * (u + sigma) if elem.kind is ElementKind.HESSIAN_DIAG else u * taus[:, elem.j]
             values[k] = (both * c).sum() / (s2 * s2)
             continue
-        c = c / (2.0 * s2)
-        tv, vv = taus @ unit, float(unit @ unit)
-        r_plus = np.exp(-(2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-        r_minus = np.exp(-(-2.0 * eps * tv + eps * eps * vv) / (2.0 * s2))
-        values[k] = (u * (c * (r_minus - r_plus) / eps)).sum() - unit[k] * (c * (r_minus + r_plus)).sum()
+        values[k] = ((u * (c * (taus @ v))).sum() - s2 * v[k] * c.sum()) / (s2 * s2)
     if order == "hessian":
         h = np.zeros((n, n))
         h[elements.i, elements.j] = values
         h[elements.j, elements.i] = values
         return h
-    return scale * values if order == "hvp" else values
+    return values
 
 
 def stacked_estimate(order: str, obj: Objective, theta, cfg: EstimatorConfig,
@@ -170,9 +164,9 @@ def stacked_estimate(order: str, obj: Objective, theta, cfg: EstimatorConfig,
 
 # The weight stage, the formula reference of the contractions: each row of
 # a stack and its mirror image weighted by the kernel factor (kernel / N)
-# of every element the block serves, over q.  The mirror rows' gradient and
-# Hessian weights follow from the drawn rows' by parity, exactly in IEEE
-# arithmetic: q is even, the gradient factor odd and the Hessian factor even.
+# of every element the block serves, over q.  The mirror rows' weights
+# follow from the drawn rows' by parity, exactly in IEEE arithmetic: q is
+# even, the gradient factor odd and the Hessian and HVP factors even.
 
 def _weights(stack, weigh) -> tuple[np.ndarray, np.ndarray]:
     """The weights of a stack's drawn rows and of their mirror images.
@@ -206,21 +200,13 @@ def _hessian_weights(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return drawn, drawn
 
 
-def _hvp_weights(stack, sigma: float, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(grad-kernel(tau + eps v) - grad-kernel(tau - eps v)) / (2 eps N(tau)) over q, per served axis."""
+def _hvp_weights(stack, sigma: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j (tau_i tau_j - sigma^2 delta_ij) v_j / sigma^4 over q per served axis i: even in tau."""
     s2 = sigma * sigma
-    rows = np.concatenate((stack.taus, -stack.taus), axis=1)
-    shift = 2.0 * eps * (rows @ v)
-    level = eps * eps * float(v.dot(v))
-    r_plus = np.exp((shift + level) / (-2.0 * s2))
-    r_minus = np.exp((shift - level) / (2.0 * s2))
     i = stack.elements.i
-    u = _axis(rows, i)
-    ev = (eps * v[i])[:, None]
-    factor = ((u - ev) * r_minus - (u + ev) * r_plus) / (2.0 * eps * s2)
-    weights = factor / np.concatenate((stack.q, stack.q), axis=1)
-    count = stack.taus.shape[1]
-    return weights[:, :count], weights[:, count:]
+    factor = (_axis(stack.taus, i) * (stack.taus @ v) - s2 * v[i][:, None]) / (s2 * s2)
+    drawn = factor / stack.q
+    return drawn, drawn
 
 
 def _weighted_sums(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray], even: bool) -> np.ndarray:
@@ -247,12 +233,12 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
                      v=None) -> tuple[np.ndarray, np.ndarray]:
     """Every stack's estimates contracted and weighted: (contraction, weighted sums).
 
-    ``order`` is "gradient", "hessian", "hvp" (along the unit vector of
-    ``v``) or "fr22" (per-element mode only).  Draws every stack the
-    estimator would for ``cfg.mode``, evaluates ``fn`` at its points and
-    reduces the same values both ways: by the contraction the estimators
-    run, and by the weight stage above summed over antithetic pairs.  Both
-    come back in the estimate's element order.
+    ``order`` is "gradient", "hessian", "hvp" (along ``v``) or "fr22"
+    (per-element mode only).  Draws every stack the estimator would for
+    ``cfg.mode``, evaluates ``fn`` at its points and reduces the same
+    values both ways: by the contraction the estimators run, and by the
+    weight stage above summed over antithetic pairs.  Both come back in
+    the estimate's element order.
     """
     sigma, n = cfg.spec.sigma, cfg.spec.dim
     elements = hessian_elements(n) if order == "hessian" else gradient_elements(n)
@@ -261,18 +247,15 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
                        "fr22": (_reduce_gradient, _gradient_weights),
                        "hessian": (_reduce_hessian, _hessian_weights),
                        "hvp": (_contract_hvp, _hvp_weights)}[order]
-    shifts = {}
-    if order == "hvp":
-        v = np.asarray(v, dtype=float)
-        shifts = dict(v=v / np.linalg.norm(v), eps=cfg.epsilon())
+    along = dict(v=np.asarray(v, dtype=float)) if order == "hvp" else {}
     theta = np.asarray(theta, dtype=float)
     contracted, weighted = [], []
     for stack in draw(cfg, rng, elements):
         points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=1)
         vals = np.array([[fn(point) for point in block] for block in points])
-        x = _hvp_coefficients(stack, vals, sigma) if order == "hvp" else vals
-        contracted.append(contract(stack, x, sigma=sigma, **shifts).ravel())
-        weights = _weights(stack, partial(weigh, sigma=sigma, **shifts))
+        x = _even_coefficients(vals, stack.q) if order == "hvp" else vals
+        contracted.append(contract(stack, x, sigma=sigma, **along).ravel())
+        weights = _weights(stack, partial(weigh, sigma=sigma, **along))
         weighted.append(_weighted_sums(vals, weights, order in ("hessian", "hvp")).ravel())
     return np.concatenate(contracted), np.concatenate(weighted)
 

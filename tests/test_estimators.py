@@ -28,10 +28,11 @@ from smoothdiff.estimators import (
     _draw,
     _draw_axis_blur,
     _evaluate,
-    _hvp_coefficients,
+    _even_coefficients,
     _reduce_gradient,
 )
 from smoothdiff.kernels import (
+    KernelElement,
     KernelSpec,
     axis_blur_gradient_kernel,
     gradient_elements,
@@ -112,9 +113,6 @@ class TestEstimatorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             cfg(samples=0)
-
-    def test_epsilon_default_tracks_sigma(self):
-        assert cfg(sigma=2.5).epsilon() == pytest.approx(0.025)
 
 
 class TestGradient:
@@ -318,9 +316,9 @@ class TestHvp:
         assert_within_se(mean, QUAD_H @ v, se, 3)
 
     def test_linear_objective_zero_where_value_vanishes(self):
-        # common random numbers: both shifted gradient estimates share draws
-        # and evaluations, so for a linear objective the estimate collapses
-        # to f(theta) * (weight); it vanishes identically where f(theta) = 0
+        # the HVP weight is even in tau, so an antithetic pair counts only
+        # through its mean value, which for a linear objective is f(theta);
+        # the estimate vanishes identically where f(theta) = 0
         c = np.array([1.0, -1.0])
         obj = Objective(lambda th: float(c @ th), dim=2)
         theta = np.array([1.0, 1.0])
@@ -383,6 +381,7 @@ class TestSampledBatch:
 
     THETA = np.array([0.4, -0.7, 0.2])
     V = np.array([0.3, -1.1, 0.5])
+    U = np.array([-0.8, 0.2, 1.4])
 
     def keep(self, mode, seed=8, samples=3, obj=None):
         obj = obj or Objective(wavy, 3)
@@ -398,14 +397,13 @@ class TestSampledBatch:
     def test_estimates_equal_reductions_of_the_same_stacks_and_values(self, mode):
         est = self.keep(mode)
         batch = est.batch
-        sigma, eps = batch.cfg.spec.sigma, batch.cfg.epsilon()
+        sigma = batch.cfg.spec.sigma
         evaluated = self.evaluated(mode)
         assert np.array_equal(est.g, np.concatenate(
             [_reduce_gradient(stack, vals, sigma) for stack, vals in evaluated]))
         for v in (self.V, -2.0 * self.V, np.array([0.0, 0.0, 3.0])):
-            scale = math.sqrt(float(v.dot(v)))
-            want = scale * np.concatenate(
-                [_contract_hvp(stack, _hvp_coefficients(stack, vals, sigma), sigma, v / scale, eps)
+            want = np.concatenate(
+                [_contract_hvp(stack, _even_coefficients(vals, stack.q), sigma, v)
                  for stack, vals in evaluated])
             assert np.array_equal(batch.hvp(v), want)
 
@@ -424,6 +422,19 @@ class TestSampledBatch:
     def test_homogeneous_in_direction(self, mode, a):
         batch = self.keep(mode).batch
         assert_allclose(batch.hvp(a * self.V), a * batch.hvp(self.V), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_additive_in_direction(self, mode):
+        batch = self.keep(mode).batch
+        both = batch.hvp(self.U + self.V)
+        assert np.linalg.norm(both - batch.hvp(self.U) - batch.hvp(self.V)) <= 1e-12 * np.linalg.norm(both)
+
+    @pytest.mark.parametrize("mode", [SamplingMode.AGGREGATE, SamplingMode.UNIFORM])
+    def test_symmetric_for_a_shared_block(self, mode):
+        # per-element rows come from blocks of their own, so only a shared block is symmetric
+        batch = self.keep(mode).batch
+        uhv = self.U @ batch.hvp(self.V)
+        assert abs(uhv - self.V @ batch.hvp(self.U)) <= 1e-12 * abs(uhv)
 
     @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
     def test_products_spend_no_evaluation(self, mode):
@@ -452,6 +463,10 @@ class TestSampledBatch:
                 batch.hvp(bad)
 
 
+def hessian_element(i, j):
+    return KernelElement.hessian_diag(i) if i == j else KernelElement.hessian_off_diag(i, j)
+
+
 # (mode, order) pairs of the weight stage; FR22 draws only gradients
 WEIGHT_CASES = [(mode, order) for mode in ("per_element", "aggregate", "uniform")
                 for order in ("gradient", "hessian", "hvp")] + [("fr22", "gradient")]
@@ -464,15 +479,14 @@ def test_weight_stage_equals_kernel_over_pdf(mode, order):
     sigma = spec.sigma
     v = np.array([0.6, -0.48, 0.64])
     c = cfg(sigma=sigma, dim=3, samples=5, mode=SamplingMode.PER_ELEMENT if mode == "fr22" else SamplingMode(mode))
-    eps = c.epsilon()
     elements = hessian_elements(3) if order == "hessian" else gradient_elements(3)
     weigh = {"gradient": partial(_gradient_weights, sigma=sigma),
              "hessian": partial(_hessian_weights, sigma=sigma),
-             "hvp": partial(_hvp_weights, sigma=sigma, v=v, eps=eps)}[order]
+             "hvp": partial(_hvp_weights, sigma=sigma, v=v)}[order]
     kernel = {"gradient": lambda t, e: gradient_kernel(t, e.i, spec),
               "hessian": lambda t, e: hessian_kernel(t, e, spec),
-              "hvp": lambda t, e: (gradient_kernel(t + eps * v, e.i, spec)
-                                   - gradient_kernel(t - eps * v, e.i, spec)) / (2.0 * eps)}[order]
+              "hvp": lambda t, e: sum(hessian_kernel(t, hessian_element(e.i, j), spec) * v[j]
+                                      for j in range(3))}[order]
     draw = _draw_axis_blur if mode == "fr22" else _draw
     (stack,) = draw(c, RngStream(3), elements)
     # a stack holds the drawn rows, and the stage weights them and their mirror images

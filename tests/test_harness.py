@@ -357,10 +357,13 @@ class TestExport:
             {"wall_time_s": 0.5, "iter": 0, "evals": 4, "loss": 1.0, "param_error": 1.0},
             {"wall_time_s": 0.4, "iter": 1, "evals": 5, "loss": 1.0, "param_error": 1.0}]}]}),
          "run 0 record 1: trace records must have nondecreasing time and evals"),
+        ("t.json", json.dumps({"runs": [{"aborted": "no", "records": []}]}),
+         "run 0 has 'aborted' = 'no', not a boolean"),
+        ("t.json", json.dumps({"runs": [{"note": 5, "records": []}]}), "run 0 has 'note' = 5, not a string"),
     ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row",
             "json_runs_not_a_list", "json_run_not_an_object", "json_loss_a_string",
             "json_loss_null", "json_invalid", "csv_run_not_an_integer", "csv_evals_go_back",
-            "json_time_goes_back"])
+            "json_time_goes_back", "json_aborted_a_string", "json_note_a_number"])
     def test_malformed_file_rejected_naming_file_and_missing_part(self, tmp_path, capsys, name,
                                                                   content, missing):
         path = tmp_path / name
@@ -419,6 +422,26 @@ class TestVarianceReport:
         with pytest.raises(ValueError, match=r"budgets must be distinct, got \[24, 96, 24\]$"):
             variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], [24, 96, 24],
                             orders=("G",), reps=3)
+        assert calls == []
+
+
+    def test_zero_variance_cell_has_no_slope(self):
+        # at the optimum of an even quadratic every gradient estimate is exactly 0,
+        # and a slope fit through log(0) reads nan
+        report = variance_report(quad_task(), np.zeros(2), [SamplingMode.AGGREGATE], [8, 16],
+                                 orders=("G",), reps=3)
+        assert [row.variance for row in report.rows] == [0.0, 0.0]
+        assert report.slopes == {}
+        assert report.format_table().endswith("slope aggregate G: none, a variance is 0 or not finite")
+
+    @pytest.mark.parametrize("bad,match", [(np.ones(3), "shape"), (np.array([math.nan, 1.0]), "finite"),
+                                           (np.zeros(2), "nonzero")])
+    def test_rejects_bad_direction_before_any_estimate(self, bad, match):
+        calls = []
+        task = replace(negated_gaussian_task(), fn=lambda th: calls.append(1) or 0.0)
+        with pytest.raises(ValueError, match=f"^direction .*{match}"):
+            variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], [8, 16],
+                            orders=("G", "HVP"), reps=5, direction=bad)
         assert calls == []
 
 

@@ -63,6 +63,11 @@ class TestRngStream:
         b = RngStream(123, 1).normal(100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64])
+    def test_numpy_integer_address_draws_as_its_int(self, kind):
+        assert np.array_equal(RngStream(kind(3), kind(5)).normal(10), RngStream(3, 5).normal(10))
+        assert np.array_equal(RngStream(np.int64(-1)).normal(10), RngStream(-1).normal(10))
+
 
 class TestHessianDiagTable:
     def test_rejects_small_resolution(self):
