@@ -1,8 +1,7 @@
 """Seeded records pinned against a stored reference.
 
 ``golden_records.json`` holds the deterministic records of short
-ensembles over the benchmark's cells: every ``lowdim`` cell, both
-``texture16`` cells and the two second-order rendered cells, plus
+ensembles over every cell of the benchmark's workloads, plus
 ``neg_gauss:OurHVP``, which no workload runs.  A change
 that is meant to leave the numbers alone must reproduce them exactly:
 same iterations and evaluation counts, bit-equal losses and parameter
@@ -58,6 +57,8 @@ CELLS = {
     "box10:OurHVPA": RunConfig(task="box10", method="OurHVPA", samples=4, trust_region=0.3,
                                ls_iters=3, sigma_start=0.2, sigma_end=0.01, budget_evals=300,
                                ensemble=2, seed=23, deterministic=True),
+    "box10:FD": RunConfig(task="box10", method="FD", lr=0.01, budget_evals=300, ensemble=2, seed=25,
+                          deterministic=True),
     "phong:OurH": RunConfig(task="phong", method="OurH", samples=2, trust_region=1.0, ls_iters=3,
                             sigma_start=0.3, sigma_end=0.01, budget_evals=600, ensemble=1,
                             seed=24, deterministic=True),
