@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -233,18 +232,21 @@ class _Stack(NamedTuple):
     q: np.ndarray
 
 
-def _axis(rows: np.ndarray, idx: np.ndarray, pos=slice(None)) -> np.ndarray:
-    """Shape (len(idx), R): axis idx[k] of the (B, R, dim) rows serving element pos[k]."""
+def _axis(rows: np.ndarray, idx: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
+    """Shape (len(idx), R): axis idx[k] of the (B, R, dim) rows serving element pos[k].
+
+    ``pos`` defaults to every block in order; with B > 1, block k serves element k.
+    """
     if len(rows) == 1:
         return rows[0].T[idx]
-    return rows[np.arange(len(rows))[pos], :, idx]
+    return rows[np.arange(len(rows)) if pos is None else pos, :, idx]
 
 
 def _check_theta(theta, dim: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dim,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     return theta
 
@@ -252,11 +254,11 @@ def _check_theta(theta, dim: int) -> np.ndarray:
 def _stacked(taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
     """Stack with q from the element densities: each block's own, or the mixture's for one block."""
     if len(taus) > 1:
-        q = element_density_ratios(taus, elements, sigma)
-    else:
-        ratios = element_density_ratios(taus[0], elements, sigma)
-        q = (ratios.sum(axis=1) / ratios.shape[1])[None]
-    return _Stack(taus, elements, q)
+        return _Stack(taus, elements, element_density_ratios(taus, elements, sigma))
+    ratios = element_density_ratios(taus[0], elements, sigma)
+    q = np.add.reduce(ratios, 1)
+    q /= ratios.shape[1]
+    return _Stack(taus, elements, q[None])
 
 
 def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
@@ -322,20 +324,21 @@ def _evaluate(obj: Objective, theta: np.ndarray,
         del stack, vals  # see _draw
 
 
-def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce) -> np.ndarray:
+def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce, *args) -> np.ndarray:
     """The estimate: each stack's contraction, concatenated in element order.
 
-    ``reduce(stack, x)`` turns a stack and what it is paired with, its
-    values or the HVP coefficients formed from them, into the estimates
-    of the elements it serves.  Stacks arrive in the order of the elements
-    they serve, and are taken one at a time, so a stream of evaluated
-    stacks is never held whole.
+    ``reduce(stack, x, *args)`` turns a stack and what it is paired with,
+    its values or the HVP coefficients formed from them, into the
+    estimates of the elements it serves.  Stacks arrive in the order of
+    the elements they serve, and are taken one at a time, so a stream of
+    evaluated stacks is never held whole.  A single stack's contraction
+    is the estimate as it is.
     """
     parts = []
     for stack, x in terms:
-        parts.append(reduce(stack, x).ravel())
+        parts.append(reduce(stack, x, *args).ravel())
         del stack, x  # see _draw
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # The reduce stage.  A served element's weight, kernel / N over q, is a
@@ -347,7 +350,7 @@ def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce) -> np.ndarray:
 
 def _contracted_whole(stack: _Stack) -> bool:
     """Whether one block serves more elements than there are blocks."""
-    return len(stack.elements) > len(stack.taus)
+    return len(stack.elements.i) > len(stack.taus)
 
 
 def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -359,20 +362,27 @@ def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     zero) and removes the dominant value-level variance term.
     """
     pairs = q.shape[1]
-    pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
+    pv = np.add(vals[:, :pairs], vals[:, pairs:])
+    pv *= 0.5
     if pairs > 1:
-        pv = (pv - pv.sum(axis=1, keepdims=True) / pairs) / (pairs - 1)
-    return pv / q
+        mean = np.add.reduce(pv, 1, keepdims=True)
+        mean /= pairs
+        pv -= mean
+        pv /= pairs - 1
+    pv /= q
+    return pv
 
 
 def _reduce_gradient(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
     """g_i = sum_r c_r tau_ri, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
     taus, q = stack.taus, stack.q
     count = q.shape[1]
-    c = (vals[:, count:] - vals[:, :count]) / (2.0 * sigma * sigma * count * q)
+    c = np.subtract(vals[:, count:], vals[:, :count])
+    c /= 2.0 * sigma * sigma * count * q
     if _contracted_whole(stack):
         return c[0] @ taus[0]
-    return (_axis(taus, stack.elements.i) * c).sum(axis=1)
+    c *= _axis(taus, stack.elements.i)
+    return np.add.reduce(c, 1)
 
 
 def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
@@ -407,13 +417,20 @@ def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray) -> 
     direction (``SampledBatch``).
     """
     taus, s2 = stack.taus, sigma * sigma
-    a = c * (taus @ v)
+    a = taus @ v
+    a *= c
     if _contracted_whole(stack):
-        hv = a[0] @ taus[0] - s2 * float(c[0].sum()) * v
+        hv = a[0] @ taus[0]
+        hv -= s2 * float(np.add.reduce(c[0])) * v
     else:
         i = stack.elements.i
-        hv = (_axis(taus, i) * a).sum(axis=1) - s2 * v[i] * c.sum(axis=1)
-    return hv / (s2 * s2)
+        a *= _axis(taus, i)
+        hv = np.add.reduce(a, 1)
+        level = s2 * v[i]
+        level *= np.add.reduce(c, 1)
+        hv -= level
+    hv /= s2 * s2
+    return hv
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +442,9 @@ def _check_direction(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise ValueError("direction must be finite")
-    if not v.any():
+    if not np.logical_or.reduce(v):
         raise ValueError("direction must be nonzero")
     return v
 
@@ -452,8 +469,8 @@ class SampledBatch:
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
-        v = _check_direction(v, self.cfg.spec.dim)
-        return _contract(self.terms, partial(_contract_hvp, sigma=self.cfg.spec.sigma, v=v))
+        spec = self.cfg.spec
+        return _contract(self.terms, _contract_hvp, spec.sigma, _check_direction(v, spec.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +487,7 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     if keep_batch:
         evaluated = tuple(evaluated)
         batch = SampledBatch(cfg, evaluated)
-    g = _contract(evaluated, partial(_reduce_gradient, sigma=cfg.spec.sigma))
+    g = _contract(evaluated, _reduce_gradient, cfg.spec.sigma)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start, batch=batch)
 
 
@@ -531,8 +548,7 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    reduce = partial(_reduce_hessian, sigma=cfg.spec.sigma)
-    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), reduce)
+    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), _reduce_hessian, cfg.spec.sigma)
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -561,5 +577,5 @@ def estimate_hvp(
     v = _check_direction(v, n)
     start = obj.eval_count
     evaluated = _evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n)))
-    hv = _contract(_hvp_terms(evaluated), partial(_contract_hvp, sigma=cfg.spec.sigma, v=v))
+    hv = _contract(_hvp_terms(evaluated), _contract_hvp, cfg.spec.sigma, v)
     return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

@@ -277,13 +277,20 @@ def gradient_inverse_cdf(xi, sigma: float):
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     xi_arr = np.asarray(xi, dtype=float)
-    tail = np.minimum(xi_arr, 1.0 - xi_arr)  # mass beyond u on the nearer side, halved
+    # one new array, worked in place: the mass beyond u on the nearer side,
+    # halved, then |u| / sigma, then u
+    out = np.subtract(1.0, xi_arr, out=np.empty(xi_arr.shape))
+    tail = np.minimum(xi_arr, out, out=out)
     # one reduction; a NaN fails the comparison too
     if tail.size and not tail.min() > 0.0:
         raise ValueError(f"xi must lie in the open interval (0, 1), got {xi}")
-    mag = np.sqrt(-2.0 * np.log(2.0 * tail))
-    # the sign of xi - 1/2: negative below the median, +0.0 at it, where mag is -0.0
-    out = sigma * np.copysign(mag, xi_arr - 0.5)
+    out *= 2.0
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    # the sign of xi - 1/2: negative below the median, +0.0 at it, where |u| is -0.0
+    np.copysign(out, xi_arr - 0.5, out=out)
+    out *= sigma
     return float(out) if xi_arr.ndim == 0 else out
 
 

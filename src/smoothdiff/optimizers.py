@@ -85,14 +85,16 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     ``state`` is updated and returned: the moment estimates ``adam_m`` and
     ``adam_v`` are arrays owned by the state and change in place, created
     on the first step; ``theta`` is replaced by a new array, so an array a
-    caller holds from before the step keeps its values.
+    caller holds from before the step keeps its values.  The step itself
+    is worked in two scratch arrays, the second of which becomes the new
+    ``theta``.
     """
     if not (lr > 0):
         raise ValueError(f"lr must be > 0, got {lr}")
     g = np.asarray(grad.g, dtype=float)
     if g.shape != state.theta.shape:
         raise ValueError(f"gradient shape {g.shape} does not match theta {state.theta.shape}")
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), None):
         raise NonFiniteStateError("non-finite gradient in Adam step", state.trace)
     if state.adam_m is None:
         state.adam_m = np.zeros_like(g)
@@ -101,12 +103,20 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     m, v = state.adam_m, state.adam_v
     t = state.iteration + 1
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    scratch = np.multiply(1.0 - ADAM_BETA1, g)
+    m += scratch
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    step = lr * (m / (1.0 - ADAM_BETA1 ** t))
-    step /= np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS
-    state.theta = state.theta - step
+    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+    scratch *= g
+    v += scratch
+    # step = lr * m_hat / (sqrt(v_hat) + eps), then theta - step
+    step = np.divide(m, 1.0 - ADAM_BETA1 ** t)
+    step *= lr
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step /= scratch
+    state.theta = np.subtract(state.theta, step, out=step)
     state.iteration = t
     return state
 
@@ -152,12 +162,14 @@ def _steihaug_step(
     def residual(center: np.ndarray):
         est, hvp = model(center, sigma)
         g = est.g
-        if not np.isfinite(g).all():
+        gg = float(g.dot(g))
+        # a finite g . g has only finite terms; otherwise test them one by one
+        if not math.isfinite(gg) and not np.logical_and.reduce(np.isfinite(g), None):
             raise NonFiniteStateError("non-finite gradient estimate", trace)
-        return -g, float(g.dot(g)), hvp
+        return -g, gg, hvp
 
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
-    p = np.zeros_like(theta)
+    p = np.zeros(theta.shape)
     r, rr, hvp = residual(theta)
     v = r.copy()
     r0_norm = math.sqrt(rr)
@@ -182,7 +194,7 @@ def _steihaug_step(
             on_inner_step({"outer": outer, "inner": k, "alpha": alpha, "v": v.copy(),
                            "hv": hv.copy(), "curv": curv, "fallback": fallback})
         p = p_next
-        if not np.isfinite(p).all():
+        if not np.logical_and.reduce(np.isfinite(p), None):
             raise NonFiniteStateError("non-finite parameters in CG step", trace)
         if at_boundary:
             break
@@ -246,7 +258,10 @@ def newton_cg_run(
     time at every outer iteration; the accepted trial's evaluation is the
     record's, and a rejected iteration records theta_outer's loss at the
     current count.  The budget is checked between outer iterations and
-    termination by budget is the normal exit.
+    termination by budget is the normal exit.  A non-finite loss, at the
+    start or at any trial or halving, raises ``NonFiniteStateError``
+    naming the iteration; the initial loss is recorded first, so the
+    trace is never empty.
     """
     if ls_iters < 1:
         raise ValueError("ls_iters must be >= 1")
@@ -265,6 +280,8 @@ def newton_cg_run(
 
     loss = obj.evaluate(theta)
     record(0, loss)
+    if not math.isfinite(loss):
+        raise NonFiniteStateError(f"non-finite loss at iteration 0: {loss}", trace)
     radius_scale = 1.0
     outer = 0
     while not budget.exhausted(clock.now(), obj.eval_count):
@@ -275,14 +292,22 @@ def newton_cg_run(
         outer += 1
         # the trial evaluation also guarantees budget progress when the
         # derivative estimates consume no evaluations
-        trial_loss = obj.evaluate(theta + step)
-        for _ in range(CG_HALVINGS):
-            if trial_loss <= loss:
+        trial = theta + step
+        trial_loss = obj.evaluate(trial)
+        halvings = 0
+        while True:
+            if not math.isfinite(trial_loss):
+                where = f"halving {halvings} of iteration" if halvings else "iteration"
+                raise NonFiniteStateError(f"non-finite trial loss at {where} {outer}: {trial_loss}",
+                                          trace)
+            if trial_loss <= loss or halvings == CG_HALVINGS:
                 break
+            halvings += 1
             step = 0.5 * step
-            trial_loss = obj.evaluate(theta + step)
+            trial = theta + step
+            trial_loss = obj.evaluate(trial)
         if trial_loss <= loss:
-            theta = theta + step
+            theta = trial
             loss = trial_loss
         else:
             radius_scale *= CG_RADIUS_SHRINK
@@ -301,7 +326,11 @@ def gd_adam_run(
     param_error_fn: Callable[[np.ndarray], float] | None = None,
     deterministic_clock: bool = False,
 ) -> ConvergenceTrace:
-    """Adam gradient descent over an annealed-bandwidth gradient source."""
+    """Adam gradient descent over an annealed-bandwidth gradient source.
+
+    Each iteration records the loss at the new theta.  A non-finite loss
+    is recorded, then raises ``NonFiniteStateError`` naming the iteration.
+    """
     theta = np.asarray(init, dtype=float).copy()
     trace = ConvergenceTrace()
     state = OptimizerState(theta=theta, trace=trace)
@@ -311,13 +340,15 @@ def gd_adam_run(
     def record(iteration: int) -> None:
         loss = obj.evaluate(state.theta)
         trace.append(TraceRecord(clock.now(), iteration, obj.eval_count, loss, err_fn(state.theta)))
+        if not math.isfinite(loss):
+            raise NonFiniteStateError(f"non-finite loss at iteration {iteration}: {loss}", trace)
 
     record(0)
     while not budget.exhausted(clock.now(), obj.eval_count):
         sigma = anneal_sigma(schedule, state.iteration)
         grad = gradient_fn(state.theta, sigma)
         state = gd_adam_step(state, grad, lr)
-        if not np.isfinite(state.theta).all():
+        if not np.logical_and.reduce(np.isfinite(state.theta), None):
             raise NonFiniteStateError("non-finite parameters in Adam step", trace)
         record(state.iteration)
     return trace

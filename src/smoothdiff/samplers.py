@@ -104,7 +104,11 @@ class TabulatedInverseCdf:
         # cells may collapse where the CDF saturates in float64 at the tails
         width = np.where(c1 > c0, c1 - c0, 1.0)
         frac = np.minimum(np.maximum((xi_arr - c0) / width, 0.0), 1.0)
-        out = self.grid[lo] + frac * (self.grid[idx] - self.grid[lo])
+        g_lo = self.grid[lo]
+        out = self.grid[idx]
+        out -= g_lo
+        out *= frac
+        out += g_lo
         return float(out) if xi_arr.ndim == 0 else out
 
 
@@ -184,22 +188,30 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
     if stacked:
         if len(taus) != len(elements):
             raise ValueError(f"{len(taus)} stacked blocks for {len(elements)} elements")
-    else:
+    elif taus.ndim < 2:
         taus = np.atleast_2d(taus)
     grad_scale = SQRT_TWO_PI / (2.0 * sigma)
-    hess_scale = SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
 
     def ratios(kind, pos, i, j):
         # shape (len(pos), S) for stacked blocks, (S, len(pos)) for one batch;
         # both C-ordered, since summing a batch's ratios over elements follows
-        # memory order
+        # memory order.  The gathered u is a new array, worked in place.
         u = taus[pos, :, i] if stacked else taus.take(i, axis=1)
-        if kind is ElementKind.GRADIENT:
-            return np.abs(u) * grad_scale
         if kind is ElementKind.HESSIAN_DIAG:
-            return np.abs((u - sigma) * (u + sigma)) * hess_scale
-        w = taus[pos, :, j] if stacked else taus.take(j, axis=1)
-        return (np.abs(u) * grad_scale) * (np.abs(w) * grad_scale)
+            u_plus = u + sigma
+            u -= sigma
+            u *= u_plus
+            np.abs(u, out=u)
+            u *= SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
+            return u
+        np.abs(u, out=u)
+        u *= grad_scale
+        if kind is ElementKind.HESSIAN_OFF_DIAG:
+            w = taus[pos, :, j] if stacked else taus.take(j, axis=1)
+            np.abs(w, out=w)
+            w *= grad_scale
+            u *= w
+        return u
 
     if len(elements.groups) == 1:
         return ratios(*elements.groups[0])
@@ -235,21 +247,24 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     Gaussian block.  Only these draws run once per axis; the inverse CDF
     runs once over all of them.
     """
-    axes = np.atleast_1d(np.asarray(i, dtype=np.intp))
+    axes = np.asarray(i, dtype=np.intp).reshape(-1)
     n, k = spec.dim, len(axes)
     # one reduction: a negative axis wraps to a huge unsigned one
     if axes.view(np.uintp).max() >= n:
         raise ValueError(f"axis index {i} out of range for dim {n}")
     xi = np.empty((k, count))
     others = np.empty((k, count, n - 1))
-    for r in range(k):
-        rng.uniform(out=xi[r])
-        rng.normal(out=others[r])
+    uniform, normal = rng.uniform, rng.normal
+    for xi_r, others_r in zip(xi, others):
+        uniform(out=xi_r)
+        normal(out=others_r)
     others *= spec.sigma
-    row_axes = axes.repeat(count)
+    # row by row, the Gaussian draws fill the off-axis entries and the
+    # inverse CDF the one special entry, both in row-major order
+    off_axis = _off_axis_mask(n)[axes.repeat(count)]
     taus = np.empty((k * count, n))
-    taus[_off_axis_mask(n)[row_axes]] = others.reshape(-1)
-    taus[np.arange(k * count), row_axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma).reshape(-1)
+    taus[off_axis] = others.reshape(-1)
+    taus[~off_axis] = gradient_inverse_cdf(open_unit(xi), spec.sigma).reshape(-1)
     return taus, -taus
 
 
@@ -300,7 +315,9 @@ def sample_hessian_offsets(
     taus *= s
     for kind, pos, i, j in elements.groups:
         if kind is ElementKind.HESSIAN_DIAG:
-            taus[pos, :, i] = table.lookup(open_unit(xi[pos, 0])) * s
+            u = table.lookup(open_unit(xi[pos, 0]))
+            u *= s
+            taus[pos, :, i] = u
         else:
             u = gradient_inverse_cdf(open_unit(xi[pos]), s)
             taus[pos, :, i] = u[:, 0]
@@ -326,12 +343,13 @@ def sample_aggregate_offsets(
     two uniform blocks for the special axes (consumed unconditionally so
     the stream layout does not depend on the choices).
     """
-    if not elements:
-        raise ValueError("aggregate sampling requires a nonempty element list")
     elements = ElementSet.of(elements)
-    choices = rng.integers(len(elements), count)
+    if not elements.i.size:
+        raise ValueError("aggregate sampling requires a nonempty element list")
+    choices = rng.integers(elements.i.size, count)
     s = spec.sigma
-    taus = rng.normal((count, spec.dim)) * s
+    taus = rng.normal((count, spec.dim))
+    taus *= s
     xi_a = open_unit(rng.uniform(count))
     xi_b = rng.uniform(count)
     # per kind drawn: (kind, its rows, the index that picks them from choices
@@ -348,7 +366,9 @@ def sample_aggregate_offsets(
     for kind, rows, picked in parts:
         axis_i = elements.i[choices[picked]]
         if kind is ElementKind.HESSIAN_DIAG:
-            taus[rows, axis_i] = table.lookup(xi_a[picked]) * s
+            u = table.lookup(xi_a[picked])
+            u *= s
+            taus[rows, axis_i] = u
         else:
             taus[rows, axis_i] = gradient_inverse_cdf(xi_a[picked], s)
         if kind is ElementKind.HESSIAN_OFF_DIAG:

@@ -241,6 +241,16 @@ class TestGradientInverseCdf:
             with pytest.raises(ValueError):
                 gradient_inverse_cdf(bad, 1.0)
 
+    def test_leaves_its_input_and_returns_a_new_value(self):
+        xi = np.array([[0.2, 0.7, 0.5], [1e-300, 0.999, 0.25]])
+        before = xi.copy()
+        out = gradient_inverse_cdf(xi, 0.4)
+        assert np.array_equal(xi, before)
+        assert out.shape == xi.shape and not np.shares_memory(out, xi)
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            u = gradient_inverse_cdf(scalar, 0.4)
+            assert type(u) is float and u == gradient_inverse_cdf(np.array([0.3]), 0.4)[0]
+
 
 class TestHessianDiagCdf:
     @pytest.mark.parametrize("sigma", [0.4, 1.0, 3.1])

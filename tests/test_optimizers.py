@@ -23,6 +23,16 @@ from smoothdiff.trace import Budget, NonFiniteStateError
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
 
 
+def nan_beyond_five():
+    """Objective th . th that is NaN wherever th[0] >= 5."""
+    return Objective(lambda th: th @ th if th[0] < 5 else math.nan, 2)
+
+
+def push_along_x(theta, sigma):
+    """Local model with gradient -e_x and flat curvature: every step runs +x to the boundary."""
+    return GradientEstimate(g=np.array([-1.0, 0.0]), evals_used=0), lambda v: 1e-3 * v
+
+
 def analytic_model(task, scale=1.0, log=None):
     """Exact local model with the curvature scaled by ``scale``; logs each call to ``log``."""
 
@@ -104,10 +114,45 @@ class TestAdam:
         with pytest.raises(NonFiniteStateError):
             gd_adam_step(state, GradientEstimate(g=np.array([np.nan, 0.0]), evals_used=0), lr=0.1)
 
+    def test_non_finite_loss_is_recorded_then_raises(self):
+        # walking +x into the NaN region used to record nan and run on
+        grad_fn = lambda th, s: GradientEstimate(g=np.array([-1.0, 0.0]), evals_used=0)
+        with pytest.raises(NonFiniteStateError, match="loss at iteration 2: nan") as err:
+            gd_adam_run(nan_beyond_five(), grad_fn, np.array([3.5, 0.0]),
+                        SigmaSchedule(1.0, 0.1, 20), 1.0, Budget(evals=50))
+        trace = err.value.trace
+        assert trace.aborted and "iteration 2" in trace.note
+        losses = [r.loss for r in trace.records]
+        assert [r.iteration for r in trace.records] == [0, 1, 2]
+        assert all(math.isfinite(x) for x in losses[:2]) and math.isnan(losses[-1])
+
+    def test_non_finite_initial_loss_raises_with_one_record(self):
+        grad_fn = lambda th, s: GradientEstimate(g=np.zeros(2), evals_used=0)
+        with pytest.raises(NonFiniteStateError, match="iteration 0") as err:
+            gd_adam_run(nan_beyond_five(), grad_fn, np.array([6.0, 0.0]),
+                        SigmaSchedule(1.0, 0.1, 20), 0.1, Budget(evals=50))
+        assert len(err.value.trace.records) == 1
+
     def test_lr_validation(self):
         state = OptimizerState(theta=np.zeros(2))
         with pytest.raises(ValueError):
             gd_adam_step(state, GradientEstimate(g=np.zeros(2), evals_used=0), lr=0.0)
+
+    def test_step_keeps_held_arrays_and_updates_moments_in_place(self):
+        theta0 = np.array([1.0, -2.0])
+        state = OptimizerState(theta=theta0)
+        g = np.array([0.5, 0.25])
+        gd_adam_step(state, GradientEstimate(g=g, evals_used=0), lr=0.1)
+        m, v, theta1 = state.adam_m, state.adam_v, state.theta
+        held = (theta1.copy(), m.copy(), v.copy())
+        assert np.array_equal(theta0, [1.0, -2.0]) and np.array_equal(g, [0.5, 0.25])
+        assert theta1 is not theta0
+        gd_adam_step(state, GradientEstimate(g=np.array([-1.0, 2.0]), evals_used=0), lr=0.1)
+        # the caller's theta keeps its values; the moments are the same arrays, moved
+        assert np.array_equal(theta1, held[0]) and state.theta is not theta1
+        assert state.adam_m is m and state.adam_v is v
+        assert not np.array_equal(m, held[1]) and not np.array_equal(v, held[2])
+        assert_allclose(m, 0.9 * held[1] + 0.1 * np.array([-1.0, 2.0]), rtol=1e-15)
 
 
 class TestPsdModify:
@@ -243,6 +288,30 @@ class TestNewtonCg:
                               budget=Budget(evals=5))
         assert not trace.aborted
         assert trace.records[-1].evals >= 5
+
+    def test_non_finite_initial_loss_raises_with_one_record(self):
+        # a NaN start used to record nan at every outer iteration, not aborted
+        with pytest.raises(NonFiniteStateError, match="loss at iteration 0: nan") as err:
+            newton_cg_run(nan_beyond_five(), push_along_x, np.array([6.0, 0.0]),
+                          SigmaSchedule(1.0, 0.1, 10), TrustRegion(1.0), ls_iters=2,
+                          ls_tol=1e-3, recompute=2, budget=Budget(evals=20))
+        trace = err.value.trace
+        assert trace.aborted and len(trace.records) == 1 and math.isnan(trace.records[0].loss)
+
+    def test_non_finite_trial_and_halving_losses_raise(self):
+        # NaN on the band 5 <= x < 6, th . th + 100 beyond it; from x = 3 a
+        # radius-4 step goes to x = 7 and a radius-2.5 step into the band
+        band = lambda th: math.nan if 5 <= th[0] < 6 else th @ th + 100 * (th[0] >= 6)
+        cases = ((2.5, 2, "trial loss at iteration 1: nan"),
+                 (4.0, 3, "trial loss at halving 1 of iteration 1: nan"))
+        for delta, evals, message in cases:
+            obj = Objective(band, 2)
+            with pytest.raises(NonFiniteStateError, match=message) as err:
+                newton_cg_run(obj, push_along_x, np.array([3.0, 0.0]), SigmaSchedule(1.0, 1.0, 10),
+                              TrustRegion(delta), ls_iters=2, ls_tol=1e-3, recompute=2,
+                              budget=Budget(evals=20))
+            assert [r.iteration for r in err.value.trace.records] == [0]
+            assert obj.eval_count == evals
 
     def test_parameter_validation(self):
         task = quad_task()

@@ -29,6 +29,7 @@ from smoothdiff.samplers import (
     element_density_ratios,
     element_pdf,
     mixture_pdf,
+    open_unit,
     sample_aggregate_offsets,
     sample_gradient_offsets,
     sample_hessian_offsets,
@@ -106,6 +107,29 @@ class TestHessianDiagTable:
             with pytest.raises(ValueError):
                 table.lookup(bad)
         assert table.lookup(0.0) == -10.0 and table.lookup(1.0) <= 10.0
+
+    def test_lookup_leaves_its_input_and_returns_a_new_value(self):
+        table = default_hessian_diag_table()
+        xi = np.array([[0.0, 0.25, 0.6], [1.0, 0.5, 0.999]])
+        before = xi.copy()
+        out = table.lookup(xi)
+        assert np.array_equal(xi, before)
+        assert out.shape == xi.shape and not np.shares_memory(out, xi)
+        for scalar in (0.6, np.float64(0.6), np.array(0.6)):
+            u = table.lookup(scalar)
+            assert type(u) is float and u == table.lookup(np.array([0.6]))[0]
+
+
+def test_open_unit_leaves_its_input_and_returns_a_new_value():
+    xi = np.array([[0.0, 0.25, 1.0], [0.5, 1e-320, 1.0 - 1e-17]])
+    before = xi.copy()
+    out = open_unit(xi)
+    assert np.array_equal(xi, before)
+    assert out.shape == xi.shape and not np.shares_memory(out, xi)
+    assert out.min() > 0.0 and out.max() < 1.0
+    for scalar in (0.0, 1.0, np.float64(0.3), np.array(0.3)):
+        u = open_unit(scalar)
+        assert isinstance(u, float) and 0.0 < u < 1.0
 
 
 class TestGradientSampler:
