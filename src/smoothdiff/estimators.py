@@ -242,11 +242,16 @@ def _axis(rows: np.ndarray, idx: np.ndarray, pos: np.ndarray | None = None) -> n
     return rows[np.arange(len(rows)) if pos is None else pos, :, idx]
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite (a count, cheaper than ``.all()`` on small arrays)."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _check_theta(theta, dim: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dim,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
-    if not np.logical_and.reduce(np.isfinite(theta)):
+    if not _all_finite(theta):
         raise ValueError("theta must be finite")
     return theta
 
@@ -264,8 +269,9 @@ def _stacked(taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
 def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
     """In-order chunks of ``elements`` whose evaluation points fit a quarter of _CHUNK_BYTES."""
     size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
-    for start in range(0, len(elements), size):
-        yield elements if size >= len(elements) else ElementSet(elements[start:start + size])
+    if size >= len(elements):
+        return iter((elements,))
+    return (ElementSet(elements[start:start + size]) for start in range(0, len(elements), size))
 
 
 def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
@@ -316,8 +322,8 @@ def _evaluate(obj: Objective, theta: np.ndarray,
         taus = stack.taus
         blocks, count, dim = taus.shape
         points = np.empty((blocks, 2 * count, dim))
-        np.subtract(theta, taus, out=points[:, :count])
-        np.add(theta, taus, out=points[:, count:])
+        np.subtract(theta, taus, points[:, :count])
+        np.add(theta, taus, points[:, count:])
         vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
         del points, taus
         yield stack, vals
@@ -350,7 +356,7 @@ def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce, *args) -> np.n
 
 def _contracted_whole(stack: _Stack) -> bool:
     """Whether one block serves more elements than there are blocks."""
-    return len(stack.elements.i) > len(stack.taus)
+    return len(stack.elements) > len(stack.taus)
 
 
 def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -442,9 +448,9 @@ def _check_direction(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
-    if not np.logical_and.reduce(np.isfinite(v)):
+    if not _all_finite(v):
         raise ValueError("direction must be finite")
-    if not np.logical_or.reduce(v):
+    if not np.count_nonzero(v):
         raise ValueError("direction must be nonzero")
     return v
 
@@ -527,10 +533,11 @@ def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> Grad
     start = obj.eval_count
     n = obj.dim
     # rows theta + step e_i, theta - step e_i for each axis i in turn
-    points = np.tile(theta, (n, 2, 1))
+    points = np.empty((n, 2, n))
+    points[...] = theta
     axes = np.arange(n)
-    points[axes, 0, axes] += step
-    points[axes, 1, axes] -= step
+    points[axes, 0, axes] = theta + step
+    points[axes, 1, axes] = theta - step
     vals = obj.evaluate_rows(points.reshape(2 * n, n)).reshape(n, 2)
     g = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)

@@ -90,8 +90,8 @@ class KernelElement:
         return (self.i,)
 
 
-class ElementSet(Sequence):
-    """An ordered, immutable sequence of kernel elements held as index arrays.
+class ElementSet(tuple):
+    """An ordered, immutable tuple of kernel elements, also held as index arrays.
 
     ``i`` and ``j`` give every element's axes (``j == i`` for single-axis
     elements) and ``group`` the position of its kind in ``groups``.  Each
@@ -100,13 +100,13 @@ class ElementSet(Sequence):
     """
 
     def __init__(self, elements: Iterable[KernelElement]):
-        self._elements = tuple(elements)
-        self.i = np.array([e.i for e in self._elements], dtype=np.intp)
-        self.j = np.array([e.indices()[-1] for e in self._elements], dtype=np.intp)
-        self.group = np.empty(len(self._elements), dtype=np.intp)
+        # the tuple already holds the elements; a generator is spent by now
+        self.i = np.array([e.i for e in self], dtype=np.intp)
+        self.j = np.array([e.indices()[-1] for e in self], dtype=np.intp)
+        self.group = np.empty(len(self), dtype=np.intp)
         groups = []
         for kind in ElementKind:
-            pos = np.flatnonzero([e.kind is kind for e in self._elements])
+            pos = np.flatnonzero([e.kind is kind for e in self])
             if pos.size:
                 self.group[pos] = len(groups)
                 groups.append((kind, pos, self.i[pos], self.j[pos]))
@@ -118,12 +118,6 @@ class ElementSet(Sequence):
     @staticmethod
     def of(elements: Sequence[KernelElement]) -> "ElementSet":
         return elements if isinstance(elements, ElementSet) else ElementSet(elements)
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __getitem__(self, k):
-        return self._elements[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,17 +273,17 @@ def gradient_inverse_cdf(xi, sigma: float):
     xi_arr = np.asarray(xi, dtype=float)
     # one new array, worked in place: the mass beyond u on the nearer side,
     # halved, then |u| / sigma, then u
-    out = np.subtract(1.0, xi_arr, out=np.empty(xi_arr.shape))
+    out = np.subtract(1.0, xi_arr, np.empty(xi_arr.shape))
     tail = np.minimum(xi_arr, out, out=out)
-    # one reduction; a NaN fails the comparison too
-    if tail.size and not tail.min() > 0.0:
+    # a NaN fails the comparison too
+    if np.count_nonzero(tail > 0.0) < tail.size:
         raise ValueError(f"xi must lie in the open interval (0, 1), got {xi}")
     out *= 2.0
-    np.log(out, out=out)
+    np.log(out, out)
     out *= -2.0
-    np.sqrt(out, out=out)
+    np.sqrt(out, out)
     # the sign of xi - 1/2: negative below the median, +0.0 at it, where |u| is -0.0
-    np.copysign(out, xi_arr - 0.5, out=out)
+    np.copysign(out, xi_arr - 0.5, out)
     out *= sigma
     return float(out) if xi_arr.ndim == 0 else out
 

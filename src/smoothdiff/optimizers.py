@@ -17,12 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import GradientEstimate, Objective
+from .estimators import GradientEstimate, Objective, _all_finite
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the step's constant factors as 0-d arrays, which a ufunc takes faster than
+# Python floats, for the same float64 arithmetic
+_BETA1, _BETA2, _EPS = np.array(ADAM_BETA1), np.array(ADAM_BETA2), np.array(ADAM_EPS)
+_GAIN1, _GAIN2 = np.array(1.0 - ADAM_BETA1), np.array(1.0 - ADAM_BETA2)
 
 # Newton-CG acceptance: halvings of a trial step whose loss rose, and the
 # working-radius factor after an outer iteration with no accepted try (the
@@ -94,7 +98,7 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     g = np.asarray(grad.g, dtype=float)
     if g.shape != state.theta.shape:
         raise ValueError(f"gradient shape {g.shape} does not match theta {state.theta.shape}")
-    if not np.logical_and.reduce(np.isfinite(g), None):
+    if not _all_finite(g):
         raise NonFiniteStateError("non-finite gradient in Adam step", state.trace)
     if state.adam_m is None:
         state.adam_m = np.zeros_like(g)
@@ -102,21 +106,21 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
         state.adam_v = np.zeros_like(g)
     m, v = state.adam_m, state.adam_v
     t = state.iteration + 1
-    m *= ADAM_BETA1
-    scratch = np.multiply(1.0 - ADAM_BETA1, g)
+    m *= _BETA1
+    scratch = _GAIN1 * g
     m += scratch
-    v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, g, out=scratch)
+    v *= _BETA2
+    np.multiply(_GAIN2, g, scratch)
     scratch *= g
     v += scratch
     # step = lr * m_hat / (sqrt(v_hat) + eps), then theta - step
-    step = np.divide(m, 1.0 - ADAM_BETA1 ** t)
+    step = m / (1.0 - ADAM_BETA1 ** t)
     step *= lr
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += ADAM_EPS
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, scratch)
+    np.sqrt(scratch, scratch)
+    scratch += _EPS
     step /= scratch
-    state.theta = np.subtract(state.theta, step, out=step)
+    state.theta = np.subtract(state.theta, step, step)
     state.iteration = t
     return state
 
@@ -164,7 +168,7 @@ def _steihaug_step(
         g = est.g
         gg = float(g.dot(g))
         # a finite g . g has only finite terms; otherwise test them one by one
-        if not math.isfinite(gg) and not np.logical_and.reduce(np.isfinite(g), None):
+        if not math.isfinite(gg) and not _all_finite(g):
             raise NonFiniteStateError("non-finite gradient estimate", trace)
         return -g, gg, hvp
 
@@ -194,7 +198,7 @@ def _steihaug_step(
             on_inner_step({"outer": outer, "inner": k, "alpha": alpha, "v": v.copy(),
                            "hv": hv.copy(), "curv": curv, "fallback": fallback})
         p = p_next
-        if not np.logical_and.reduce(np.isfinite(p), None):
+        if not _all_finite(p):
             raise NonFiniteStateError("non-finite parameters in CG step", trace)
         if at_boundary:
             break
@@ -348,7 +352,7 @@ def gd_adam_run(
         sigma = anneal_sigma(schedule, state.iteration)
         grad = gradient_fn(state.theta, sigma)
         state = gd_adam_step(state, grad, lr)
-        if not np.logical_and.reduce(np.isfinite(state.theta), None):
+        if not _all_finite(state.theta):
             raise NonFiniteStateError("non-finite parameters in Adam step", trace)
         record(state.iteration)
     return trace

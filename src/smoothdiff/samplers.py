@@ -95,9 +95,11 @@ class TabulatedInverseCdf:
         """Map uniform variates in [0, 1] to offsets with cdf(lookup(xi)) ~= xi."""
         xi_arr = np.asarray(xi, dtype=float)
         # a NaN fails both comparisons
-        if xi_arr.size and not (xi_arr.min() >= 0.0 and xi_arr.max() <= 1.0):
+        inside = xi_arr >= 0.0
+        inside &= xi_arr <= 1.0
+        if np.count_nonzero(inside) < xi_arr.size:
             raise ValueError(f"xi must lie in [0, 1], got {xi}")
-        idx = np.minimum(np.maximum(np.searchsorted(self.cdf_values, xi_arr), 1), self.resolution - 1)
+        idx = np.minimum(np.maximum(self.cdf_values.searchsorted(xi_arr), 1), self.resolution - 1)
         lo = idx - 1
         c0 = self.cdf_values[lo]
         c1 = self.cdf_values[idx]
@@ -201,14 +203,14 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
             u_plus = u + sigma
             u -= sigma
             u *= u_plus
-            np.abs(u, out=u)
+            np.abs(u, u)
             u *= SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
             return u
-        np.abs(u, out=u)
+        np.abs(u, u)
         u *= grad_scale
         if kind is ElementKind.HESSIAN_OFF_DIAG:
             w = taus[pos, :, j] if stacked else taus.take(j, axis=1)
-            np.abs(w, out=w)
+            np.abs(w, w)
             w *= grad_scale
             u *= w
         return u
@@ -250,7 +252,7 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     axes = np.asarray(i, dtype=np.intp).reshape(-1)
     n, k = spec.dim, len(axes)
     # one reduction: a negative axis wraps to a huge unsigned one
-    if axes.view(np.uintp).max() >= n:
+    if np.count_nonzero(axes.view(np.uintp) >= n):
         raise ValueError(f"axis index {i} out of range for dim {n}")
     xi = np.empty((k, count))
     others = np.empty((k, count, n - 1))
@@ -343,10 +345,10 @@ def sample_aggregate_offsets(
     two uniform blocks for the special axes (consumed unconditionally so
     the stream layout does not depend on the choices).
     """
-    elements = ElementSet.of(elements)
-    if not elements.i.size:
+    if not elements:
         raise ValueError("aggregate sampling requires a nonempty element list")
-    choices = rng.integers(elements.i.size, count)
+    elements = ElementSet.of(elements)
+    choices = rng.integers(len(elements), count)
     s = spec.sigma
     taus = rng.normal((count, spec.dim))
     taus *= s
