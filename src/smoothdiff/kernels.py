@@ -26,6 +26,21 @@ import numpy as np
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
+def fixed_operand(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array.
+
+    A ufunc takes a 0-d array operand faster than a Python float, for the
+    same float64 arithmetic, so the per-call hot paths hold their
+    constants this way.
+    """
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO, _HALF, _ONE, _TWO, _MINUS_TWO = map(fixed_operand, (0.0, 0.5, 1.0, 2.0, -2.0))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Isotropic Gaussian smoothing kernel: per-axis deviation and dimension.
@@ -273,17 +288,17 @@ def gradient_inverse_cdf(xi, sigma: float):
     xi_arr = np.asarray(xi, dtype=float)
     # one new array, worked in place: the mass beyond u on the nearer side,
     # halved, then |u| / sigma, then u
-    out = np.subtract(1.0, xi_arr, np.empty(xi_arr.shape))
+    out = np.subtract(_ONE, xi_arr, np.empty(xi_arr.shape))
     tail = np.minimum(xi_arr, out, out=out)
     # a NaN fails the comparison too
-    if np.count_nonzero(tail > 0.0) < tail.size:
+    if np.count_nonzero(tail > _ZERO) < tail.size:
         raise ValueError(f"xi must lie in the open interval (0, 1), got {xi}")
-    out *= 2.0
+    out *= _TWO
     np.log(out, out)
-    out *= -2.0
+    out *= _MINUS_TWO
     np.sqrt(out, out)
     # the sign of xi - 1/2: negative below the median, +0.0 at it, where |u| is -0.0
-    np.copysign(out, xi_arr - 0.5, out)
+    np.copysign(out, xi_arr - _HALF, out)
     out *= sigma
     return float(out) if xi_arr.ndim == 0 else out
 

@@ -18,15 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .estimators import GradientEstimate, Objective, _all_finite
+from .kernels import fixed_operand
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# the step's constant factors as 0-d arrays, which a ufunc takes faster than
-# Python floats, for the same float64 arithmetic
-_BETA1, _BETA2, _EPS = np.array(ADAM_BETA1), np.array(ADAM_BETA2), np.array(ADAM_EPS)
-_GAIN1, _GAIN2 = np.array(1.0 - ADAM_BETA1), np.array(1.0 - ADAM_BETA2)
+# the step's constant factors (see fixed_operand)
+_BETA1, _BETA2, _EPS, _GAIN1, _GAIN2 = map(
+    fixed_operand, (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2))
 
 # Newton-CG acceptance: halvings of a trial step whose loss rose, and the
 # working-radius factor after an outer iteration with no accepted try (the

@@ -31,6 +31,7 @@ from .kernels import (
     ElementSet,
     KernelElement,
     KernelSpec,
+    fixed_operand,
     gaussian_pdf_1d,
     gradient_inverse_cdf,
     gradient_pdf,
@@ -39,7 +40,8 @@ from .kernels import (
 )
 
 _MASK64 = (1 << 64) - 1
-_TINY = np.finfo(float).tiny
+# open_unit's bounds
+_TINY, _BELOW_ONE = fixed_operand(np.finfo(float).tiny), fixed_operand(1.0 - 1e-16)
 
 
 @dataclass
@@ -380,4 +382,4 @@ def sample_aggregate_offsets(
 
 def open_unit(xi: np.ndarray) -> np.ndarray:
     """Clip uniforms strictly inside (0, 1) for the inverse CDFs."""
-    return np.minimum(np.maximum(xi, _TINY), 1.0 - 1e-16)
+    return np.minimum(np.maximum(xi, _TINY), _BELOW_ONE)
