@@ -55,6 +55,13 @@ for; Newton-CG's sampled local model returns it with the gradient.
 ``estimate_hvp`` is the per-call form, which streams the terms of a
 batch of its own into the same contraction.  Per call, accumulation runs
 in a fixed order, so results are reproducible.
+
+On small problems an estimate costs its fixed per-call work more than
+its arithmetic, so each stage writes its results into the arrays it has
+just made, never into its inputs, and a single stack's contraction is
+returned as the estimate without a copy.  The operations and their order
+are those of the plain expressions in the docstrings, so the results
+are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -469,7 +476,9 @@ class SampledBatch:
     one fixed operator, linear in v to rounding.  It is symmetric to
     rounding for a shared block (``AGGREGATE``, ``UNIFORM``); in
     ``PER_ELEMENT`` mode each row of it comes from a block of its own, so
-    it is not symmetric.
+    it is not symmetric.  The coefficients are formed once, when the batch
+    is made; a product checks ``v`` and runs ``_contract_hvp`` on each
+    term, nothing more.
     """
 
     def __init__(self, cfg: EstimatorConfig, evaluated: Iterable[tuple[_Stack, np.ndarray]]):

@@ -253,7 +253,7 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     """
     axes = np.asarray(i, dtype=np.intp).reshape(-1)
     n, k = spec.dim, len(axes)
-    # one reduction: a negative axis wraps to a huge unsigned one
+    # one test: a negative axis, viewed unsigned, is huge
     if np.count_nonzero(axes.view(np.uintp) >= n):
         raise ValueError(f"axis index {i} out of range for dim {n}")
     xi = np.empty((k, count))
