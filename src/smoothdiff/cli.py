@@ -1,9 +1,8 @@
 """Command-line benchmark driver.
 
 Subcommands: ``run`` (one ensemble from a config file), ``sweep``
-(method x task matrix), ``variance`` (estimator variance tables),
-``summarize`` (threshold tables from exported traces), and ``selftest``
-(fast kernel/sampler/estimator invariant checks).
+(method x task matrix), ``variance`` (estimator variance tables) and
+``summarize`` (threshold tables from exported traces).
 
 Config files use INI syntax.  ``run`` reads a ``[run]`` section whose
 keys are ``RunConfig`` fields, each coerced to its field's type
@@ -168,12 +167,6 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from . import selftest
-
-    return selftest.run_selftest()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothdiff",
@@ -217,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="threshold tables from trace files")
     p_sum.add_argument("paths", nargs="+")
     p_sum.set_defaults(fn=cmd_summarize)
-
-    p_self = sub.add_parser("selftest", help="kernel/sampler/estimator invariant suite")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 

@@ -113,19 +113,11 @@ class SamplingMode(Enum):
 
     @staticmethod
     def parse(name: str) -> "SamplingMode":
-        norm = name.strip().lower().replace("-", "_")
-        aliases = {
-            "per_element": SamplingMode.PER_ELEMENT,
-            "perelementis": SamplingMode.PER_ELEMENT,
-            "per_element_is": SamplingMode.PER_ELEMENT,
-            "aggregate": SamplingMode.AGGREGATE,
-            "aggregateis": SamplingMode.AGGREGATE,
-            "aggregate_is": SamplingMode.AGGREGATE,
-            "uniform": SamplingMode.UNIFORM,
-        }
-        if norm not in aliases:
-            raise ValueError(f"unknown sampling mode {name!r}")
-        return aliases[norm]
+        """The mode whose value is ``name``, in any case and with - for _."""
+        try:
+            return SamplingMode(name.strip().lower().replace("-", "_"))
+        except ValueError:
+            raise ValueError(f"unknown sampling mode {name!r}") from None
 
 
 class Objective:

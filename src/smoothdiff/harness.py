@@ -14,7 +14,7 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
@@ -55,16 +55,16 @@ class _Method(NamedTuple):
 
     ``gradient`` names a gradient estimator of this module, looked up when
     a run starts so that a patched attribute takes effect; ``mode`` is its
-    sampling mode, None for central differences.  ``newton`` methods run
-    Newton-CG with ``estimate_gradient``, and with ``sampled_hvp`` their
-    HVPs are contracted from the gradient's evaluated batch; without it
-    they are products with the PSD-modified Hessian estimated in ``mode``.
+    sampling mode, None for central differences.  ``model`` is None for
+    Adam; otherwise the method runs Newton-CG with ``estimate_gradient`` on
+    the local model ``sampled_model`` builds of that kind: "batch" HVPs
+    are contracted from the gradient's evaluated batch, "hessian" ones are
+    products with the PSD-modified Hessian estimated in ``mode``.
     """
 
     gradient: str
     mode: SamplingMode | None
-    newton: bool = False
-    sampled_hvp: bool = False
+    model: Literal["batch", "hessian"] | None = None
 
 
 _PER, _AGG = SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE
@@ -72,9 +72,9 @@ _METHODS = {
     "FD": _Method("estimate_gradient_fd", None),
     "FR22": _Method("estimate_gradient_fr22", _PER),
     "OurG": _Method("estimate_gradient", _PER),
-    "OurH": _Method("estimate_gradient", _PER, newton=True),
-    "OurHVP": _Method("estimate_gradient", _PER, newton=True, sampled_hvp=True),
-    "OurHVPA": _Method("estimate_gradient", _AGG, newton=True, sampled_hvp=True),
+    "OurH": _Method("estimate_gradient", _PER, "hessian"),
+    "OurHVP": _Method("estimate_gradient", _PER, "batch"),
+    "OurHVPA": _Method("estimate_gradient", _AGG, "batch"),
 }
 METHODS = tuple(_METHODS)
 _NEWTON_KEYS = ("trust_region", "ls_iters", "ls_tol", "recompute")
@@ -88,7 +88,7 @@ def _method(name: str) -> _Method:
 
 def foreign_keys(method: str) -> tuple[str, ...]:
     """The ``RunConfig`` keys ``method`` rejects: the other optimizer's settings."""
-    return ("lr",) if _method(method).newton else _NEWTON_KEYS
+    return _NEWTON_KEYS if _method(method).model is None else ("lr",)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class RunConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        newton = _method(self.method).newton
+        newton = _method(self.method).model is not None
         build = task_builder(self.task)
         if self.budget_seconds is None and self.budget_evals is None:
             raise ValueError("config needs budget_seconds or budget_evals")
@@ -188,12 +188,11 @@ def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
 
     That is a gradient estimate and a loss evaluation: for Newton-CG one
     call of its local model and the trial point, for Adam the record.  A
-    sampled-HVP model spends nothing more, since its products contract
-    the gradient's batch.  For the Hessian model (``sampled_hvp`` False)
-    the plan adds that model's Hessian estimate and
-    ``ls_iters`` evaluations, which no inner step spends.  The plan counts
-    one model call per outer iteration; each ``recompute`` restart makes
-    one more.
+    "batch" model spends nothing more, since its products contract the
+    gradient's batch.  For the "hessian" model the plan adds that model's
+    Hessian estimate and ``ls_iters`` evaluations, which no inner step
+    spends.  The plan counts one model call per outer iteration; each
+    ``recompute`` restart makes one more.
     """
     if cfg.budget_evals is None:
         return 200
@@ -203,7 +202,7 @@ def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
     else:
         grad = evals_per_estimate(method.mode, dim, cfg.samples)
     per_iter = 1 + grad
-    if method.newton and not method.sampled_hvp:
+    if method.model == "hessian":
         hessian = evals_per_estimate(method.mode, dim * (dim + 1) // 2, cfg.samples)
         per_iter += hessian + cfg.cg_settings()[0]
     return max(1, cfg.budget_evals // per_iter)
@@ -220,28 +219,28 @@ def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
 
 
 def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMode,
-                  sampled_hvp: bool) -> LocalModel:
+                  model: Literal["batch", "hessian"]) -> LocalModel:
     """Newton-CG's local model backed by the Monte Carlo estimators.
 
     Every call at (theta, sigma) draws and evaluates one batch of offsets
-    in ``mode`` through ``estimate_gradient``.  With ``sampled_hvp`` the
+    in ``mode`` through ``estimate_gradient``.  For a "batch" model the
     operator it returns contracts that batch and spends no evaluation: CG
     runs on one sampled quadratic model, the subsampled-Newton model of
     Byrd, Chin, Neveitt & Nocedal (2011) and Roosta-Khorasani & Mahoney
-    (2019).  Without it, each call first estimates the Hessian in ``mode``
-    (per-element for ``OurH``), and the operator multiplies by its PSD
-    modification.  The estimators and ``psd_modify`` are looked up when
-    called, so that a patched attribute takes effect.
+    (2019).  For a "hessian" model, each call first estimates the Hessian
+    in ``mode`` (per-element for ``OurH``), and the operator multiplies by
+    its PSD modification.  The estimators and ``psd_modify`` are looked
+    up when called, so that a patched attribute takes effect.
     """
-    def model(theta: np.ndarray, sigma: float):
+    def local(theta: np.ndarray, sigma: float):
         cfg = EstimatorConfig(KernelSpec(sigma=sigma, dim=obj.dim), samples, mode)
-        if sampled_hvp:
+        if model == "batch":
             est = estimate_gradient(obj, theta, cfg, rng, keep_batch=True)
             return est, est.batch.hvp
         h = psd_modify(estimate_hessian(obj, theta, cfg, rng).h)
         return estimate_gradient(obj, theta, cfg, rng), lambda v: h @ v
 
-    return model
+    return local
 
 
 def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
@@ -258,11 +257,11 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
     method = _METHODS[cfg.method]
 
     try:
-        if not method.newton:
+        if method.model is None:
             return gd_adam_run(obj, _gradient_fn(method, cfg, obj, est_rng), theta0, schedule,
                                cfg.lr, budget, param_error_fn=task.param_error,
                                deterministic_clock=cfg.deterministic)
-        model = sampled_model(obj, cfg.samples, est_rng, method.mode, method.sampled_hvp)
+        model = sampled_model(obj, cfg.samples, est_rng, method.mode, method.model)
         return newton_cg_run(obj, model, theta0, schedule,
                              TrustRegion(cfg.trust_region), *cfg.cg_settings(),
                              budget, param_error_fn=task.param_error,

@@ -64,14 +64,15 @@ class TrustRegion:
     """Trust radius delta: the bound on the step ||theta - theta_outer|| of one outer iteration.
 
     ``newton_cg_run`` bounds the cumulative Steihaug-Toint step of each
-    outer iteration, scaling delta with the annealed bandwidth.
+    outer iteration, scaling delta with the annealed bandwidth.  A delta
+    that is not finite and > 0 is a ValueError.
     """
 
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ValueError(f"trust region radius must be > 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"trust region radius must be finite and > 0, got {self.delta}")
 
 
 @dataclass
@@ -265,12 +266,14 @@ def newton_cg_run(
     termination by budget is the normal exit.  A non-finite loss, at the
     start or at any trial or halving, raises ``NonFiniteStateError``
     naming the iteration; the initial loss is recorded first, so the
-    trace is never empty.
+    trace is never empty.  ``ls_iters`` or ``recompute`` below 1 and an
+    ``ls_tol`` that is not finite and > 0 are ValueErrors, raised before
+    any evaluation.
     """
     if ls_iters < 1:
         raise ValueError("ls_iters must be >= 1")
-    if not (ls_tol > 0):
-        raise ValueError("ls_tol must be > 0")
+    if not (math.isfinite(ls_tol) and ls_tol > 0):
+        raise ValueError(f"ls_tol must be finite and > 0, got {ls_tol}")
     if recompute < 1:
         raise ValueError("recompute must be >= 1")
     theta = np.asarray(init, dtype=float).copy()

@@ -450,7 +450,6 @@ def phong_sphere_task(resolution: int = 32) -> Task:
 # ---------------------------------------------------------------------------
 
 _BUILDERS = {"quad": quad_task, "neg_gauss": negated_gaussian_task,
-             "negated_gaussian": negated_gaussian_task, "neggauss": negated_gaussian_task,
              "box2": partial(box_task, 1), "box10": partial(box_task, 5),
              "phong": phong_sphere_task}
 

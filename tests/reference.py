@@ -1,13 +1,11 @@
-"""Fast invariant battery behind the ``selftest`` CLI subcommand.
+"""Formula references the tests compare the package against.
 
-A condensed version of the test suite: checks the kernel closed forms
-against finite differences, sampler distributions against their CDFs,
-estimator evaluation budgets and unbiasedness on the quadratic, the
-stacked per-element estimators against a block-by-block reference loop,
-the estimators' per-row contractions against the weighted sums of a
-weight stage (kernel over density per row, kept here as their formula
-reference), and the separable box and Phong losses against their
-pixel-by-pixel references.  Prints one line per check.
+Each reference computes what a fast path of the package computes, the
+slow and plain way: the separable box and Phong losses pixel by pixel,
+the stacked per-element estimators one element's block at a time, and
+the estimators' per-row contractions as the weighted sums of a weight
+stage (kernel over density per row).  The tests require the two to
+agree, bit for bit or to a stated tolerance.
 """
 
 from __future__ import annotations
@@ -15,12 +13,10 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
-from .estimators import (
+from smoothdiff.estimators import (
     EstimatorConfig,
     Objective,
-    SamplingMode,
     _axis,
     _contract_hvp,
     _draw,
@@ -33,37 +29,25 @@ from .estimators import (
     estimate_hessian,
     estimate_hvp,
 )
-from .kernels import (
+from smoothdiff.kernels import (
     ElementKind,
-    KernelSpec,
-    gaussian_pdf,
-    gradient_cdf,
     gradient_elements,
     gradient_inverse_cdf,
-    gradient_kernel,
-    hessian_diag_cdf,
     hessian_elements,
 )
-from .samplers import (
+from smoothdiff.samplers import (
     RngStream,
-    build_hessian_diag_table,
     default_hessian_diag_table,
     element_density_ratios,
-    mixture_pdf,
     open_unit,
-    sample_aggregate_offsets,
-    sample_gradient_offsets,
 )
-from .tasks import (
+from smoothdiff.tasks import (
     BOX_SIDE,
     PHONG_TRUE,
     RasterScene,
     _PhongScene,
     _SHININESS_FLOOR,
     _SHININESS_UNIT,
-    box_task,
-    phong_sphere_task,
-    quad_task,
 )
 
 
@@ -258,117 +242,3 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
         weights = _weights(stack, partial(weigh, sigma=sigma, **along))
         weighted.append(_weighted_sums(vals, weights, order in ("hessian", "hvp")).ravel())
     return np.concatenate(contracted), np.concatenate(weighted)
-
-
-def run_selftest() -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name} {detail}")
-
-    rng = np.random.default_rng(2024)
-
-    # kernels: finite-difference consistency
-    worst = 0.0
-    for _ in range(25):
-        sigma = rng.uniform(0.1, 3.0)
-        spec = KernelSpec(sigma=sigma, dim=3)
-        tau = rng.uniform(-2.0, 2.0, size=3)
-        h = 1e-6
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd = (gaussian_pdf(tau + e, spec) - gaussian_pdf(tau - e, spec)) / (2 * h)
-            worst = max(worst, abs(fd - gradient_kernel(tau, i, spec)))
-    check("kernel gradient vs finite differences", worst < 1e-6, f"worst={worst:.2e}")
-
-    xi = np.linspace(0.01, 0.99, 99)
-    rt = np.abs(gradient_cdf(gradient_inverse_cdf(xi, 1.3), 1.3) - xi).max()
-    check("gradient inverse CDF round trip", rt < 1e-12, f"max={rt:.2e}")
-
-    check("hessian diag CDF anchors",
-          hessian_diag_cdf(-2.0, 2.0) == 0.25 and hessian_diag_cdf(0.0, 2.0) == 0.5
-          and hessian_diag_cdf(2.0, 2.0) == 0.75)
-
-    # samplers: KS fidelity and mixture density recomputation
-    spec = KernelSpec(sigma=1.0, dim=2)
-    taus, _ = sample_gradient_offsets(0, spec, RngStream(11), 20000)
-    ks = stats.kstest(taus[:, 0], lambda u: gradient_cdf(u, 1.0))
-    check("gradient sampler KS", ks.pvalue > 0.001, f"p={ks.pvalue:.4f}")
-
-    table = build_hessian_diag_table(2048)
-    u = table.lookup(np.clip(np.random.default_rng(5).random(20000), 1e-12, 1 - 1e-12))
-    ks2 = stats.kstest(u, lambda x: hessian_diag_cdf(x, 1.0))
-    check("hessian diag sampler KS", ks2.pvalue > 0.001, f"p={ks2.pvalue:.4f}")
-
-    elements = hessian_elements(2)
-    ataus, _ = sample_aggregate_offsets(elements, spec, table, RngStream(13), 200)
-    ratios = element_density_ratios(ataus, elements, spec.sigma).mean(axis=1)
-    recomputed = np.array([mixture_pdf(t, elements, spec) for t in ataus])
-    rel = np.abs(ratios * [gaussian_pdf(t, spec) for t in ataus] - recomputed) / recomputed
-    check("mixture density recomputation", rel.max() < 1e-12, f"max rel={rel.max():.2e}")
-
-    # estimators: evaluation budgets and quadratic unbiasedness
-    task = quad_task()
-    obj = task.objective()
-    cfg = EstimatorConfig(spec=KernelSpec(sigma=1.0, dim=2), samples=7, mode=SamplingMode.AGGREGATE)
-    estimate_hessian(obj, np.zeros(2), cfg, RngStream(1))
-    check("aggregate Hessian evals = 2 per pair", obj.eval_count == 2 * 7, f"got {obj.eval_count}")
-
-    obj2 = task.objective()
-    cfg_pe = EstimatorConfig(spec=KernelSpec(sigma=1.0, dim=2), samples=7, mode=SamplingMode.PER_ELEMENT)
-    estimate_hessian(obj2, np.zeros(2), cfg_pe, RngStream(1))
-    check("per-element Hessian evals = n(n+1) per pair", obj2.eval_count == 6 * 7, f"got {obj2.eval_count}")
-
-    theta = np.array([1.0, 1.0])
-    obj3 = task.objective()
-    cfg_g = EstimatorConfig(spec=KernelSpec(sigma=1.0, dim=2), samples=20000, mode=SamplingMode.PER_ELEMENT)
-    g = estimate_gradient(obj3, theta, cfg_g, RngStream(8)).g
-    check("quad gradient unbiased", np.abs(g - np.array([17.5, 17.5])).max() < 0.5, f"g={g}")
-
-    # estimators: stacked per-element blocks equal the block-by-block loop
-    def wavy(th):
-        return float(np.sin(3.0 * th).sum() + th @ th)
-
-    cfg_ref = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=4), samples=3, mode=SamplingMode.PER_ELEMENT)
-    theta_ref, v_ref = np.array([0.3, -0.2, 0.5, 0.1]), np.array([1.0, -2.0, 0.5, 0.25])
-    mismatched = []
-    for order in ("gradient", "hessian", "hvp", "fr22"):
-        obj_s, obj_r = Objective(wavy, 4), Objective(wavy, 4)
-        got = stacked_estimate(order, obj_s, theta_ref, cfg_ref, RngStream(21), v_ref)
-        want = per_element_reference(order, obj_r, theta_ref, cfg_ref, RngStream(21), v_ref)
-        if not (np.array_equal(got, want) and obj_s.eval_count == obj_r.eval_count):
-            mismatched.append(order)
-    check("stacked per-element estimates equal the block loop", not mismatched, f"differ: {mismatched}")
-
-    # estimators: every stack's contraction equals its weighted reduction;
-    # per-element gradients at n = 256 and 4 samples span two chunks
-    reduce_cases = [(mode, order, 4) for mode in (SamplingMode.AGGREGATE, SamplingMode.PER_ELEMENT)
-                    for order in ("gradient", "hessian", "hvp")]
-    reduce_cases += [(SamplingMode.PER_ELEMENT, "fr22", 4), (SamplingMode.PER_ELEMENT, "gradient", 256)]
-    worst = 0.0
-    for mode, order, n in reduce_cases:
-        cfg_red = EstimatorConfig(spec=KernelSpec(sigma=0.4, dim=n), samples=3 if n == 4 else 4, mode=mode)
-        got, want = reduce_estimates(order, wavy, np.linspace(-0.7, 0.9, n), cfg_red, RngStream(22),
-                                     np.cos(np.arange(n) + 0.3))
-        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-    check("contractions equal the weighted reductions", worst <= 1e-12, f"worst rel={worst:.2e}")
-
-    # tasks: separable losses against pixel-by-pixel references
-    box = box_task(5)
-    phong = phong_sphere_task()
-    pairs = [(box.fn(th), rasterized_box_loss(box.theta_true, (64, 64), th))
-             for th in (np.linspace(0.2, 0.8, 10), np.full(10, 1.7), box.theta_true + 1e-4)]
-    pairs += [(phong.fn(th), per_pixel_phong_loss(th))
-              for th in (np.array([0.3, 0.5, 0.7, 0.2, 0.6, 0.1, 1.3]), PHONG_TRUE + 1e-4)]
-    worst = max(abs(got - want) / max(1.0, want) for got, want in pairs)
-    check("box and Phong losses match rasterized references", worst < 1e-12,
-          f"worst={worst:.2e}")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failure(s)")
-    return 0 if failures == 0 else 1

@@ -49,7 +49,7 @@ from smoothdiff.samplers import (
     sample_aggregate_offsets,
     sample_gradient_offsets,
 )
-from smoothdiff.selftest import (
+from reference import (
     _gradient_weights,
     _hessian_weights,
     _hvp_weights,
@@ -113,6 +113,18 @@ class TestEstimatorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             cfg(samples=0)
+
+
+class TestSamplingMode:
+    def test_parse_takes_each_mode_by_value(self):
+        for mode in SamplingMode:
+            assert SamplingMode.parse(f" {mode.value.upper().replace('_', '-')} ") is mode
+
+    @pytest.mark.parametrize("name", ["perelementis", "per_element_is", "aggregateis",
+                                      "aggregate_is", "per element"])
+    def test_parse_rejects_other_names(self, name):
+        with pytest.raises(ValueError, match=f"unknown sampling mode {name!r}"):
+            SamplingMode.parse(name)
 
 
 class TestGradient:

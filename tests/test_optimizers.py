@@ -322,6 +322,23 @@ class TestNewtonCg:
         with pytest.raises(ValueError):
             TrustRegion(delta=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_trust_radius(self, bad):
+        # an infinite radius used to surface only as a non-finite CG step
+        with pytest.raises(ValueError, match="finite"):
+            TrustRegion(bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_ls_tol(self, bad):
+        # an infinite tolerance used to stop CG before its first step, every iteration
+        task = quad_task()
+        obj = task.objective()
+        with pytest.raises(ValueError, match="finite"):
+            newton_cg_run(obj, analytic_model(task), np.zeros(2), SigmaSchedule(1.0, 0.1, 10),
+                          TrustRegion(1.0), ls_iters=1, ls_tol=bad, recompute=1,
+                          budget=Budget(evals=5))
+        assert obj.eval_count == 0
+
 
 def test_trace_monotonicity_invariants():
     task = quad_task()

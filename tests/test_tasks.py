@@ -14,7 +14,7 @@ from smoothdiff.estimators import (
 )
 from smoothdiff.kernels import KernelSpec
 from smoothdiff.samplers import RngStream
-from smoothdiff.selftest import per_pixel_phong_loss, rasterized_box_loss
+from reference import per_pixel_phong_loss, rasterized_box_loss
 from smoothdiff.tasks import (
     BOX_SIDE,
     PHONG_TRUE,
