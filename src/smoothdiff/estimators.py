@@ -33,7 +33,9 @@ Every estimator runs the same three stages:
    axes left unblurred.
 2. **Evaluate** f once per row at theta - tau for a block's drawn rows,
    then at theta + tau for their mirror images, all in one call to
-   ``Objective.evaluate_rows``, which aborts the estimate on the first
+   ``Objective.evaluate_rows``.  It evaluates a loss that carries a
+   batched form (``fn.rows``) in one call over all the rows, and any
+   other loss row by row, and it aborts the estimate on the first
    non-finite value.  This stage yields each stack with its values, one
    chunk at a time.
 3. **Contract** each block's values into one coefficient per drawn row,
@@ -125,14 +127,19 @@ class Objective:
 
     ``evaluate`` may be stochastic; the counter increments exactly once
     per call, and once per row through ``evaluate_rows``, the estimators'
-    entry point.  A single instance is meant to be owned by one run; share
-    across threads only if the wrapped function tolerates it.
+    entry point.  A loss may carry a batched form as an attribute,
+    ``fn.rows(points) -> values``: f at each row of an (m, dim) float
+    array, shape (m,), equal to calling ``fn`` on each row.  Then
+    ``evaluate_rows`` makes one ``rows`` call per batch; otherwise it calls
+    ``fn`` row by row.  A single instance is meant to be owned by one run;
+    share across threads only if the wrapped function tolerates it.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self._fn = fn
+        self._rows = getattr(fn, "rows", None)
         self.dim = dim
         self._evals = 0
 
@@ -141,25 +148,38 @@ class Objective:
         return float(self._fn(theta))
 
     def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
-        """f at each row of ``points`` (m, dim), one counted call per row.
+        """f at each row of ``points`` (m, dim), counted once per row.
 
         Raises ``EstimationError`` at the first non-finite value, carrying
-        an owned copy of its row; later rows are not evaluated.
+        an owned copy of its row.  A batched call (``fn.rows``) evaluates
+        and counts all m rows before it checks them; the row loop stops at
+        the bad row, so later rows are neither evaluated nor counted.
         """
+        if self._rows is not None:
+            self._evals += len(points)
+            vals = self._rows(points)
+            if _all_finite(vals):
+                return vals
+            k = np.flatnonzero(~np.isfinite(vals))[0]
+            raise _non_finite(float(vals[k]), points[k])
         fn = self._fn
         vals = np.empty(len(points))
         for k, point in enumerate(points):
             self._evals += 1
             v = float(fn(point))
             if not math.isfinite(v):
-                raise EstimationError(f"objective returned non-finite value {v} at {point}",
-                                      point=point.copy())
+                raise _non_finite(v, point)
             vals[k] = v
         return vals
 
     @property
     def eval_count(self) -> int:
         return self._evals
+
+
+def _non_finite(value: float, point: np.ndarray) -> EstimationError:
+    return EstimationError(f"objective returned non-finite value {value} at {point}",
+                           point=point.copy())
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,17 @@ is two outer products, RGB colors times per-pixel diffuse and specular
 intensities, and the specular power is taken on lit pixels only.  Both
 equal the loss of the full image to rounding.
 
-A loss call pays only for its arithmetic: what does not depend on the
-parameters is built once per task (see ``box_task`` and ``_PhongScene``),
-and clamps call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python
-wrapper costs more than the arithmetic on these small arrays.  Each loss
-stays bit for bit the value of its first separable form, which
-``tests/test_tasks.py`` keeps as reference.
+The box, texture and Phong losses are written once, over a batch of
+points: ``fn.rows(points)`` takes an (m, dim) float array and returns
+the loss at each row, and ``fn(theta)`` is its one-row case.
+``Objective.evaluate_rows`` makes one ``rows`` call per batch.  Phong
+rows are shaded in blocks of at most ``_PHONG_BLOCK`` = 8, which keeps a
+block's images in cache.  What does not depend on the parameters is
+built once per task (see ``box_task`` and ``_PhongScene``), and clamps
+call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python wrapper
+costs more than the arithmetic on these small arrays.  Each row's loss
+is bit for bit the value of its first separable single-point form,
+which ``tests/test_tasks.py`` keeps as reference.
 """
 
 from __future__ import annotations
@@ -66,6 +71,19 @@ class Task:
     def param_error(self, theta: np.ndarray) -> float:
         d = np.asarray(theta, dtype=float) - self.theta_true
         return math.sqrt(float(d.dot(d)))  # bit-equal to np.linalg.norm(d)
+
+
+def _row_loss(rows: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
+    """The loss f(theta) as the one-row case of ``rows``, which it carries as ``fn.rows``.
+
+    ``rows(points)`` takes an (m, dim) float array and returns f at each
+    row, shape (m,); ``Objective.evaluate_rows`` calls it once per batch.
+    """
+    def fn(theta):
+        return float(rows(np.asarray(theta, dtype=float)[None])[0])
+
+    fn.rows = rows
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +218,11 @@ class RasterScene:
     def axis_coverage(self, centers, grid: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         """Overlap of the square with each pixel cell of ``grid`` along one axis.
 
-        Returns one row per center (a single row for a scalar center).
-        The overlap needs no clip at 1: it is at most (k + 1) - k = 1, and
-        rounded subtraction is monotone.
+        Returns one row of cells per center, shape ``centers.shape +
+        (cells,)``: a single row for a scalar center, and (m, dim, cells)
+        for m rows of dim centers, whose last axis pairs with ``grid``'s
+        counts.  The overlap needs no clip at 1: it is at most
+        (k + 1) - k = 1, and rounded subtraction is monotone.
         """
         counts, cells, caps = grid
         c = np.asarray(centers, dtype=float)[..., None]
@@ -236,22 +256,6 @@ def _box_plateau_points(num_boxes: int, count: int) -> list[np.ndarray]:
     return pts
 
 
-def _numpy_sum(terms: list[float]) -> float:
-    """``float(np.sum(terms))`` for at most 8 float64 terms, on Python floats.
-
-    numpy's pairwise summation adds fewer than 8 terms in sequence and 8
-    as ``((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7))``, both onto
-    an initial 0.0.  ``tests/test_tasks.py`` pins the equality.
-    """
-    if len(terms) == 8:
-        t0, t1, t2, t3, t4, t5, t6, t7 = terms
-        return 0.0 + (((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)))
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
-
-
 def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     """Match square placements to a reference image by MSE.
 
@@ -276,11 +280,12 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     truth, where every ``d`` is 0.
 
     Built once: the pixel grid of ``RasterScene.axis_grid``, the
-    reference rows ``r`` and their ``|r|^2``.  Each call makes the two
-    row reductions ``|d|^2`` and ``d . r`` with ``einsum`` and combines
-    the per-box terms on Python floats, which round exactly as numpy's
-    elementwise float64 operations do; ``_numpy_sum`` adds them in
-    numpy's order.  So the loss is bit-identical to the all-numpy form.
+    reference rows ``r`` and their ``|r|^2``.  A batch of m points makes
+    its coverage rows (m, dim, cells) in one pass, the row reductions
+    ``|d|^2`` and ``d . r`` with one ``einsum`` each, and the per-box
+    terms as (m, boxes) arrays, summed per point.  Each point's loss is
+    bit-identical to the single-point form, whose einsum, elementwise
+    operations and pairwise sum round the same way.
     """
     if not (1 <= num_boxes <= 8):
         raise ValueError(f"num_boxes must be in 1..8, got {num_boxes}")
@@ -292,7 +297,7 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     # rows alternate x, y per box, as the flattened parameter vector does
     grid = scene.axis_grid(np.tile([float(w), float(h)], num_boxes))
     ref = scene.axis_coverage(targets.reshape(-1), grid)
-    ref_sq = np.einsum("ij,ij->i", ref, ref).tolist()
+    ref_sq = np.einsum("ij,ij->i", ref, ref)
     ref_x_sq, ref_y_sq = ref_sq[0::2], ref_sq[1::2]
     # squared image error in units of one box footprint: a lost square
     # costs about 2.0, which keeps gradient scales usable at wide sigma
@@ -300,19 +305,19 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     lo = scene.box_half
     hi = 1.0 - scene.box_half
 
-    def fn(th):
-        centers = np.minimum(np.maximum(np.asarray(th, dtype=float), lo), hi)
-        d = scene.axis_coverage(centers, grid)
+    def rows(points):
+        d = scene.axis_coverage(np.minimum(np.maximum(points, lo), hi), grid)
         d -= ref
-        d_sq = np.einsum("ij,ij->i", d, d).tolist()
-        d_ref = np.einsum("ij,ij->i", d, ref).tolist()
-        per_box = [
-            # a_x . a_x and a_x . d_x from a_x = r_x + d_x
-            dy_sq * (rx_sq + 2.0 * dx_ref + dx_sq) + 2.0 * dy_ref * (dx_ref + dx_sq) + ry_sq * dx_sq
-            for dx_sq, dy_sq, dx_ref, dy_ref, rx_sq, ry_sq
-            in zip(d_sq[0::2], d_sq[1::2], d_ref[0::2], d_ref[1::2], ref_x_sq, ref_y_sq)
-        ]
-        return _numpy_sum(per_box) / norm
+        d_sq = np.einsum("mij,mij->mi", d, d)
+        d_ref = np.einsum("mij,ij->mi", d, ref)
+        dx_sq, dy_sq = d_sq[:, 0::2], d_sq[:, 1::2]
+        dx_ref, dy_ref = d_ref[:, 0::2], d_ref[:, 1::2]
+        # a_x . a_x and a_x . d_x from a_x = r_x + d_x
+        per_box = dy_sq * (ref_x_sq + 2.0 * dx_ref + dx_sq) + 2.0 * dy_ref * (dx_ref + dx_sq)
+        per_box += ref_y_sq * dx_sq
+        loss = np.add.reduce(per_box, 1)
+        loss /= norm
+        return loss
 
     def init(gen):
         return gen.uniform(0.15, 0.85, size=2 * num_boxes)
@@ -320,7 +325,7 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     return Task(
         name=f"box{2 * num_boxes}",
         dim=2 * num_boxes,
-        fn=fn,
+        fn=_row_loss(rows),
         theta_true=targets.reshape(-1).copy(),
         init_sampler=init,
         plateau_points=_box_plateau_points(num_boxes, 20),
@@ -344,15 +349,18 @@ def texture_task(side: int = 16) -> Task:
     ref = _texture_reference(side)
     n = side * side
 
-    def fn(th):
-        d = np.minimum(np.maximum(np.asarray(th, dtype=float), 0.0), 1.0)
+    def rows(points):
+        d = np.minimum(np.maximum(points, 0.0), 1.0)
         d -= ref
-        return float(d @ d) / n
+        # each row's d @ d, a stacked matmul: bit-equal to the 1-D product
+        loss = np.matmul(d[:, None], d[:, :, None]).reshape(len(d))
+        loss /= n
+        return loss
 
     return Task(
         name=f"texture{side}",
         dim=n,
-        fn=fn,
+        fn=_row_loss(rows),
         theta_true=ref.copy(),
         init_sampler=lambda gen: gen.uniform(0.0, 1.0, size=n),
     )
@@ -368,13 +376,20 @@ _SHININESS_UNIT = 10.0  # th[6] carries the exponent in tens, keeping all
                         # seven parameters on commensurate scales
 
 
+# Rows per Phong shading block.  At the default resolution a block's image,
+# (8, 3, 688) floats, takes 132 KB.  On the render benchmark (2-core x86-64
+# VM), blocks of 16 or 32 rows cost more per row than 8: their images outgrow
+# the cache, and their temporaries page-fault fresh memory on every call.
+_PHONG_BLOCK = 8
+
+
 class _PhongScene:
     """Direct per-pixel shading of a sphere under one point light.
 
     Geometry, light and the specular base are fixed, so the diffuse
     intensities, the lit-pixel index and its bases are built once; a
     shade call pays the power on lit pixels, one scatter and two
-    broadcast products.  ``kd[:, None] * diffuse`` is exactly what
+    broadcast products.  ``kd[..., None] * diffuse`` is exactly what
     ``np.outer`` computes, so the image keeps its bits.
     """
 
@@ -400,15 +415,19 @@ class _PhongScene:
         self._lit_base = self.spec_base[self._lit]
         self.total_pixels = resolution * resolution
 
-    def shade(self, kd: np.ndarray, ks: np.ndarray, alpha: float) -> np.ndarray:
-        """The sphere's pixels, channel-major: shape (3, pixels).
+    def shade(self, kd: np.ndarray, ks: np.ndarray, alpha) -> np.ndarray:
+        """The sphere's pixels, channel-major: shape (..., 3, pixels).
 
-        The specular intensity is spec_base ** alpha where lit, else 0.
+        ``kd`` and ``ks`` are RGB rows of shape (..., 3) and ``alpha`` the
+        exponents, shape (...): one image for a single point, or one per
+        row for (m, 3), (m, 3) and (m,).  The specular intensity is
+        spec_base ** alpha where lit, else 0.
         """
-        spec = np.zeros_like(self.spec_base)
-        spec[self._lit] = self._lit_base ** alpha
-        img = kd[:, None] * self.diffuse
-        img += ks[:, None] * spec
+        alpha = np.asarray(alpha)
+        spec = np.zeros(alpha.shape + self.spec_base.shape)
+        spec[..., self._lit] = self._lit_base ** alpha[..., None]
+        img = kd[..., None] * self.diffuse
+        img += ks[..., None] * spec[..., None, :]
         return img
 
 
@@ -419,16 +438,33 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     (expressed in tens, so all seven unknowns are order one); geometry,
     camera, and light stay fixed.  Exponents at or below zero are clamped
     to a small floor inside the objective.
+
+    A batch is shaded ``_PHONG_BLOCK`` rows at a time; each row's loss is
+    bit-identical to the single-point form, whose elementwise operations
+    and ``einsum`` round the same way.
     """
     scene = _PhongScene(resolution)
     ref = scene.shade(PHONG_TRUE[0:3], PHONG_TRUE[3:6], PHONG_TRUE[6] * _SHININESS_UNIT)
     norm = 3.0 * scene.total_pixels
 
-    def fn(th):
-        th = np.asarray(th, dtype=float)
-        diff = scene.shade(th[0:3], th[3:6], max(float(th[6]) * _SHININESS_UNIT, _SHININESS_FLOOR))
+    def block_rows(points):
+        # past +-1e300 tens the exponent acts as it would at +-inf (lit bases
+        # ** alpha are 0 or 1, or alpha is the floor); the clamp keeps the
+        # scaling from overflowing
+        alpha = np.minimum(np.maximum(points[:, 6], -1e300), 1e300)
+        alpha *= _SHININESS_UNIT
+        np.maximum(alpha, _SHININESS_FLOOR, out=alpha)
+        diff = scene.shade(points[:, 0:3], points[:, 3:6], alpha)
         diff -= ref
-        return float(np.einsum("ij,ij->", diff, diff)) / norm
+        loss = np.einsum("mij,mij->m", diff, diff)
+        loss /= norm
+        return loss
+
+    def rows(points):
+        if len(points) <= _PHONG_BLOCK:
+            return block_rows(points)
+        return np.concatenate([block_rows(points[start:start + _PHONG_BLOCK])
+                               for start in range(0, len(points), _PHONG_BLOCK)])
 
     def init(gen):
         th = np.empty(7)
@@ -439,7 +475,7 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     return Task(
         name="phong",
         dim=7,
-        fn=fn,
+        fn=_row_loss(rows),
         theta_true=PHONG_TRUE.copy(),
         init_sampler=init,
     )

@@ -58,7 +58,7 @@ from reference import (
     reduce_estimates,
     stacked_estimate,
 )
-from smoothdiff.tasks import box_task, negated_gaussian_task, quad_task
+from smoothdiff.tasks import box_task, make_task, negated_gaussian_task, quad_task
 
 QUAD_H = np.array([[10.0, 7.5], [7.5, 10.0]])
 
@@ -107,6 +107,59 @@ class TestObjective:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             Objective(lambda th: 0.0, dim=0)
+
+
+def summed_loss():
+    """A loss whose batched form ``rows`` records the batches it is called with."""
+    def fn(th):
+        return float(th.sum())
+
+    def rows(points):
+        fn.calls.append(len(points))
+        return points.sum(axis=1)
+
+    fn.rows, fn.calls = rows, []
+    return fn
+
+
+class TestBatchedObjective:
+    def test_rows_counts_every_row_of_one_call(self):
+        fn = summed_loss()
+        obj = Objective(fn, dim=3)
+        points = np.arange(12.0).reshape(4, 3)
+        assert np.array_equal(obj.evaluate_rows(points), points.sum(axis=1))
+        assert obj.eval_count == 4 and fn.calls == [4]
+        obj.evaluate(points[0])
+        assert obj.eval_count == 5 and fn.calls == [4]
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_non_finite_row_raises_with_an_owned_copy_of_it(self, k):
+        obj = Objective(summed_loss(), dim=2)
+        points = np.arange(10.0).reshape(5, 2)
+        points[k, 1] = np.nan
+        if k < 4:
+            points[4, 0] = np.inf
+        with pytest.raises(EstimationError) as err:
+            obj.evaluate_rows(points)
+        # a batched call evaluates and counts every row before its check
+        assert obj.eval_count == 5
+        assert np.array_equal(err.value.point, points[k], equal_nan=True)
+        assert err.value.point.flags.owndata
+        assert "non-finite value nan" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["box10", "phong", "texture16"])
+    def test_plain_wrapper_takes_the_row_loop_with_the_same_values(self, name):
+        task = make_task(name)
+        calls = []
+
+        def wrapped(th):
+            calls.append(th)
+            return task.fn(th)
+
+        points = task.theta_true + 0.1 * np.random.default_rng(3).standard_normal((9, task.dim))
+        batched, looped = task.objective(), Objective(wrapped, task.dim)
+        assert np.array_equal(batched.evaluate_rows(points), looped.evaluate_rows(points))
+        assert batched.eval_count == looped.eval_count == len(calls) == 9
 
 
 class TestEstimatorConfig:
@@ -580,6 +633,27 @@ def test_non_finite_in_later_element_aborts_at_its_row():
     row = np.concatenate((taus, mirror))[1]
     assert np.array_equal(err.value.point, theta - row)
     assert err.value.point.flags.owndata
+
+
+@pytest.mark.parametrize("name", ["box10", "phong", "texture16"])
+def test_batched_objective_gives_the_row_loops_estimates_bit_for_bit(name):
+    # every estimator, fed one rows call per batch or one call per row
+    task = make_task(name)
+    n = task.dim
+    theta = task.init_sampler(np.random.default_rng(9))
+    per_element, aggregate = (cfg(sigma=0.05, dim=n, samples=2, mode=mode)
+                              for mode in (SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE))
+    estimates = [
+        lambda obj: estimate_gradient(obj, theta, per_element, RngStream(5)).g,
+        lambda obj: estimate_gradient(obj, theta, aggregate, RngStream(5)).g,
+        lambda obj: estimate_gradient_fd(obj, theta, 1e-4).g,
+        # one pair per element: n (n + 1) = 65,792 rows at n = 256
+        lambda obj: estimate_hessian(obj, theta, cfg(sigma=0.05, dim=n), RngStream(5)).h,
+    ]
+    for estimate in estimates:
+        batched, looped = task.objective(), Objective(lambda th: task.fn(th), n)
+        assert np.array_equal(estimate(batched), estimate(looped))
+        assert batched.eval_count == looped.eval_count
 
 
 def test_per_element_hessian_memory_stays_within_chunk_bound():

@@ -1,6 +1,8 @@
 """Task suite: ground truths, analytic-oracle cross-checks, plateau certification."""
 
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def reference_box_loss(task, resolution, th):
     """``box_task``'s loss as first written in separable form, all in numpy.
 
     The task's loss must equal it bit for bit: its per-call constants and
-    Python-float arithmetic change the cost, not the rounding.
+    batched arithmetic change the cost, not the rounding.
     """
     w, h = resolution
     half = BOX_SIDE / 2.0
@@ -328,6 +330,74 @@ class TestPhongTask:
         rng = np.random.default_rng(7)
         f0 = task.fn(task.theta_true)
         assert all(task.fn(task.init_sampler(rng)) >= f0 for _ in range(25))
+
+
+BATCH_SIZES = (1, 2, 8, 31, 32, 33, 112, 512)
+
+
+def batch_of(pool, m, seed):
+    """m rows cycling through ``pool`` in a seeded order: every pool point once m >= len(pool)."""
+    pool = np.array(pool, dtype=float)
+    return np.resize(pool[np.random.default_rng(seed).permutation(len(pool))], (m, pool.shape[1]))
+
+
+def texture_reference_loss(task, th):
+    """``texture_task``'s loss as first written, clip and all."""
+    d = np.clip(np.asarray(th, dtype=float), 0.0, 1.0) - task.theta_true
+    return float(d @ d / task.dim)
+
+
+def reference_rows(name):
+    """The task, its reference single-point loss and a pool of probe points."""
+    rng = np.random.default_rng(19)
+    if name.startswith("box"):
+        # box16, unregistered, sums 8 box terms pairwise
+        task = box_task(int(name.removeprefix("box")) // 2)
+        pool = box_probe_points(task, 200, seed=20) + task.plateau_points
+        return task, partial(reference_box_loss, task, (64, 64)), pool
+    task = make_task(name)
+    if name == "phong":
+        pool = [task.init_sampler(rng) for _ in range(100)]
+        pool += [rng.uniform(-1.0, 2.0, 7) for _ in range(100)]
+        pool += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(7)
+                 for _ in range(100)]
+        # shininess at and below the exponent floor, and past the clamp of its scaling
+        for s in (1e-4, 0.0, -0.0, -1e300, 1e301, 1e308, -1e308):
+            pool.append(np.append(rng.uniform(0.0, 1.0, 6), s))
+        return task, reference_phong_loss, pool
+    pool = [rng.uniform(-1.0, 2.0, task.dim) for _ in range(100)]
+    pool += [task.theta_true + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(task.dim)
+             for _ in range(100)]
+    pool += [np.zeros(task.dim), np.full(task.dim, -0.0), np.ones(task.dim), task.theta_true]
+    return task, partial(texture_reference_loss, task), pool
+
+
+class TestBatchedRows:
+    """``fn.rows`` gives each row's reference loss, at every batch size and block boundary."""
+
+    @pytest.fixture(scope="class", params=["box2", "box10", "box16", "phong", "texture16"])
+    def case(self, request):
+        task, reference, pool = reference_rows(request.param)
+        return task, pool, {tuple(p): reference(p) for p in pool}
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_rows_equal_reference_bit_for_bit(self, case, m):
+        task, pool, want = case
+        points = batch_of(pool, m, seed=m)
+        got = task.fn.rows(points)
+        assert got.shape == (m,)
+        assert np.array_equal(got, [want[tuple(p)] for p in points])
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_nan_row_is_nan_in_its_own_row_only(self, case, m):
+        task, pool, want = case
+        points = batch_of(pool, m, seed=m + 1)
+        k = m // 3
+        points[k, 5 * m % task.dim] = np.nan  # phong's shininess at m = 32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = task.fn.rows(points)
+        assert np.array_equal(np.isnan(got), np.arange(m) == k)
 
 
 class TestMakeTask:
