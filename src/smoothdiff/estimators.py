@@ -129,9 +129,12 @@ class Objective:
     per call, and once per row through ``evaluate_rows``, the estimators'
     entry point.  A loss may carry a batched form as an attribute,
     ``fn.rows(points) -> values``: f at each row of an (m, dim) float
-    array, shape (m,), equal to calling ``fn`` on each row.  Then
-    ``evaluate_rows`` makes one ``rows`` call per batch; otherwise it calls
-    ``fn`` row by row.  A single instance is meant to be owned by one run;
+    array, equal to calling ``fn`` on each row.  Then ``evaluate_rows``
+    makes one ``rows`` call per batch; otherwise it calls ``fn`` row by
+    row.  ``rows`` returns a new array of shape (m,) and must not write
+    into ``points``: ``EstimationError`` copies the offending row from
+    ``points`` after the call.  So a batched loss works in arrays it
+    allocates itself.  A single instance is meant to be owned by one run;
     share across threads only if the wrapped function tolerates it.
     """
 
@@ -153,11 +156,16 @@ class Objective:
         Raises ``EstimationError`` at the first non-finite value, carrying
         an owned copy of its row.  A batched call (``fn.rows``) evaluates
         and counts all m rows before it checks them; the row loop stops at
-        the bad row, so later rows are neither evaluated nor counted.
+        the bad row, so later rows are neither evaluated nor counted.  A
+        ``rows`` result of any shape but (m,) is a ValueError.
         """
         if self._rows is not None:
-            self._evals += len(points)
+            m = len(points)
+            self._evals += m
             vals = self._rows(points)
+            if np.shape(vals) != (m,):
+                raise ValueError(f"fn.rows returned shape {np.shape(vals)} for {m} points, "
+                                 f"expected ({m},)")
             if _all_finite(vals):
                 return vals
             k = np.flatnonzero(~np.isfinite(vals))[0]
@@ -231,9 +239,10 @@ class HvpEstimate:
 _HALF = fixed_operand(0.5)
 
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
-# evaluation points, two per drawn row, get a quarter of it; the drawn
-# rows, the sampler's mirror images and its scratch take about as much
-# again.
+# evaluation points, two per drawn row, get a quarter of it, and its drawn
+# rows half that.  The sampler's mirror images of the drawn rows are
+# dropped as soon as they are made, and the sampler stages its draws, as
+# the texture loss works, in fixed blocks far smaller than a chunk.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -302,14 +311,17 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
     if cfg.mode is SamplingMode.PER_ELEMENT:
         table = default_hessian_diag_table()
         for chunk in _chunks(elements, count, spec.dim):
+            # [0]: the samplers' mirror block -taus is dropped at once, not
+            # held by this suspended generator through the later stages
             if chunk[0].kind is ElementKind.GRADIENT:
-                taus, _ = sample_gradient_offsets(chunk.i, spec, rng, count)
+                taus = sample_gradient_offsets(chunk.i, spec, rng, count)[0]
             else:
-                taus, _ = sample_hessian_offsets(chunk, spec, table, rng, count)
+                taus = sample_hessian_offsets(chunk, spec, table, rng, count)[0]
             yield _stacked(taus.reshape(len(chunk), count, spec.dim), chunk, spec.sigma)
             del taus  # drawn chunks are not kept while the next one is drawn
     elif cfg.mode is SamplingMode.AGGREGATE:
-        taus, _ = sample_aggregate_offsets(elements, spec, default_hessian_diag_table(), rng, count)
+        table = default_hessian_diag_table()
+        taus = sample_aggregate_offsets(elements, spec, table, rng, count)[0]
         yield _stacked(taus[None], elements, spec.sigma)
     else:
         sigma = spec.sigma

@@ -40,6 +40,11 @@ from .kernels import (
 )
 
 _MASK64 = (1 << 64) - 1
+# Bytes of Gaussian draws ``sample_gradient_offsets`` stages at a time.
+# Staged whole, a 256-D per-element estimate's draws took 0.5 MB, which,
+# with the estimate's other MB-scale arrays, made the heap grow and trim on
+# every call, so each call page-faulted fresh memory.
+_STAGE_BYTES = 64 << 10
 # open_unit's bounds
 _TINY, _BELOW_ONE = fixed_operand(np.finfo(float).tiny), fixed_operand(1.0 - 1e-16)
 
@@ -256,18 +261,23 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     # one test: a negative axis, viewed unsigned, is huge
     if np.count_nonzero(axes.view(np.uintp) >= n):
         raise ValueError(f"axis index {i} out of range for dim {n}")
-    xi = np.empty((k, count))
-    others = np.empty((k, count, n - 1))
-    uniform, normal = rng.uniform, rng.normal
-    for xi_r, others_r in zip(xi, others):
-        uniform(out=xi_r)
-        normal(out=others_r)
-    others *= spec.sigma
-    # row by row, the Gaussian draws fill the off-axis entries and the
-    # inverse CDF the one special entry, both in row-major order
     off_axis = _off_axis_mask(n)[axes.repeat(count)]
     taus = np.empty((k * count, n))
-    taus[off_axis] = others.reshape(-1)
+    xi = np.empty((k, count))
+    # the Gaussian draws are staged a group of axes at a time; row by row,
+    # they fill the off-axis entries and the inverse CDF the one special
+    # entry, both in row-major order
+    group = min(k, max(1, _STAGE_BYTES // (8 * count * n)))
+    staged = np.empty((group, count, n - 1))
+    uniform, normal = rng.uniform, rng.normal
+    for start in range(0, k, group):
+        others = staged[:k - start]
+        for xi_r, others_r in zip(xi[start:], others):
+            uniform(out=xi_r)
+            normal(out=others_r)
+        others *= spec.sigma
+        rows = slice(start * count, (start + group) * count)
+        taus[rows][off_axis[rows]] = others.reshape(-1)
     taus[~off_axis] = gradient_inverse_cdf(open_unit(xi), spec.sigma).reshape(-1)
     return taus, -taus
 

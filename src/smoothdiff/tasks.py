@@ -17,10 +17,14 @@ equal the loss of the full image to rounding.
 
 The box, texture and Phong losses are written once, over a batch of
 points: ``fn.rows(points)`` takes an (m, dim) float array and returns
-the loss at each row, and ``fn(theta)`` is its one-row case.
-``Objective.evaluate_rows`` makes one ``rows`` call per batch.  Phong
-rows are shaded in blocks of at most ``_PHONG_BLOCK`` = 8, which keeps a
-block's images in cache.  What does not depend on the parameters is
+the loss at each row, a new array of shape (m,), and ``fn(theta)`` is its
+one-row case.  ``Objective.evaluate_rows`` makes one ``rows`` call per
+batch.  ``rows`` never writes into ``points``, which ``EstimationError``
+reads after the call, so each loss works in arrays it allocates itself.
+Phong rows are shaded in blocks of at most ``_PHONG_BLOCK`` = 8, which
+keeps a block's images in cache, and texture rows are clamped in blocks
+of ``_TEXTURE_BLOCK_BYTES``, which keeps a 256-D estimate from
+page-faulting fresh memory.  What does not depend on the parameters is
 built once per task (see ``box_task`` and ``_PhongScene``), and clamps
 call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python wrapper
 costs more than the arithmetic on these small arrays.  Each row's loss
@@ -84,6 +88,17 @@ def _row_loss(rows: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray]
 
     fn.rows = rows
     return fn
+
+
+def _blockwise(block_rows: Callable[[np.ndarray], np.ndarray], block: int):
+    """A batched loss that calls ``block_rows`` on consecutive blocks of at most ``block`` rows."""
+    def rows(points):
+        if len(points) <= block:
+            return block_rows(points)
+        return np.concatenate([block_rows(points[start:start + block])
+                               for start in range(0, len(points), block)])
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +353,29 @@ def _texture_reference(side: int) -> np.ndarray:
     return ref.reshape(-1)
 
 
+# Bytes of a texture loss block's working copy.  Clamped whole, the (512, 256)
+# batch of a per-element texture16 estimate needs a 1 MB copy, which, with
+# the estimate's other MB-scale arrays, made the heap grow and trim on every
+# call, so each call page-faulted fresh memory.  A block this size stays
+# below glibc's default mmap threshold (128 KB) and in cache.
+_TEXTURE_BLOCK_BYTES = 64 << 10
+
+
 def texture_task(side: int = 16) -> Task:
     """Per-texel intensity recovery: separable, convex, n = side^2.
 
     Texels clamp to [0, 1] inside the objective, so the loss is flat in
-    any texel pushed past the clamp.
+    any texel pushed past the clamp.  A batch is evaluated
+    ``_TEXTURE_BLOCK_BYTES`` of rows at a time.
     """
     if side < 4:
         raise ValueError(f"side must be >= 4, got {side}")
     ref = _texture_reference(side)
     n = side * side
 
-    def rows(points):
-        d = np.minimum(np.maximum(points, 0.0), 1.0)
+    def block_rows(points):
+        d = np.maximum(points, 0.0)
+        np.minimum(d, 1.0, out=d)
         d -= ref
         # each row's d @ d, a stacked matmul: bit-equal to the 1-D product
         loss = np.matmul(d[:, None], d[:, :, None]).reshape(len(d))
@@ -360,7 +385,7 @@ def texture_task(side: int = 16) -> Task:
     return Task(
         name=f"texture{side}",
         dim=n,
-        fn=_row_loss(rows),
+        fn=_row_loss(_blockwise(block_rows, max(1, _TEXTURE_BLOCK_BYTES // (8 * n)))),
         theta_true=ref.copy(),
         init_sampler=lambda gen: gen.uniform(0.0, 1.0, size=n),
     )
@@ -460,12 +485,6 @@ def phong_sphere_task(resolution: int = 32) -> Task:
         loss /= norm
         return loss
 
-    def rows(points):
-        if len(points) <= _PHONG_BLOCK:
-            return block_rows(points)
-        return np.concatenate([block_rows(points[start:start + _PHONG_BLOCK])
-                               for start in range(0, len(points), _PHONG_BLOCK)])
-
     def init(gen):
         th = np.empty(7)
         th[0:6] = gen.uniform(0.05, 0.95, size=6)
@@ -475,7 +494,7 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     return Task(
         name="phong",
         dim=7,
-        fn=_row_loss(rows),
+        fn=_row_loss(_blockwise(block_rows, _PHONG_BLOCK)),
         theta_true=PHONG_TRUE.copy(),
         init_sampler=init,
     )

@@ -1,6 +1,7 @@
 """Estimator correctness: oracles on closed-form objectives, eval budgets."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -146,6 +147,16 @@ class TestBatchedObjective:
         assert np.array_equal(err.value.point, points[k], equal_nan=True)
         assert err.value.point.flags.owndata
         assert "non-finite value nan" in str(err.value)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (3,), ()])
+    def test_rows_of_another_shape_is_a_value_error(self, shape):
+        def fn(th):
+            return float(th.sum())
+
+        fn.rows = lambda points: np.zeros(shape)
+        obj = Objective(fn, dim=3)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} for 4 points, expected (4,)")):
+            obj.evaluate_rows(np.zeros((4, 3)))
 
     @pytest.mark.parametrize("name", ["box10", "phong", "texture16"])
     def test_plain_wrapper_takes_the_row_loop_with_the_same_values(self, name):
@@ -685,6 +696,24 @@ def test_per_element_gradient_memory_stays_within_chunk_bound():
         tracemalloc.stop()
     assert est.batch is None and obj.eval_count == 2 * samples * n
     assert peak < _CHUNK_BYTES
+
+
+def test_texture_gradient_estimate_holds_no_mirror_block_or_batch_copy():
+    # one per-element texture16 estimate: its points take 1 MiB and its drawn
+    # rows 0.5 MiB; the sampler's staged draws and the loss's working block
+    # are far smaller.  Holding the sampler's mirror block through the later
+    # stages, and clamping the whole batch into working copies, took it to 4 MiB
+    task = make_task("texture16")
+    obj, c = task.objective(), cfg(sigma=0.3, dim=task.dim)
+    theta = task.init_sampler(np.random.default_rng(0))
+    estimate_gradient(obj, theta, c, RngStream(0))  # cached set-up, not part of an estimate
+    tracemalloc.start()
+    try:
+        estimate_gradient(obj, theta, c, RngStream(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_high_dimension_small_sigma_emits_no_warnings():

@@ -1,6 +1,7 @@
 """Task suite: ground truths, analytic-oracle cross-checks, plateau certification."""
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -398,6 +399,28 @@ class TestBatchedRows:
             warnings.simplefilter("error")
             got = task.fn.rows(points)
         assert np.array_equal(np.isnan(got), np.arange(m) == k)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_rows_leave_their_points_bit_unchanged(self, case, m):
+        task, pool, _ = case
+        points = batch_of(pool, m, seed=m + 2)
+        before = points.copy()
+        task.fn.rows(points)
+        assert np.array_equal(points.view(np.int64), before.view(np.int64))
+
+
+def test_texture_rows_work_in_a_block_not_a_copy_of_the_batch():
+    # a per-element texture16 estimate's batch; a whole-batch working copy
+    # kept the heap growing and trimming, so every call faulted fresh pages
+    task = make_task("texture16")
+    points = np.random.default_rng(4).uniform(-0.5, 1.5, (512, task.dim))
+    tracemalloc.start()
+    try:
+        task.fn.rows(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * points.nbytes
 
 
 class TestMakeTask:
