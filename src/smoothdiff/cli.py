@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +33,8 @@ from .estimators import SamplingMode
 from .harness import RunConfig, VarianceReport, run_ensemble
 from .tasks import TASK_NAMES, make_task
 
-# each RunConfig field's type, with ``X | None`` read as X
-_KEY_TYPES = {key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-              for key, hint in typing.get_type_hints(RunConfig).items()}
-
-
 def _coerce(key: str, raw: str):
-    kind = _KEY_TYPES.get(key)
+    kind = harness.CONFIG_TYPES.get(key)
     if kind is None:
         raise ValueError(f"unknown config key {key!r}")
     if kind is bool:

@@ -13,8 +13,8 @@ import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Literal, NamedTuple
+from dataclasses import asdict, astuple, dataclass
+from typing import Callable, Iterable, Literal, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 
 THRESHOLD_FRACTIONS = (0.9, 0.99, 0.999)
 
-CSV_HEADER = "run,wall_time_s,iter,evals,loss,param_error"
+# each column of an exported trace record with its type, in TraceRecord field order
+TRACE_COLUMNS = {"wall_time_s": float, "iter": int, "evals": int, "loss": float, "param_error": float}
+CSV_HEADER = ",".join(["run", *TRACE_COLUMNS])
 
 
 class _Method(NamedTuple):
@@ -99,12 +101,9 @@ class RunConfig:
     trust region plus the inner-loop controls.  Mixing them up is a config
     error, caught here rather than deep in a run, and so are an unknown
     task name (checked without building the task), a plateau start on a
-    task without plateau points and a numeric setting no run can use:
-    ``lr``, ``trust_region``, ``fd_step``, ``ls_tol``, ``budget_seconds``
-    and the sigma endpoints must be finite and > 0 when set; ``seed``,
-    ``samples``, ``ensemble``, ``ls_iters``, ``recompute``,
-    ``budget_evals`` and ``threads`` must be integers, not bools, and all
-    but ``seed`` at least 1.
+    task without plateau points and a numeric setting no run can use: a
+    float field must be finite and > 0 when set, an int field an integer,
+    not a bool, and at least 1 except ``seed`` (see ``CONFIG_TYPES``).
     """
 
     task: str
@@ -140,14 +139,13 @@ class RunConfig:
         required = "trust_region" if newton else "lr"
         if getattr(self, required) is None:
             raise ValueError(f"method {self.method} requires {required}")
-        for key in ("lr", "trust_region", "fd_step", "ls_tol", "sigma_start", "sigma_end",
-                    "budget_seconds"):
-            value = getattr(self, key)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
-        for key in ("seed", "samples", "ensemble", "ls_iters", "recompute", "budget_evals", "threads"):
+        for key, kind in CONFIG_TYPES.items():
             value = getattr(self, key)
             if value is None:
+                continue
+            if kind is float and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
+            if kind is not int:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -164,9 +162,13 @@ class RunConfig:
                 1 if self.recompute is None else self.recompute)
 
 
+# each RunConfig field's type, with ``X | None`` read as X
+CONFIG_TYPES = {key: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+                for key, hint in get_type_hints(RunConfig).items()}
+
+
 @dataclass(frozen=True)
 class ThresholdStat:
-    fraction: float
     reached_runs: int
     median_time: float | None
     median_evals: float | None
@@ -275,8 +277,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
 
     Runs are independent; under ``threads > 1`` they execute in a thread
     pool and are merged by index, so the result does not depend on
-    scheduling.  A run that aborts on non-finite state keeps its partial
-    trace and simply never reaches the remaining thresholds.
+    scheduling.  A run that aborts on non-finite state, a non-finite
+    objective value inside an estimate included, keeps its partial trace
+    and its note and simply never reaches the remaining thresholds; the
+    other runs go on.
     """
     task = make_task(cfg.task)
     indices = range(cfg.ensemble)
@@ -330,14 +334,12 @@ def compute_thresholds(traces: list[ConvergenceTrace], metric: str) -> dict[floa
         hits = [pr[frac] for pr in per_run if pr[frac] is not None]
         if len(hits) * 2 >= len(traces) and hits:
             out[frac] = ThresholdStat(
-                fraction=frac,
                 reached_runs=len(hits),
                 median_time=float(statistics.median(h[0] for h in hits)),
                 median_evals=float(statistics.median(h[1] for h in hits)),
             )
         else:
-            out[frac] = ThresholdStat(fraction=frac, reached_runs=len(hits),
-                                      median_time=None, median_evals=None)
+            out[frac] = ThresholdStat(reached_runs=len(hits), median_time=None, median_evals=None)
     return out
 
 
@@ -459,25 +461,11 @@ def _require_nonempty(result: EnsembleResult) -> None:
             raise ValueError(f"run {k} has an empty trace; refusing to export")
 
 
-def _thresholds_dict(result: EnsembleResult) -> dict:
-    return {
-        metric: {
-            str(frac): {
-                "reached_runs": stat.reached_runs,
-                "median_time": stat.median_time,
-                "median_evals": stat.median_evals,
-            }
-            for frac, stat in stats.items()
-        }
-        for metric, stats in result.thresholds.items()
-    }
-
-
 def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
     """Write ensemble traces to ``path`` as CSV or JSON.
 
-    CSV columns are exactly ``run,wall_time_s,iter,evals,loss,param_error``;
-    JSON mirrors the same records and echoes the config.  Floats are
+    CSV columns are ``CSV_HEADER``: the run, then ``TRACE_COLUMNS``; JSON
+    mirrors the same records and echoes the config.  Floats are
     written with shortest round-trip formatting, so a reload reproduces
     the records bit-for-bit.
     """
@@ -489,27 +477,18 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
             writer = csv.writer(fh, lineterminator="\n")
             for run, trace in enumerate(result.traces):
                 for rec in trace.records:
-                    writer.writerow([run, repr(rec.wall_time), rec.iteration, rec.evals,
-                                     repr(rec.loss), repr(rec.param_error)])
+                    writer.writerow([run, *astuple(rec)])
     elif fmt == "json":
         payload = {
             "config": asdict(result.config),
-            "thresholds": _thresholds_dict(result),
+            "thresholds": {metric: {str(frac): asdict(stat) for frac, stat in stats.items()}
+                           for metric, stats in result.thresholds.items()},
             "runs": [
                 {
                     "run": run,
                     "aborted": trace.aborted,
                     "note": trace.note,
-                    "records": [
-                        {
-                            "wall_time_s": rec.wall_time,
-                            "iter": rec.iteration,
-                            "evals": rec.evals,
-                            "loss": rec.loss,
-                            "param_error": rec.param_error,
-                        }
-                        for rec in trace.records
-                    ],
+                    "records": [dict(zip(TRACE_COLUMNS, astuple(rec))) for rec in trace.records],
                 }
                 for run, trace in enumerate(result.traces)
             ],
@@ -521,22 +500,23 @@ def export_traces(result: EnsembleResult, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-# each JSON record field with the types it may have
-_RECORD_KEYS = (("wall_time_s", (int, float)), ("iter", int), ("evals", int),
-                ("loss", (int, float)), ("param_error", (int, float)))
 _RUN_KEYS = (("aborted", bool), ("note", str))
-_TYPE_NAMES = {list: "a list", int: "an integer", (int, float): "a number", bool: "a boolean",
+_TYPE_NAMES = {list: "a list", int: "an integer", float: "a number", bool: "a boolean",
                str: "a string"}
 
 
 def _field(path, entry, key: str, where: str, kind):
-    """``entry[key]``, checked to be of ``kind``; a ValueError names the file and ``where``."""
+    """``entry[key]``, checked to be of ``kind``; a ValueError names the file and ``where``.
+
+    A float field also takes a JSON integer.
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"{path}: {where} is not a JSON object")
     if key not in entry:
         raise ValueError(f"{path}: {where} has no {key!r}")
     value = entry[key]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ValueError(f"{path}: {where} has {key!r} = {value!r}, not {_TYPE_NAMES[kind]}")
     return value
 
@@ -566,7 +546,7 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
                                         for key, kind in _RUN_KEYS if key in run})
             for j, rec in enumerate(records):
                 record = TraceRecord(*(_field(path, rec, key, f"run {k} record {j}", kind)
-                                       for key, kind in _RECORD_KEYS))
+                                       for key, kind in TRACE_COLUMNS.items()))
                 try:
                     trace.append(record)
                 except ValueError as err:
@@ -585,8 +565,7 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
                                  f"{len(header)} columns {CSV_HEADER}")
             try:
                 run = int(row[0])
-                rec = TraceRecord(float(row[1]), int(row[2]), int(row[3]),
-                                  float(row[4]), float(row[5]))
+                rec = TraceRecord(*(kind(raw) for kind, raw in zip(TRACE_COLUMNS.values(), row[1:])))
                 by_run.setdefault(run, ConvergenceTrace()).append(rec)
             except ValueError as err:
                 raise ValueError(f"{path}: line {reader.line_num}: {err}") from None

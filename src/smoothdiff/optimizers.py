@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import GradientEstimate, Objective, _all_finite
+from .estimators import EstimationError, GradientEstimate, Objective, _all_finite
 from .kernels import fixed_operand
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
 
@@ -165,7 +165,10 @@ def _steihaug_step(
     """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta."""
 
     def residual(center: np.ndarray):
-        est, hvp = model(center, sigma)
+        try:
+            est, hvp = model(center, sigma)
+        except EstimationError as err:
+            raise NonFiniteStateError(f"{err}, in iteration {outer + 1}", trace) from err
         g = est.g
         gg = float(g.dot(g))
         # a finite g . g has only finite terms; otherwise test them one by one
@@ -266,9 +269,11 @@ def newton_cg_run(
     termination by budget is the normal exit.  A non-finite loss, at the
     start or at any trial or halving, raises ``NonFiniteStateError``
     naming the iteration; the initial loss is recorded first, so the
-    trace is never empty.  ``ls_iters`` or ``recompute`` below 1 and an
-    ``ls_tol`` that is not finite and > 0 are ValueErrors, raised before
-    any evaluation.
+    trace is never empty.  An ``EstimationError`` from ``model`` is
+    raised again as ``NonFiniteStateError`` carrying the trace, its note
+    the error's text, which names the point, and the iteration.
+    ``ls_iters`` or ``recompute`` below 1 and an ``ls_tol`` that is not
+    finite and > 0 are ValueErrors, raised before any evaluation.
     """
     if ls_iters < 1:
         raise ValueError("ls_iters must be >= 1")
@@ -337,6 +342,9 @@ def gd_adam_run(
 
     Each iteration records the loss at the new theta.  A non-finite loss
     is recorded, then raises ``NonFiniteStateError`` naming the iteration.
+    An ``EstimationError`` from ``gradient_fn`` is raised again as
+    ``NonFiniteStateError`` carrying the trace, its note the error's text,
+    which names the point, and the iteration.
     """
     theta = np.asarray(init, dtype=float).copy()
     trace = ConvergenceTrace()
@@ -353,7 +361,10 @@ def gd_adam_run(
     record(0)
     while not budget.exhausted(clock.now(), obj.eval_count):
         sigma = anneal_sigma(schedule, state.iteration)
-        grad = gradient_fn(state.theta, sigma)
+        try:
+            grad = gradient_fn(state.theta, sigma)
+        except EstimationError as err:
+            raise NonFiniteStateError(f"{err}, in iteration {state.iteration + 1}", trace) from err
         state = gd_adam_step(state, grad, lr)
         if not _all_finite(state.theta):
             raise NonFiniteStateError("non-finite parameters in Adam step", trace)

@@ -9,19 +9,21 @@ import subprocess
 import sys
 import typing
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smoothdiff
+from smoothdiff import harness
 from smoothdiff.cli import _coerce, _section_to_kwargs, main
 from smoothdiff.estimators import (
     EstimatorConfig,
     SamplingMode,
     estimate_gradient,
     estimate_hessian,
+    estimate_hvp,
     evals_per_estimate,
 )
 from smoothdiff.harness import (
@@ -379,6 +381,30 @@ class TestExport:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and missing in lines[0]
 
+    def test_exported_bytes(self, result, tmp_path):
+        # the layout spelled out field by field, apart from the code that writes it
+        export_traces(result, tmp_path / "t.csv", "csv")
+        export_traces(result, tmp_path / "t.json", "json")
+        lines = ["run,wall_time_s,iter,evals,loss,param_error"]
+        lines += [f"{run},{rec.wall_time!r},{rec.iteration},{rec.evals},{rec.loss!r},{rec.param_error!r}"
+                  for run, trace in enumerate(result.traces) for rec in trace.records]
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        payload = {
+            "config": asdict(result.config),
+            "thresholds": {metric: {str(frac): {"reached_runs": stat.reached_runs,
+                                                "median_time": stat.median_time,
+                                                "median_evals": stat.median_evals}
+                                    for frac, stat in stats.items()}
+                           for metric, stats in result.thresholds.items()},
+            "runs": [{"run": run, "aborted": trace.aborted, "note": trace.note,
+                      "records": [{"wall_time_s": rec.wall_time, "iter": rec.iteration,
+                                   "evals": rec.evals, "loss": rec.loss,
+                                   "param_error": rec.param_error} for rec in trace.records]}
+                     for run, trace in enumerate(result.traces)],
+        }
+        expected = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        assert (tmp_path / "t.json").read_bytes() == expected.encode()
+
 
 class TestVarianceReport:
     def test_slope_and_rows(self):
@@ -447,6 +473,31 @@ class TestVarianceReport:
             variance_report(task, np.full(2, 0.5), [SamplingMode.AGGREGATE], [8, 16],
                             orders=("G", "HVP"), reps=5, direction=bad)
         assert calls == []
+
+    def test_every_mode_order_and_budget_has_the_row_of_its_estimator(self):
+        task, theta, v = negated_gaussian_task(), np.array([0.5, -0.3]), np.ones(2) / math.sqrt(2)
+        modes, budgets, reps, seed = [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE], [24, 96], 3, 9
+        report = variance_report(task, theta, modes, budgets, reps=reps, seed=seed)
+        estimate = {"G": lambda obj, cfg, rng: estimate_gradient(obj, theta, cfg, rng).g,
+                    "H": lambda obj, cfg, rng: estimate_hessian(obj, theta, cfg, rng).h.ravel(),
+                    "HVP": lambda obj, cfg, rng: estimate_hvp(obj, theta, v, cfg, rng).hv}
+        expected, stream = [], 0
+        for mode in modes:
+            for order in ("G", "H", "HVP"):
+                elements = 3 if order == "H" else 2
+                for budget in budgets:
+                    cfg = EstimatorConfig(KernelSpec(sigma=1.0, dim=2),
+                                          budget // evals_per_estimate(mode, elements, 1), mode)
+                    ests = []
+                    for _ in range(reps):
+                        stream += 1
+                        obj = task.objective()
+                        ests.append(estimate[order](obj, cfg, RngStream(seed, stream_id=stream)))
+                        assert obj.eval_count <= budget
+                    expected.append((mode.value, order, budget,
+                                     float(np.array(ests).var(axis=0, ddof=1).sum())))
+        assert [(r.mode, r.order, r.budget_evals, r.variance) for r in report.rows] == expected
+        assert set(report.slopes) == {(mode.value, order) for mode in modes for order in ("G", "H", "HVP")}
 
 
 class TestCli:
@@ -699,6 +750,38 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "task=quad method=OurHVPA" in done.stdout
 
+    @pytest.mark.parametrize("flags,changes", [
+        (["--seed", "7"], dict(seed=7)),
+        (["--budget-seconds", "1.5e-4"], dict(budget_seconds=1.5e-4, budget_evals=None)),
+        (["--budget-evals", "150"], dict(budget_evals=150, budget_seconds=None)),
+        (["--threads", "2"], dict(threads=2)),
+    ], ids=["seed", "budget_seconds", "budget_evals", "threads"])
+    def test_override_flags_give_the_records_of_their_config(self, tmp_path, flags, changes):
+        # either budget of the file stops a run before the flag's would, so a
+        # budget flag that kept the other budget would cut the runs short
+        base = dict(task="quad", method="OurHVPA", samples=4, sigma_end=0.05, trust_region=50.0,
+                    ls_iters=5, seed=3, ensemble=2, budget_seconds=5e-5, budget_evals=60)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\n" + "".join(f"{key} = {value}\n" for key, value in base.items()))
+        out = tmp_path / "t.json"
+        assert main(["run", "--config", str(ini), "--deterministic", "--format", "json",
+                     "--out", str(out), *flags]) == 0
+        expected = RunConfig(**{**base, **changes, "deterministic": True})
+        traces, config = load_traces(out)
+        assert config == asdict(expected)
+        for back, orig in zip(traces, run_ensemble(expected).traces, strict=True):
+            assert back.records == orig.records
+
+    def test_variance_out_writes_the_printed_table(self, tmp_path, capsys):
+        out = tmp_path / "var.csv"
+        assert main(["variance", "--task", "quad", "--modes", "per_element,aggregate",
+                     "--budgets", "24,96", "--reps", "3", "--seed", "2", "--out", str(out)]) == 0
+        table = out.read_text()
+        assert capsys.readouterr().out == f"{table}wrote {out}\n"
+        rows = [line.split(",")[:3] for line in table.splitlines()[1:13]]
+        assert rows == [[mode, order, budget] for mode in ("per_element", "aggregate")
+                        for order in ("G", "H", "HVP") for budget in ("24", "96")]
+
 
 def test_budget_accounting_matches_counter():
     # the exported evals column is the objective's counter verbatim
@@ -707,3 +790,41 @@ def test_budget_accounting_matches_counter():
         evals = [r.evals for r in trace.records]
         assert evals == sorted(evals)
         assert evals[-1] >= QUAD_CFG["budget_evals"]
+
+
+@pytest.mark.parametrize("method,keys", [("OurG", dict(samples=2, lr=0.3)),
+                                         ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=5))])
+def test_wall_clock_budget_stops_at_the_first_record_past_it(monkeypatch, method, keys):
+    # the deterministic clock reads evals x 1e-6 s, so the stopping point is exact
+    plans = []
+    schedule = harness.SigmaSchedule
+    monkeypatch.setattr(harness, "SigmaSchedule",
+                        lambda *args: plans.append(args[2]) or schedule(*args))
+    result = run_ensemble(RunConfig(task="quad", method=method, budget_seconds=1e-4, ensemble=2,
+                                    seed=5, deterministic=True, **keys))
+    assert plans == [200, 200]
+    for trace in result.traces:
+        times = [rec.wall_time for rec in trace.records]
+        assert times == [rec.evals * 1e-6 for rec in trace.records]
+        assert max(times[:-1]) < 1e-4 <= times[-1] and not trace.aborted
+
+
+@pytest.mark.parametrize("method,keys", [("OurG", dict(samples=2, lr=0.3)),
+                                         ("OurHVPA", dict(samples=4, trust_region=1.0, ls_iters=5))])
+def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, method, keys):
+    # the loss is NaN on a band that estimate rows reach but these iterates
+    # and trial points do not
+    quad = quad_task()
+    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > 4.5 else quad.fn(th))
+    monkeypatch.setattr(harness, "make_task", lambda name: band)
+    result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=300,
+                                    ensemble=4, seed=1, deterministic=True, **keys))
+    assert len(result.traces) == 4
+    aborted = [trace for trace in result.traces if trace.aborted]
+    assert 0 < len(aborted) < 4
+    for trace in aborted:
+        match = re.fullmatch(r"objective returned non-finite value nan at \[(.*)\], in iteration (\d+)",
+                             trace.note)
+        assert match, trace.note
+        assert abs(float(match[1].split()[0])) > 4.5
+        assert int(match[2]) == len(trace.records)
