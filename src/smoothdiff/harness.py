@@ -185,31 +185,6 @@ class EnsembleResult:
 # method dispatch
 # ---------------------------------------------------------------------------
 
-def _anneal_total_iters(cfg: RunConfig, dim: int) -> int:
-    """Iterations the sigma schedule spans: the eval budget over what one iteration costs.
-
-    That is a gradient estimate and a loss evaluation: for Newton-CG one
-    call of its local model and the trial point, for Adam the record.  A
-    "batch" model spends nothing more, since its products contract the
-    gradient's batch.  For the "hessian" model the plan adds that model's
-    Hessian estimate and ``ls_iters`` evaluations, which no inner step
-    spends.  The plan counts one model call per outer iteration; each
-    ``recompute`` restart makes one more.
-    """
-    if cfg.budget_evals is None:
-        return 200
-    method = _METHODS[cfg.method]
-    if method.mode is None:
-        grad = evals_per_estimate(_PER, dim, 1)
-    else:
-        grad = evals_per_estimate(method.mode, dim, cfg.samples)
-    per_iter = 1 + grad
-    if method.model == "hessian":
-        hessian = evals_per_estimate(method.mode, dim * (dim + 1) // 2, cfg.samples)
-        per_iter += hessian + cfg.cg_settings()[0]
-    return max(1, cfg.budget_evals // per_iter)
-
-
 def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
                  rng: RngStream) -> Callable[[np.ndarray, float], GradientEstimate]:
     """``method``'s gradient estimator as grad_fn(theta, sigma)."""
@@ -255,7 +230,7 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
         theta0 = task.init_sampler(init_rng.generator)
     obj = task.objective()
     budget = Budget(seconds=cfg.budget_seconds, evals=cfg.budget_evals)
-    schedule = SigmaSchedule(cfg.sigma_start, cfg.sigma_end, _anneal_total_iters(cfg, task.dim))
+    schedule = SigmaSchedule(cfg.sigma_start, cfg.sigma_end)
     method = _METHODS[cfg.method]
 
     try:

@@ -37,25 +37,22 @@ CG_RADIUS_SHRINK = 0.25
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """Linear bandwidth annealing from start to end over total_iters."""
+    """Bandwidth annealed linearly from start to end over a run's budget (see ``anneal_sigma``)."""
 
     sigma_start: float
     sigma_end: float
-    total_iters: int
 
     def __post_init__(self):
         if not all(math.isfinite(s) and s > 0 for s in (self.sigma_start, self.sigma_end)):
             raise ValueError(f"schedule endpoints must be finite and > 0, got "
                              f"{self.sigma_start} and {self.sigma_end}")
-        if self.total_iters < 1:
-            raise ValueError("total_iters must be >= 1")
 
 
-def anneal_sigma(schedule: SigmaSchedule, iteration: int) -> float:
-    """Linearly interpolated bandwidth, clamped to the endpoints."""
-    if iteration < 0:
-        raise ValueError("iteration must be >= 0")
-    t = min(iteration, schedule.total_iters) / schedule.total_iters
+def anneal_sigma(schedule: SigmaSchedule, spent: float) -> float:
+    """Bandwidth at share ``spent`` of the budget (``Budget.spent``), linear and clamped at 1."""
+    if not spent >= 0.0:
+        raise ValueError(f"budget share must be >= 0, got {spent}")
+    t = min(spent, 1.0)
     return (1.0 - t) * schedule.sigma_start + t * schedule.sigma_end
 
 
@@ -199,8 +196,8 @@ def _steihaug_step(
             alpha = _boundary_step(p, v, delta)
             p_next = p + alpha * v
         if on_inner_step is not None:
-            on_inner_step({"outer": outer, "inner": k, "alpha": alpha, "v": v.copy(),
-                           "hv": hv.copy(), "curv": curv, "fallback": fallback})
+            on_inner_step({"outer": outer, "alpha": alpha, "v": v.copy(), "curv": curv,
+                           "fallback": fallback})
         p = p_next
         if not _all_finite(p):
             raise NonFiniteStateError("non-finite parameters in CG step", trace)
@@ -232,8 +229,8 @@ def newton_cg_run(
     """Trust-region Newton conjugate gradient (Steihaug-Toint) with Fletcher-Reeves directions.
 
     Per outer iteration: ask ``model`` for the gradient estimate at
-    theta_outer and the annealed bandwidth, with the HVP operator bound
-    to it, then run truncated CG on that local quadratic model (Steihaug
+    theta_outer and the bandwidth sigma, with the HVP operator bound to
+    it, then run truncated CG on that local quadratic model (Steihaug
     1983; Nocedal & Wright, *Numerical Optimization*, 2nd ed., Sec. 7.2,
     Algorithm 7.2).  Step k moves by
     alpha = r^T v / (v^T H v) along v; the residual updates as
@@ -251,12 +248,13 @@ def newton_cg_run(
     its gradient evaluated, so each model call costs one batch and the
     products cost no evaluation.
 
-    ``tr.delta`` is the initial radius; the working radius shrinks
-    proportionally with the annealed bandwidth, since the smoothed
-    quadratic model is only trustworthy within about one smoothing
-    radius.  The trial point theta_outer + p is accepted only if its
-    exact loss does not exceed the current one; otherwise p is halved up
-    to ``CG_HALVINGS`` times, one evaluation per try.  If no try is
+    sigma follows the share of ``budget`` spent when the outer iteration
+    starts (``anneal_sigma``), and so does the working radius, which is
+    ``tr.delta`` times sigma / ``sigma_start``: the smoothed quadratic
+    model is only trustworthy within about one smoothing radius.  The
+    trial point theta_outer + p is accepted only if its exact loss does
+    not exceed the current one; otherwise p is halved up to
+    ``CG_HALVINGS`` times, one evaluation per try.  If no try is
     accepted, theta stays at theta_outer and the working radius shrinks by
     ``CG_RADIUS_SHRINK`` for the rest of the run.  This is what stops
     unbiased but heavy-tailed curvature estimates from throwing the
@@ -265,8 +263,8 @@ def newton_cg_run(
     The trace records loss, parameter error, evaluation count and wall
     time at every outer iteration; the accepted trial's evaluation is the
     record's, and a rejected iteration records theta_outer's loss at the
-    current count.  The budget is checked between outer iterations and
-    termination by budget is the normal exit.  A non-finite loss, at the
+    current count.  The budget is checked between outer iterations, and
+    a share of 1 spent is the normal exit.  A non-finite loss, at the
     start or at any trial or halving, raises ``NonFiniteStateError``
     naming the iteration; the initial loss is recorded first, so the
     trace is never empty.  An ``EstimationError`` from ``model`` is
@@ -296,8 +294,8 @@ def newton_cg_run(
         raise NonFiniteStateError(f"non-finite loss at iteration 0: {loss}", trace)
     radius_scale = 1.0
     outer = 0
-    while not budget.exhausted(clock.now(), obj.eval_count):
-        sigma = anneal_sigma(schedule, outer)
+    while (spent := budget.spent(clock.now(), obj.eval_count)) < 1.0:
+        sigma = anneal_sigma(schedule, spent)
         delta = radius_scale * tr.delta * sigma / schedule.sigma_start
         step = _steihaug_step(model, theta, sigma, delta, max_steps, ls_tol, recompute,
                               trace, outer, on_inner_step)
@@ -338,13 +336,15 @@ def gd_adam_run(
     param_error_fn: Callable[[np.ndarray], float] | None = None,
     deterministic_clock: bool = False,
 ) -> ConvergenceTrace:
-    """Adam gradient descent over an annealed-bandwidth gradient source.
+    """Adam gradient descent on ``gradient_fn(theta, sigma)``.
 
-    Each iteration records the loss at the new theta.  A non-finite loss
-    is recorded, then raises ``NonFiniteStateError`` naming the iteration.
-    An ``EstimationError`` from ``gradient_fn`` is raised again as
-    ``NonFiniteStateError`` carrying the trace, its note the error's text,
-    which names the point, and the iteration.
+    sigma follows the share of ``budget`` spent when each iteration starts
+    (``anneal_sigma``), and the iteration records the loss at the new
+    theta.  A non-finite loss is recorded, then raises
+    ``NonFiniteStateError`` naming the iteration.  An ``EstimationError``
+    from ``gradient_fn`` is raised again as ``NonFiniteStateError``
+    carrying the trace, its note the error's text, which names the point,
+    and the iteration.
     """
     theta = np.asarray(init, dtype=float).copy()
     trace = ConvergenceTrace()
@@ -359,8 +359,8 @@ def gd_adam_run(
             raise NonFiniteStateError(f"non-finite loss at iteration {iteration}: {loss}", trace)
 
     record(0)
-    while not budget.exhausted(clock.now(), obj.eval_count):
-        sigma = anneal_sigma(schedule, state.iteration)
+    while (spent := budget.spent(clock.now(), obj.eval_count)) < 1.0:
+        sigma = anneal_sigma(schedule, spent)
         try:
             grad = gradient_fn(state.theta, sigma)
         except EstimationError as err:

@@ -49,7 +49,7 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Stopping rule: wall-clock seconds, evaluation count, or both."""
+    """Stopping rule: wall-clock seconds, evaluation count, or both, each > 0 when set."""
 
     seconds: float | None = None
     evals: int | None = None
@@ -57,13 +57,17 @@ class Budget:
     def __post_init__(self):
         if self.seconds is None and self.evals is None:
             raise ValueError("budget needs seconds or evals")
+        if not all(limit is None or limit > 0 for limit in (self.seconds, self.evals)):
+            raise ValueError(f"budget limits must be > 0, got {self.seconds} s and {self.evals} evals")
 
-    def exhausted(self, elapsed: float, evals: int) -> bool:
-        if self.seconds is not None and elapsed >= self.seconds:
-            return True
-        if self.evals is not None and evals >= self.evals:
-            return True
-        return False
+    def spent(self, elapsed: float, evals: int) -> float:
+        """Share spent: the larger of elapsed / seconds and evals / evals over the limits set.
+
+        A run is over at a share of 1, which division, being correctly
+        rounded, gives exactly when a limit is reached.
+        """
+        share = 0.0 if self.seconds is None else elapsed / self.seconds
+        return share if self.evals is None else max(share, evals / self.evals)
 
 
 class RunClock:

@@ -29,7 +29,6 @@ from smoothdiff.estimators import (
 from smoothdiff.harness import (
     CSV_HEADER,
     RunConfig,
-    _anneal_total_iters,
     compute_thresholds,
     export_traces,
     first_crossings,
@@ -40,7 +39,7 @@ from smoothdiff.harness import (
     variance_report,
 )
 from smoothdiff.kernels import KernelSpec
-from smoothdiff.optimizers import SigmaSchedule, TrustRegion, newton_cg_run, psd_modify
+from smoothdiff.optimizers import SigmaSchedule, TrustRegion, anneal_sigma, newton_cg_run, psd_modify
 from smoothdiff.samplers import RngStream
 from smoothdiff.tasks import make_task, negated_gaussian_task, quad_task
 from smoothdiff.trace import Budget, ConvergenceTrace, TraceRecord
@@ -205,7 +204,7 @@ class TestSampledProvider:
 
     def run_one_outer_iteration(self, model, obj, recompute, on_inner_step=None):
         # the initial loss leaves the budget of 2 unspent, so exactly one outer iteration runs
-        newton_cg_run(obj, model, self.THETA, SigmaSchedule(1.0, 0.05, 10), TrustRegion(50.0),
+        newton_cg_run(obj, model, self.THETA, SigmaSchedule(1.0, 0.05), TrustRegion(50.0),
                       5, 1e-9, recompute, Budget(evals=2), on_inner_step=on_inner_step)
 
     @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
@@ -268,21 +267,54 @@ class TestSampledProvider:
         assert sum(evals) / len(evals) < 200
 
 
-_FIRST = dict(samples=2, lr=0.3)
-_SECOND = dict(samples=4, trust_region=50.0, ls_iters=5)
+def record_sigmas(monkeypatch) -> list[list[tuple[int, float]]]:
+    """Make each run log (evaluations at the call, sigma) for every call of its gradient or model."""
+    logs = []
+
+    def logging(factory, obj_at):
+        def make(*args):
+            source, obj, log = factory(*args), args[obj_at], []
+            logs.append(log)
+
+            def logged(theta, sigma):
+                log.append((obj.eval_count, sigma))
+                return source(theta, sigma)
+
+            return logged
+
+        return make
+
+    monkeypatch.setattr(harness, "_gradient_fn", logging(harness._gradient_fn, 2))
+    monkeypatch.setattr(harness, "sampled_model", logging(harness.sampled_model, 0))
+    return logs
 
 
-@pytest.mark.parametrize("method,keys,iters", [
-    # budget // (1 + one gradient): 8 evaluations aggregate, 16 per-element
-    ("OurHVPA", _SECOND, 600 // 9), ("OurHVP", _SECOND, 600 // 17),
-    # first order: a gradient and the record's loss
-    ("FD", _FIRST, 600 // 5), ("FR22", _FIRST, 600 // 9), ("OurG", _FIRST, 600 // 9),
-    # a gradient, a per-element Hessian (24), and a loss per planned inner step
-    ("OurH", _SECOND, 600 // (1 + 16 + 24 + 5)),
+def assert_sigma_follows_the_share_spent(result, logs, share):
+    """Every sigma is anneal_sigma at ``share(record)`` of the record its iteration started from."""
+    cfg = result.config
+    schedule = SigmaSchedule(cfg.sigma_start, cfg.sigma_end)
+    for trace, log in zip(result.traces, logs, strict=True):
+        assert log and not trace.aborted
+        for evals, sigma in log:
+            start = [rec for rec in trace.records if rec.evals <= evals][-1]
+            assert sigma == anneal_sigma(schedule, share(start))
+
+
+@pytest.mark.parametrize("method,keys", [
+    ("OurG", dict(samples=2, lr=0.3)),
+    ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=5, recompute=5)),
+    # a fresh model at every CG step that stays inside the radius
+    ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=3, recompute=1)),
+    ("OurH", dict(samples=2, trust_region=1.0, ls_iters=2, recompute=1)),
 ])
-def test_sigma_schedule_spans_one_batch_and_one_trial_per_outer_iteration(method, keys, iters):
-    cfg = RunConfig(task="quad", method=method, budget_evals=600, **keys)
-    assert _anneal_total_iters(cfg, 2) == iters
+def test_sigma_follows_the_share_of_evaluations_spent(monkeypatch, method, keys):
+    logs = record_sigmas(monkeypatch)
+    result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=400,
+                                    ensemble=2, seed=4, **keys))
+    assert_sigma_follows_the_share_spent(result, logs, lambda rec: rec.evals / 400)
+    if keys.get("recompute") == 1:
+        # some outer iteration called its model more than once
+        assert any(len(log) > len(trace.records) - 1 for trace, log in zip(result.traces, logs))
 
 
 class TestExport:
@@ -796,13 +828,10 @@ def test_budget_accounting_matches_counter():
                                          ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=5))])
 def test_wall_clock_budget_stops_at_the_first_record_past_it(monkeypatch, method, keys):
     # the deterministic clock reads evals x 1e-6 s, so the stopping point is exact
-    plans = []
-    schedule = harness.SigmaSchedule
-    monkeypatch.setattr(harness, "SigmaSchedule",
-                        lambda *args: plans.append(args[2]) or schedule(*args))
+    logs = record_sigmas(monkeypatch)
     result = run_ensemble(RunConfig(task="quad", method=method, budget_seconds=1e-4, ensemble=2,
                                     seed=5, deterministic=True, **keys))
-    assert plans == [200, 200]
+    assert_sigma_follows_the_share_spent(result, logs, lambda rec: rec.evals * 1e-6 / 1e-4)
     for trace in result.traces:
         times = [rec.wall_time for rec in trace.records]
         assert times == [rec.evals * 1e-6 for rec in trace.records]
@@ -815,7 +844,7 @@ def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, me
     # the loss is NaN on a band that estimate rows reach but these iterates
     # and trial points do not
     quad = quad_task()
-    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > 4.5 else quad.fn(th))
+    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > 4.0 else quad.fn(th))
     monkeypatch.setattr(harness, "make_task", lambda name: band)
     result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=300,
                                     ensemble=4, seed=1, deterministic=True, **keys))
@@ -826,5 +855,5 @@ def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, me
         match = re.fullmatch(r"objective returned non-finite value nan at \[(.*)\], in iteration (\d+)",
                              trace.note)
         assert match, trace.note
-        assert abs(float(match[1].split()[0])) > 4.5
+        assert abs(float(match[1].split()[0])) > 4.0
         assert int(match[2]) == len(trace.records)

@@ -48,31 +48,41 @@ def analytic_model(task, scale=1.0, log=None):
 
 class TestAnnealSigma:
     def test_endpoints(self):
-        sched = SigmaSchedule(2.0, 0.2, 10)
-        assert anneal_sigma(sched, 0) == 2.0
-        assert anneal_sigma(sched, 10) == 0.2
+        sched = SigmaSchedule(2.0, 0.2)
+        assert anneal_sigma(sched, 0.0) == 2.0
+        assert anneal_sigma(sched, 1.0) == 0.2
 
     def test_midpoint_is_mean(self):
-        sched = SigmaSchedule(2.0, 1.0, 10)
-        assert anneal_sigma(sched, 5) == pytest.approx(1.5)
+        assert anneal_sigma(SigmaSchedule(2.0, 1.0), 0.5) == pytest.approx(1.5)
 
-    def test_clamps_beyond_total(self):
-        sched = SigmaSchedule(2.0, 0.2, 10)
-        assert anneal_sigma(sched, 50) == 0.2
+    def test_clamps_past_the_whole_budget(self):
+        # a run's last iteration can start just short of 1 and overrun it
+        assert anneal_sigma(SigmaSchedule(2.0, 0.2), 1.7) == 0.2
 
-    def test_validation(self):
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_validation(self, bad):
         with pytest.raises(ValueError):
-            SigmaSchedule(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            anneal_sigma(SigmaSchedule(1.0, 0.1, 10), -1)
+            SigmaSchedule(0.0, 1.0)
+        with pytest.raises(ValueError, match="share"):
+            anneal_sigma(SigmaSchedule(1.0, 0.1), bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_endpoints(self, bad):
         # anneal_sigma would interpolate to sigma = nan or inf
         with pytest.raises(ValueError, match="finite"):
-            SigmaSchedule(bad, 0.1, 10)
+            SigmaSchedule(bad, 0.1)
         with pytest.raises(ValueError, match="finite"):
-            SigmaSchedule(1.0, bad, 10)
+            SigmaSchedule(1.0, bad)
+
+
+def test_budget_share_is_the_larger_share_and_reaches_one_at_a_limit():
+    budget = Budget(seconds=2.0, evals=10)
+    assert budget.spent(0.5, 5) == 0.5 and budget.spent(1.5, 5) == 0.75
+    assert budget.spent(0.0, 9) < 1.0 <= budget.spent(0.0, 10)
+    assert Budget(evals=3).spent(100.0, 1) == 1 / 3
+    for bad in (dict(evals=0), dict(seconds=0.0), dict(seconds=math.nan)):
+        with pytest.raises(ValueError, match="> 0"):
+            Budget(**bad)
 
 
 class TestAdam:
@@ -100,7 +110,7 @@ class TestAdam:
 
         def run():
             obj = task.objective()
-            sched = SigmaSchedule(1.0, 0.1, 20)
+            sched = SigmaSchedule(1.0, 0.1)
             grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
             return gd_adam_run(obj, grad_fn, np.array([2.0, 1.0]), sched, 0.3,
                                Budget(evals=25), param_error_fn=task.param_error,
@@ -119,7 +129,7 @@ class TestAdam:
         grad_fn = lambda th, s: GradientEstimate(g=np.array([-1.0, 0.0]), evals_used=0)
         with pytest.raises(NonFiniteStateError, match="loss at iteration 2: nan") as err:
             gd_adam_run(nan_beyond_five(), grad_fn, np.array([3.5, 0.0]),
-                        SigmaSchedule(1.0, 0.1, 20), 1.0, Budget(evals=50))
+                        SigmaSchedule(1.0, 0.1), 1.0, Budget(evals=50))
         trace = err.value.trace
         assert trace.aborted and "iteration 2" in trace.note
         losses = [r.loss for r in trace.records]
@@ -130,7 +140,7 @@ class TestAdam:
         grad_fn = lambda th, s: GradientEstimate(g=np.zeros(2), evals_used=0)
         with pytest.raises(NonFiniteStateError, match="iteration 0") as err:
             gd_adam_run(nan_beyond_five(), grad_fn, np.array([6.0, 0.0]),
-                        SigmaSchedule(1.0, 0.1, 20), 0.1, Budget(evals=50))
+                        SigmaSchedule(1.0, 0.1), 0.1, Budget(evals=50))
         assert len(err.value.trace.records) == 1
 
     def test_lr_validation(self):
@@ -181,7 +191,7 @@ class TestNewtonCg:
         task = quad_task()
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task), np.array([2.0, -3.0]),
-                              SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
+                              SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                               ls_iters=5, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=3), param_error_fn=task.param_error)
         assert trace.records[-1].iteration <= 2
@@ -192,7 +202,7 @@ class TestNewtonCg:
         task = quad_task()
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([1.0, 1.0]),
-                      SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
+                      SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                       ls_iters=2, ls_tol=1e-12, recompute=10,
                       budget=Budget(evals=2), on_inner_step=seen.append)
         assert abs(seen[0]["alpha"] - 2.0 / 35.0) <= 1e-12
@@ -201,7 +211,7 @@ class TestNewtonCg:
         task = quad_task()
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([2.0, -3.0]),
-                      SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
+                      SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                       ls_iters=5, ls_tol=1e-12, recompute=10,
                       budget=Budget(evals=2), on_inner_step=seen.append)
         dirs = [s["v"] for s in seen if s["outer"] == 0]
@@ -217,7 +227,7 @@ class TestNewtonCg:
         delta = 0.25
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([4.0, 4.0]),
-                      SigmaSchedule(1.0, 0.1, 10), TrustRegion(delta),
+                      SigmaSchedule(1.0, 0.1), TrustRegion(delta),
                       ls_iters=4, ls_tol=1e-10, recompute=10,
                       budget=Budget(evals=6), on_inner_step=seen.append)
         assert seen
@@ -231,7 +241,7 @@ class TestNewtonCg:
         obj = task.objective()
         seen = []
         trace = newton_cg_run(obj, analytic_model(task), np.array([1.8, 1.8]),
-                              SigmaSchedule(1.0, 1.0, 10), TrustRegion(0.5),
+                              SigmaSchedule(1.0, 1.0), TrustRegion(0.5),
                               ls_iters=3, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=40), param_error_fn=task.param_error,
                               on_inner_step=seen.append)
@@ -252,7 +262,7 @@ class TestNewtonCg:
 
         obj = Objective(fn, 2)
         model = analytic_model(task, 0.01, log)
-        sched = SigmaSchedule(1.0, 0.1, 10)
+        sched = SigmaSchedule(1.0, 0.1)
         tr = TrustRegion(0.5)
         newton_cg_run(obj, model, np.array([2.0, -3.0]), sched, tr,
                       ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=12))
@@ -272,7 +282,7 @@ class TestNewtonCg:
         task = quad_task()
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task, 0.05), np.array([2.0, -3.0]),
-                              SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
+                              SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                               ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=40))
         losses = [r.loss for r in trace.records]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -283,7 +293,7 @@ class TestNewtonCg:
         task = quad_task()
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task), np.array([1.0, 1.0]),
-                              SigmaSchedule(1.0, 0.1, 10), TrustRegion(1e12),
+                              SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                               ls_iters=2, ls_tol=1e-10, recompute=10,
                               budget=Budget(evals=5))
         assert not trace.aborted
@@ -293,7 +303,7 @@ class TestNewtonCg:
         # a NaN start used to record nan at every outer iteration, not aborted
         with pytest.raises(NonFiniteStateError, match="loss at iteration 0: nan") as err:
             newton_cg_run(nan_beyond_five(), push_along_x, np.array([6.0, 0.0]),
-                          SigmaSchedule(1.0, 0.1, 10), TrustRegion(1.0), ls_iters=2,
+                          SigmaSchedule(1.0, 0.1), TrustRegion(1.0), ls_iters=2,
                           ls_tol=1e-3, recompute=2, budget=Budget(evals=20))
         trace = err.value.trace
         assert trace.aborted and len(trace.records) == 1 and math.isnan(trace.records[0].loss)
@@ -307,7 +317,7 @@ class TestNewtonCg:
         for delta, evals, message in cases:
             obj = Objective(band, 2)
             with pytest.raises(NonFiniteStateError, match=message) as err:
-                newton_cg_run(obj, push_along_x, np.array([3.0, 0.0]), SigmaSchedule(1.0, 1.0, 10),
+                newton_cg_run(obj, push_along_x, np.array([3.0, 0.0]), SigmaSchedule(1.0, 1.0),
                               TrustRegion(delta), ls_iters=2, ls_tol=1e-3, recompute=2,
                               budget=Budget(evals=20))
             assert [r.iteration for r in err.value.trace.records] == [0]
@@ -317,7 +327,7 @@ class TestNewtonCg:
         task = quad_task()
         with pytest.raises(ValueError):
             newton_cg_run(task.objective(), analytic_model(task), np.zeros(2),
-                          SigmaSchedule(1.0, 0.1, 10), TrustRegion(1.0),
+                          SigmaSchedule(1.0, 0.1), TrustRegion(1.0),
                           ls_iters=0, ls_tol=1e-3, recompute=1, budget=Budget(evals=5))
         with pytest.raises(ValueError):
             TrustRegion(delta=0.0)
@@ -334,7 +344,7 @@ class TestNewtonCg:
         task = quad_task()
         obj = task.objective()
         with pytest.raises(ValueError, match="finite"):
-            newton_cg_run(obj, analytic_model(task), np.zeros(2), SigmaSchedule(1.0, 0.1, 10),
+            newton_cg_run(obj, analytic_model(task), np.zeros(2), SigmaSchedule(1.0, 0.1),
                           TrustRegion(1.0), ls_iters=1, ls_tol=bad, recompute=1,
                           budget=Budget(evals=5))
         assert obj.eval_count == 0
@@ -343,7 +353,7 @@ class TestNewtonCg:
 def test_trace_monotonicity_invariants():
     task = quad_task()
     obj = task.objective()
-    sched = SigmaSchedule(1.0, 0.1, 30)
+    sched = SigmaSchedule(1.0, 0.1)
     grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
     trace = gd_adam_run(obj, grad_fn, np.array([2.0, 1.0]), sched, 0.3, Budget(evals=40),
                         param_error_fn=task.param_error)
