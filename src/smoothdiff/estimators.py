@@ -18,11 +18,11 @@ Every estimator runs the same three stages:
    * ``PER_ELEMENT``: one block per derivative element, drawn from that
      element's optimally importance-sampled density and serving only that
      element (n evaluations per pair-half for a gradient, n(n+1)/2 for a
-     Hessian).  Only the random draws run element by element, in the
-     order a block-by-block loop would make them; inverse CDFs, density
-     ratios and every later stage run once over the stacked blocks.
-     Elements are taken in chunks, so that the stacked rows of a large
-     Hessian stay within a fixed memory bound.
+     Hessian).  Elements are taken in chunks, so that the stacked rows of
+     a large Hessian stay within a fixed memory bound.  Each chunk's
+     blocks are drawn in one Gaussian call and one uniform call, and
+     inverse CDFs, density ratios and every later stage run once over the
+     chunk's stacked blocks.
    * ``AGGREGATE``: one block drawn from the uniform mixture of all
      element densities serves every element, so a pair-half costs a
      single evaluation regardless of dimension or derivative order.
@@ -241,8 +241,8 @@ _HALF = fixed_operand(0.5)
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
 # evaluation points, two per drawn row, get a quarter of it, and its drawn
 # rows half that.  The sampler's mirror images of the drawn rows are
-# dropped as soon as they are made, and the sampler stages its draws, as
-# the texture loss works, in fixed blocks far smaller than a chunk.
+# dropped as soon as they are made, and each chunk's points before the next
+# chunk is drawn.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -311,8 +311,9 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
     if cfg.mode is SamplingMode.PER_ELEMENT:
         table = default_hessian_diag_table()
         for chunk in _chunks(elements, count, spec.dim):
-            # [0]: the samplers' mirror block -taus is dropped at once, not
-            # held by this suspended generator through the later stages
+            # one Gaussian call and one uniform call per chunk; [0]: the
+            # samplers' mirror block -taus is dropped at once, not held by
+            # this suspended generator through the later stages
             if chunk[0].kind is ElementKind.GRADIENT:
                 taus = sample_gradient_offsets(chunk.i, spec, rng, count)[0]
             else:

@@ -7,8 +7,9 @@ Hessian-diagonal CDF) and the remaining axes stay Gaussian.  Aggregate
 sampling draws one offset from the uniform mixture of all element
 densities so a single function evaluation can serve every element.
 The per-element samplers also draw the blocks of many elements in one
-call: their random draws stay element by element, in the order separate
-calls would make them, and the rest runs once over the stacked blocks.
+call: one Gaussian block for all of them and one block of uniforms for
+their special axes, with everything after the draws run once over the
+stacked blocks.
 
 All sampling is driven by ``RngStream``, a counter-based generator:
 identical (seed, stream_id, draw sequence) reproduces identical samples
@@ -18,7 +19,6 @@ safe to use concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -40,11 +40,6 @@ from .kernels import (
 )
 
 _MASK64 = (1 << 64) - 1
-# Bytes of Gaussian draws ``sample_gradient_offsets`` stages at a time.
-# Staged whole, a 256-D per-element estimate's draws took 0.5 MB, which,
-# with the estimate's other MB-scale arrays, made the heap grow and trim on
-# every call, so each call page-faulted fresh memory.
-_STAGE_BYTES = 64 << 10
 # open_unit's bounds
 _TINY, _BELOW_ONE = fixed_operand(np.finfo(float).tiny), fixed_operand(1.0 - 1e-16)
 
@@ -73,13 +68,13 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def uniform(self, size=None, out=None):
-        """Uniforms on [0, 1); ``out`` takes the same draws as ``size=out.shape``."""
-        return self._gen.random(size, out=out)
+    def uniform(self, size=None):
+        """Uniforms on [0, 1)."""
+        return self._gen.random(size)
 
-    def normal(self, size=None, out=None):
-        """Standard normals; ``out`` takes the same draws as ``size=out.shape``."""
-        return self._gen.standard_normal(size, out=out)
+    def normal(self, size=None):
+        """Standard normals."""
+        return self._gen.standard_normal(size)
 
     def integers(self, high: int, size=None):
         return self._gen.integers(0, high, size=size)
@@ -252,46 +247,23 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     are stacked in its order: rows ``k * count`` to ``(k + 1) * count``
     serve axis ``i[k]``.
 
-    Draw order, per axis in turn: ``count`` uniforms for axis i, then the
-    Gaussian block.  Only these draws run once per axis; the inverse CDF
-    runs once over all of them.
+    Draw order: one uniform block of shape (K, count) for the special
+    entries, then one Gaussian block of shape (K, count, dim) for the K
+    axes, whose entries on each block's own axis the special entries
+    overwrite.  The uniforms come first, as the FR22 baseline draws them,
+    so at dim 1, where every entry is special, the two draw alike.
     """
     axes = np.asarray(i, dtype=np.intp).reshape(-1)
     n, k = spec.dim, len(axes)
     # one test: a negative axis, viewed unsigned, is huge
     if np.count_nonzero(axes.view(np.uintp) >= n):
         raise ValueError(f"axis index {i} out of range for dim {n}")
-    off_axis = _off_axis_mask(n)[axes.repeat(count)]
-    taus = np.empty((k * count, n))
-    xi = np.empty((k, count))
-    # the Gaussian draws are staged a group of axes at a time; row by row,
-    # they fill the off-axis entries and the inverse CDF the one special
-    # entry, both in row-major order
-    group = min(k, max(1, _STAGE_BYTES // (8 * count * n)))
-    staged = np.empty((group, count, n - 1))
-    uniform, normal = rng.uniform, rng.normal
-    for start in range(0, k, group):
-        others = staged[:k - start]
-        for xi_r, others_r in zip(xi[start:], others):
-            uniform(out=xi_r)
-            normal(out=others_r)
-        others *= spec.sigma
-        rows = slice(start * count, (start + group) * count)
-        taus[rows][off_axis[rows]] = others.reshape(-1)
-    taus[~off_axis] = gradient_inverse_cdf(open_unit(xi), spec.sigma).reshape(-1)
+    xi = rng.uniform((k, count))
+    taus = rng.normal((k, count, n))
+    taus *= spec.sigma
+    taus[np.arange(k), :, axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma)
+    taus = taus.reshape(k * count, n)
     return taus, -taus
-
-
-@functools.lru_cache(maxsize=None)
-def _off_axis_mask(n: int) -> np.ndarray:
-    """(n, n) table whose row a is True on every axis but a.
-
-    Its rows gathered by each stacked row's own axis form the mask that
-    scatters the Gaussian draws, row by row, around the special axes.
-    """
-    mask = np.arange(n) != np.arange(n)[:, None]
-    mask.flags.writeable = False
-    return mask
 
 
 def sample_hessian_offsets(
@@ -308,9 +280,11 @@ def sample_hessian_offsets(
     density.  For a sequence the blocks are stacked in its order, ``count``
     rows each.
 
-    Draw order, per element in turn: the Gaussian block, then one uniform
-    block per special axis.  Only these draws run once per element; each
-    inverse CDF runs once per element kind.
+    Draw order: one Gaussian block of shape (K, count, dim) for the K
+    elements, then one uniform block of shape (K, 2, count) for their
+    special axes, consumed for every element, diagonal ones too, so the
+    stream layout does not depend on the element kinds.  Each inverse CDF
+    runs once per element kind.
     """
     elements = ElementSet.of((elem,) if isinstance(elem, KernelElement) else elem)
     for kind, _, i, j in elements.groups:
@@ -319,14 +293,9 @@ def sample_hessian_offsets(
         if i.min() < 0 or j.max() >= spec.dim:
             raise ValueError(f"element index out of range for dim {spec.dim}")
     s, k = spec.sigma, len(elements)
-    taus = np.empty((k, count, spec.dim))
-    xi = np.empty((k, 2, count))
-    for r, off_diag in enumerate((elements.i != elements.j).tolist()):
-        rng.normal(out=taus[r])
-        rng.uniform(out=xi[r, 0])
-        if off_diag:
-            rng.uniform(out=xi[r, 1])
+    taus = rng.normal((k, count, spec.dim))
     taus *= s
+    xi = rng.uniform((k, 2, count))
     for kind, pos, i, j in elements.groups:
         if kind is ElementKind.HESSIAN_DIAG:
             u = table.lookup(open_unit(xi[pos, 0]))

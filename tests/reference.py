@@ -2,10 +2,11 @@
 
 Each reference computes what a fast path of the package computes, the
 slow and plain way: the separable box and Phong losses pixel by pixel,
-the stacked per-element estimators one element's block at a time, and
-the estimators' per-row contractions as the weighted sums of a weight
-stage (kernel over density per row).  The tests require the two to
-agree, bit for bit or to a stated tolerance.
+the stacked per-element estimators one element's block at a time (drawn
+chunk by chunk, as the samplers draw them), and the estimators' per-row
+contractions as the weighted sums of a weight stage (kernel over density
+per row).  The tests require the two to agree, bit for bit or to a
+stated tolerance.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from smoothdiff.estimators import (
     EstimatorConfig,
     Objective,
     _axis,
+    _chunks,
     _contract_hvp,
     _draw,
     _draw_axis_blur,
@@ -82,13 +84,16 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
     """A per-element estimate computed one element's block at a time.
 
     ``order`` is "gradient", "hessian", "hvp" (along ``v``) or "fr22".
-    Each element draws its own block straight from ``rng``, in the draw
-    order the per-element samplers document (FR22: uniforms for its own
-    axis only), evaluates it and contracts it on its own, with its own
-    density ratio: the loop that the estimators run as one stacked pass.
-    Each block's arithmetic is the estimators' per-row coefficient
-    contraction, taken in the same order, so the two agree bit for bit.
-    Returns the gradient, the symmetric Hessian or the HVP.
+    The blocks are drawn straight from ``rng``, chunk by chunk over the
+    estimators' ``_chunks``, in the draw order the per-element samplers
+    document: a gradient chunk's uniforms, then its Gaussian block (FR22:
+    the uniforms only), and a Hessian chunk's Gaussian block, then its
+    uniforms.  Then each element's special axes are set, and its block
+    evaluated and contracted on its own, with its own density ratio: the
+    loop that the estimators run as one stacked pass.  Each block's
+    arithmetic is the estimators' per-row coefficient contraction, taken
+    in the same order, so the two agree bit for bit.  Returns the
+    gradient, the symmetric Hessian or the HVP.
     """
     spec, count = cfg.spec, cfg.samples
     n, sigma = spec.dim, spec.sigma
@@ -98,20 +103,24 @@ def per_element_reference(order: str, obj: Objective, theta, cfg: EstimatorConfi
     if order == "hvp":
         v = np.asarray(v, dtype=float)
     values = np.empty(len(elements))
-    for k, elem in enumerate(elements):
-        if order == "fr22":
-            taus = np.zeros((count, n))
-            taus[:, k] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
-        elif elem.kind is ElementKind.GRADIENT:
-            special = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
-            taus = np.insert(rng.normal((count, n - 1)) * sigma, k, special, axis=1)
+    blocks = []
+    for chunk in _chunks(elements, count, n):
+        shape = (len(chunk), count, n)
+        if order == "hessian":
+            gauss = rng.normal(shape) * sigma
+            xi = rng.uniform((len(chunk), 2, count))
         else:
-            taus = rng.normal((count, n)) * sigma
-            if elem.kind is ElementKind.HESSIAN_DIAG:
-                taus[:, elem.i] = default_hessian_diag_table().lookup(open_unit(rng.uniform(count))) * sigma
-            else:
-                taus[:, elem.i] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
-                taus[:, elem.j] = gradient_inverse_cdf(open_unit(rng.uniform(count)), sigma)
+            xi = rng.uniform(shape[:2])
+            gauss = np.zeros(shape) if order == "fr22" else rng.normal(shape) * sigma
+        blocks.extend(zip(gauss, xi))
+    for k, (elem, (taus, xi)) in enumerate(zip(elements, blocks)):
+        if elem.kind is ElementKind.GRADIENT:
+            taus[:, k] = gradient_inverse_cdf(open_unit(xi), sigma)
+        elif elem.kind is ElementKind.HESSIAN_DIAG:
+            taus[:, elem.i] = default_hessian_diag_table().lookup(open_unit(xi[0])) * sigma
+        else:
+            taus[:, elem.i] = gradient_inverse_cdf(open_unit(xi[0]), sigma)
+            taus[:, elem.j] = gradient_inverse_cdf(open_unit(xi[1]), sigma)
         q = element_density_ratios(taus, [elem], sigma)[:, 0]
         vals = np.array([obj.evaluate(theta - row) for row in np.concatenate((taus, -taus))])
         u = taus[:, elem.i]

@@ -639,8 +639,8 @@ def test_non_finite_in_later_element_aborts_at_its_row():
     with pytest.raises(EstimationError) as err:
         estimate_gradient(obj, theta, c, RngStream(4))
     assert obj.eval_count == 10
-    rng = RngStream(4)
-    taus, mirror = [sample_gradient_offsets(k, c.spec, rng, samples) for k in range(n)][2]
+    taus, mirror = (t.reshape(n, samples, n)[2]
+                    for t in sample_gradient_offsets(np.arange(n), c.spec, RngStream(4), samples))
     row = np.concatenate((taus, mirror))[1]
     assert np.array_equal(err.value.point, theta - row)
     assert err.value.point.flags.owndata

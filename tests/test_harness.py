@@ -190,7 +190,7 @@ class TestRunEnsemble:
         for stat in result.thresholds["loss"].values():
             assert stat.reached_runs == 0 and stat.median_evals is None
         param = result.thresholds["param_error"]
-        assert (param[0.9].reached_runs, param[0.9].median_evals) == (4, 131.5)
+        assert (param[0.9].reached_runs, param[0.9].median_evals) == (4, 91.0)
         assert param[0.99].reached_runs == param[0.999].reached_runs == 0
 
 

@@ -6,6 +6,7 @@ check against the reference densities ``element_pdf`` / ``mixture_pdf``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from smoothdiff.kernels import (
+    ElementKind,
     KernelElement,
     KernelSpec,
     gaussian_cdf_1d,
     gaussian_pdf,
     gradient_cdf,
+    gradient_inverse_cdf,
     gradient_pdf,
     hessian_diag_cdf,
     hessian_elements,
@@ -284,3 +287,50 @@ class TestAntitheticPair:
                                   element_density_ratios(taus, elems, spec.sigma))
             for t, m in zip(taus, mirrored):
                 assert_allclose(mixture_pdf(m, elems, spec), mixture_pdf(t, elems, spec), rtol=1e-12)
+
+
+class TestStackedDrawOrder:
+    """A stacked per-element draw takes one block of each kind from the stream."""
+
+    def test_gradient_block_is_uniforms_then_one_normal_block(self):
+        spec, axes, count = KernelSpec(0.7, 5), np.array([3, 0, 4, 0]), 3
+        rng, twin = RngStream(31, 2), RngStream(31, 2)
+        taus, mirror = sample_gradient_offsets(axes, spec, rng, count)
+        xi = twin.uniform((len(axes), count))
+        want = twin.normal((len(axes), count, spec.dim)) * spec.sigma
+        for r, axis in enumerate(axes):
+            want[r, :, axis] = gradient_inverse_cdf(open_unit(xi[r]), spec.sigma)
+        assert np.array_equal(taus, want.reshape(-1, spec.dim))
+        assert np.array_equal(mirror, -taus)
+        assert np.array_equal(rng.uniform(4), twin.uniform(4))  # nothing else was drawn
+
+    def test_hessian_block_is_one_normal_block_then_uniforms_for_every_element(self):
+        spec, count = KernelSpec(1.3, 4), 5
+        table = default_hessian_diag_table()
+        elements = [KernelElement.hessian_off_diag(0, 2), KernelElement.hessian_diag(1),
+                    KernelElement.hessian_off_diag(1, 3), KernelElement.hessian_diag(3)]
+        rng, twin = RngStream(32), RngStream(32)
+        taus, _ = sample_hessian_offsets(elements, spec, table, rng, count)
+        want = twin.normal((len(elements), count, spec.dim)) * spec.sigma
+        xi = twin.uniform((len(elements), 2, count))
+        for r, elem in enumerate(elements):
+            if elem.kind is ElementKind.HESSIAN_DIAG:
+                want[r, :, elem.i] = table.lookup(open_unit(xi[r, 0])) * spec.sigma
+            else:
+                want[r, :, elem.i] = gradient_inverse_cdf(open_unit(xi[r, 0]), spec.sigma)
+                want[r, :, elem.j] = gradient_inverse_cdf(open_unit(xi[r, 1]), spec.sigma)
+        assert np.array_equal(taus, want.reshape(-1, spec.dim))
+        assert np.array_equal(rng.uniform(4), twin.uniform(4))  # nothing else was drawn
+
+
+def test_stacked_gradient_draw_makes_no_staging_copies():
+    # the returned pair takes 1 MiB at n = 256; the draws go straight into it
+    spec = KernelSpec(0.3, 256)
+    sample_gradient_offsets(np.arange(256), spec, RngStream(0), 1)  # warm-up
+    tracemalloc.start()
+    try:
+        taus, mirror = sample_gradient_offsets(np.arange(256), spec, RngStream(1), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= taus.nbytes + mirror.nbytes + (64 << 10)
