@@ -87,7 +87,6 @@ from .kernels import (
 )
 from .samplers import (
     RngStream,
-    default_hessian_diag_table,
     element_density_ratios,
     open_unit,
     sample_aggregate_offsets,
@@ -240,9 +239,8 @@ _HALF = fixed_operand(0.5)
 
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
 # evaluation points, two per drawn row, get a quarter of it, and its drawn
-# rows half that.  The sampler's mirror images of the drawn rows are
-# dropped as soon as they are made, and each chunk's points before the next
-# chunk is drawn.
+# rows half that.  Each chunk's points are dropped before the next chunk is
+# drawn.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -287,16 +285,6 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
-def _stacked(taus: np.ndarray, elements: ElementSet, sigma: float) -> _Stack:
-    """Stack with q from the element densities: each block's own, or the mixture's for one block."""
-    if len(taus) > 1:
-        return _Stack(taus, elements, element_density_ratios(taus, elements, sigma))
-    ratios = element_density_ratios(taus[0], elements, sigma)
-    q = np.add.reduce(ratios, 1)
-    q /= ratios.shape[1]
-    return _Stack(taus, elements, q[None])
-
-
 def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
     """In-order chunks of ``elements`` whose evaluation points fit a quarter of _CHUNK_BYTES."""
     size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
@@ -309,21 +297,17 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
     """Stacks of drawn offsets for ``cfg.mode``; the only stage that knows the mode."""
     spec, count = cfg.spec, cfg.samples
     if cfg.mode is SamplingMode.PER_ELEMENT:
-        table = default_hessian_diag_table()
         for chunk in _chunks(elements, count, spec.dim):
-            # one Gaussian call and one uniform call per chunk; [0]: the
-            # samplers' mirror block -taus is dropped at once, not held by
-            # this suspended generator through the later stages
+            # one Gaussian call and one uniform call per chunk
             if chunk[0].kind is ElementKind.GRADIENT:
-                taus = sample_gradient_offsets(chunk.i, spec, rng, count)[0]
+                taus, q = sample_gradient_offsets(chunk.i, spec, rng, count)
             else:
-                taus = sample_hessian_offsets(chunk, spec, table, rng, count)[0]
-            yield _stacked(taus.reshape(len(chunk), count, spec.dim), chunk, spec.sigma)
-            del taus  # drawn chunks are not kept while the next one is drawn
+                taus, q = sample_hessian_offsets(chunk, spec, rng, count)
+            yield _Stack(taus.reshape(len(chunk), count, spec.dim), chunk, q.reshape(len(chunk), count))
+            del taus, q  # drawn chunks are not kept while the next one is drawn
     elif cfg.mode is SamplingMode.AGGREGATE:
-        table = default_hessian_diag_table()
-        taus = sample_aggregate_offsets(elements, spec, table, rng, count)[0]
-        yield _stacked(taus[None], elements, spec.sigma)
+        taus, q = sample_aggregate_offsets(elements, spec, rng, count)
+        yield _Stack(taus[None], elements, q[None])
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
@@ -343,7 +327,7 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
         u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
         taus = np.zeros((k, count, spec.dim))
         taus[np.arange(k), :, chunk.i] = u
-        yield _stacked(taus, chunk, spec.sigma)
+        yield _Stack(taus, chunk, element_density_ratios(taus, chunk, spec.sigma))
 
 
 def _evaluate(obj: Objective, theta: np.ndarray,

@@ -119,6 +119,8 @@ class ElementSet(tuple):
         self.i = np.array([e.i for e in self], dtype=np.intp)
         self.j = np.array([e.indices()[-1] for e in self], dtype=np.intp)
         self.group = np.empty(len(self), dtype=np.intp)
+        # i <= j for every element, so an axis leaves [0, dim) exactly when one of these does
+        self._lowest, self._highest = int(self.i.min(initial=0)), int(self.j.max(initial=0))
         groups = []
         for kind in ElementKind:
             pos = np.flatnonzero([e.kind is kind for e in self])
@@ -129,6 +131,11 @@ class ElementSet(tuple):
         # sets are shared through the caches below, so their arrays stay read-only
         for arr in (self.i, self.j, self.group, *(a for g in groups for a in g[1:])):
             arr.flags.writeable = False
+
+    def check_index_bounds(self, dim: int) -> None:
+        """ValueError unless every element's axes lie in [0, dim)."""
+        if self._lowest < 0 or self._highest >= dim:
+            raise ValueError(f"element index out of range for dim {dim}")
 
     @staticmethod
     def of(elements: Sequence[KernelElement]) -> "ElementSet":

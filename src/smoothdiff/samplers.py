@@ -19,6 +19,7 @@ safe to use concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -133,14 +134,9 @@ def build_hessian_diag_table(resolution: int = 8192) -> TabulatedInverseCdf:
     return TabulatedInverseCdf(grid=grid, cdf_values=cdf, resolution=resolution)
 
 
-_DEFAULT_TABLE: TabulatedInverseCdf | None = None
-
-
+@functools.lru_cache(maxsize=None)
 def default_hessian_diag_table() -> TabulatedInverseCdf:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = build_hessian_diag_table()
-    return _DEFAULT_TABLE
+    return build_hessian_diag_table()
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +177,6 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
     A batch of shape (S, dim) is taken against every element, giving shape
     (S, K).  Stacked blocks of shape (K, S, dim) are taken block k against
     element k, giving shape (K, S).
-
-    The ratios involve no exponentials, which keeps mixture weights
-    stable in high dimension where the Gaussian factor under- or
-    overflows.
     """
     elements = ElementSet.of(elements)
     taus = np.asarray(taus, dtype=float)
@@ -194,28 +186,16 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
             raise ValueError(f"{len(taus)} stacked blocks for {len(elements)} elements")
     elif taus.ndim < 2:
         taus = np.atleast_2d(taus)
-    grad_scale = SQRT_TWO_PI / (2.0 * sigma)
 
     def ratios(kind, pos, i, j):
         # shape (len(pos), S) for stacked blocks, (S, len(pos)) for one batch;
         # both C-ordered, since summing a batch's ratios over elements follows
-        # memory order.  The gathered u is a new array, worked in place.
+        # memory order.  Each gather is a new array, which _ratios_into overwrites.
         u = taus[pos, :, i] if stacked else taus.take(i, axis=1)
-        if kind is ElementKind.HESSIAN_DIAG:
-            u_plus = u + sigma
-            u -= sigma
-            u *= u_plus
-            np.abs(u, u)
-            u *= SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
-            return u
-        np.abs(u, u)
-        u *= grad_scale
+        w = None
         if kind is ElementKind.HESSIAN_OFF_DIAG:
             w = taus[pos, :, j] if stacked else taus.take(j, axis=1)
-            np.abs(w, w)
-            w *= grad_scale
-            u *= w
-        return u
+        return _ratios_into(kind, u, w, sigma)
 
     if len(elements.groups) == 1:
         return ratios(*elements.groups[0])
@@ -229,15 +209,39 @@ def element_density_ratios(taus: np.ndarray, elements: Sequence[KernelElement], 
     return out
 
 
+def _ratios_into(kind: ElementKind, u: np.ndarray, w: np.ndarray | None, sigma: float) -> np.ndarray:
+    """element_pdf / gaussian_pdf, written into ``u``, the element's values on its axis i.
+
+    ``w``, an off-diagonal element's values on axis j, is overwritten too.  No
+    exponentials, so the ratios stay finite where the Gaussian factor under- or overflows.
+    """
+    if kind is ElementKind.HESSIAN_DIAG:
+        u_plus = u + sigma
+        u -= sigma
+        u *= u_plus
+        np.abs(u, u)
+        u *= SQRT_TWO_PI * math.exp(0.5) / (4.0 * sigma * sigma)
+        return u
+    grad_scale = SQRT_TWO_PI / (2.0 * sigma)
+    np.abs(u, u)
+    u *= grad_scale
+    if kind is ElementKind.HESSIAN_OFF_DIAG:
+        np.abs(w, w)
+        w *= grad_scale
+        u *= w
+    return u
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 #
-# Every sampler returns the antithetic pair (taus, -taus) of (count, dim)
-# offset blocks, or of (K * count, dim) blocks stacked element by element
-# when the per-element samplers are given K elements.  All sampling
-# densities are even, so the mirrored block is drawn from the same
-# density.
+# Every sampler returns (taus, q): offsets of shape (rows, dim), stacked
+# element by element when a per-element sampler is given K elements, and q,
+# shape (rows,), each row's density ratio pdf / N under the density it was
+# drawn from: its own element's, or the mixture's for the aggregate sampler.
+# N is the smoothing Gaussian.  Every density is even, so q is also -tau's ratio.
+
 
 def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStream, count: int):
     """Batch of offsets for gradient element i, or stacked batches for an array of axes.
@@ -261,15 +265,15 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     xi = rng.uniform((k, count))
     taus = rng.normal((k, count, n))
     taus *= spec.sigma
-    taus[np.arange(k), :, axes] = gradient_inverse_cdf(open_unit(xi), spec.sigma)
-    taus = taus.reshape(k * count, n)
-    return taus, -taus
+    u = gradient_inverse_cdf(open_unit(xi), spec.sigma)
+    taus[np.arange(k), :, axes] = u
+    q = _ratios_into(ElementKind.GRADIENT, u, None, spec.sigma)
+    return taus.reshape(k * count, n), q.reshape(-1)
 
 
 def sample_hessian_offsets(
     elem: KernelElement | Sequence[KernelElement],
     spec: KernelSpec,
-    table: TabulatedInverseCdf,
     rng: RngStream,
     count: int,
 ):
@@ -287,40 +291,40 @@ def sample_hessian_offsets(
     runs once per element kind.
     """
     elements = ElementSet.of((elem,) if isinstance(elem, KernelElement) else elem)
-    for kind, _, i, j in elements.groups:
+    for kind, *_ in elements.groups:
         if kind is ElementKind.GRADIENT:
             raise ValueError(f"expected a Hessian element, got {kind}")
-        if i.min() < 0 or j.max() >= spec.dim:
-            raise ValueError(f"element index out of range for dim {spec.dim}")
+    elements.check_index_bounds(spec.dim)
     s, k = spec.sigma, len(elements)
     taus = rng.normal((k, count, spec.dim))
     taus *= s
     xi = rng.uniform((k, 2, count))
+    q = np.empty((k, count))
     for kind, pos, i, j in elements.groups:
         if kind is ElementKind.HESSIAN_DIAG:
-            u = table.lookup(open_unit(xi[pos, 0]))
+            u = default_hessian_diag_table().lookup(open_unit(xi[pos, 0]))
             u *= s
             taus[pos, :, i] = u
+            q[pos] = _ratios_into(kind, u, None, s)
         else:
             u = gradient_inverse_cdf(open_unit(xi[pos]), s)
             taus[pos, :, i] = u[:, 0]
             taus[pos, :, j] = u[:, 1]
-    taus = taus.reshape(k * count, spec.dim)
-    return taus, -taus
+            q[pos] = _ratios_into(kind, u[:, 0], u[:, 1], s)
+    return taus.reshape(k * count, spec.dim), q.reshape(-1)
 
 
 def sample_aggregate_offsets(
     elements: Sequence[KernelElement],
     spec: KernelSpec,
-    table: TabulatedInverseCdf,
     rng: RngStream,
     count: int,
 ):
     """Batch of offsets from the uniform mixture over ``elements``.
 
     One draw serves every element's estimator term; the density to weight
-    it by is the full mixture density (1/K) * sum_k pdf_k(tau), not the
-    chosen component's density.
+    it by, and so q, is the full mixture density (1/K) * sum_k pdf_k(tau),
+    not the chosen component's density.
 
     Draw order per batch: element choices, the Gaussian base block, then
     two uniform blocks for the special axes (consumed unconditionally so
@@ -329,6 +333,7 @@ def sample_aggregate_offsets(
     if not elements:
         raise ValueError("aggregate sampling requires a nonempty element list")
     elements = ElementSet.of(elements)
+    elements.check_index_bounds(spec.dim)
     choices = rng.integers(len(elements), count)
     s = spec.sigma
     taus = rng.normal((count, spec.dim))
@@ -349,14 +354,16 @@ def sample_aggregate_offsets(
     for kind, rows, picked in parts:
         axis_i = elements.i[choices[picked]]
         if kind is ElementKind.HESSIAN_DIAG:
-            u = table.lookup(xi_a[picked])
+            u = default_hessian_diag_table().lookup(xi_a[picked])
             u *= s
             taus[rows, axis_i] = u
         else:
             taus[rows, axis_i] = gradient_inverse_cdf(xi_a[picked], s)
         if kind is ElementKind.HESSIAN_OFF_DIAG:
             taus[rows, elements.j[choices[picked]]] = gradient_inverse_cdf(open_unit(xi_b[picked]), s)
-    return taus, -taus
+    q = np.add.reduce(element_density_ratios(taus, elements, s), 1)
+    q /= len(elements)
+    return taus, q
 
 
 def open_unit(xi: np.ndarray) -> np.ndarray:

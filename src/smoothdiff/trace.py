@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Stopping rule: wall-clock seconds, evaluation count, or both, each > 0 when set."""
+    """Stopping rule: wall-clock seconds, evaluation count, or both, each finite and > 0 when set."""
 
     seconds: float | None = None
     evals: int | None = None
@@ -57,8 +58,8 @@ class Budget:
     def __post_init__(self):
         if self.seconds is None and self.evals is None:
             raise ValueError("budget needs seconds or evals")
-        if not all(limit is None or limit > 0 for limit in (self.seconds, self.evals)):
-            raise ValueError(f"budget limits must be > 0, got {self.seconds} s and {self.evals} evals")
+        if not all(limit is None or 0 < limit < math.inf for limit in (self.seconds, self.evals)):
+            raise ValueError(f"budget limits must be finite and > 0: {self.seconds} s, {self.evals} evals")
 
     def spent(self, elapsed: float, evals: int) -> float:
         """Share spent: the larger of elapsed / seconds and evals / evals over the limits set.

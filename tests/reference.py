@@ -202,36 +202,37 @@ def _hvp_weights(stack, sigma: float, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return drawn, drawn
 
 
-def _weighted_sums(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray], even: bool) -> np.ndarray:
-    """Each block's weighted pairs summed, shape (B, elements per block).
+def _weighted_terms(vals: np.ndarray, weights: tuple[np.ndarray, np.ndarray], even: bool) -> np.ndarray:
+    """Each block's weighted terms, shape (B, terms, elements per block).
 
-    Odd (gradient) weights: the mean over pairs of each pair's mean
-    weighted value.  Even (Hessian, HVP) weights: each pair's mean value,
-    centred against the mean of all pairs when there are more than one
-    and then divided by pairs - 1, times its mean weight.
+    An element's estimate is the sum of its terms.  Odd (gradient)
+    weights: each evaluated row's weighted value, halved and over pairs,
+    two terms per pair.  Even (Hessian, HVP) weights: one term per pair,
+    its mean value, centred against the mean of all pairs when there are
+    more than one and then divided by pairs - 1, times its mean weight.
     """
     drawn, mirror = weights
     pairs = drawn.shape[1]
     if not even:
-        return (0.5 * (vals[:, :pairs, None] * drawn + vals[:, pairs:, None] * mirror)).sum(axis=1) / pairs
+        rows = np.concatenate((vals[:, :pairs, None] * drawn, vals[:, pairs:, None] * mirror), 1)
+        return 0.5 * rows / pairs
     pv = 0.5 * (vals[:, :pairs] + vals[:, pairs:])
-    w = 0.5 * (drawn + mirror)
-    if pairs == 1:
-        return pv * w[:, 0]
-    centered = (pv - pv.sum(axis=1, keepdims=True) / pairs).reshape(len(pv), 1, pairs)
-    return (centered @ w)[:, 0] / (pairs - 1)
+    if pairs > 1:
+        pv = (pv - pv.sum(axis=1, keepdims=True) / pairs) / (pairs - 1)
+    return pv[:, :, None] * (0.5 * (drawn + mirror))
 
 
 def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream,
                      v=None) -> tuple[np.ndarray, np.ndarray]:
-    """Every stack's estimates contracted and weighted: (contraction, weighted sums).
+    """Every stack's estimates contracted, and their weighted terms: (contraction, terms).
 
     ``order`` is "gradient", "hessian", "hvp" (along ``v``) or "fr22"
     (per-element mode only).  Draws every stack the estimator would for
     ``cfg.mode``, evaluates ``fn`` at its points and reduces the same
     values both ways: by the contraction the estimators run, and by the
-    weight stage above summed over antithetic pairs.  Both come back in
-    the estimate's element order.
+    weight stage above, as the terms of each element's weighted sum.
+    Both come back in the estimate's element order, the terms with shape
+    (elements, terms); an element's weighted estimate is the sum of its row.
     """
     sigma, n = cfg.spec.sigma, cfg.spec.dim
     elements = hessian_elements(n) if order == "hessian" else gradient_elements(n)
@@ -242,12 +243,13 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
                        "hvp": (_contract_hvp, _hvp_weights)}[order]
     along = dict(v=np.asarray(v, dtype=float)) if order == "hvp" else {}
     theta = np.asarray(theta, dtype=float)
-    contracted, weighted = [], []
+    contracted, terms = [], []
     for stack in draw(cfg, rng, elements):
         points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=1)
         vals = np.array([[fn(point) for point in block] for block in points])
         x = _even_coefficients(vals, stack.q) if order == "hvp" else vals
         contracted.append(contract(stack, x, sigma=sigma, **along).ravel())
         weights = _weights(stack, partial(weigh, sigma=sigma, **along))
-        weighted.append(_weighted_sums(vals, weights, order in ("hessian", "hvp")).ravel())
-    return np.concatenate(contracted), np.concatenate(weighted)
+        block_terms = _weighted_terms(vals, weights, order in ("hessian", "hvp"))
+        terms.append(block_terms.transpose(0, 2, 1).reshape(-1, block_terms.shape[1]))
+    return np.concatenate(contracted), np.concatenate(terms)

@@ -85,6 +85,14 @@ def test_budget_share_is_the_larger_share_and_reaches_one_at_a_limit():
             Budget(**bad)
 
 
+@pytest.mark.parametrize("bad", [dict(seconds=math.inf), dict(seconds=math.inf, evals=10),
+                                 dict(evals=math.inf), dict(seconds=-math.inf)])
+def test_budget_rejects_an_infinite_limit(bad):
+    # Budget(seconds=inf) spent a share of 0 forever: a run with no evals limit never ended
+    with pytest.raises(ValueError, match="finite"):
+        Budget(**bad)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_theta(self):
         state = OptimizerState(theta=np.array([1.0, -2.0]))

@@ -1,8 +1,10 @@
 """Sampler fidelity: distribution tests, density bookkeeping, determinism.
 
-Samplers return only offsets; the density an estimator weights by is
-``element_density_ratios`` times the Gaussian, which the bookkeeping tests
-check against the reference densities ``element_pdf`` / ``mixture_pdf``.
+Samplers return offsets with each row's density ratio q = pdf / N, which
+must equal ``element_density_ratios`` of the returned rows (the mixture
+mean for the aggregate sampler).  The density an estimator weights by is
+those ratios times the Gaussian, which the bookkeeping tests check against
+the reference densities ``element_pdf`` / ``mixture_pdf``.
 """
 
 import math
@@ -20,6 +22,7 @@ from smoothdiff.kernels import (
     gaussian_cdf_1d,
     gaussian_pdf,
     gradient_cdf,
+    gradient_elements,
     gradient_inverse_cdf,
     gradient_pdf,
     hessian_diag_cdf,
@@ -138,9 +141,9 @@ def test_open_unit_leaves_its_input_and_returns_a_new_value():
 class TestGradientSampler:
     def test_deterministic(self):
         spec = KernelSpec(1.0, 3)
-        t1, m1 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
-        t2, m2 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
-        assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
+        t1, q1 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
+        t2, q2 = sample_gradient_offsets(1, spec, RngStream(9, 4), 50)
+        assert np.array_equal(t1, t2) and np.array_equal(q1, q2)
 
     def test_chi2_against_gradient_pdf(self):
         spec = KernelSpec(1.0, 2)
@@ -173,48 +176,48 @@ class TestGradientSampler:
 
 
 class TestHessianSampler:
-    def setup_method(self):
-        self.table = build_hessian_diag_table(8192)
-
     def test_diag_pdf_always_positive(self):
         spec = KernelSpec(1.0, 2)
         elem = KernelElement.hessian_diag(0)
-        taus, _ = sample_hessian_offsets(elem, spec, self.table, RngStream(7), 5000)
+        taus, _ = sample_hessian_offsets(elem, spec, RngStream(7), 5000)
         assert np.all(element_density_ratios(taus, [elem], spec.sigma) > 0)
 
     def test_diag_ks_at_1e5(self):
         spec = KernelSpec(1.0, 2)
-        taus, _ = sample_hessian_offsets(KernelElement.hessian_diag(0), spec, self.table, RngStream(8), 100_000)
+        taus, _ = sample_hessian_offsets(KernelElement.hessian_diag(0), spec, RngStream(8), 100_000)
         res = stats.kstest(taus[:, 0], lambda u: hessian_diag_cdf(u, 1.0))
         assert res.pvalue > SIGNIFICANCE
 
     def test_diag_chi2_against_positivized_kernel(self):
         spec = KernelSpec(1.0, 2)
-        taus, _ = sample_hessian_offsets(KernelElement.hessian_diag(0), spec, self.table, RngStream(9), 1_000_000)
+        taus, _ = sample_hessian_offsets(KernelElement.hessian_diag(0), spec, RngStream(9), 1_000_000)
         p = chi2_pvalue(taus[:, 0], lambda u: hessian_diag_cdf(u, 1.0), -4, 4)
         assert p > SIGNIFICANCE
 
     def test_offdiag_marginal_chi2(self):
         spec = KernelSpec(1.0, 3)
         elem = KernelElement.hessian_off_diag(0, 2)
-        taus, _ = sample_hessian_offsets(elem, spec, self.table, RngStream(10), 1_000_000)
+        taus, _ = sample_hessian_offsets(elem, spec, RngStream(10), 1_000_000)
         for axis in (0, 2):
             p = chi2_pvalue(taus[:, axis], lambda u: gradient_cdf(u, 1.0), -4, 4)
             assert p > SIGNIFICANCE
 
     def test_rejects_gradient_element(self):
         with pytest.raises(ValueError):
-            sample_hessian_offsets(KernelElement.gradient(0), KernelSpec(1.0, 2), self.table, RngStream(0), 1)
+            sample_hessian_offsets(KernelElement.gradient(0), KernelSpec(1.0, 2), RngStream(0), 1)
+
+    @pytest.mark.parametrize("elem", [KernelElement.hessian_diag(-1), KernelElement.hessian_diag(3),
+                                      KernelElement.hessian_off_diag(-1, 2), KernelElement.hessian_off_diag(0, 3)])
+    def test_index_out_of_range(self, elem):
+        with pytest.raises(ValueError):
+            sample_hessian_offsets([KernelElement.hessian_diag(0), elem], KernelSpec(1.0, 3), RngStream(0), 1)
 
 
 class TestAggregateSampler:
-    def setup_method(self):
-        self.table = build_hessian_diag_table(8192)
-
     def test_single_element_reduces_to_element_sampler(self):
         spec = KernelSpec(1.0, 2)
         elems = [KernelElement.gradient(0)]
-        taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(11), 5000)
+        taus, _ = sample_aggregate_offsets(elems, spec, RngStream(11), 5000)
         recomputed = np.array([element_pdf(t, elems[0], spec) for t in taus])
         assert_allclose(densities(taus, elems, spec)[:, 0], recomputed, rtol=1e-12)
         res = stats.kstest(taus[:, 0], lambda u: gradient_cdf(u, 1.0))
@@ -225,7 +228,7 @@ class TestAggregateSampler:
             spec = KernelSpec(1.0, dim)
             elems = hessian_elements(dim)
             assert len(elems) == dim * (dim + 1) // 2
-            taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(12), 1000)
+            taus, _ = sample_aggregate_offsets(elems, spec, RngStream(12), 1000)
             per_element = densities(taus, elems, spec)
             element_pdfs = np.array([[element_pdf(t, e, spec) for e in elems] for t in taus])
             assert_allclose(per_element, element_pdfs, rtol=1e-12)
@@ -235,7 +238,7 @@ class TestAggregateSampler:
     def test_empirical_mixture_marginal_chi2(self):
         spec = KernelSpec(1.0, 2)
         elems = hessian_elements(2)
-        taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(13), 1_000_000)
+        taus, _ = sample_aggregate_offsets(elems, spec, RngStream(13), 1_000_000)
 
         def marginal_cdf(u):
             # coordinate 0 is special for diag(0) and offdiag(0,1), Gaussian for diag(1)
@@ -247,7 +250,7 @@ class TestAggregateSampler:
     def test_ks_mixture_at_1e5(self):
         spec = KernelSpec(1.0, 2)
         elems = hessian_elements(2)
-        taus, _ = sample_aggregate_offsets(elems, spec, self.table, RngStream(14), 100_000)
+        taus, _ = sample_aggregate_offsets(elems, spec, RngStream(14), 100_000)
 
         def marginal_cdf(u):
             return (hessian_diag_cdf(u, 1.0) + gaussian_cdf_1d(u, 1.0) + gradient_cdf(u, 1.0)) / 3.0
@@ -257,32 +260,65 @@ class TestAggregateSampler:
 
     def test_empty_elements_rejected(self):
         with pytest.raises(ValueError):
-            sample_aggregate_offsets([], KernelSpec(1.0, 2), self.table, RngStream(0), 1)
+            sample_aggregate_offsets([], KernelSpec(1.0, 2), RngStream(0), 1)
+
+    @pytest.mark.parametrize("elem", [KernelElement.gradient(-1), KernelElement.gradient(3),
+                                      KernelElement.hessian_diag(3), KernelElement.hessian_off_diag(-1, 2),
+                                      KernelElement.hessian_off_diag(0, 3)])
+    def test_index_out_of_range(self, elem):
+        # gradient(-1) drew into axis 2 and gradient(3) raised IndexError
+        with pytest.raises(ValueError):
+            sample_aggregate_offsets([KernelElement.gradient(0), elem], KernelSpec(1.0, 3), RngStream(0), 4)
 
 
-class TestAntitheticPair:
-    def draws(self):
-        spec = KernelSpec(1.2, 3)
-        table = build_hessian_diag_table(2048)
-        return spec, [
+class TestDensityRatio:
+    """Each sampler's q is the density ratio of its rows, bit for bit, and even."""
+
+    spec = KernelSpec(1.2, 3)
+    mixed = [KernelElement.hessian_off_diag(0, 2), KernelElement.hessian_diag(1),
+             KernelElement.hessian_diag(0), KernelElement.hessian_off_diag(1, 2)]
+
+    def per_element_draws(self):
+        spec = self.spec
+        return [
             ([KernelElement.gradient(0)], sample_gradient_offsets(0, spec, RngStream(21), 50)),
+            (gradient_elements(3), sample_gradient_offsets(np.arange(3), spec, RngStream(25), 50)),
             ([KernelElement.hessian_diag(1)],
-             sample_hessian_offsets(KernelElement.hessian_diag(1), spec, table, RngStream(22), 50)),
+             sample_hessian_offsets(KernelElement.hessian_diag(1), spec, RngStream(22), 50)),
             ([KernelElement.hessian_off_diag(0, 2)],
-             sample_hessian_offsets(KernelElement.hessian_off_diag(0, 2), spec, table, RngStream(23), 50)),
-            (hessian_elements(3), sample_aggregate_offsets(hessian_elements(3), spec, table, RngStream(24), 50)),
+             sample_hessian_offsets(KernelElement.hessian_off_diag(0, 2), spec, RngStream(23), 50)),
+            (self.mixed, sample_hessian_offsets(self.mixed, spec, RngStream(26), 50)),
         ]
 
-    def test_pair_sums_to_zero(self):
-        # the second item is the exact negation of the first
-        _, draws = self.draws()
-        for _, (taus, mirrored) in draws:
-            assert taus.shape == (50, 3)
-            assert np.array_equal(mirrored, -taus)
+    def aggregate_draws(self):
+        return [(elems, sample_aggregate_offsets(elems, self.spec, RngStream(24 + k), 50))
+                for k, elems in enumerate((hessian_elements(3), gradient_elements(3), self.mixed))]
+
+    def test_returns_each_row_with_its_ratio(self):
+        # per-element samplers draw 50 rows per element, the aggregate one 50 in all
+        for elems, (taus, q) in self.per_element_draws():
+            assert taus.shape == (50 * len(elems), 3) and q.shape == (len(taus),)
+        for _, (taus, q) in self.aggregate_draws():
+            assert taus.shape == (50, 3) and q.shape == (50,)
+
+    def test_per_element_q_is_each_rows_own_element_ratio(self):
+        sigma = self.spec.sigma
+        for elems, (taus, q) in self.per_element_draws():
+            for r, row in enumerate(taus):
+                want = element_density_ratios(row, [elems[r // 50]], sigma)
+                assert want.shape == (1, 1) and want[0, 0] == q[r]
+
+    def test_aggregate_q_is_the_mixture_mean(self):
+        for elems, (taus, q) in self.aggregate_draws():
+            ratios = element_density_ratios(taus, elems, self.spec.sigma)
+            want = np.add.reduce(ratios, 1)
+            want /= len(elems)
+            assert np.array_equal(q, want)
 
     def test_pdf_even_for_all_densities(self):
-        spec, draws = self.draws()
-        for elems, (taus, mirrored) in draws:
+        spec = self.spec
+        for elems, (taus, _) in self.per_element_draws() + self.aggregate_draws():
+            mirrored = -taus
             assert np.array_equal(element_density_ratios(mirrored, elems, spec.sigma),
                                   element_density_ratios(taus, elems, spec.sigma))
             for t, m in zip(taus, mirrored):
@@ -295,13 +331,13 @@ class TestStackedDrawOrder:
     def test_gradient_block_is_uniforms_then_one_normal_block(self):
         spec, axes, count = KernelSpec(0.7, 5), np.array([3, 0, 4, 0]), 3
         rng, twin = RngStream(31, 2), RngStream(31, 2)
-        taus, mirror = sample_gradient_offsets(axes, spec, rng, count)
+        taus, q = sample_gradient_offsets(axes, spec, rng, count)
         xi = twin.uniform((len(axes), count))
         want = twin.normal((len(axes), count, spec.dim)) * spec.sigma
         for r, axis in enumerate(axes):
             want[r, :, axis] = gradient_inverse_cdf(open_unit(xi[r]), spec.sigma)
         assert np.array_equal(taus, want.reshape(-1, spec.dim))
-        assert np.array_equal(mirror, -taus)
+        assert q.shape == (len(taus),)
         assert np.array_equal(rng.uniform(4), twin.uniform(4))  # nothing else was drawn
 
     def test_hessian_block_is_one_normal_block_then_uniforms_for_every_element(self):
@@ -310,7 +346,7 @@ class TestStackedDrawOrder:
         elements = [KernelElement.hessian_off_diag(0, 2), KernelElement.hessian_diag(1),
                     KernelElement.hessian_off_diag(1, 3), KernelElement.hessian_diag(3)]
         rng, twin = RngStream(32), RngStream(32)
-        taus, _ = sample_hessian_offsets(elements, spec, table, rng, count)
+        taus, _ = sample_hessian_offsets(elements, spec, rng, count)
         want = twin.normal((len(elements), count, spec.dim)) * spec.sigma
         xi = twin.uniform((len(elements), 2, count))
         for r, elem in enumerate(elements):
@@ -324,13 +360,13 @@ class TestStackedDrawOrder:
 
 
 def test_stacked_gradient_draw_makes_no_staging_copies():
-    # the returned pair takes 1 MiB at n = 256; the draws go straight into it
+    # the returned offsets take 0.5 MiB at n = 256; the draws go straight into them
     spec = KernelSpec(0.3, 256)
     sample_gradient_offsets(np.arange(256), spec, RngStream(0), 1)  # warm-up
     tracemalloc.start()
     try:
-        taus, mirror = sample_gradient_offsets(np.arange(256), spec, RngStream(1), 1)
+        taus, q = sample_gradient_offsets(np.arange(256), spec, RngStream(1), 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= taus.nbytes + mirror.nbytes + (64 << 10)
+    assert peak <= taus.nbytes + q.nbytes + (64 << 10)
