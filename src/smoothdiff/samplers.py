@@ -11,10 +11,11 @@ call: one Gaussian block for all of them and one block of uniforms for
 their special axes, with everything after the draws run once over the
 stacked blocks.
 
-All sampling is driven by ``RngStream``, a counter-based generator:
-identical (seed, stream_id, draw sequence) reproduces identical samples
-bit-exactly, and distinct stream ids give independent streams that are
-safe to use concurrently.
+All sampling is driven by ``RngStream``, an SFC64 generator seeded
+through ``SeedSequence`` with the stream id as its spawn key: identical
+(seed, stream_id, draw sequence) reproduces identical samples
+bit-exactly, and distinct (seed, stream_id) addresses give independent
+streams that are safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -49,11 +50,15 @@ _TINY, _BELOW_ONE = fixed_operand(np.finfo(float).tiny), fixed_operand(1.0 - 1e-
 class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 
-    Backed by the counter-based Philox generator, so streams with
-    different ids are statistically independent and reproducible under
-    parallel execution.  The stream is stateful: draws advance it, and a
-    freshly constructed stream with the same address replays the same
-    sequence.
+    Backed by SFC64, seeded by ``SeedSequence(seed, spawn_key=(stream_id,))``.
+    The seed is padded to the sequence's fixed pool before the spawn key is
+    appended, so distinct addresses hash distinct words; the shorter
+    ``SeedSequence([seed, stream_id])`` would pad ``(2**32, 0)`` and
+    ``(0, 1)`` to the same words.  Streams with different addresses are
+    statistically independent and reproducible under parallel execution.
+    Both parts are taken modulo 2**64, so -1 addresses as 2**64 - 1.  The
+    stream is stateful: draws advance it, and a freshly constructed stream
+    with the same address replays the same sequence.
     """
 
     seed: int
@@ -62,8 +67,9 @@ class RngStream:
 
     def __post_init__(self):
         # int(): a numpy integer would mask in its own fixed width and overflow
-        key = np.array([int(self.seed) & _MASK64, int(self.stream_id) & _MASK64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(int(self.seed) & _MASK64,
+                                     spawn_key=(int(self.stream_id) & _MASK64,))
+        self._gen = np.random.Generator(np.random.SFC64(seq))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -190,7 +190,7 @@ class TestRunEnsemble:
         for stat in result.thresholds["loss"].values():
             assert stat.reached_runs == 0 and stat.median_evals is None
         param = result.thresholds["param_error"]
-        assert (param[0.9].reached_runs, param[0.9].median_evals) == (4, 91.0)
+        assert (param[0.9].reached_runs, param[0.9].median_evals) == (3, 127.0)
         assert param[0.99].reached_runs == param[0.999].reached_runs == 0
 
 
@@ -841,10 +841,12 @@ def test_wall_clock_budget_stops_at_the_first_record_past_it(monkeypatch, method
 @pytest.mark.parametrize("method,keys", [("OurG", dict(samples=2, lr=0.3)),
                                          ("OurHVPA", dict(samples=4, trust_region=1.0, ls_iters=5))])
 def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, method, keys):
-    # the loss is NaN on a band that estimate rows reach but these iterates
-    # and trial points do not
+    # the loss is NaN on a band that estimate rows of some runs reach but
+    # these iterates and trial points do not; at seed 1 no Newton-CG row
+    # passes |x0| = 4, so its band starts nearer
+    edge = {"OurG": 4.0, "OurHVPA": 3.7}[method]
     quad = quad_task()
-    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > 4.0 else quad.fn(th))
+    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > edge else quad.fn(th))
     monkeypatch.setattr(harness, "make_task", lambda name: band)
     result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=300,
                                     ensemble=4, seed=1, deterministic=True, **keys))
@@ -855,5 +857,5 @@ def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, me
         match = re.fullmatch(r"objective returned non-finite value nan at \[(.*)\], in iteration (\d+)",
                              trace.note)
         assert match, trace.note
-        assert abs(float(match[1].split()[0])) > 4.0
+        assert abs(float(match[1].split()[0])) > edge
         assert int(match[2]) == len(trace.records)

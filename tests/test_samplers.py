@@ -75,6 +75,26 @@ class TestRngStream:
         assert np.array_equal(RngStream(kind(3), kind(5)).normal(10), RngStream(3, 5).normal(10))
         assert np.array_equal(RngStream(np.int64(-1)).normal(10), RngStream(-1).normal(10))
 
+    def test_addresses_near_word_edges_draw_distinct_streams(self):
+        # SeedSequence([seed, stream_id]) pads both to the same words for
+        # (2**32, 0) and (0, 1), among six colliding pairs of these
+        edges = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        firsts = {(seed, stream_id): tuple(RngStream(seed, stream_id).uniform(4))
+                  for seed in edges for stream_id in edges}
+        assert len(set(firsts.values())) == len(firsts) == 64
+        assert firsts[2**32, 0] != firsts[0, 1]
+
+    def test_negative_address_draws_modulo_two_to_the_64(self):
+        assert np.array_equal(RngStream(-1).uniform(4), RngStream(2**64 - 1).uniform(4))
+        assert np.array_equal(RngStream(0, -1).uniform(4), RngStream(0, 2**64 - 1).uniform(4))
+
+    def test_known_first_draws(self):
+        # pins the bit generator and the address encoding
+        assert RngStream(1, 1).uniform(4).tolist() == [
+            0.7075445722471096, 0.26535522130279654, 0.9252499066003603, 0.2107877260781289]
+        assert RngStream(1, 1).normal(4).tolist() == [
+            1.3823770096253107, 0.2583944770415437, -0.2711484247962688, -0.19640213992942873]
+
 
 class TestHessianDiagTable:
     def test_rejects_small_resolution(self):
