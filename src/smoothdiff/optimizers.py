@@ -7,11 +7,24 @@ Newton-CG bounds the whole step of an outer iteration by the trust
 radius, runs at most ``dim`` conjugate steps, and keeps a trial point
 only if its exact loss does not rise.  Second-order methods take raw
 steps; Adam preconditioning applies to gradient descent only.
+
+Both run one outer loop.  It evaluates and records the loss at ``init``
+as iteration 0 before any derivative is asked for; then, while the share
+of the budget spent (``Budget.spent``) is below 1, iteration k runs at
+the bandwidth ``anneal_sigma`` gives for the share spent when it starts
+and records loss, parameter error, evaluations and wall time at its new
+theta.  A non-finite recorded loss raises ``NonFiniteStateError`` after
+its record; an ``EstimationError`` from the derivative provider is raised
+again as one, its note the error's text, which names the point.  Every
+abort note names its iteration, and an abort inside iteration k leaves
+the records of iterations 0 to k - 1.  A deterministic clock reads a
+nominal microsecond per evaluation, so repeated runs give equal traces.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +32,7 @@ import numpy as np
 
 from .estimators import EstimationError, GradientEstimate, Objective, _all_finite
 from .kernels import fixed_operand
-from .trace import Budget, ConvergenceTrace, NonFiniteStateError, RunClock, TraceRecord
+from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -97,7 +110,8 @@ def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> Op
     if g.shape != state.theta.shape:
         raise ValueError(f"gradient shape {g.shape} does not match theta {state.theta.shape}")
     if not _all_finite(g):
-        raise NonFiniteStateError("non-finite gradient in Adam step", state.trace)
+        raise NonFiniteStateError(
+            f"non-finite gradient in Adam step, in iteration {state.iteration + 1}", state.trace)
     if state.adam_m is None:
         state.adam_m = np.zeros_like(g)
     if state.adam_v is None:
@@ -156,21 +170,18 @@ def _steihaug_step(
     ls_tol: float,
     recompute: int,
     trace: ConvergenceTrace,
-    outer: int,
+    iteration: int,
     on_inner_step: Callable[[dict], None] | None,
 ) -> np.ndarray:
     """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta."""
 
     def residual(center: np.ndarray):
-        try:
-            est, hvp = model(center, sigma)
-        except EstimationError as err:
-            raise NonFiniteStateError(f"{err}, in iteration {outer + 1}", trace) from err
+        est, hvp = model(center, sigma)
         g = est.g
         gg = float(g.dot(g))
         # a finite g . g has only finite terms; otherwise test them one by one
         if not math.isfinite(gg) and not _all_finite(g):
-            raise NonFiniteStateError("non-finite gradient estimate", trace)
+            raise NonFiniteStateError(f"non-finite gradient estimate, in iteration {iteration}", trace)
         return -g, gg, hvp
 
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
@@ -196,11 +207,12 @@ def _steihaug_step(
             alpha = _boundary_step(p, v, delta)
             p_next = p + alpha * v
         if on_inner_step is not None:
-            on_inner_step({"outer": outer, "alpha": alpha, "v": v.copy(), "curv": curv,
+            on_inner_step({"outer": iteration - 1, "alpha": alpha, "v": v.copy(), "curv": curv,
                            "fallback": fallback})
         p = p_next
         if not _all_finite(p):
-            raise NonFiniteStateError("non-finite parameters in CG step", trace)
+            raise NonFiniteStateError(
+                f"non-finite parameters in CG step, in iteration {iteration}", trace)
         if at_boundary:
             break
         r_new = r - alpha * hv
@@ -209,6 +221,36 @@ def _steihaug_step(
         v = r_new + beta * v
         r, rr = r_new, rr_new
     return p
+
+
+def _outer_loop(obj: Objective, init: np.ndarray, schedule: SigmaSchedule, budget: Budget,
+                step: Callable[[np.ndarray, float, float, int, ConvergenceTrace],
+                               tuple[np.ndarray, float]],
+                param_error_fn: Callable[[np.ndarray], float] | None,
+                deterministic_clock: bool) -> ConvergenceTrace:
+    """The outer loop of both optimizers, as the module docstring states it.
+
+    ``step(theta, loss, sigma, k, trace)`` makes iteration k from theta,
+    whose loss is ``loss``, and returns the new theta and its loss.
+    """
+    theta = np.asarray(init, dtype=float).copy()
+    trace = ConvergenceTrace()
+    err_fn = param_error_fn if param_error_fn is not None else lambda th: math.nan
+    t0 = time.perf_counter()
+    now = (lambda: obj.eval_count * 1e-6) if deterministic_clock else (lambda: time.perf_counter() - t0)
+    loss = obj.evaluate(theta)
+    iteration = 0
+    while True:
+        trace.append(TraceRecord(now(), iteration, obj.eval_count, loss, err_fn(theta)))
+        if not math.isfinite(loss):
+            raise NonFiniteStateError(f"non-finite loss at iteration {iteration}: {loss}", trace)
+        if (spent := budget.spent(now(), obj.eval_count)) >= 1.0:
+            return trace
+        iteration += 1
+        try:
+            theta, loss = step(theta, loss, anneal_sigma(schedule, spent), iteration, trace)
+        except EstimationError as err:
+            raise NonFiniteStateError(f"{err}, in iteration {iteration}", trace) from err
 
 
 def newton_cg_run(
@@ -248,30 +290,21 @@ def newton_cg_run(
     its gradient evaluated, so each model call costs one batch and the
     products cost no evaluation.
 
-    sigma follows the share of ``budget`` spent when the outer iteration
-    starts (``anneal_sigma``), and so does the working radius, which is
-    ``tr.delta`` times sigma / ``sigma_start``: the smoothed quadratic
-    model is only trustworthy within about one smoothing radius.  The
-    trial point theta_outer + p is accepted only if its exact loss does
-    not exceed the current one; otherwise p is halved up to
-    ``CG_HALVINGS`` times, one evaluation per try.  If no try is
-    accepted, theta stays at theta_outer and the working radius shrinks by
-    ``CG_RADIUS_SHRINK`` for the rest of the run.  This is what stops
-    unbiased but heavy-tailed curvature estimates from throwing the
-    iterate out of a basin it has reached.
+    The working radius is ``tr.delta`` times sigma / ``sigma_start``: the
+    smoothed quadratic model is only trustworthy within about one
+    smoothing radius.  The trial point theta_outer + p is accepted only
+    if its exact loss does not exceed the current one; otherwise p is
+    halved up to ``CG_HALVINGS`` times, one evaluation per try.  If no
+    try is accepted, theta stays at theta_outer and the working radius
+    shrinks by ``CG_RADIUS_SHRINK`` for the rest of the run.  This is
+    what stops unbiased but heavy-tailed curvature estimates from
+    throwing the iterate out of a basin it has reached.
 
-    The trace records loss, parameter error, evaluation count and wall
-    time at every outer iteration; the accepted trial's evaluation is the
-    record's, and a rejected iteration records theta_outer's loss at the
-    current count.  The budget is checked between outer iterations, and
-    a share of 1 spent is the normal exit.  A non-finite loss, at the
-    start or at any trial or halving, raises ``NonFiniteStateError``
-    naming the iteration; the initial loss is recorded first, so the
-    trace is never empty.  An ``EstimationError`` from ``model`` is
-    raised again as ``NonFiniteStateError`` carrying the trace, its note
-    the error's text, which names the point, and the iteration.
-    ``ls_iters`` or ``recompute`` below 1 and an ``ls_tol`` that is not
-    finite and > 0 are ValueErrors, raised before any evaluation.
+    The accepted trial's evaluation is the record's, and a rejected
+    iteration records theta_outer's loss.  A non-finite loss at a trial
+    or halving raises ``NonFiniteStateError``.  ``ls_iters`` or
+    ``recompute`` below 1 and an ``ls_tol`` that is not finite and > 0
+    are ValueErrors, raised before any evaluation.
     """
     if ls_iters < 1:
         raise ValueError("ls_iters must be >= 1")
@@ -279,27 +312,14 @@ def newton_cg_run(
         raise ValueError(f"ls_tol must be finite and > 0, got {ls_tol}")
     if recompute < 1:
         raise ValueError("recompute must be >= 1")
-    theta = np.asarray(init, dtype=float).copy()
-    trace = ConvergenceTrace()
-    clock = RunClock(obj, deterministic=deterministic_clock)
-    err_fn = param_error_fn if param_error_fn is not None else lambda th: float("nan")
-    max_steps = min(ls_iters, theta.size)
-
-    def record(iteration: int, loss: float) -> None:
-        trace.append(TraceRecord(clock.now(), iteration, obj.eval_count, loss, err_fn(theta)))
-
-    loss = obj.evaluate(theta)
-    record(0, loss)
-    if not math.isfinite(loss):
-        raise NonFiniteStateError(f"non-finite loss at iteration 0: {loss}", trace)
+    max_steps = min(ls_iters, np.size(init))
     radius_scale = 1.0
-    outer = 0
-    while (spent := budget.spent(clock.now(), obj.eval_count)) < 1.0:
-        sigma = anneal_sigma(schedule, spent)
+
+    def cg_iteration(theta, loss, sigma, iteration, trace):
+        nonlocal radius_scale
         delta = radius_scale * tr.delta * sigma / schedule.sigma_start
         step = _steihaug_step(model, theta, sigma, delta, max_steps, ls_tol, recompute,
-                              trace, outer, on_inner_step)
-        outer += 1
+                              trace, iteration, on_inner_step)
         # the trial evaluation also guarantees budget progress when the
         # derivative estimates consume no evaluations
         trial = theta + step
@@ -308,8 +328,8 @@ def newton_cg_run(
         while True:
             if not math.isfinite(trial_loss):
                 where = f"halving {halvings} of iteration" if halvings else "iteration"
-                raise NonFiniteStateError(f"non-finite trial loss at {where} {outer}: {trial_loss}",
-                                          trace)
+                raise NonFiniteStateError(
+                    f"non-finite trial loss at {where} {iteration}: {trial_loss}", trace)
             if trial_loss <= loss or halvings == CG_HALVINGS:
                 break
             halvings += 1
@@ -317,12 +337,11 @@ def newton_cg_run(
             trial = theta + step
             trial_loss = obj.evaluate(trial)
         if trial_loss <= loss:
-            theta = trial
-            loss = trial_loss
-        else:
-            radius_scale *= CG_RADIUS_SHRINK
-        record(outer, loss)
-    return trace
+            return trial, trial_loss
+        radius_scale *= CG_RADIUS_SHRINK
+        return theta, loss
+
+    return _outer_loop(obj, init, schedule, budget, cg_iteration, param_error_fn, deterministic_clock)
 
 
 def gd_adam_run(
@@ -338,35 +357,19 @@ def gd_adam_run(
 ) -> ConvergenceTrace:
     """Adam gradient descent on ``gradient_fn(theta, sigma)``.
 
-    sigma follows the share of ``budget`` spent when each iteration starts
-    (``anneal_sigma``), and the iteration records the loss at the new
-    theta.  A non-finite loss is recorded, then raises
-    ``NonFiniteStateError`` naming the iteration.  An ``EstimationError``
-    from ``gradient_fn`` is raised again as ``NonFiniteStateError``
-    carrying the trace, its note the error's text, which names the point,
-    and the iteration.
+    Each iteration records the loss at the new theta.  An ``lr`` that is
+    not finite and > 0 is a ValueError, raised before any evaluation.
     """
-    theta = np.asarray(init, dtype=float).copy()
-    trace = ConvergenceTrace()
-    state = OptimizerState(theta=theta, trace=trace)
-    clock = RunClock(obj, deterministic=deterministic_clock)
-    err_fn = param_error_fn if param_error_fn is not None else lambda th: float("nan")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    state = OptimizerState(theta=init)
 
-    def record(iteration: int) -> None:
-        loss = obj.evaluate(state.theta)
-        trace.append(TraceRecord(clock.now(), iteration, obj.eval_count, loss, err_fn(state.theta)))
-        if not math.isfinite(loss):
-            raise NonFiniteStateError(f"non-finite loss at iteration {iteration}: {loss}", trace)
-
-    record(0)
-    while (spent := budget.spent(clock.now(), obj.eval_count)) < 1.0:
-        sigma = anneal_sigma(schedule, spent)
-        try:
-            grad = gradient_fn(state.theta, sigma)
-        except EstimationError as err:
-            raise NonFiniteStateError(f"{err}, in iteration {state.iteration + 1}", trace) from err
-        state = gd_adam_step(state, grad, lr)
+    def adam_iteration(theta, loss, sigma, iteration, trace):
+        state.theta, state.trace = theta, trace
+        gd_adam_step(state, gradient_fn(theta, sigma), lr)
         if not _all_finite(state.theta):
-            raise NonFiniteStateError("non-finite parameters in Adam step", trace)
-        record(state.iteration)
-    return trace
+            raise NonFiniteStateError(
+                f"non-finite parameters in Adam step, in iteration {iteration}", trace)
+        return state.theta, obj.evaluate(state.theta)
+
+    return _outer_loop(obj, init, schedule, budget, adam_iteration, param_error_fn, deterministic_clock)

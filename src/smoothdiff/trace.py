@@ -1,12 +1,9 @@
-"""Convergence traces, run budgets, and the run clock."""
+"""Convergence traces and run budgets."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-
-from .estimators import Objective
 
 
 @dataclass(frozen=True)
@@ -70,23 +67,3 @@ class Budget:
         share = 0.0 if self.seconds is None else elapsed / self.seconds
         return share if self.evals is None else max(share, evals / self.evals)
 
-
-class RunClock:
-    """Wall clock for a run, replaceable by a deterministic surrogate.
-
-    In deterministic mode the "time" is the evaluation count scaled to a
-    nominal microsecond per evaluation, so repeated runs produce
-    byte-identical traces.
-    """
-
-    SYNTHETIC_SECONDS_PER_EVAL = 1e-6
-
-    def __init__(self, objective: Objective, deterministic: bool = False):
-        self._obj = objective
-        self._det = deterministic
-        self._t0 = time.perf_counter()
-
-    def now(self) -> float:
-        if self._det:
-            return self._obj.eval_count * self.SYNTHETIC_SECONDS_PER_EVAL
-        return time.perf_counter() - self._t0

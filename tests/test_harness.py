@@ -20,6 +20,7 @@ from smoothdiff import harness
 from smoothdiff.cli import _coerce, _section_to_kwargs, main
 from smoothdiff.estimators import (
     EstimatorConfig,
+    Objective,
     SamplingMode,
     estimate_gradient,
     estimate_hessian,
@@ -838,24 +839,56 @@ def test_wall_clock_budget_stops_at_the_first_record_past_it(monkeypatch, method
         assert max(times[:-1]) < 1e-4 <= times[-1] and not trace.aborted
 
 
+@pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("method,keys", [("OurG", dict(samples=2, lr=0.3)),
                                          ("OurHVPA", dict(samples=4, trust_region=1.0, ls_iters=5))])
-def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, method, keys):
-    # the loss is NaN on a band that estimate rows of some runs reach but
-    # these iterates and trial points do not; at seed 1 no Newton-CG row
-    # passes |x0| = 4, so its band starts nearer
-    edge = {"OurG": 4.0, "OurHVPA": 3.7}[method]
+def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, method, keys, seed):
+    # runs 1 and 3 get NaN at their 25th estimate row, counted through the
+    # loss's batched form, which only estimates call; records and trial
+    # points go through fn itself, so the abort does not depend on the draws
     quad = quad_task()
-    band = replace(quad, fn=lambda th: math.nan if abs(th[0]) > edge else quad.fn(th))
-    monkeypatch.setattr(harness, "make_task", lambda name: band)
+    chosen, nan_row = (1, 3), 25
+    made = []  # per run: (the NaN row, the evaluations up to and including it)
+
+    def objective():
+        run = len(made)
+        made.append(None)
+        evals = rows_seen = 0
+
+        def fn(th):
+            nonlocal evals
+            evals += 1
+            return quad.fn(th)
+
+        def rows(points):
+            nonlocal evals, rows_seen
+            vals = np.array([quad.fn(point) for point in points])
+            k = nan_row - 1 - rows_seen
+            if run in chosen and 0 <= k < len(points):
+                vals[k] = math.nan
+                made[run] = (points[k].copy(), evals + k + 1)
+            rows_seen += len(points)
+            evals += len(points)
+            return vals
+
+        fn.rows = rows
+        return Objective(fn, quad.dim)
+
+    task = replace(quad)
+    task.objective = objective  # one Objective per run, in run order
+    monkeypatch.setattr(harness, "make_task", lambda name: task)
     result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=300,
-                                    ensemble=4, seed=1, deterministic=True, **keys))
+                                    ensemble=4, seed=seed, deterministic=True, **keys))
     assert len(result.traces) == 4
-    aborted = [trace for trace in result.traces if trace.aborted]
-    assert 0 < len(aborted) < 4
-    for trace in aborted:
-        match = re.fullmatch(r"objective returned non-finite value nan at \[(.*)\], in iteration (\d+)",
+    for run, trace in enumerate(result.traces):
+        if run not in chosen:
+            assert made[run] is None and not trace.aborted and trace.records[-1].evals >= 300
+            continue
+        point, at = made[run]
+        match = re.fullmatch(r"objective returned non-finite value nan at (\[.*\]), in iteration (\d+)",
                              trace.note)
-        assert match, trace.note
-        assert abs(float(match[1].split()[0])) > edge
+        assert trace.aborted and match, trace.note
+        assert match[1] == f"{point}"
+        # the row was evaluated in the iteration after the last record
         assert int(match[2]) == len(trace.records)
+        assert trace.records[-1].evals < at

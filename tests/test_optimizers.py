@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothdiff.estimators import GradientEstimate, Objective
+from smoothdiff.estimators import EstimationError, GradientEstimate, Objective
 from smoothdiff.optimizers import (
     OptimizerState,
     SigmaSchedule,
@@ -155,6 +155,46 @@ class TestAdam:
         state = OptimizerState(theta=np.zeros(2))
         with pytest.raises(ValueError):
             gd_adam_step(state, GradientEstimate(g=np.zeros(2), evals_used=0), lr=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_run_rejects_lr_before_any_evaluation(self, bad):
+        # lr = 0 used to spend an evaluation and a gradient before gd_adam_step
+        # raised, and lr = inf ran until its parameters went non-finite
+        obj = quad_task().objective()
+        calls = []
+        grad_fn = lambda th, s: calls.append(s) or GradientEstimate(g=np.ones(2), evals_used=0)
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            gd_adam_run(obj, grad_fn, np.ones(2), SigmaSchedule(1.0, 0.1), bad, Budget(evals=20))
+        assert obj.eval_count == 0 and calls == []
+
+    def test_non_finite_gradient_note_names_the_iteration(self):
+        state = OptimizerState(theta=np.zeros(2), iteration=4)
+        with pytest.raises(NonFiniteStateError, match=r"gradient in Adam step, in iteration 5$"):
+            gd_adam_step(state, GradientEstimate(g=np.array([0.0, np.inf]), evals_used=0), lr=0.1)
+        calls = []
+
+        def grad_fn(theta, sigma):
+            calls.append(sigma)
+            return GradientEstimate(g=np.array([math.nan if len(calls) == 3 else 1.0, 0.0]),
+                                    evals_used=0)
+
+        with pytest.raises(NonFiniteStateError) as err:
+            gd_adam_run(quad_task().objective(), grad_fn, np.ones(2), SigmaSchedule(1.0, 0.1),
+                        0.1, Budget(evals=20))
+        trace = err.value.trace
+        assert trace.note == "non-finite gradient in Adam step, in iteration 3"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0, 1, 2]
+
+    def test_non_finite_parameters_note_names_the_iteration(self):
+        # a constant gradient moves Adam by lr per step: 1e308 -> 1.5e308 -> inf
+        obj = Objective(lambda th: 0.0, 2)
+        grad_fn = lambda th, s: GradientEstimate(g=np.array([-1.0, 0.0]), evals_used=0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
+            gd_adam_run(obj, grad_fn, np.array([1e308, 0.0]), SigmaSchedule(1.0, 0.1), 5e307,
+                        Budget(evals=20))
+        trace = err.value.trace
+        assert trace.note == "non-finite parameters in Adam step, in iteration 2"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0, 1]
 
     def test_step_keeps_held_arrays_and_updates_moments_in_place(self):
         theta0 = np.array([1.0, -2.0])
@@ -331,6 +371,28 @@ class TestNewtonCg:
             assert [r.iteration for r in err.value.trace.records] == [0]
             assert obj.eval_count == evals
 
+    @pytest.mark.parametrize("where", ["gradient", "hvp"])
+    def test_non_finite_model_note_names_the_iteration(self, where):
+        # the model's third call returns a NaN gradient, or an operator whose
+        # products are NaN, which makes the CG step NaN
+        calls = []
+
+        def model(theta, sigma):
+            calls.append(theta)
+            bad = len(calls) == 3
+            g = np.full(2, math.nan) if bad and where == "gradient" else 2.0 * theta
+            return (GradientEstimate(g=g, evals_used=0),
+                    lambda v: np.full(2, math.nan) if bad else 2.0 * v)
+
+        with pytest.raises(NonFiniteStateError) as err:
+            newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
+                          SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
+                          recompute=10, budget=Budget(evals=20))
+        trace = err.value.trace
+        what = {"gradient": "gradient estimate", "hvp": "parameters in CG step"}[where]
+        assert trace.note == f"non-finite {what}, in iteration 3"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0, 1, 2]
+
     def test_parameter_validation(self):
         task = quad_task()
         with pytest.raises(ValueError):
@@ -370,3 +432,81 @@ def test_trace_monotonicity_invariants():
     assert evals == sorted(evals)
     assert times == sorted(times)
     assert trace.records[-1].evals == obj.eval_count
+
+
+CONTRACT_SCHEDULE = SigmaSchedule(1.0, 0.1)
+
+
+def contract_run(run, obj, probe, budget, param_error_fn=None):
+    """``run`` on ``obj`` with ``probe(theta, sigma) -> g`` as its provider.
+
+    Newton-CG gets the exact curvature of th . th, a trust radius of 0.5
+    and a ``recompute`` it never reaches, so it calls ``probe`` once per
+    outer iteration, as Adam does.
+    """
+    if run == "adam":
+        return gd_adam_run(obj, lambda th, s: GradientEstimate(g=probe(th, s), evals_used=0),
+                           np.array([2.0, -1.0]), CONTRACT_SCHEDULE, 0.1, budget,
+                           param_error_fn=param_error_fn, deterministic_clock=True)
+    model = lambda th, s: (GradientEstimate(g=probe(th, s), evals_used=0), lambda v: 2.0 * v)
+    return newton_cg_run(obj, model, np.array([2.0, -1.0]), CONTRACT_SCHEDULE, TrustRegion(0.5),
+                         ls_iters=2, ls_tol=1e-12, recompute=10, budget=budget,
+                         param_error_fn=param_error_fn, deterministic_clock=True)
+
+
+@pytest.mark.parametrize("run", ["adam", "newton_cg"])
+class TestOuterLoopContract:
+    """What Adam and Newton-CG share: records, sigma, stopping and estimate errors."""
+
+    def test_records_sigma_and_stopping(self, run):
+        log = []
+        obj = Objective(lambda th: log.append(("eval", th.copy())) or float(th @ th), 2)
+
+        def probe(theta, sigma):
+            log.append(("provider", obj.eval_count, sigma))
+            for _ in range(3):
+                obj.evaluate(theta + 0.1)
+            return 2.0 * theta
+
+        def param_error(theta):
+            log.append(("record", theta.copy()))
+            return math.sqrt(float(theta @ theta))
+
+        trace = contract_run(run, obj, probe, Budget(evals=30), param_error)
+        # iteration 0 is evaluated and recorded at init before any provider call
+        assert [entry[0] for entry in log[:3]] == ["eval", "record", "provider"]
+        assert np.array_equal(log[0][1], [2.0, -1.0]) and np.array_equal(log[1][1], [2.0, -1.0])
+        first = trace.records[0]
+        assert (first.iteration, first.evals, first.loss) == (0, 1, 5.0)
+        assert [r.iteration for r in trace.records] == list(range(len(trace.records)))
+        # iteration k's sigma follows the share spent when it starts: the
+        # evaluations of record k - 1
+        calls = [entry for entry in log if entry[0] == "provider"]
+        assert len(calls) == len(trace.records) - 1 >= 3
+        for (_, evals, sigma), start in zip(calls, trace.records):
+            assert evals == start.evals
+            assert sigma == anneal_sigma(CONTRACT_SCHEDULE, start.evals / 30)
+        # the run stops at the first record whose share is >= 1
+        shares = [r.evals / 30 for r in trace.records]
+        assert all(share < 1 for share in shares[:-1]) and shares[-1] >= 1
+        assert not trace.aborted and trace.records[-1].evals == obj.eval_count
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_estimation_error_names_its_iteration(self, run, k):
+        obj = Objective(lambda th: float(th @ th), 2)
+        calls = []
+
+        def probe(theta, sigma):
+            calls.append(theta.copy())
+            if len(calls) == k:
+                raise EstimationError(f"objective returned non-finite value nan at {theta}", theta)
+            obj.evaluate(theta)
+            return 2.0 * theta
+
+        with pytest.raises(NonFiniteStateError) as err:
+            contract_run(run, obj, probe, Budget(evals=100))
+        trace = err.value.trace
+        assert isinstance(err.value.__cause__, EstimationError)
+        assert trace.aborted
+        assert trace.note == f"objective returned non-finite value nan at {calls[-1]}, in iteration {k}"
+        assert [r.iteration for r in trace.records] == list(range(k))
