@@ -6,42 +6,45 @@ smoothing Gaussian.  Estimators importance-sample offsets from the
 positivized kernel densities, and each evaluation f(theta - tau) counts
 with weight kernel(tau) / pdf(tau).
 
-Every estimator runs the same three stages:
+Every estimator makes one pass over the blocks of offsets it draws, in
+three stages, each chunk drawn, evaluated and contracted before the next
+is drawn:
 
-1. **Draw** blocks of offsets tau, stacked into one array of shape
-   (blocks, samples, dim), with the output elements each block serves
-   and the density ratio q = pdf / N of its rows, where N is the
-   smoothing Gaussian.  Each drawn row tau stands for the antithetic pair
-   (tau, -tau); the mirrored half is never stored.  Only this stage
-   depends on the sampling mode:
+1. **Draw** offsets tau with the output elements they serve and the
+   density ratio q = pdf / N of each drawn row, where N is the smoothing
+   Gaussian, through one sampler call per chunk.  Each drawn row tau
+   stands for the antithetic pair (tau, -tau); the mirrored half is never
+   stored.  Only this stage depends on the sampling mode:
 
    * ``PER_ELEMENT``: one block per derivative element, drawn from that
      element's optimally importance-sampled density and serving only that
      element (n evaluations per pair-half for a gradient, n(n+1)/2 for a
-     Hessian).  Elements are taken in chunks, so that the stacked rows of
-     a large Hessian stay within a fixed memory bound.  Each chunk's
-     blocks are drawn in one Gaussian call and one uniform call, and
-     inverse CDFs, density ratios and every later stage run once over the
-     chunk's stacked blocks.
-   * ``AGGREGATE``: one block drawn from the uniform mixture of all
-     element densities serves every element, so a pair-half costs a
-     single evaluation regardless of dimension or derivative order.
-   * ``UNIFORM``: one block drawn uniformly on [-10 sigma, 10 sigma]^n; a
-     control for variance analysis, not for production use.
+     Hessian), stacked as (blocks, samples, dim).  Elements are taken in
+     chunks, so that the stacked rows of a large Hessian stay within a
+     fixed memory bound.  Each chunk's blocks are drawn in one Gaussian
+     call and one uniform call, and inverse CDFs, density ratios and every
+     later stage run once over the chunk's stacked blocks.
+   * ``AGGREGATE``: one block of shape (samples, dim), drawn from the
+     uniform mixture of all element densities, serves every element, so a
+     pair-half costs a single evaluation regardless of dimension or
+     derivative order.
+   * ``UNIFORM``: one block of shape (samples, dim) drawn uniformly on
+     [-10 sigma, 10 sigma]^n; a control for variance analysis, not for
+     production use.
 
    The FR22 baseline draws per-element gradient blocks with the other
    axes left unblurred.
-2. **Evaluate** f once per row at theta - tau for a block's drawn rows,
-   then at theta + tau for their mirror images, all in one call to
-   ``Objective.evaluate_rows``.  It evaluates a loss that carries a
-   batched form (``fn.rows``) in one call over all the rows, and any
-   other loss row by row, and it aborts the estimate on the first
-   non-finite value.  This stage yields each stack with its values, one
-   chunk at a time.
+2. **Evaluate** f at theta - tau for a block's drawn rows, then at
+   theta + tau for their mirror images, in one ``Objective.evaluate_rows``
+   call per chunk: a loss that carries a batched form (``fn.rows``) in one
+   call over all the rows, any other loss row by row.  It aborts the
+   estimate on the first non-finite value.  A shared block's values have
+   shape (2 * samples,), per-element blocks' (blocks, 2 * samples).
 3. **Contract** each block's values into one coefficient per drawn row,
-   contracted against the drawn offsets (see the reduce stage below).
-   Kernel / N and q are free of Gaussian normalization factors, so they
-   stay finite in high dimension, and no mirror row is ever weighted.
+   contracted against the drawn offsets (see the contract stage below):
+   a shared block whole, per-element blocks element by element.  Kernel /
+   N and q are free of Gaussian normalization factors, so they stay finite
+   in high dimension, and no mirror row is ever weighted.
 
 The HVP weight is the Hessian kernel contracted with the direction v,
 sum_j (tau_i tau_j - sigma^2 delta_ij) v_j / sigma^4 over q (Stein's
@@ -49,21 +52,25 @@ second-order identity for Gaussian smoothing).  An HVP draws the
 gradient's offsets, and the direction enters only ``_contract_hvp``, the
 one HVP contraction, which is exactly linear in v.  So one evaluated
 batch gives the gradient and the HVP along every direction:
-``estimate_gradient`` with ``keep_batch`` returns a ``SampledBatch`` of
-each stack with its HVP coefficients, and ``SampledBatch.hvp`` contracts
-them with no further evaluation.  The operator is bound to its batch, so
-it gives products only at the point and bandwidth the batch was drawn
-for; Newton-CG's sampled local model returns it with the gradient.
-``estimate_hvp`` is the per-call form, which streams the terms of a
-batch of its own into the same contraction.  Per call, accumulation runs
-in a fixed order, so results are reproducible.
+``estimate_gradient`` with ``keep_batch`` forms, in its own pass, a
+``SampledBatch`` of each stack with its HVP coefficients, and
+``SampledBatch.hvp`` contracts them with no further evaluation.  The
+operator is bound to its batch, so it gives products only at the point
+and bandwidth the batch was drawn for; Newton-CG's sampled local model
+returns it with the gradient.  ``estimate_hvp`` is the per-call form,
+which contracts a batch of its own, chunk by chunk, with the same
+function.  Per call, accumulation runs in a fixed order, so results are
+reproducible.
 
-On small problems an estimate costs its fixed per-call work more than
-its arithmetic, so each stage writes its results into the arrays it has
-just made, never into its inputs, and a single stack's contraction is
-returned as the estimate without a copy.  The operations and their order
-are those of the plain expressions in the docstrings, so the results
-are bit-identical to them.
+On small problems the fixed work of a call weighs as much as its
+arithmetic.  So a pass checks only what changes from call to call --
+theta, the objective's values and an HVP's direction -- and leaves what
+a run fixes to the objects that hold it: the cached element sets and the
+configuration the caller builds.  Each stage writes its results into the
+arrays it has just made, never into its inputs, and a single stack's
+contraction is returned as the estimate without a copy.  The operations
+and their order are those of the plain expressions in the docstrings, so
+the results are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -232,7 +239,7 @@ class HvpEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the estimator path: draw -> evaluate -> contract
+# the estimate path: draw -> evaluate -> contract
 # ---------------------------------------------------------------------------
 
 _HALF = fixed_operand(0.5)
@@ -245,15 +252,15 @@ _CHUNK_BYTES = 8 << 20
 
 
 class _Stack(NamedTuple):
-    """Stacked blocks of drawn offsets and the elements they serve.
+    """Drawn offsets and the elements they serve.
 
-    ``taus`` has shape (B, samples, dim): the drawn half of every block's
-    antithetic rows, whose mirror images -taus are the other half.  ``q``
-    (B, samples) is the density ratio pdf / N of the drawn rows, and of
-    their mirror images too, since every density is even.  Either block k
-    serves element k (B == K) or the one block serves every element
-    (B == 1); the two readings agree when K == 1.  The reduce stage reads
-    a stack by this layout, whatever the mode.
+    ``taus`` holds the drawn half of the antithetic rows, whose mirror
+    images -taus are the other half: shape (samples, dim) for one block
+    shared by every element of ``elements``, or (B, samples, dim) for
+    per-element blocks, block k serving element k.  ``q``, of shape
+    ``taus.shape[:-1]``, is the density ratio pdf / N of the drawn rows,
+    and of their mirror images too, since every density is even.  The
+    contract stage reads a stack by this layout, whatever the mode.
     """
 
     taus: np.ndarray
@@ -262,17 +269,21 @@ class _Stack(NamedTuple):
 
 
 def _axis(rows: np.ndarray, idx: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
-    """Shape (len(idx), R): axis idx[k] of the (B, R, dim) rows serving element pos[k].
+    """Shape (len(idx), R): axis idx[k] of the rows serving element pos[k].
 
-    ``pos`` defaults to every block in order; with B > 1, block k serves element k.
+    ``rows`` is a shared (R, dim) block or (B, R, dim) per-element blocks;
+    ``pos`` defaults to every block in order.
     """
-    if len(rows) == 1:
-        return rows[0].T[idx]
+    if rows.ndim == 2:
+        return rows.T[idx]
     return rows[np.arange(len(rows)) if pos is None else pos, :, idx]
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite (a count, cheaper than ``.all()`` on small arrays)."""
+    """Whether every entry of ``x`` is finite (a count, cheaper than ``.all()`` on small arrays).
+
+    Unlike a test of x . x, it cannot overflow, so it warns of nothing.
+    """
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
@@ -283,6 +294,18 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     if not _all_finite(theta):
         raise ValueError("theta must be finite")
     return theta
+
+
+def _check_direction(v, dim: int) -> np.ndarray:
+    """``v`` as floats; it must be finite and nonzero."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
+    if not _all_finite(v):
+        raise ValueError("direction must be finite")
+    if not np.count_nonzero(v):
+        raise ValueError("direction must be nonzero")
+    return v
 
 
 def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
@@ -296,7 +319,10 @@ def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
 def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
     """Stacks of drawn offsets for ``cfg.mode``; the only stage that knows the mode."""
     spec, count = cfg.spec, cfg.samples
-    if cfg.mode is SamplingMode.PER_ELEMENT:
+    if cfg.mode is SamplingMode.AGGREGATE:
+        taus, q = sample_aggregate_offsets(elements, spec, rng, count)
+        yield _Stack(taus, elements, q)
+    elif cfg.mode is SamplingMode.PER_ELEMENT:
         for chunk in _chunks(elements, count, spec.dim):
             # one Gaussian call and one uniform call per chunk
             if chunk[0].kind is ElementKind.GRADIENT:
@@ -305,9 +331,6 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
                 taus, q = sample_hessian_offsets(chunk, spec, rng, count)
             yield _Stack(taus.reshape(len(chunk), count, spec.dim), chunk, q.reshape(len(chunk), count))
             del taus, q  # drawn chunks are not kept while the next one is drawn
-    elif cfg.mode is SamplingMode.AGGREGATE:
-        taus, q = sample_aggregate_offsets(elements, spec, rng, count)
-        yield _Stack(taus[None], elements, q[None])
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
@@ -316,7 +339,7 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
         with np.errstate(over="ignore"):
             q = np.exp(np.sum(taus * taus, axis=1) / (2.0 * sigma * sigma)
                        - spec.dim * math.log(20.0 / SQRT_TWO_PI))
-        yield _Stack(taus[None], elements, q[None])
+        yield _Stack(taus, elements, q)
 
 
 def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
@@ -331,52 +354,57 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
 
 
 def _evaluate(obj: Objective, theta: np.ndarray,
-              stacks: Iterator[_Stack]) -> Iterator[tuple[_Stack, np.ndarray]]:
-    """The evaluate stage: each stack with its values, shape (blocks, 2 * samples).
+              stacks: Iterable[_Stack]) -> Iterator[tuple[_Stack, np.ndarray]]:
+    """The evaluate stage: each stack with its values, of shape ``q.shape[:-1] + (2 * samples,)``.
 
-    Each block's points are theta - tau for its drawn rows, then theta + tau
-    for their mirror images, written straight into one buffer.
+    A block's points are theta - tau for its drawn rows, then theta + tau
+    for their mirror images, written straight into one buffer and
+    evaluated in one ``evaluate_rows`` call per stack.
     """
     for stack in stacks:
         taus = stack.taus
-        blocks, count, dim = taus.shape
-        points = np.empty((blocks, 2 * count, dim))
-        np.subtract(theta, taus, points[:, :count])
-        np.add(theta, taus, points[:, count:])
-        vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
+        if taus.ndim == 2:
+            count, dim = taus.shape
+            points = np.empty((2 * count, dim))
+            np.subtract(theta, taus, points[:count])
+            np.add(theta, taus, points[count:])
+            vals = obj.evaluate_rows(points)
+        else:
+            blocks, count, dim = taus.shape
+            points = np.empty((blocks, 2 * count, dim))
+            np.subtract(theta, taus, points[:, :count])
+            np.add(theta, taus, points[:, count:])
+            vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
         del points, taus
         yield stack, vals
         del stack, vals  # see _draw
 
 
-def _contract(terms: Iterable[tuple[_Stack, np.ndarray]], reduce, *args) -> np.ndarray:
-    """The estimate: each stack's contraction, concatenated in element order.
+def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterable[_Stack], reduce, *args,
+              kept: list | None = None) -> np.ndarray:
+    """One pass: each stack evaluated and contracted before the next is drawn.
 
-    ``reduce(stack, x, *args)`` turns a stack and what it is paired with,
-    its values or the HVP coefficients formed from them, into the
-    estimates of the elements it serves.  Stacks arrive in the order of
-    the elements they serve, and are taken one at a time, so a stream of
-    evaluated stacks is never held whole.  A single stack's contraction
-    is the estimate as it is.
+    ``reduce(stack, vals, *args)`` turns a stack and its values into the
+    estimates of the elements it serves; stacks arrive in the order of
+    those elements, and a single stack's contraction is the estimate as
+    it is.  With ``kept``, each stack is appended to it with its HVP
+    coefficients.
     """
     parts = []
-    for stack, x in terms:
-        parts.append(reduce(stack, x, *args).ravel())
-        del stack, x  # see _draw
+    for stack, vals in _evaluate(obj, theta, stacks):
+        parts.append(reduce(stack, vals, *args))
+        if kept is not None:
+            kept.append((stack, _even_coefficients(vals, stack.q)))
+        del stack, vals  # see _draw
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-# The reduce stage.  A served element's weight, kernel / N over q, is a
+# The contract stage.  A served element's weight, kernel / N over q, is a
 # polynomial in its block's coordinates, so the weighted sums over a block's
 # pairs regroup, exactly in real arithmetic, into one coefficient per drawn
-# row (c, shape (B, samples)) contracted against tau.  By layout: one block
-# serving more elements than there are blocks is contracted whole, at
-# O(samples * dim) per gradient or HVP; otherwise each element gathers its own.
-
-def _contracted_whole(stack: _Stack) -> bool:
-    """Whether one block serves more elements than there are blocks."""
-    return len(stack.elements) > len(stack.taus)
-
+# row (c, of q's shape) contracted against tau.  A shared block is
+# contracted whole, at O(samples * dim) per gradient or HVP; per-element
+# blocks each gather their own element's axes.
 
 def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each block's pair values over q, for the even Hessian and HVP weights.
@@ -386,11 +414,11 @@ def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     divided by pairs - 1, which stays unbiased (the weights integrate to
     zero) and removes the dominant value-level variance term.
     """
-    pairs = q.shape[1]
-    pv = np.add(vals[:, :pairs], vals[:, pairs:])
+    pairs = q.shape[-1]
+    pv = np.add(vals[..., :pairs], vals[..., pairs:])
     pv *= _HALF
     if pairs > 1:
-        mean = np.add.reduce(pv, 1, keepdims=True)
+        mean = np.add.reduce(pv, -1, keepdims=True)
         mean /= pairs
         pv -= mean
         pv /= pairs - 1
@@ -401,11 +429,13 @@ def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _reduce_gradient(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
     """g_i = sum_r c_r tau_ri, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
     taus, q = stack.taus, stack.q
-    count = q.shape[1]
+    count = q.shape[-1]
+    if taus.ndim == 2:
+        c = np.subtract(vals[count:], vals[:count])
+        c /= 2.0 * sigma * sigma * count * q
+        return c.dot(taus)  # a vector times a matrix: the BLAS product of @, called faster
     c = np.subtract(vals[:, count:], vals[:, :count])
     c /= 2.0 * sigma * sigma * count * q
-    if _contracted_whole(stack):
-        return c[0].dot(taus[0])  # a vector times a matrix: the BLAS product of @, called faster
     c *= _axis(taus, stack.elements.i)
     return np.add.reduce(c, 1)
 
@@ -414,90 +444,93 @@ def _reduce_hessian(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray
     """H_ij = sum_r c_r (tau_ri tau_rj - sigma^2 delta_ij) / sigma^4, c from ``_even_coefficients``."""
     taus, s2 = stack.taus, sigma * sigma
     c = _even_coefficients(vals, stack.q)
-    if _contracted_whole(stack):
-        h = (taus[0].T * c[0]) @ taus[0]
-        h.flat[::len(h) + 1] -= s2 * c[0].sum()
+    if taus.ndim == 2:
+        h = (taus.T * c) @ taus
+        h.flat[::len(h) + 1] -= s2 * c.sum()
         return h[stack.elements.i, stack.elements.j] / (s2 * s2)
     out = np.empty(len(stack.elements))
     for kind, pos, i, j in stack.elements.groups:
         u = _axis(taus, i, pos)
-        both = (u - sigma) * (u + sigma) if kind is ElementKind.HESSIAN_DIAG else u * _axis(taus, j, pos)
-        out[pos] = (both * c[pos]).sum(axis=1)
-    return out / (s2 * s2)
+        if kind is ElementKind.HESSIAN_DIAG:
+            both = u - sigma
+            both *= u + sigma
+        else:
+            both = u * _axis(taus, j, pos)
+        both *= c[pos]
+        out[pos] = np.add.reduce(both, 1)
+    out /= s2 * s2
+    return out
 
 
-def _hvp_terms(evaluated: Iterable[tuple[_Stack, np.ndarray]]) -> Iterator[tuple]:
-    """Each evaluated stack with its HVP coefficients, one at a time (see _draw)."""
-    for stack, vals in evaluated:
-        yield stack, _even_coefficients(vals, stack.q)
-        del stack, vals
-
-
-def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
+                  c_sum: np.ndarray | None = None) -> np.ndarray:
     """hv_i = sum_r c_r (tau_ri (tau_r . v) - sigma^2 v_i) / sigma^4, c from ``_even_coefficients``.
 
     The weight is the Hessian kernel contracted with v, over N and q.  It
     is even in tau, so a mirror row weighs as its drawn row, and linear
-    in v.  c does not depend on v, so a batch forms it once for every
-    direction (``SampledBatch``).
+    in v.  c, and ``c_sum``, each block's sum of c, do not depend on v, so
+    a batch forms them once for every direction (``SampledBatch``).
     """
     taus, s2 = stack.taus, sigma * sigma
+    if c_sum is None:
+        c_sum = np.add.reduce(c, -1)
     a = taus @ v
     a *= c
-    if _contracted_whole(stack):
-        hv = a[0].dot(taus[0])
-        hv -= s2 * float(np.add.reduce(c[0])) * v
+    if taus.ndim == 2:
+        hv = a.dot(taus)
+        hv -= s2 * float(c_sum) * v
     else:
         i = stack.elements.i
         a *= _axis(taus, i)
         hv = np.add.reduce(a, 1)
         level = s2 * v[i]
-        level *= np.add.reduce(c, 1)
+        level *= c_sum
         hv -= level
     hv /= s2 * s2
     return hv
+
+
+def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
+    return _contract_hvp(stack, _even_coefficients(vals, stack.q), sigma, v)
 
 
 # ---------------------------------------------------------------------------
 # the evaluated batch of a gradient estimate
 # ---------------------------------------------------------------------------
 
-def _check_direction(v, dim: int) -> np.ndarray:
-    """``v`` as floats; it must be finite and nonzero."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
-    if not _all_finite(v):
-        raise ValueError("direction must be finite")
-    if not np.count_nonzero(v):
-        raise ValueError("direction must be nonzero")
-    return v
-
-
 class SampledBatch:
     """The evaluated offsets of one gradient estimate: a sampled quadratic model.
 
-    It keeps ``terms``, each drawn stack with its HVP coefficients, and
-    ``cfg``, the bandwidth they were drawn for; the model is centred where
+    It keeps ``terms``, each drawn stack with its HVP coefficients c and
+    their sum per block, and ``cfg``, the bandwidth they were drawn for; the model is centred where
     the estimate was made.  The direction of an HVP enters only the
     contraction, so ``hvp(v)`` contracts the terms for any v at no further
     evaluation.  Every product comes from the same samples, so they form
     one fixed operator, linear in v to rounding.  It is symmetric to
     rounding for a shared block (``AGGREGATE``, ``UNIFORM``); in
     ``PER_ELEMENT`` mode each row of it comes from a block of its own, so
-    it is not symmetric.  The coefficients are formed once, when the batch
-    is made; a product checks ``v`` and runs ``_contract_hvp`` on each
-    term, nothing more.
+    it is not symmetric.
+
+    What does not depend on v is formed once per batch, in the estimate's
+    own pass: each stack's coefficients c (``_even_coefficients``), from
+    the values the gradient was contracted from, and their sum per block.
+    A product checks ``v`` and runs ``_contract_hvp`` on each term,
+    nothing more.
     """
 
-    def __init__(self, cfg: EstimatorConfig, evaluated: Iterable[tuple[_Stack, np.ndarray]]):
+    def __init__(self, cfg: EstimatorConfig, coefficients: Iterable[tuple[_Stack, np.ndarray]]):
         self.cfg = cfg
-        self.terms = tuple(_hvp_terms(evaluated))
+        self.terms = tuple((stack, c, np.add.reduce(c, -1)) for stack, c in coefficients)
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
         spec = self.cfg.spec
-        return _contract(self.terms, _contract_hvp, spec.sigma, _check_direction(v, spec.dim))
+        v = _check_direction(v, spec.dim)
+        if len(self.terms) == 1:
+            stack, c, c_sum = self.terms[0]
+            return _contract_hvp(stack, c, spec.sigma, v, c_sum)
+        return np.concatenate([_contract_hvp(stack, c, spec.sigma, v, c_sum)
+                               for stack, c, c_sum in self.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +542,10 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     start = obj.eval_count
-    evaluated = _evaluate(obj, theta, draw(cfg, rng, gradient_elements(n)))
-    batch = None
-    if keep_batch:
-        evaluated = tuple(evaluated)
-        batch = SampledBatch(cfg, evaluated)
-    g = _contract(evaluated, _reduce_gradient, cfg.spec.sigma)
-    return GradientEstimate(g=g, evals_used=obj.eval_count - start, batch=batch)
+    kept = [] if keep_batch else None
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), _reduce_gradient, cfg.spec.sigma,
+                  kept=kept)
+    return GradientEstimate(g, obj.eval_count - start, None if kept is None else SampledBatch(cfg, kept))
 
 
 def estimate_gradient(
@@ -550,17 +580,18 @@ def estimate_gradient_fd(obj: Objective, theta: np.ndarray, step: float) -> Grad
     """Classic central-difference gradient; 2n evaluations."""
     if not (0 < step < math.inf):
         raise ValueError(f"step must be finite and > 0, got {step}")
-    theta = _check_theta(theta, obj.dim)
-    start = obj.eval_count
     n = obj.dim
-    # rows theta + step e_i, theta - step e_i for each axis i in turn
+    theta = _check_theta(theta, n)
+    start = obj.eval_count
+    # rows theta + step e_i, theta - step e_i for each axis i in turn: in
+    # the flat (n, 2, n) buffer, entry (i, 0, i) is i (2n + 1) and (i, 1, i) n more
     points = np.empty((n, 2, n))
     points[...] = theta
-    axes = np.arange(n)
-    points[axes, 0, axes] = theta + step
-    points[axes, 1, axes] = theta - step
-    vals = obj.evaluate_rows(points.reshape(2 * n, n)).reshape(n, 2)
-    g = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    flat = points.reshape(-1)
+    flat[::2 * n + 1] = theta + step
+    flat[n::2 * n + 1] = theta - step
+    vals = obj.evaluate_rows(points.reshape(2 * n, n))
+    g = (vals[0::2] - vals[1::2]) / (2.0 * step)
     return GradientEstimate(g=g, evals_used=obj.eval_count - start)
 
 
@@ -576,7 +607,7 @@ def estimate_hessian(
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
-    values = _contract(_evaluate(obj, theta, _draw(cfg, rng, elements)), _reduce_hessian, cfg.spec.sigma)
+    values = _estimate(obj, theta, _draw(cfg, rng, elements), _reduce_hessian, cfg.spec.sigma)
     h = np.zeros((n, n))
     h[elements.i, elements.j] = values
     h[elements.j, elements.i] = values
@@ -594,16 +625,15 @@ def estimate_hvp(
 
     This is the per-call form: every call draws and evaluates a batch of
     its own, as ``variance_report`` and equal-budget comparisons need, and
-    streams its (stack, coefficients) terms into ``_contract_hvp`` one
-    chunk at a time.  Products along many directions at one point come
-    from one batch instead (``estimate_gradient`` with ``keep_batch``,
-    then ``SampledBatch.hvp``), which is what Newton-CG uses; both
-    contract the same terms to the same bits.
+    contracts each stack's coefficients with ``_contract_hvp`` one chunk
+    at a time.  Products along many directions at one point come from one
+    batch instead (``estimate_gradient`` with ``keep_batch``, then
+    ``SampledBatch.hvp``), which is what Newton-CG uses; both contract
+    the same terms to the same bits.
     """
     n = cfg.spec.dim
     theta = _check_theta(theta, n)
     v = _check_direction(v, n)
     start = obj.eval_count
-    evaluated = _evaluate(obj, theta, _draw(cfg, rng, gradient_elements(n)))
-    hv = _contract(_hvp_terms(evaluated), _contract_hvp, cfg.spec.sigma, v)
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), _reduce_hvp, cfg.spec.sigma, v)
     return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

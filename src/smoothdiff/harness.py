@@ -20,10 +20,12 @@ import numpy as np
 
 # the gradient estimators are also looked up by name (see _Method)
 from .estimators import (
+    EstimationError,
     EstimatorConfig,
     GradientEstimate,
     Objective,
     SamplingMode,
+    _all_finite,
     _check_direction,
     estimate_gradient,
     estimate_gradient_fd,
@@ -187,17 +189,24 @@ class EnsembleResult:
 
 def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
                  rng: RngStream) -> Callable[[np.ndarray, float], GradientEstimate]:
-    """``method``'s gradient estimator as grad_fn(theta, sigma)."""
+    """``method``'s gradient estimator as grad_fn(theta, sigma), built once per run.
+
+    Fixed for the run: the estimator, looked up here, the dimension, the
+    pairs per estimate and the sampling mode (or the central-difference
+    step).  Per call: the bandwidth, whose ``KernelSpec`` is built anew.
+    """
     estimate = globals()[method.gradient]
     if method.mode is None:
-        return lambda theta, sigma: estimate(obj, theta, cfg.fd_step)
+        step = cfg.fd_step
+        return lambda theta, sigma: estimate(obj, theta, step)
+    dim, samples, mode = obj.dim, cfg.samples, method.mode
     return lambda theta, sigma: estimate(
-        obj, theta, EstimatorConfig(KernelSpec(sigma=sigma, dim=obj.dim), cfg.samples, method.mode), rng)
+        obj, theta, EstimatorConfig(KernelSpec(sigma, dim), samples, mode), rng)
 
 
 def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMode,
                   model: Literal["batch", "hessian"]) -> LocalModel:
-    """Newton-CG's local model backed by the Monte Carlo estimators.
+    """Newton-CG's local model backed by the Monte Carlo estimators, built once per run.
 
     Every call at (theta, sigma) draws and evaluates one batch of offsets
     in ``mode`` through ``estimate_gradient``.  For a "batch" model the
@@ -206,16 +215,28 @@ def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMo
     Byrd, Chin, Neveitt & Nocedal (2011) and Roosta-Khorasani & Mahoney
     (2019).  For a "hessian" model, each call first estimates the Hessian
     in ``mode`` (per-element for ``OurH``), and the operator multiplies by
-    its PSD modification.  The estimators and ``psd_modify`` are looked
-    up when called, so that a patched attribute takes effect.
+    its PSD modification; a Hessian estimate that is not finite raises
+    ``EstimationError`` naming theta, before ``psd_modify`` sees it.
+
+    Fixed for the run: the dimension, the pairs per estimate, the mode
+    and the model kind.  Per call: the bandwidth, whose ``KernelSpec`` is
+    built anew, and the estimators and ``psd_modify``, looked up when
+    called, so that a patched attribute takes effect.
     """
-    def local(theta: np.ndarray, sigma: float):
-        cfg = EstimatorConfig(KernelSpec(sigma=sigma, dim=obj.dim), samples, mode)
-        if model == "batch":
-            est = estimate_gradient(obj, theta, cfg, rng, keep_batch=True)
+    dim = obj.dim
+    if model == "batch":
+        def local(theta: np.ndarray, sigma: float):
+            est = estimate_gradient(obj, theta, EstimatorConfig(KernelSpec(sigma, dim), samples, mode), rng,
+                                    keep_batch=True)
             return est, est.batch.hvp
-        h = psd_modify(estimate_hessian(obj, theta, cfg, rng).h)
-        return estimate_gradient(obj, theta, cfg, rng), lambda v: h @ v
+    else:
+        def local(theta: np.ndarray, sigma: float):
+            cfg = EstimatorConfig(KernelSpec(sigma, dim), samples, mode)
+            h = estimate_hessian(obj, theta, cfg, rng).h
+            if not _all_finite(h):
+                raise EstimationError(f"non-finite Hessian estimate at {theta}", point=np.array(theta))
+            h = psd_modify(h)
+            return estimate_gradient(obj, theta, cfg, rng), lambda v: h @ v
 
     return local
 

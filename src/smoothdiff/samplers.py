@@ -42,8 +42,9 @@ from .kernels import (
 )
 
 _MASK64 = (1 << 64) - 1
-# open_unit's bounds
+# open_unit's bounds, and the unit interval's
 _TINY, _BELOW_ONE = fixed_operand(np.finfo(float).tiny), fixed_operand(1.0 - 1e-16)
+_ZERO, _ONE = fixed_operand(0.0), fixed_operand(1.0)
 
 
 @dataclass
@@ -93,33 +94,42 @@ class TabulatedInverseCdf:
 
     The CDF is transcendental, so the inverse is found by binary search
     over precomputed CDF values plus linear interpolation between grid
-    points.  Immutable and safe to share between threads.
+    points.  Each cell's interpolation constants are formed once, when
+    the table is made.  Immutable and safe to share between threads.
     """
 
     grid: np.ndarray
     cdf_values: np.ndarray
     resolution: int
+    # per cell k, between grid points k - 1 and k: the CDF at its left end,
+    # its CDF width (1 where the CDF saturates), its left end and its span
+    _cell: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c0, c1 = self.cdf_values[:-1], self.cdf_values[1:]
+        # cells may collapse where the CDF saturates in float64 at the tails
+        width = np.where(c1 > c0, c1 - c0, 1.0)
+        cell = tuple(np.concatenate(([np.nan], a)) for a in (c0, width, self.grid[:-1], np.diff(self.grid)))
+        for a in cell:
+            a.flags.writeable = False
+        object.__setattr__(self, "_cell", cell)
 
     def lookup(self, xi):
         """Map uniform variates in [0, 1] to offsets with cdf(lookup(xi)) ~= xi."""
         xi_arr = np.asarray(xi, dtype=float)
         # a NaN fails both comparisons
-        inside = xi_arr >= 0.0
-        inside &= xi_arr <= 1.0
+        inside = xi_arr >= _ZERO
+        inside &= xi_arr <= _ONE
         if np.count_nonzero(inside) < xi_arr.size:
             raise ValueError(f"xi must lie in [0, 1], got {xi}")
         idx = np.minimum(np.maximum(self.cdf_values.searchsorted(xi_arr), 1), self.resolution - 1)
-        lo = idx - 1
-        c0 = self.cdf_values[lo]
-        c1 = self.cdf_values[idx]
-        # cells may collapse where the CDF saturates in float64 at the tails
-        width = np.where(c1 > c0, c1 - c0, 1.0)
-        frac = np.minimum(np.maximum((xi_arr - c0) / width, 0.0), 1.0)
-        g_lo = self.grid[lo]
-        out = self.grid[idx]
-        out -= g_lo
+        cdf_lo, width, grid_lo, span = self._cell
+        frac = xi_arr - cdf_lo[idx]
+        frac /= width[idx]
+        frac = np.minimum(np.maximum(frac, _ZERO), _ONE)
+        out = span[idx]
         out *= frac
-        out += g_lo
+        out += grid_lo[idx]
         return float(out) if xi_arr.ndim == 0 else out
 
 
@@ -268,8 +278,9 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     # one test: a negative axis, viewed unsigned, is huge
     if np.count_nonzero(axes.view(np.uintp) >= n):
         raise ValueError(f"axis index {i} out of range for dim {n}")
-    xi = rng.uniform((k, count))
-    taus = rng.normal((k, count, n))
+    gen = rng.generator
+    xi = gen.random((k, count))
+    taus = gen.standard_normal((k, count, n))
     taus *= spec.sigma
     u = gradient_inverse_cdf(open_unit(xi), spec.sigma)
     taus[np.arange(k), :, axes] = u
@@ -301,10 +312,10 @@ def sample_hessian_offsets(
         if kind is ElementKind.GRADIENT:
             raise ValueError(f"expected a Hessian element, got {kind}")
     elements.check_index_bounds(spec.dim)
-    s, k = spec.sigma, len(elements)
-    taus = rng.normal((k, count, spec.dim))
+    s, k, gen = spec.sigma, len(elements), rng.generator
+    taus = gen.standard_normal((k, count, spec.dim))
     taus *= s
-    xi = rng.uniform((k, 2, count))
+    xi = gen.random((k, 2, count))
     q = np.empty((k, count))
     for kind, pos, i, j in elements.groups:
         if kind is ElementKind.HESSIAN_DIAG:
@@ -340,36 +351,45 @@ def sample_aggregate_offsets(
         raise ValueError("aggregate sampling requires a nonempty element list")
     elements = ElementSet.of(elements)
     elements.check_index_bounds(spec.dim)
-    choices = rng.integers(len(elements), count)
-    s = spec.sigma
-    taus = rng.normal((count, spec.dim))
+    gen, s, k = rng.generator, spec.sigma, len(elements)
+    choices = gen.integers(0, k, size=count)
+    taus = gen.standard_normal((count, spec.dim))
     taus *= s
-    xi_a = open_unit(rng.uniform(count))
-    xi_b = rng.uniform(count)
-    # per kind drawn: (kind, its rows, the index that picks them from choices
-    # and the uniforms); a set of one kind skips the split into groups
+    xi_a = open_unit(gen.random(count))
+    xi_b = gen.random(count)
     if len(elements.groups) == 1:
-        parts = [(elements.groups[0][0], np.arange(count), slice(None))]
+        # every row draws the one kind: no split into groups
+        kind, _, i, j = elements.groups[0]
+        _set_special_axes(taus, kind, np.arange(count), i, j, choices, xi_a, xi_b, s)
+        off = kind is ElementKind.HESSIAN_OFF_DIAG
+        ratios = _ratios_into(kind, taus.take(i, axis=1), taus.take(j, axis=1) if off else None, s)
     else:
         group = elements.group[choices]
-        parts = []
         for g, (kind, *_) in enumerate(elements.groups):
             rows = np.flatnonzero(group == g)
             if rows.size:
-                parts.append((kind, rows, rows))
-    for kind, rows, picked in parts:
-        axis_i = elements.i[choices[picked]]
-        if kind is ElementKind.HESSIAN_DIAG:
-            u = default_hessian_diag_table().lookup(xi_a[picked])
-            u *= s
-            taus[rows, axis_i] = u
-        else:
-            taus[rows, axis_i] = gradient_inverse_cdf(xi_a[picked], s)
-        if kind is ElementKind.HESSIAN_OFF_DIAG:
-            taus[rows, elements.j[choices[picked]]] = gradient_inverse_cdf(open_unit(xi_b[picked]), s)
-    q = np.add.reduce(element_density_ratios(taus, elements, s), 1)
-    q /= len(elements)
+                _set_special_axes(taus, kind, rows, elements.i, elements.j, choices[rows],
+                                  xi_a[rows], xi_b[rows], s)
+        ratios = element_density_ratios(taus, elements, s)
+    q = np.add.reduce(ratios, 1)
+    q /= k
     return taus, q
+
+
+def _set_special_axes(taus, kind: ElementKind, rows, i, j, picked, xi_a, xi_b, sigma: float) -> None:
+    """Write the special axes of ``rows``, drawn for the elements of ``kind`` at ``picked``, into ``taus``.
+
+    The elements' axes are i[picked] (and j[picked]).  ``xi_a`` is open
+    already; ``xi_b``, read only for off-diagonal elements, is not.
+    """
+    if kind is ElementKind.HESSIAN_DIAG:
+        u = default_hessian_diag_table().lookup(xi_a)
+        u *= sigma
+        taus[rows, i[picked]] = u
+    else:
+        taus[rows, i[picked]] = gradient_inverse_cdf(xi_a, sigma)
+    if kind is ElementKind.HESSIAN_OFF_DIAG:
+        taus[rows, j[picked]] = gradient_inverse_cdf(open_unit(xi_b), sigma)
 
 
 def open_unit(xi: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def _weights(stack, weigh) -> tuple[np.ndarray, np.ndarray]:
     with shape (B, samples, elements per block).
     """
     drawn, mirror = weigh(stack)
-    if len(stack.taus) > 1:
+    if stack.taus.ndim == 3:
         return drawn[:, :, None], mirror[:, :, None]
     return drawn.T[None], mirror.T[None]
 
@@ -181,7 +181,7 @@ def _gradient_weights(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _hessian_weights(stack, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     s2 = sigma * sigma
-    k, count = len(stack.elements), stack.taus.shape[1]
+    k, count = len(stack.elements), stack.taus.shape[-2]
     factor = np.empty((k, count))
     for kind, pos, i, j in stack.elements.groups:
         u = _axis(stack.taus, i, pos)
@@ -245,11 +245,11 @@ def reduce_estimates(order: str, fn, theta, cfg: EstimatorConfig, rng: RngStream
     theta = np.asarray(theta, dtype=float)
     contracted, terms = [], []
     for stack in draw(cfg, rng, elements):
-        points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=1)
-        vals = np.array([[fn(point) for point in block] for block in points])
+        points = np.concatenate((theta - stack.taus, theta + stack.taus), axis=-2)
+        vals = np.array([fn(point) for point in points.reshape(-1, n)]).reshape(points.shape[:-1])
         x = _even_coefficients(vals, stack.q) if order == "hvp" else vals
         contracted.append(contract(stack, x, sigma=sigma, **along).ravel())
         weights = _weights(stack, partial(weigh, sigma=sigma, **along))
-        block_terms = _weighted_terms(vals, weights, order in ("hessian", "hvp"))
+        block_terms = _weighted_terms(np.atleast_2d(vals), weights, order in ("hessian", "hvp"))
         terms.append(block_terms.transpose(0, 2, 1).reshape(-1, block_terms.shape[1]))
     return np.concatenate(contracted), np.concatenate(terms)

@@ -539,6 +539,68 @@ class TestSampledBatch:
                 batch.hvp(bad)
 
 
+# Every estimate, called on one objective at theta; two pairs per block, so
+# that the even (Hessian and HVP) coefficients of a constant loss are centred to 0
+FINITENESS_ESTIMATES = {
+    "gradient": lambda obj, th: estimate_gradient(obj, th, cfg(samples=2), RngStream(1)).g,
+    "gradient_aggregate": lambda obj, th: estimate_gradient(
+        obj, th, cfg(samples=2, mode=SamplingMode.AGGREGATE), RngStream(1)).g,
+    "fr22": lambda obj, th: estimate_gradient_fr22(obj, th, cfg(samples=2), RngStream(1)).g,
+    "fd": lambda obj, th: estimate_gradient_fd(obj, th, 1e-4).g,
+    "hessian": lambda obj, th: estimate_hessian(obj, th, cfg(samples=2), RngStream(1)).h,
+    "hvp": lambda obj, th: estimate_hvp(obj, th, np.array([1.0, 0.5]), cfg(samples=2), RngStream(1)).hv,
+}
+
+
+class TestFinitenessEdges:
+    """The finiteness checks accept every finite input, also where a square over- or underflows."""
+
+    @pytest.mark.parametrize("name", list(FINITENESS_ESTIMATES))
+    def test_theta_whose_squares_overflow_is_accepted(self, name):
+        obj = Objective(lambda th: 1.0, dim=2)
+        assert math.isinf(1e200 * 1e200)
+        out = FINITENESS_ESTIMATES[name](obj, np.array([1e200, -1e200]))
+        assert np.all(out == 0.0) and obj.eval_count > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(FINITENESS_ESTIMATES))
+    def test_non_finite_theta_is_rejected_before_any_evaluation(self, name, bad):
+        obj = Objective(lambda th: 1.0, dim=2)
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            FINITENESS_ESTIMATES[name](obj, np.array([0.5, bad]))
+        assert obj.eval_count == 0
+
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_direction_whose_square_underflows_is_accepted(self, kept):
+        v = np.array([1e-200, -1e-200])
+        assert v @ v == 0.0
+        c = cfg(samples=3, mode=SamplingMode.AGGREGATE)
+        obj = Objective(wavy, 2)
+        if kept:
+            hv = estimate_gradient(obj, np.zeros(2), c, RngStream(2), keep_batch=True).batch.hvp(v)
+        else:
+            hv = estimate_hvp(obj, np.zeros(2), v, c, RngStream(2)).hv
+        assert np.all(np.isfinite(hv)) and np.any(hv != 0.0)
+
+    @pytest.mark.parametrize("kept", [False, True])
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([math.nan, 1.0]), "direction must be finite"),
+        (np.array([1.0, math.inf]), "direction must be finite"),
+        (np.array([-math.inf, 0.0]), "direction must be finite"),
+        (np.array([1e200, math.nan]), "direction must be finite"),
+        (np.zeros(2), "direction must be nonzero"),
+        (np.array([-0.0, 0.0]), "direction must be nonzero"),
+    ])
+    def test_non_finite_or_zero_direction_is_rejected(self, kept, bad, message):
+        c = cfg(samples=3, mode=SamplingMode.AGGREGATE)
+        obj = Objective(wavy, 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if kept:
+                estimate_gradient(obj, np.zeros(2), c, RngStream(2), keep_batch=True).batch.hvp(bad)
+            else:
+                estimate_hvp(obj, np.zeros(2), bad, c, RngStream(2))
+
+
 def hessian_element(i, j):
     return KernelElement.hessian_diag(i) if i == j else KernelElement.hessian_off_diag(i, j)
 
@@ -569,8 +631,11 @@ def test_weight_stage_equals_kernel_over_pdf(mode, order):
     weights = np.concatenate(_weights(stack, weigh), axis=1)
     blocks = 1 if mode in ("aggregate", "uniform") else len(elements)
     per_block = len(elements) // blocks
-    assert stack.taus.shape == (blocks, 5, 3) and weights.shape == (blocks, 10, per_block)
-    for b, rows in enumerate(np.concatenate((stack.taus, -stack.taus), axis=1)):
+    # a shared block is drawn as (samples, dim), per-element blocks as (blocks, samples, dim)
+    assert stack.taus.shape == ((5, 3) if blocks == 1 else (blocks, 5, 3))
+    assert weights.shape == (blocks, 10, per_block)
+    taus = stack.taus.reshape(blocks, 5, 3)
+    for b, rows in enumerate(np.concatenate((taus, -taus), axis=1)):
         served = elements[b * per_block:(b + 1) * per_block]
         if mode == "fr22":
             (e,) = served

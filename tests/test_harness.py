@@ -892,3 +892,107 @@ def test_non_finite_value_inside_an_estimate_aborts_only_its_run(monkeypatch, me
         # the row was evaluated in the iteration after the last record
         assert int(match[2]) == len(trace.records)
         assert trace.records[-1].evals < at
+
+
+def test_non_finite_hessian_estimate_aborts_with_a_note_that_names_it(monkeypatch):
+    # psd_modify used to get the estimate as it was: eigh returns NaN eigenvalues
+    # without a warning, and the run aborted on a NaN CG step instead
+    real = harness.estimate_hessian
+    points = []
+
+    def poisoned(obj, theta, cfg, rng):
+        est = real(obj, theta, cfg, rng)
+        est.h[0, 0] = math.inf
+        points.append(theta.copy())
+        return est
+
+    monkeypatch.setattr(harness, "estimate_hessian", poisoned)
+    result = run_ensemble(RunConfig(task="neg_gauss", method="OurH", samples=2, trust_region=1.0,
+                                    ls_iters=2, budget_evals=200, ensemble=1, seed=2,
+                                    deterministic=True))
+    (trace,) = result.traces
+    assert trace.aborted and len(points) == 1
+    assert trace.note == f"non-finite Hessian estimate at {points[0]}, in iteration 1"
+    assert [rec.iteration for rec in trace.records] == [0]
+
+
+# Each (owner, attribute) the benchmark's tracer wraps, with the calls each
+# method makes of it per estimate of the kind named, or per run ("run").
+_BOUNDARIES = {
+    "OurHVPA": {("harness", "estimate_gradient"): "gradient",
+                ("estimators", "sample_aggregate_offsets"): "gradient",
+                ("samplers", "gradient_inverse_cdf"): "gradient",
+                ("harness", "newton_cg_run"): "run"},
+    "OurG": {("harness", "estimate_gradient"): "gradient",
+             ("estimators", "sample_gradient_offsets"): "gradient",
+             ("samplers", "gradient_inverse_cdf"): "gradient",
+             ("harness", "gd_adam_run"): "run"},
+    # a 2-D Hessian has one diagonal group, drawn through the table, and one
+    # off-diagonal group, drawn through the gradient's inverse CDF
+    "OurH": {("harness", "estimate_hessian"): "hessian",
+             ("harness", "psd_modify"): "hessian",
+             ("harness", "estimate_gradient"): "hessian",
+             ("estimators", "sample_hessian_offsets"): "hessian",
+             ("estimators", "sample_gradient_offsets"): "hessian",
+             ("table", "lookup"): "hessian",
+             ("samplers", "gradient_inverse_cdf"): "hessian x2",
+             ("harness", "newton_cg_run"): "run"},
+    "FR22": {("harness", "estimate_gradient_fr22"): "gradient",
+             ("estimators", "gradient_inverse_cdf"): "gradient",
+             ("estimators", "element_density_ratios"): "gradient",
+             ("harness", "gd_adam_run"): "run"},
+    "FD": {("harness", "estimate_gradient_fd"): "gradient",
+           ("harness", "gd_adam_run"): "run"},
+}
+_TRACED = [("harness", a) for a in ("estimate_gradient", "estimate_gradient_fd", "estimate_gradient_fr22",
+                                    "estimate_hessian", "estimate_hvp", "psd_modify", "newton_cg_run",
+                                    "gd_adam_run", "make_task")]
+_TRACED += [("estimators", a) for a in ("sample_gradient_offsets", "sample_hessian_offsets",
+                                        "sample_aggregate_offsets", "element_density_ratios",
+                                        "gradient_inverse_cdf")]
+_TRACED += [("samplers", "gaussian_pdf_1d"), ("samplers", "gradient_inverse_cdf"), ("table", "lookup")]
+
+
+@pytest.mark.parametrize("task", ["quad", "neg_gauss"])
+@pytest.mark.parametrize("method", list(_BOUNDARIES))
+def test_each_traced_boundary_is_reached_once_per_estimate(monkeypatch, task, method):
+    # the benchmark's tracer counts and times the package at these attributes;
+    # a path that stopped calling one would read zero in a traced pass
+    import smoothdiff.estimators
+    import smoothdiff.samplers
+    owners = {"harness": harness, "estimators": smoothdiff.estimators, "samplers": smoothdiff.samplers,
+              "table": smoothdiff.samplers.TabulatedInverseCdf}
+    calls = {key: 0 for key in _TRACED}
+    evals_used = []
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            out = fn(*args, **kwargs)
+            if key[1].startswith("estimate_"):
+                evals_used.append(out.evals_used)
+            return out
+
+        return wrapper
+
+    for key in _TRACED:
+        owner, attr = owners[key[0]], key[1]
+        monkeypatch.setattr(owner, attr, counting(key, getattr(owner, attr)))
+    rows = []
+    real_rows = Objective.evaluate_rows
+    monkeypatch.setattr(Objective, "evaluate_rows",
+                        lambda obj, points: rows.append(len(points)) or real_rows(obj, points))
+    keys = dict(samples=2, lr=0.3) if method in ("OurG", "FR22", "FD") else dict(
+        samples=2, trust_region=1.0, ls_iters=2)
+    run_ensemble(RunConfig(task=task, method=method, budget_evals=120, ensemble=2, seed=3,
+                           deterministic=True, **keys))
+    expected = _BOUNDARIES[method]
+    per_estimate = calls[next(key for key, per in expected.items() if per != "run" and key[0] == "harness")]
+    assert per_estimate > 0
+    for key in _TRACED:
+        per = expected.get(key)
+        want = {None: 0, "run": 2, "hessian x2": 2 * per_estimate}.get(per, per_estimate)
+        if key == ("harness", "make_task"):
+            want = 1
+        assert calls[key] == want, key
+    assert sum(evals_used) == sum(rows) > 0

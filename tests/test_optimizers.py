@@ -371,18 +371,20 @@ class TestNewtonCg:
             assert [r.iteration for r in err.value.trace.records] == [0]
             assert obj.eval_count == evals
 
-    @pytest.mark.parametrize("where", ["gradient", "hvp"])
-    def test_non_finite_model_note_names_the_iteration(self, where):
-        # the model's third call returns a NaN gradient, or an operator whose
-        # products are NaN, which makes the CG step NaN
+    @pytest.mark.parametrize("where,value", [pytest.param("gradient", math.nan, id="gradient"),
+                                             pytest.param("hvp", math.nan, id="hvp"),
+                                             pytest.param("gradient", math.inf, id="gradient-inf")])
+    def test_non_finite_model_note_names_the_iteration(self, where, value):
+        # the model's third call returns a NaN or inf gradient, or an operator
+        # whose products are NaN, which makes the CG step NaN
         calls = []
 
         def model(theta, sigma):
             calls.append(theta)
             bad = len(calls) == 3
-            g = np.full(2, math.nan) if bad and where == "gradient" else 2.0 * theta
+            g = np.array([1.0, value]) if bad and where == "gradient" else 2.0 * theta
             return (GradientEstimate(g=g, evals_used=0),
-                    lambda v: np.full(2, math.nan) if bad else 2.0 * v)
+                    lambda v: np.full(2, value) if bad else 2.0 * v)
 
         with pytest.raises(NonFiniteStateError) as err:
             newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
