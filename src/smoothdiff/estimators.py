@@ -34,12 +34,13 @@ is drawn:
 
    The FR22 baseline draws per-element gradient blocks with the other
    axes left unblurred.
-2. **Evaluate** f at theta - tau for a block's drawn rows, then at
+2. **Evaluate** f at theta - tau for each block's drawn rows, then at
    theta + tau for their mirror images, in one ``Objective.evaluate_rows``
-   call per chunk: a loss that carries a batched form (``fn.rows``) in one
-   call over all the rows, any other loss row by row.  It aborts the
-   estimate on the first non-finite value.  A shared block's values have
-   shape (2 * samples,), per-element blocks' (blocks, 2 * samples).
+   call per stack, whatever its leading block axes: a loss that carries a
+   batched form (``fn.rows``) in one call over all the rows, any other
+   loss row by row, float64 values either way.  It aborts the estimate on
+   the first non-finite value.  A shared block's values have shape
+   (2 * samples,), per-element blocks' (blocks, 2 * samples).
 3. **Contract** each block's values into one coefficient per drawn row,
    contracted against the drawn offsets (see the contract stage below):
    a shared block whole, per-element blocks element by element.  Kernel /
@@ -157,10 +158,11 @@ class Objective:
         return float(self._fn(theta))
 
     def evaluate_rows(self, points: np.ndarray) -> np.ndarray:
-        """f at each row of ``points`` (m, dim), counted once per row.
+        """f at each row of ``points`` (m, dim), counted once per row, as float64 values.
 
-        Raises ``EstimationError`` at the first non-finite value, carrying
-        an owned copy of its row.  A batched call (``fn.rows``) evaluates
+        A ``rows`` result of another dtype is converted.  Raises
+        ``EstimationError`` at the first non-finite value, carrying an
+        owned copy of its row.  A batched call (``fn.rows``) evaluates
         and counts all m rows before it checks them; the row loop stops at
         the bad row, so later rows are neither evaluated nor counted.  A
         ``rows`` result of any shape but (m,) is a ValueError.
@@ -168,7 +170,7 @@ class Objective:
         if self._rows is not None:
             m = len(points)
             self._evals += m
-            vals = self._rows(points)
+            vals = np.asarray(self._rows(points), dtype=float)
             if np.shape(vals) != (m,):
                 raise ValueError(f"fn.rows returned shape {np.shape(vals)} for {m} points, "
                                  f"expected ({m},)")
@@ -353,45 +355,34 @@ def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) 
         yield _Stack(taus, chunk, element_density_ratios(taus, chunk, spec.sigma))
 
 
-def _evaluate(obj: Objective, theta: np.ndarray,
-              stacks: Iterable[_Stack]) -> Iterator[tuple[_Stack, np.ndarray]]:
-    """The evaluate stage: each stack with its values, of shape ``q.shape[:-1] + (2 * samples,)``.
+def _evaluate(obj: Objective, theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The evaluate stage: values of shape ``taus.shape[:-2] + (2 * samples,)``.
 
     A block's points are theta - tau for its drawn rows, then theta + tau
-    for their mirror images, written straight into one buffer and
-    evaluated in one ``evaluate_rows`` call per stack.
+    for their mirror images, for a shared (samples, dim) block and stacked
+    (blocks, samples, dim) ones alike, written straight into one buffer
+    and evaluated in one ``evaluate_rows`` call.
     """
-    for stack in stacks:
-        taus = stack.taus
-        if taus.ndim == 2:
-            count, dim = taus.shape
-            points = np.empty((2 * count, dim))
-            np.subtract(theta, taus, points[:count])
-            np.add(theta, taus, points[count:])
-            vals = obj.evaluate_rows(points)
-        else:
-            blocks, count, dim = taus.shape
-            points = np.empty((blocks, 2 * count, dim))
-            np.subtract(theta, taus, points[:, :count])
-            np.add(theta, taus, points[:, count:])
-            vals = obj.evaluate_rows(points.reshape(-1, dim)).reshape(blocks, 2 * count)
-        del points, taus
-        yield stack, vals
-        del stack, vals  # see _draw
+    count, dim = taus.shape[-2:]
+    points = np.empty(taus.shape[:-2] + (2 * count, dim))
+    np.subtract(theta, taus, points[..., :count, :])
+    np.add(theta, taus, points[..., count:, :])
+    return obj.evaluate_rows(points.reshape(-1, dim)).reshape(points.shape[:-1])
 
 
 def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterable[_Stack], reduce, *args,
               kept: list | None = None) -> np.ndarray:
     """One pass: each stack evaluated and contracted before the next is drawn.
 
-    ``reduce(stack, vals, *args)`` turns a stack and its values into the
-    estimates of the elements it serves; stacks arrive in the order of
-    those elements, and a single stack's contraction is the estimate as
-    it is.  With ``kept``, each stack is appended to it with its HVP
-    coefficients.
+    ``reduce(stack, vals, *args)`` turns a stack and the values
+    ``_evaluate`` gives for it into the estimates of the elements it
+    serves; stacks arrive in the order of those elements, and a single
+    stack's contraction is the estimate as it is.  With ``kept``, each
+    stack is appended to it with its HVP coefficients.
     """
     parts = []
-    for stack, vals in _evaluate(obj, theta, stacks):
+    for stack in stacks:
+        vals = _evaluate(obj, theta, stack.taus)
         parts.append(reduce(stack, vals, *args))
         if kept is not None:
             kept.append((stack, _even_coefficients(vals, stack.q)))
@@ -430,12 +421,10 @@ def _reduce_gradient(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarra
     """g_i = sum_r c_r tau_ri, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
     taus, q = stack.taus, stack.q
     count = q.shape[-1]
-    if taus.ndim == 2:
-        c = np.subtract(vals[count:], vals[:count])
-        c /= 2.0 * sigma * sigma * count * q
-        return c.dot(taus)  # a vector times a matrix: the BLAS product of @, called faster
-    c = np.subtract(vals[:, count:], vals[:, :count])
+    c = np.subtract(vals[..., count:], vals[..., :count])
     c /= 2.0 * sigma * sigma * count * q
+    if taus.ndim == 2:
+        return c.dot(taus)  # a vector times a matrix: the BLAS product of @, called faster
     c *= _axis(taus, stack.elements.i)
     return np.add.reduce(c, 1)
 

@@ -178,10 +178,13 @@ def _steihaug_step(
     def residual(center: np.ndarray):
         est, hvp = model(center, sigma)
         g = est.g
-        gg = float(g.dot(g))
-        # a finite g . g has only finite terms; otherwise test them one by one
-        if not math.isfinite(gg) and not _all_finite(g):
-            raise NonFiniteStateError(f"non-finite gradient estimate, in iteration {iteration}", trace)
+        with np.errstate(over="ignore"):
+            gg = float(g.dot(g))
+        # a finite g . g has only finite terms; otherwise a term is not finite or g . g overflows
+        if not math.isfinite(gg):
+            what = ("non-finite gradient estimate" if not _all_finite(g)
+                    else "squared norm of the gradient estimate overflows")
+            raise NonFiniteStateError(f"{what}, in iteration {iteration}", trace)
         return -g, gg, hvp
 
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
@@ -198,6 +201,9 @@ def _steihaug_step(
         if math.sqrt(rr) <= ls_tol * r0_norm:
             break
         hv = hvp(v)
+        if not _all_finite(hv):  # no usable step; tested before its dot products warn
+            raise NonFiniteStateError(
+                f"non-finite parameters in CG step, in iteration {iteration}", trace)
         curv = float(v.dot(hv))
         fallback = curv <= 0.0
         alpha = 0.0 if fallback else float(r.dot(v)) / curv
@@ -302,7 +308,10 @@ def newton_cg_run(
 
     The accepted trial's evaluation is the record's, and a rejected
     iteration records theta_outer's loss.  A non-finite loss at a trial
-    or halving raises ``NonFiniteStateError``.  ``ls_iters`` or
+    or halving raises ``NonFiniteStateError``, and so do a non-finite
+    gradient, HVP product or CG step, and a finite gradient whose squared
+    norm overflows, each with a note naming its iteration and no
+    RuntimeWarning before it.  ``ls_iters`` or
     ``recompute`` below 1 and an ``ls_tol`` that is not finite and > 0
     are ValueErrors, raised before any evaluation.
     """
@@ -322,22 +331,16 @@ def newton_cg_run(
                               trace, iteration, on_inner_step)
         # the trial evaluation also guarantees budget progress when the
         # derivative estimates consume no evaluations
-        trial = theta + step
-        trial_loss = obj.evaluate(trial)
-        halvings = 0
-        while True:
+        for halvings in range(CG_HALVINGS + 1):
+            trial = theta + step
+            trial_loss = obj.evaluate(trial)
             if not math.isfinite(trial_loss):
                 where = f"halving {halvings} of iteration" if halvings else "iteration"
                 raise NonFiniteStateError(
                     f"non-finite trial loss at {where} {iteration}: {trial_loss}", trace)
-            if trial_loss <= loss or halvings == CG_HALVINGS:
-                break
-            halvings += 1
+            if trial_loss <= loss:
+                return trial, trial_loss
             step = 0.5 * step
-            trial = theta + step
-            trial_loss = obj.evaluate(trial)
-        if trial_loss <= loss:
-            return trial, trial_loss
         radius_scale *= CG_RADIUS_SHRINK
         return theta, loss
 

@@ -84,9 +84,6 @@ class RngStream:
         """Standard normals."""
         return self._gen.standard_normal(size)
 
-    def integers(self, high: int, size=None):
-        return self._gen.integers(0, high, size=size)
-
 
 @dataclass(frozen=True)
 class TabulatedInverseCdf:
@@ -100,12 +97,14 @@ class TabulatedInverseCdf:
 
     grid: np.ndarray
     cdf_values: np.ndarray
-    resolution: int
     # per cell k, between grid points k - 1 and k: the CDF at its left end,
     # its CDF width (1 where the CDF saturates), its left end and its span
     _cell: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if np.shape(self.cdf_values) != np.shape(self.grid):
+            raise ValueError(f"cdf_values has shape {np.shape(self.cdf_values)}, "
+                             f"grid {np.shape(self.grid)}")
         c0, c1 = self.cdf_values[:-1], self.cdf_values[1:]
         # cells may collapse where the CDF saturates in float64 at the tails
         width = np.where(c1 > c0, c1 - c0, 1.0)
@@ -113,6 +112,11 @@ class TabulatedInverseCdf:
         for a in cell:
             a.flags.writeable = False
         object.__setattr__(self, "_cell", cell)
+
+    @property
+    def resolution(self) -> int:
+        """Grid points in the table."""
+        return len(self.grid)
 
     def lookup(self, xi):
         """Map uniform variates in [0, 1] to offsets with cdf(lookup(xi)) ~= xi."""
@@ -147,7 +151,7 @@ def build_hessian_diag_table(resolution: int = 8192) -> TabulatedInverseCdf:
         raise AssertionError("tabulated CDF is not nondecreasing")
     if cdf[0] > 1e-9 or cdf[-1] < 1.0 - 1e-9:
         raise AssertionError("tabulated CDF endpoints out of tolerance")
-    return TabulatedInverseCdf(grid=grid, cdf_values=cdf, resolution=resolution)
+    return TabulatedInverseCdf(grid=grid, cdf_values=cdf)
 
 
 @functools.lru_cache(maxsize=None)

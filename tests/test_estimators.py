@@ -172,6 +172,55 @@ class TestBatchedObjective:
         assert np.array_equal(batched.evaluate_rows(points), looped.evaluate_rows(points))
         assert batched.eval_count == looped.eval_count == len(calls) == 9
 
+    @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_rows_of_another_dtype_give_the_row_loops_float64_estimates(self, dtype, mode):
+        # int64 values once made the contraction raise, float32 ones a float32 or rounded gradient
+        def looped(th):
+            return float(dtype(1000.0 * wavy(th)))
+
+        def batched(th):
+            return looped(th)
+
+        batched.rows = lambda points: np.array([1000.0 * wavy(p) for p in points]).astype(dtype)
+        points = np.arange(12.0).reshape(4, 3) / 7.0
+        vals = Objective(batched, 3).evaluate_rows(points)
+        assert vals.dtype == np.float64
+        assert np.array_equal(vals, Objective(looped, 3).evaluate_rows(points))
+        c = cfg(sigma=0.6, dim=3, samples=3, mode=mode)
+        theta = np.array([0.4, -0.7, 0.2])
+        got = estimate_gradient(Objective(batched, 3), theta, c, RngStream(8)).g
+        want = estimate_gradient(Objective(looped, 3), theta, c, RngStream(8)).g
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+class TestEvaluateStage:
+    def test_one_rows_call_per_stack_minus_rows_then_plus_rows_block_by_block(self):
+        weights = np.array([1.0, -2.0, 0.5])
+        calls = []
+
+        def fn(th):
+            return float(th @ weights)
+
+        def rows(points):
+            calls.append(points.copy())
+            return points @ weights
+
+        fn.rows = rows
+        obj = Objective(fn, 3)
+        theta = np.array([0.5, -1.0, 2.0])
+        stacked = np.random.default_rng(2).standard_normal((4, 3, 3))
+        # a shared (samples, dim) block, then (blocks, samples, dim) stacked blocks
+        for taus in (stacked[0], stacked):
+            calls.clear()
+            vals = _evaluate(obj, theta, taus)
+            blocks = taus.reshape(-1, 3, 3)
+            want = np.concatenate([np.concatenate((theta - b, theta + b)) for b in blocks])
+            assert len(calls) == 1 and np.array_equal(calls[0], want)
+            assert vals.shape == taus.shape[:-2] + (6,)
+            assert np.array_equal(vals.reshape(-1), want @ weights)
+        assert obj.eval_count == 6 + 4 * 6
+
 
 class TestEstimatorConfig:
     def test_validation(self):
@@ -467,7 +516,8 @@ class TestSampledBatch:
     def evaluated(self, mode):
         """The stacks and values ``keep`` evaluates, re-drawn from a fresh stream at its address."""
         stacks = _draw(cfg(sigma=0.6, dim=3, samples=3, mode=mode), RngStream(8), gradient_elements(3))
-        return list(_evaluate(Objective(wavy, 3), self.THETA, stacks))
+        obj = Objective(wavy, 3)
+        return [(s, _evaluate(obj, self.THETA, s.taus)) for s in stacks]
 
     @pytest.mark.parametrize("mode", list(SamplingMode))
     def test_estimates_equal_reductions_of_the_same_stacks_and_values(self, mode):

@@ -1,6 +1,7 @@
 """Optimizer identities: Newton exactness, conjugacy, trust region, Adam."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,39 @@ class TestNewtonCg:
         what = {"gradient": "gradient estimate", "hvp": "parameters in CG step"}[where]
         assert trace.note == f"non-finite {what}, in iteration 3"
         assert trace.aborted and [r.iteration for r in trace.records] == [0, 1, 2]
+
+    def test_overflowing_gradient_norm_ends_the_run_with_a_note(self):
+        # the model's second gradient is finite, but g . g overflows
+        calls = []
+
+        def model(theta, sigma):
+            calls.append(theta)
+            g = np.array([1e200, 0.0]) if len(calls) == 2 else 2.0 * theta
+            return GradientEstimate(g=g, evals_used=0), lambda v: 2.0 * v
+
+        with warnings.catch_warnings(), pytest.raises(NonFiniteStateError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
+                          SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
+                          recompute=10, budget=Budget(evals=20))
+        trace = err.value.trace
+        assert trace.note == "squared norm of the gradient estimate overflows, in iteration 2"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0, 1]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_products_keep_the_cg_step_note_without_a_warning(self, value):
+        # v . hv is inf - inf for v = -g = [-1, 1]
+        def model(theta, sigma):
+            return GradientEstimate(g=np.array([1.0, -1.0]), evals_used=0), lambda v: np.full(2, value)
+
+        with warnings.catch_warnings(), pytest.raises(NonFiniteStateError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
+                          SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
+                          recompute=10, budget=Budget(evals=20))
+        trace = err.value.trace
+        assert trace.note == "non-finite parameters in CG step, in iteration 1"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0]
 
     def test_parameter_validation(self):
         task = quad_task()

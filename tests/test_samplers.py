@@ -30,6 +30,7 @@ from smoothdiff.kernels import (
 )
 from smoothdiff.samplers import (
     RngStream,
+    TabulatedInverseCdf,
     build_hessian_diag_table,
     default_hessian_diag_table,
     element_density_ratios,
@@ -106,6 +107,19 @@ class TestHessianDiagTable:
         assert np.all(np.diff(table.cdf_values) >= 0)
         assert table.cdf_values[0] <= 1e-9
         assert table.cdf_values[-1] >= 1 - 1e-9
+
+    def test_resolution_is_the_length_of_the_grid(self):
+        # a resolution given apart from the grid once mapped 0.3, 0.6 and 0.9 all to -9.758
+        default = default_hessian_diag_table()
+        with pytest.raises(TypeError):
+            TabulatedInverseCdf(grid=default.grid, cdf_values=default.cdf_values, resolution=100)
+        table = TabulatedInverseCdf(grid=default.grid, cdf_values=default.cdf_values)
+        assert table.resolution == len(default.grid) == 8192
+        xi = np.array([0.3, 0.6, 0.9])
+        assert np.array_equal(table.lookup(xi), default.lookup(xi))
+        assert_allclose(table.lookup(xi), [-0.571, 0.250, 2.071], atol=1e-3)
+        with pytest.raises(ValueError, match="cdf_values has shape"):
+            TabulatedInverseCdf(grid=default.grid, cdf_values=default.cdf_values[:-1])
 
     def test_quarter_lookup_hits_minus_one(self):
         table = build_hessian_diag_table(8192)
