@@ -171,8 +171,8 @@ class Objective:
             m = len(points)
             self._evals += m
             vals = np.asarray(self._rows(points), dtype=float)
-            if np.shape(vals) != (m,):
-                raise ValueError(f"fn.rows returned shape {np.shape(vals)} for {m} points, "
+            if vals.shape != (m,):
+                raise ValueError(f"fn.rows returned shape {vals.shape} for {m} points, "
                                  f"expected ({m},)")
             if _all_finite(vals):
                 return vals

@@ -155,9 +155,9 @@ LocalModel = Callable[[np.ndarray, float], tuple[GradientEstimate, Callable[[np.
 
 def _boundary_step(p: np.ndarray, v: np.ndarray, delta: float) -> float:
     """The tau >= 0 with ||p + tau v|| = delta, for ||p|| <= delta."""
-    pv = float(p @ v)
-    vv = float(v @ v)
-    room = max(delta * delta - float(p @ p), 0.0)
+    pv = float(p.dot(v))
+    vv = float(v.dot(v))
+    room = max(delta * delta - float(p.dot(p)), 0.0)
     return (math.sqrt(pv * pv + vv * room) - pv) / vv
 
 

@@ -15,12 +15,15 @@ is two outer products, RGB colors times per-pixel diffuse and specular
 intensities, and the specular power is taken on lit pixels only.  Both
 equal the loss of the full image to rounding.
 
-The box, texture and Phong losses are written once, over a batch of
-points: ``fn.rows(points)`` takes an (m, dim) float array and returns
-the loss at each row, a new array of shape (m,), and ``fn(theta)`` is its
-one-row case.  ``Objective.evaluate_rows`` makes one ``rows`` call per
-batch.  ``rows`` never writes into ``points``, which ``EstimationError``
-reads after the call, so each loss works in arrays it allocates itself.
+Every shipped loss carries a batched form: ``fn.rows(points)`` takes an
+(m, dim) float array and returns the loss at each row, a new array of
+shape (m,), and ``Objective.evaluate_rows`` makes one ``rows`` call per
+batch.  The box, texture and Phong losses are written once, over a
+batch, and ``fn(theta)`` is their one-row case.  The two analytic losses
+are written once on two Python floats (``_float_loss``), which ``fn``
+calls once and ``rows`` once per row.  ``rows`` never writes into
+``points``, which ``EstimationError`` reads after the call, so each loss
+works in arrays it allocates itself.
 Phong rows are shaded in blocks of at most ``_PHONG_BLOCK`` = 8, which
 keeps a block's images in cache, and texture rows are clamped in blocks
 of ``_TEXTURE_BLOCK_BYTES``, which keeps a 256-D estimate from
@@ -28,8 +31,9 @@ page-faulting fresh memory.  What does not depend on the parameters is
 built once per task (see ``box_task`` and ``_PhongScene``), and clamps
 call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python wrapper
 costs more than the arithmetic on these small arrays.  Each row's loss
-is bit for bit the value of its first separable single-point form,
-which ``tests/test_tasks.py`` keeps as reference.
+is bit for bit its one-point value, and a rendered loss's is that of its
+first separable single-point form, which ``tests/test_tasks.py`` keeps
+as reference.
 """
 
 from __future__ import annotations
@@ -105,6 +109,25 @@ def _blockwise(block_rows: Callable[[np.ndarray], np.ndarray], block: int):
 # analytic tasks
 # ---------------------------------------------------------------------------
 
+def _float_loss(loss: Callable[[float, float], float]) -> Callable[[np.ndarray], float]:
+    """A 2-D loss written once as ``loss(x0, x1)`` on Python floats, carrying ``fn.rows``.
+
+    ``fn(theta)`` calls it on theta's two entries and ``fn.rows(points)``
+    on each row of ``points.tolist()``, so a row's value is bit for bit
+    its one-point value.  Python floats and ``math.exp`` cost less than
+    numpy's per-call overhead on two numbers, and ``np.exp`` can differ
+    from ``math.exp`` in the last bit.
+    """
+    def fn(theta):
+        return loss(float(theta[0]), float(theta[1]))
+
+    def rows(points):
+        return np.array([loss(x0, x1) for x0, x1 in points.tolist()])
+
+    fn.rows = rows
+    return fn
+
+
 QUAD_A = 5.0
 QUAD_B = 5.0
 QUAD_C = 7.5
@@ -118,8 +141,7 @@ def quad_task() -> Task:
     Hessian coincide with the plain ones at every bandwidth.
     """
 
-    def fn(th):
-        x0, x1 = float(th[0]), float(th[1])
+    def loss(x0, x1):
         return QUAD_A * x0 * x0 + QUAD_B * x1 * x1 + QUAD_C * x0 * x1
 
     def grad(th):
@@ -131,7 +153,7 @@ def quad_task() -> Task:
     return Task(
         name="quad",
         dim=2,
-        fn=fn,
+        fn=_float_loss(loss),
         theta_true=np.zeros(2),
         init_sampler=lambda gen: gen.uniform(-3.0, 3.0, size=2),
         analytic_grad=grad,
@@ -152,8 +174,7 @@ def negated_gaussian_task(sigma1: float = 1.0) -> Task:
         raise ValueError(f"sigma1 must be > 0, got {sigma1}")
     s1sq = sigma1 * sigma1
 
-    def fn(th):
-        x0, x1 = float(th[0]), float(th[1])
+    def loss(x0, x1):
         return -math.exp(-(x0 * x0 + x1 * x1) / (2.0 * s1sq)) / (TWO_PI * s1sq)
 
     def _neg_gauss_value(th, ssq):
@@ -172,7 +193,7 @@ def negated_gaussian_task(sigma1: float = 1.0) -> Task:
     return Task(
         name="neg_gauss",
         dim=2,
-        fn=fn,
+        fn=_float_loss(loss),
         theta_true=np.zeros(2),
         init_sampler=lambda gen: gen.uniform(-3.0, 3.0, size=2),
         analytic_grad=grad,

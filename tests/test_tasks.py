@@ -10,7 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smoothdiff.estimators import (
+    EstimationError,
     EstimatorConfig,
+    Objective,
     SamplingMode,
     estimate_gradient,
     estimate_gradient_fd,
@@ -357,6 +359,13 @@ def reference_rows(name):
         pool = box_probe_points(task, 200, seed=20) + task.plateau_points
         return task, partial(reference_box_loss, task, (64, 64)), pool
     task = make_task(name)
+    if name in ("quad", "neg_gauss"):
+        # the one-point loss is the reference; quad overflows to inf at +-1e160
+        pool = [rng.uniform(-3.0, 3.0, 2) for _ in range(100)]
+        pool += [10.0 ** rng.uniform(-9, 2) * rng.standard_normal(2) for _ in range(100)]
+        pool += [np.zeros(2), np.full(2, -0.0), np.array([0.0, -0.0]), np.full(2, 1e160),
+                 np.full(2, -1e160), np.array([1e160, 0.0]), np.array([-0.0, -1e160])]
+        return task, task.fn, pool
     if name == "phong":
         pool = [task.init_sampler(rng) for _ in range(100)]
         pool += [rng.uniform(-1.0, 2.0, 7) for _ in range(100)]
@@ -376,7 +385,8 @@ def reference_rows(name):
 class TestBatchedRows:
     """``fn.rows`` gives each row's reference loss, at every batch size and block boundary."""
 
-    @pytest.fixture(scope="class", params=["box2", "box10", "box16", "phong", "texture16"])
+    @pytest.fixture(scope="class", params=["box2", "box10", "box16", "phong", "texture16",
+                                           "quad", "neg_gauss"])
     def case(self, request):
         task, reference, pool = reference_rows(request.param)
         return task, pool, {tuple(p): reference(p) for p in pool}
@@ -407,6 +417,19 @@ class TestBatchedRows:
         before = points.copy()
         task.fn.rows(points)
         assert np.array_equal(points.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("name,bad", [("quad", [1e160, -1e160]), ("quad", [1e160, 0.0]),
+                                      ("neg_gauss", [np.nan, 0.0])], ids=str)
+def test_analytic_objective_counts_every_row_before_it_names_the_bad_one(name, bad):
+    obj = Objective(make_task(name).fn, 2)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 2))
+    points[5] = bad
+    with pytest.raises(EstimationError) as info:
+        obj.evaluate_rows(points)
+    assert obj.eval_count == 8
+    assert np.array_equal(info.value.point, points[5], equal_nan=True)
+    assert info.value.point is not points[5] and not np.shares_memory(info.value.point, points)
 
 
 def test_texture_rows_work_in_a_block_not_a_copy_of_the_batch():
