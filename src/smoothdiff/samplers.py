@@ -347,20 +347,26 @@ def sample_aggregate_offsets(
     it by, and so q, is the full mixture density (1/K) * sum_k pdf_k(tau),
     not the chosen component's density.
 
-    Draw order per batch: element choices, the Gaussian base block, then
-    two uniform blocks for the special axes (consumed unconditionally so
-    the stream layout does not depend on the choices).
+    Draw order per batch: one uniform block u of shape (3, count), then
+    the Gaussian base block of shape (count, dim).  Row r draws component
+    floor(K u[0, r]) (Veach & Guibas 1995's one-sample mixture draw):
+    for every u <= 1 - 2^-53 and K < 2^53 the rounded product is below K,
+    so the component is at most K - 1, and each component's probability
+    is off from 1/K by at most K 2^-53.  u[1] and u[2] are the special
+    axes' uniforms, consumed for every row so the stream layout does not
+    depend on the choices.
     """
     if not elements:
         raise ValueError("aggregate sampling requires a nonempty element list")
     elements = ElementSet.of(elements)
     elements.check_index_bounds(spec.dim)
     gen, s, k = rng.generator, spec.sigma, len(elements)
-    choices = gen.integers(0, k, size=count)
+    u = gen.random((3, count))
+    choices = np.multiply(u[0], k).astype(np.intp)
     taus = gen.standard_normal((count, spec.dim))
     taus *= s
-    xi_a = open_unit(gen.random(count))
-    xi_b = gen.random(count)
+    xi_a = open_unit(u[1])
+    xi_b = u[2]
     if len(elements.groups) == 1:
         # every row draws the one kind: no split into groups
         kind, _, i, j = elements.groups[0]

@@ -393,6 +393,66 @@ class TestStackedDrawOrder:
         assert np.array_equal(rng.uniform(4), twin.uniform(4))  # nothing else was drawn
 
 
+class _StubGenerator:
+    """A generator whose uniforms are ``uniform`` (or ``source``'s) and whose normals are all 0."""
+
+    def __init__(self, uniform=None, source=None):
+        self.uniform, self.source = uniform, source
+
+    def random(self, size):
+        return np.full(size, self.uniform) if self.source is None else self.source.random(size)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+class _StubStream:
+    def __init__(self, gen):
+        self.generator = gen
+
+
+class TestAggregateDrawOrder:
+    """An aggregate draw takes one (3, count) uniform block, then one Gaussian block."""
+
+    @pytest.mark.parametrize("elements", [gradient_elements(4), TestDensityRatio.mixed],
+                             ids=["gradient", "mixed"])
+    def test_one_uniform_block_then_one_normal_block(self, elements):
+        spec, count, k = KernelSpec(0.8, 4), 7, len(elements)
+        table = default_hessian_diag_table()
+        rng, twin = RngStream(33, 4), RngStream(33, 4)
+        for _ in range(2):
+            taus, _ = sample_aggregate_offsets(elements, spec, rng, count)
+            u = twin.uniform((3, count))
+            want = twin.normal((count, spec.dim)) * spec.sigma
+            for r in range(count):
+                elem = elements[int(math.floor(u[0, r] * k))]
+                if elem.kind is ElementKind.HESSIAN_DIAG:
+                    want[r, elem.i] = table.lookup(open_unit(u[1, r])) * spec.sigma
+                else:
+                    want[r, elem.i] = gradient_inverse_cdf(open_unit(u[1, r]), spec.sigma)
+                if elem.kind is ElementKind.HESSIAN_OFF_DIAG:
+                    want[r, elem.j] = gradient_inverse_cdf(open_unit(u[2, r]), spec.sigma)
+            assert np.array_equal(taus, want)
+        assert np.array_equal(rng.uniform(4), twin.uniform(4))  # nothing else was drawn
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 256])
+    def test_largest_uniform_draws_the_last_component(self, k):
+        # gradient element k - 1 is the only one that writes axis k - 1
+        stub = _StubStream(_StubGenerator(uniform=np.nextafter(1.0, 0.0)))
+        taus, q = sample_aggregate_offsets(gradient_elements(k), KernelSpec(1.0, k), stub, 5)
+        assert np.array_equal(np.flatnonzero(np.any(taus != 0.0, axis=0)), [k - 1])
+        assert np.count_nonzero(taus[:, k - 1]) == 5 and np.all(np.isfinite(q))
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_component_frequencies_are_uniform(self, k):
+        rows = 100_000
+        stub = _StubStream(_StubGenerator(source=np.random.Generator(np.random.SFC64(40 + k))))
+        taus, _ = sample_aggregate_offsets(gradient_elements(k), KernelSpec(1.0, k), stub, rows)
+        assert np.all(np.count_nonzero(taus, axis=1) == 1)
+        counts = np.bincount(np.argmax(taus != 0.0, axis=1), minlength=k)
+        assert stats.chisquare(counts).pvalue > SIGNIFICANCE
+
+
 def test_stacked_gradient_draw_makes_no_staging_copies():
     # the returned offsets take 0.5 MiB at n = 256; the draws go straight into them
     spec = KernelSpec(0.3, 256)
