@@ -173,59 +173,73 @@ def _steihaug_step(
     iteration: int,
     on_inner_step: Callable[[dict], None] | None,
 ) -> np.ndarray:
-    """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta."""
+    """Steihaug-Toint truncated CG from ``theta``; returns the step p, ||p|| <= delta.
+
+    The step runs in one ``np.errstate`` scope, the model's calls included,
+    in which overflow and invalid values warn of nothing.  The floats the
+    recursion computes anyway are tested instead: g . g, the curvature
+    v . H v, which is finite only if every entry of H v is, and the
+    Fletcher-Reeves beta, finite only if ||r||^2 is.  The step p and each
+    new direction are tested whole.  The residual is updated only for a
+    step that follows.
+    """
+
+    def fault(what: str) -> NonFiniteStateError:
+        return NonFiniteStateError(f"{what}, in iteration {iteration}", trace)
 
     def residual(center: np.ndarray):
         est, hvp = model(center, sigma)
         g = est.g
-        with np.errstate(over="ignore"):
-            gg = float(g.dot(g))
+        gg = float(g.dot(g))
         # a finite g . g has only finite terms; otherwise a term is not finite or g . g overflows
         if not math.isfinite(gg):
-            what = ("non-finite gradient estimate" if not _all_finite(g)
-                    else "squared norm of the gradient estimate overflows")
-            raise NonFiniteStateError(f"{what}, in iteration {iteration}", trace)
+            raise fault("non-finite gradient estimate" if not _all_finite(g)
+                        else "squared norm of the gradient estimate overflows")
         return -g, gg, hvp
 
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
-    p = np.zeros(theta.shape)
-    r, rr, hvp = residual(theta)
-    v = r.copy()
-    r0_norm = math.sqrt(rr)
-    if r0_norm == 0.0:
-        return p
-    for k in range(max_steps):
-        if k > 0 and k % recompute == 0:
-            r, rr, hvp = residual(theta + p)
-            v = r.copy()
-        if math.sqrt(rr) <= ls_tol * r0_norm:
-            break
-        hv = hvp(v)
-        if not _all_finite(hv):  # no usable step; tested before its dot products warn
-            raise NonFiniteStateError(
-                f"non-finite parameters in CG step, in iteration {iteration}", trace)
-        curv = float(v.dot(hv))
-        fallback = curv <= 0.0
-        alpha = 0.0 if fallback else float(r.dot(v)) / curv
-        p_next = None if fallback else p + alpha * v
-        at_boundary = fallback or math.sqrt(float(p_next.dot(p_next))) >= delta
-        if at_boundary:
-            alpha = _boundary_step(p, v, delta)
-            p_next = p + alpha * v
-        if on_inner_step is not None:
-            on_inner_step({"outer": iteration - 1, "alpha": alpha, "v": v.copy(), "curv": curv,
-                           "fallback": fallback})
-        p = p_next
-        if not _all_finite(p):
-            raise NonFiniteStateError(
-                f"non-finite parameters in CG step, in iteration {iteration}", trace)
-        if at_boundary:
-            break
-        r_new = r - alpha * hv
-        rr_new = float(r_new.dot(r_new))
-        beta = rr_new / rr if rr > 0 else 0.0
-        v = r_new + beta * v
-        r, rr = r_new, rr_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.zeros(theta.shape)
+        r, rr, hvp = residual(theta)
+        v = r.copy()
+        r0_norm = math.sqrt(rr)
+        if r0_norm == 0.0:
+            return p
+        for k in range(max_steps):
+            if k > 0 and k % recompute == 0:
+                r, rr, hvp = residual(theta + p)
+                v = r.copy()
+            if math.sqrt(rr) <= ls_tol * r0_norm:
+                break
+            hv = hvp(v)
+            curv = float(v.dot(hv))
+            if not math.isfinite(curv):
+                raise fault("non-finite parameters in CG step" if not _all_finite(hv)
+                            else "curvature of the CG direction overflows")
+            fallback = curv <= 0.0
+            alpha = 0.0 if fallback else float(r.dot(v)) / curv
+            p_next = None if fallback else p + alpha * v
+            at_boundary = fallback or math.sqrt(float(p_next.dot(p_next))) >= delta
+            if at_boundary:
+                alpha = _boundary_step(p, v, delta)
+                p_next = p + alpha * v
+            if on_inner_step is not None:
+                on_inner_step({"outer": iteration - 1, "alpha": alpha, "v": v.copy(), "curv": curv,
+                               "fallback": fallback})
+            p = p_next
+            if not _all_finite(p):
+                raise fault("non-finite parameters in CG step")
+            if at_boundary or k == max_steps - 1:
+                break
+            r_new = r - alpha * hv
+            rr_new = float(r_new.dot(r_new))
+            beta = rr_new / rr  # rr > 0: a zero residual stopped the loop
+            if not math.isfinite(beta):
+                raise fault("squared norm of the CG residual overflows")
+            v = r_new + beta * v
+            if not _all_finite(v):
+                raise fault("CG direction overflows")
+            r, rr = r_new, rr_new
     return p
 
 
@@ -309,9 +323,9 @@ def newton_cg_run(
     The accepted trial's evaluation is the record's, and a rejected
     iteration records theta_outer's loss.  A non-finite loss at a trial
     or halving raises ``NonFiniteStateError``, and so do a non-finite
-    gradient, HVP product or CG step, and a finite gradient whose squared
-    norm overflows, each with a note naming its iteration and no
-    RuntimeWarning before it.  ``ls_iters`` or
+    gradient, HVP product or CG step, and a finite gradient, curvature,
+    residual or direction that overflows, each with a note naming its
+    iteration and no RuntimeWarning before it.  ``ls_iters`` or
     ``recompute`` below 1 and an ``ls_tol`` that is not finite and > 0
     are ValueErrors, raised before any evaluation.
     """

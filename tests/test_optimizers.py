@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothdiff.estimators import EstimationError, GradientEstimate, Objective
+from smoothdiff.estimators import EstimationError, GradientEstimate, Objective, _check_direction
 from smoothdiff.optimizers import (
     OptimizerState,
     SigmaSchedule,
@@ -428,6 +428,44 @@ class TestNewtonCg:
         trace = err.value.trace
         assert trace.note == "non-finite parameters in CG step, in iteration 1"
         assert trace.aborted and [r.iteration for r in trace.records] == [0]
+
+    # finite models whose CG recursion overflows: the curvature v . H v, the
+    # residual's ||r||^2, or the next direction r + beta v
+    OVERFLOWS = {
+        "curvature": ([1e150, 0.0], [[1e300, 0.0]], 2.0, 2,
+                      "curvature of the CG direction overflows"),
+        "residual": ([-1.0, 0.0], np.array([[1.0, 0.0], [1e155, 1.0]]), 2.0, 2,
+                     "squared norm of the CG residual overflows"),
+        # beta = 1e200, then 1e250 on a direction of norm 1e100; every ||r||^2 stays finite
+        "direction": ([-1e-100, 0.0, 0.0], [[1e-100, -1.0, 0.0], [1e-100, 0.0, 1e125]], 1e120, 3,
+                      "CG direction overflows"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_overflowing_cg_recursion_ends_the_run_with_a_note(self, case):
+        g, products, delta, dim, note = self.OVERFLOWS[case]
+        calls = []
+
+        def hvp(v):
+            # checks its direction as SampledBatch.hvp does
+            v = _check_direction(v, dim)
+            calls.append(v)
+            if isinstance(products, np.ndarray):
+                return products @ v
+            return np.array(products[len(calls) - 1])
+
+        def model(theta, sigma):
+            return GradientEstimate(g=np.array(g), evals_used=0), hvp
+
+        obj = Objective(lambda th: float(th @ th), dim)
+        with warnings.catch_warnings(), pytest.raises(NonFiniteStateError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            newton_cg_run(obj, model, np.ones(dim), SigmaSchedule(1.0, 0.1), TrustRegion(delta),
+                          ls_iters=dim, ls_tol=1e-3, recompute=5, budget=Budget(evals=10))
+        trace = err.value.trace
+        assert trace.note == f"{note}, in iteration 1"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0]
+        assert obj.eval_count == 1
 
     def test_parameter_validation(self):
         task = quad_task()
