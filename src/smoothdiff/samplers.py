@@ -362,7 +362,7 @@ def sample_aggregate_offsets(
     elements.check_index_bounds(spec.dim)
     gen, s, k = rng.generator, spec.sigma, len(elements)
     u = gen.random((3, count))
-    choices = np.multiply(u[0], k).astype(np.intp)
+    choices = np.multiply(u[0], float(k)).astype(np.intp)  # a float operand converts faster
     taus = gen.standard_normal((count, spec.dim))
     taus *= s
     xi_a = open_unit(u[1])
