@@ -9,6 +9,7 @@ the reference densities ``element_pdf`` / ``mixture_pdf``.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -406,11 +407,6 @@ class _StubGenerator:
         return np.zeros(size)
 
 
-class _StubStream:
-    def __init__(self, gen):
-        self.generator = gen
-
-
 class TestAggregateDrawOrder:
     """An aggregate draw takes one (3, count) uniform block, then one Gaussian block."""
 
@@ -438,7 +434,7 @@ class TestAggregateDrawOrder:
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 256])
     def test_largest_uniform_draws_the_last_component(self, k):
         # gradient element k - 1 is the only one that writes axis k - 1
-        stub = _StubStream(_StubGenerator(uniform=np.nextafter(1.0, 0.0)))
+        stub = SimpleNamespace(generator=_StubGenerator(uniform=np.nextafter(1.0, 0.0)))
         taus, q = sample_aggregate_offsets(gradient_elements(k), KernelSpec(1.0, k), stub, 5)
         assert np.array_equal(np.flatnonzero(np.any(taus != 0.0, axis=0)), [k - 1])
         assert np.count_nonzero(taus[:, k - 1]) == 5 and np.all(np.isfinite(q))
@@ -446,7 +442,7 @@ class TestAggregateDrawOrder:
     @pytest.mark.parametrize("k", [3, 10])
     def test_component_frequencies_are_uniform(self, k):
         rows = 100_000
-        stub = _StubStream(_StubGenerator(source=np.random.Generator(np.random.SFC64(40 + k))))
+        stub = SimpleNamespace(generator=_StubGenerator(source=np.random.Generator(np.random.SFC64(40 + k))))
         taus, _ = sample_aggregate_offsets(gradient_elements(k), KernelSpec(1.0, k), stub, rows)
         assert np.all(np.count_nonzero(taus, axis=1) == 1)
         counts = np.bincount(np.argmax(taus != 0.0, axis=1), minlength=k)
