@@ -44,12 +44,10 @@ from .estimators import (
     estimate_hvp,
 )
 from .optimizers import (
-    OptimizerState,
     SigmaSchedule,
     TrustRegion,
     anneal_sigma,
     gd_adam_run,
-    gd_adam_step,
     newton_cg_run,
     psd_modify,
 )

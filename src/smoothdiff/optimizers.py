@@ -8,13 +8,17 @@ radius, runs at most ``dim`` conjugate steps, and keeps a trial point
 only if its exact loss does not rise.  Second-order methods take raw
 steps; Adam preconditioning applies to gradient descent only.
 
-Both run one outer loop.  It evaluates and records the loss at ``init``
-as iteration 0 before any derivative is asked for; then, while the share
-of the budget spent (``Budget.spent``) is below 1, iteration k runs at
-the bandwidth ``anneal_sigma`` gives for the share spent when it starts
-and records loss, parameter error, evaluations and wall time at its new
-theta.  A non-finite recorded loss raises ``NonFiniteStateError`` after
-its record; an ``EstimationError`` from the derivative provider is raised
+Both are step closures over one outer loop, ``_outer_loop``, which owns
+theta, the iteration number, the records, sigma, the clock and the trace.
+A closure keeps only what the loop does not know: Adam its moment
+estimates m and v, Newton-CG its working-radius factor ``radius_scale``.
+The loop evaluates and records the loss at ``init`` as iteration 0
+before any derivative is asked for; then, while the share of the budget
+spent (``Budget.spent``) is below 1, iteration k runs at the bandwidth
+``anneal_sigma`` gives for the share spent when it starts and records
+loss, parameter error, evaluations and wall time at its new theta.  A
+non-finite recorded loss raises ``NonFiniteStateError`` after its
+record; an ``EstimationError`` from the derivative provider is raised
 again as one, its note the error's text, which names the point.  Every
 abort note names its iteration, and an abort inside iteration k leaves
 the records of iterations 0 to k - 1.  A deterministic clock reads a
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -83,58 +87,6 @@ class TrustRegion:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"trust region radius must be finite and > 0, got {self.delta}")
-
-
-@dataclass
-class OptimizerState:
-    theta: np.ndarray
-    iteration: int = 0
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
-
-
-def gd_adam_step(state: OptimizerState, grad: GradientEstimate, lr: float) -> OptimizerState:
-    """One Adam update on a (possibly stochastic) gradient, made in place.
-
-    ``state`` is updated and returned: the moment estimates ``adam_m`` and
-    ``adam_v`` are arrays owned by the state and change in place, created
-    on the first step; ``theta`` is replaced by a new array, so an array a
-    caller holds from before the step keeps its values.  The step itself
-    is worked in two scratch arrays, the second of which becomes the new
-    ``theta``.
-    """
-    if not (lr > 0):
-        raise ValueError(f"lr must be > 0, got {lr}")
-    g = np.asarray(grad.g, dtype=float)
-    if g.shape != state.theta.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match theta {state.theta.shape}")
-    if not _all_finite(g):
-        raise NonFiniteStateError(
-            f"non-finite gradient in Adam step, in iteration {state.iteration + 1}", state.trace)
-    if state.adam_m is None:
-        state.adam_m = np.zeros_like(g)
-    if state.adam_v is None:
-        state.adam_v = np.zeros_like(g)
-    m, v = state.adam_m, state.adam_v
-    t = state.iteration + 1
-    m *= _BETA1
-    scratch = _GAIN1 * g
-    m += scratch
-    v *= _BETA2
-    np.multiply(_GAIN2, g, scratch)
-    scratch *= g
-    v += scratch
-    # step = lr * m_hat / (sqrt(v_hat) + eps), then theta - step
-    step = m / (1.0 - ADAM_BETA1 ** t)
-    step *= lr
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, scratch)
-    np.sqrt(scratch, scratch)
-    scratch += _EPS
-    step /= scratch
-    state.theta = np.subtract(state.theta, step, step)
-    state.iteration = t
-    return state
 
 
 def psd_modify(h: np.ndarray) -> np.ndarray:
@@ -372,21 +324,45 @@ def gd_adam_run(
     param_error_fn: Callable[[np.ndarray], float] | None = None,
     deterministic_clock: bool = False,
 ) -> ConvergenceTrace:
-    """Adam gradient descent on ``gradient_fn(theta, sigma)``.
+    """Adam gradient descent on ``gradient_fn(theta, sigma)`` (Kingma & Ba 2015).
 
-    Each iteration records the loss at the new theta.  An ``lr`` that is
-    not finite and > 0 is a ValueError, raised before any evaluation.
+    Iteration t updates the moments m and v in place, made at the first
+    step, and records the loss at theta - lr * m_hat / (sqrt(v_hat) + eps),
+    bias-corrected with the loop's t.  The step is worked in two scratch
+    arrays, the second of which becomes the new theta, so no array handed
+    to or returned by ``gradient_fn`` is written.  An ``lr`` that is not
+    finite and > 0 is a ValueError, raised before any evaluation.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
-    state = OptimizerState(theta=init)
+    m = v = None
 
-    def adam_iteration(theta, loss, sigma, iteration, trace):
-        state.theta, state.trace = theta, trace
-        gd_adam_step(state, gradient_fn(theta, sigma), lr)
-        if not _all_finite(state.theta):
-            raise NonFiniteStateError(
-                f"non-finite parameters in Adam step, in iteration {iteration}", trace)
-        return state.theta, obj.evaluate(state.theta)
+    def adam_iteration(theta, loss, sigma, t, trace):
+        nonlocal m, v
+        g = np.asarray(gradient_fn(theta, sigma).g, dtype=float)
+        if g.shape != theta.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match theta {theta.shape}")
+        if not _all_finite(g):
+            raise NonFiniteStateError(f"non-finite gradient in Adam step, in iteration {t}", trace)
+        if m is None:
+            m, v = np.zeros_like(g), np.zeros_like(g)
+        m *= _BETA1
+        scratch = _GAIN1 * g
+        m += scratch
+        v *= _BETA2
+        np.multiply(_GAIN2, g, scratch)
+        scratch *= g
+        v += scratch
+        # step = lr * m_hat / (sqrt(v_hat) + eps), then theta - step
+        step = m / (1.0 - ADAM_BETA1 ** t)
+        step *= lr
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, scratch)
+        np.sqrt(scratch, scratch)
+        scratch += _EPS
+        step /= scratch
+        theta = np.subtract(theta, step, step)
+        if not _all_finite(theta):
+            raise NonFiniteStateError(f"non-finite parameters in Adam step, in iteration {t}", trace)
+        return theta, obj.evaluate(theta)
 
     return _outer_loop(obj, init, schedule, budget, adam_iteration, param_error_fn, deterministic_clock)

@@ -9,12 +9,10 @@ from numpy.testing import assert_allclose
 
 from smoothdiff.estimators import EstimationError, GradientEstimate, Objective, _check_direction
 from smoothdiff.optimizers import (
-    OptimizerState,
     SigmaSchedule,
     TrustRegion,
     anneal_sigma,
     gd_adam_run,
-    gd_adam_step,
     newton_cg_run,
     psd_modify,
 )
@@ -94,25 +92,51 @@ def test_budget_rejects_an_infinite_limit(bad):
         Budget(**bad)
 
 
+def record_thetas(gradient):
+    """A gradient_fn returning ``gradient(theta)``, and the list of the thetas it is handed."""
+    thetas = []
+
+    def grad_fn(theta, sigma):
+        thetas.append(theta)
+        return GradientEstimate(g=gradient(theta), evals_used=0)
+
+    return grad_fn, thetas
+
+
 class TestAdam:
     def test_zero_gradient_leaves_theta(self):
-        state = OptimizerState(theta=np.array([1.0, -2.0]))
-        new = gd_adam_step(state, GradientEstimate(g=np.zeros(2), evals_used=0), lr=0.3)
-        assert np.array_equal(new.theta, state.theta)
-        assert new.iteration == 1
+        init = np.array([1.0, -2.0])
+        task = quad_task()
+        grad_fn, thetas = record_thetas(lambda th: np.zeros(2))
+        trace = gd_adam_run(task.objective(), grad_fn, init, SigmaSchedule(1.0, 0.1), 0.3,
+                            Budget(evals=10), param_error_fn=task.param_error)
+        assert len(thetas) == 9 and all(np.array_equal(theta, init) for theta in thetas)
+        errors = [r.param_error for r in trace.records]
+        assert errors == [errors[0]] * len(errors)
 
     def test_quad_converges_with_exact_gradients(self):
         # Adam at lr=0.5 overshoots near the bottom, so the loss is not
         # monotone; it still contracts by >99% over 50 iterations
         task = quad_task()
-        state = OptimizerState(theta=np.array([3.0, 3.0]))
-        losses = [task.fn(state.theta)]
-        for _ in range(50):
-            g = GradientEstimate(g=task.analytic_grad(state.theta), evals_used=0)
-            state = gd_adam_step(state, g, lr=0.5)
-            losses.append(task.fn(state.theta))
+        grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
+        trace = gd_adam_run(task.objective(), grad_fn, np.array([3.0, 3.0]), SigmaSchedule(1.0, 0.1),
+                            0.5, Budget(evals=51))
+        losses = [r.loss for r in trace.records]
+        assert len(losses) == 51
         assert all(b < a for a, b in zip(losses[:6], losses[1:7]))
         assert losses[-1] < 0.01 * losses[0]
+
+    def test_bias_correction_uses_the_loops_iteration(self):
+        # with a constant g, m_hat = g and v_hat = g^2 at every t, so each
+        # step is lr g / (|g| + eps); a t off by one moves the first step
+        g, lr, init = np.array([0.3, -0.2, 1e-3]), 0.01, np.array([1.0, -2.0, 0.5])
+        grad_fn, thetas = record_thetas(lambda th: g.copy())
+        gd_adam_run(Objective(lambda th: float(th @ th), 3), grad_fn, init, SigmaSchedule(1.0, 0.1),
+                    lr, Budget(evals=51))
+        assert len(thetas) == 50
+        for k, theta in enumerate(thetas, start=1):
+            assert_allclose(theta, init - (k - 1) * lr * g / (np.abs(g) + 1e-8), rtol=1e-12,
+                            err_msg=f"iteration {k}")
 
     def test_determinism_of_full_runs(self):
         task = quad_task()
@@ -127,11 +151,6 @@ class TestAdam:
 
         t1, t2 = run(), run()
         assert t1.records == t2.records
-
-    def test_non_finite_gradient_raises(self):
-        state = OptimizerState(theta=np.zeros(2))
-        with pytest.raises(NonFiniteStateError):
-            gd_adam_step(state, GradientEstimate(g=np.array([np.nan, 0.0]), evals_used=0), lr=0.1)
 
     def test_non_finite_loss_is_recorded_then_raises(self):
         # walking +x into the NaN region used to record nan and run on
@@ -152,15 +171,10 @@ class TestAdam:
                         SigmaSchedule(1.0, 0.1), 0.1, Budget(evals=50))
         assert len(err.value.trace.records) == 1
 
-    def test_lr_validation(self):
-        state = OptimizerState(theta=np.zeros(2))
-        with pytest.raises(ValueError):
-            gd_adam_step(state, GradientEstimate(g=np.zeros(2), evals_used=0), lr=0.0)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_run_rejects_lr_before_any_evaluation(self, bad):
-        # lr = 0 used to spend an evaluation and a gradient before gd_adam_step
-        # raised, and lr = inf ran until its parameters went non-finite
+        # lr = 0 used to spend an evaluation and a gradient before the Adam
+        # step raised, and lr = inf ran until its parameters went non-finite
         obj = quad_task().objective()
         calls = []
         grad_fn = lambda th, s: calls.append(s) or GradientEstimate(g=np.ones(2), evals_used=0)
@@ -169,9 +183,6 @@ class TestAdam:
         assert obj.eval_count == 0 and calls == []
 
     def test_non_finite_gradient_note_names_the_iteration(self):
-        state = OptimizerState(theta=np.zeros(2), iteration=4)
-        with pytest.raises(NonFiniteStateError, match=r"gradient in Adam step, in iteration 5$"):
-            gd_adam_step(state, GradientEstimate(g=np.array([0.0, np.inf]), evals_used=0), lr=0.1)
         calls = []
 
         def grad_fn(theta, sigma):
@@ -197,21 +208,23 @@ class TestAdam:
         assert trace.note == "non-finite parameters in Adam step, in iteration 2"
         assert trace.aborted and [r.iteration for r in trace.records] == [0, 1]
 
-    def test_step_keeps_held_arrays_and_updates_moments_in_place(self):
-        theta0 = np.array([1.0, -2.0])
-        state = OptimizerState(theta=theta0)
-        g = np.array([0.5, 0.25])
-        gd_adam_step(state, GradientEstimate(g=g, evals_used=0), lr=0.1)
-        m, v, theta1 = state.adam_m, state.adam_v, state.theta
-        held = (theta1.copy(), m.copy(), v.copy())
-        assert np.array_equal(theta0, [1.0, -2.0]) and np.array_equal(g, [0.5, 0.25])
-        assert theta1 is not theta0
-        gd_adam_step(state, GradientEstimate(g=np.array([-1.0, 2.0]), evals_used=0), lr=0.1)
-        # the caller's theta keeps its values; the moments are the same arrays, moved
-        assert np.array_equal(theta1, held[0]) and state.theta is not theta1
-        assert state.adam_m is m and state.adam_v is v
-        assert not np.array_equal(m, held[1]) and not np.array_equal(v, held[2])
-        assert_allclose(m, 0.9 * held[1] + 0.1 * np.array([-1.0, 2.0]), rtol=1e-15)
+    def test_run_keeps_held_arrays(self):
+        # init, every theta handed to gradient_fn and every g it returned
+        # keep their values through the later iterations
+        init = np.array([1.0, -2.0])
+        rng = np.random.default_rng(3)
+        held = []
+
+        def grad_fn(theta, sigma):
+            g = rng.normal(size=2)
+            held.append((theta, g, theta.copy(), g.copy()))
+            return GradientEstimate(g=g, evals_used=0)
+
+        gd_adam_run(quad_task().objective(), grad_fn, init, SigmaSchedule(1.0, 0.1), 0.1,
+                    Budget(evals=8))
+        assert np.array_equal(init, [1.0, -2.0]) and len(held) == 7
+        for theta, g, theta_then, g_then in held:
+            assert np.array_equal(theta, theta_then) and np.array_equal(g, g_then)
 
 
 class TestPsdModify:
