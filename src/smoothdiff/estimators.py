@@ -65,9 +65,10 @@ reproducible.
 
 On small problems the fixed work of a call weighs as much as its
 arithmetic.  So a pass checks only what changes from call to call --
-theta, the objective's values and an HVP's direction -- and leaves what
-a run fixes to the objects that hold it: the cached element sets and the
-configuration the caller builds.  Each stage writes its results into the
+theta, the objective's values and an HVP's direction -- and, in one
+integer comparison, that the kernel's dimension is the objective's; it
+leaves what a run fixes to the objects that hold it: the cached element
+sets and the configuration the caller builds.  Each stage writes its results into the
 arrays it has just made, never into its inputs, and a single stack's
 contraction is returned as the estimate without a copy.  The operations
 and their order are those of the plain expressions in the docstrings, so
@@ -296,6 +297,14 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     if not _all_finite(theta):
         raise ValueError("theta must be finite")
     return theta
+
+
+def _sampled_dim(obj: Objective, cfg: EstimatorConfig) -> int:
+    """The kernel's dimension, checked against the objective's."""
+    n = cfg.spec.dim
+    if n != obj.dim:
+        raise ValueError(f"kernel dimension {n} does not match the objective's dimension {obj.dim}")
+    return n
 
 
 def _check_direction(v, dim: int) -> np.ndarray:
@@ -528,7 +537,7 @@ class SampledBatch:
 
 def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngStream,
               draw, keep_batch: bool = False) -> GradientEstimate:
-    n = cfg.spec.dim
+    n = _sampled_dim(obj, cfg)
     theta = _check_theta(theta, n)
     start = obj.eval_count
     kept = [] if keep_batch else None
@@ -592,7 +601,7 @@ def estimate_hessian(
     Only the diagonal and upper triangle are sampled; the lower triangle
     is mirrored, so the result is symmetric exactly.
     """
-    n = cfg.spec.dim
+    n = _sampled_dim(obj, cfg)
     theta = _check_theta(theta, n)
     start = obj.eval_count
     elements = hessian_elements(n)
@@ -620,7 +629,7 @@ def estimate_hvp(
     ``SampledBatch.hvp``), which is what Newton-CG uses; both contract
     the same terms to the same bits.
     """
-    n = cfg.spec.dim
+    n = _sampled_dim(obj, cfg)
     theta = _check_theta(theta, n)
     v = _check_direction(v, n)
     start = obj.eval_count

@@ -12,9 +12,10 @@ Both are step closures over one outer loop, ``_outer_loop``, which owns
 theta, the iteration number, the records, sigma, the clock and the trace.
 A closure keeps only what the loop does not know: Adam its moment
 estimates m and v, Newton-CG its working-radius factor ``radius_scale``.
-The loop evaluates and records the loss at ``init`` as iteration 0
-before any derivative is asked for; then, while the share of the budget
-spent (``Budget.spent``) is below 1, iteration k runs at the bandwidth
+The loop checks that ``init`` has the objective's dimension, then
+evaluates and records the loss at ``init`` as iteration 0 before any
+derivative is asked for; then, while the share of the budget spent
+(``Budget.spent``) is below 1, iteration k runs at the bandwidth
 ``anneal_sigma`` gives for the share spent when it starts and records
 loss, parameter error, evaluations and wall time at its new theta.  A
 non-finite recorded loss raises ``NonFiniteStateError`` after its
@@ -206,6 +207,8 @@ def _outer_loop(obj: Objective, init: np.ndarray, schedule: SigmaSchedule, budge
     whose loss is ``loss``, and returns the new theta and its loss.
     """
     theta = np.asarray(init, dtype=float).copy()
+    if theta.shape != (obj.dim,):
+        raise ValueError(f"init has shape {theta.shape}, but the objective's dimension is {obj.dim}")
     trace = ConvergenceTrace()
     err_fn = param_error_fn if param_error_fn is not None else lambda th: math.nan
     t0 = time.perf_counter()

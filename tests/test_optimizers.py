@@ -597,3 +597,12 @@ class TestOuterLoopContract:
         assert trace.aborted
         assert trace.note == f"objective returned non-finite value nan at {calls[-1]}, in iteration {k}"
         assert [r.iteration for r in trace.records] == list(range(k))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_init_of_another_dimension_is_rejected_before_any_evaluation(self, run, dim):
+        # an init of 3 coordinates on the 2-D quad used to run, ignoring the third
+        obj = Objective(lambda th: float(th @ th), dim)
+        calls = []
+        with pytest.raises(ValueError, match=rf"init has shape \(2,\).* dimension is {dim}$"):
+            contract_run(run, obj, lambda th, s: calls.append(s) or 2.0 * th, Budget(evals=20))
+        assert obj.eval_count == 0 and calls == []
