@@ -48,6 +48,8 @@ from .tasks import Task, make_task, task_builder
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
 
 THRESHOLD_FRACTIONS = (0.9, 0.99, 0.999)
+# the record fields a threshold can be measured on
+THRESHOLD_METRICS = ("loss", "param_error")
 
 # each column of an exported trace record with its type, in TraceRecord field order
 TRACE_COLUMNS = {"wall_time_s": float, "iter": int, "evals": int, "loss": float, "param_error": float}
@@ -286,7 +288,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     else:
         traces = [_single_run(cfg, task, k) for k in indices]
     thresholds = {
-        metric: compute_thresholds(traces, metric) for metric in ("loss", "param_error")
+        metric: compute_thresholds(traces, metric) for metric in THRESHOLD_METRICS
     }
     return EnsembleResult(config=cfg, traces=traces, thresholds=thresholds)
 
@@ -295,13 +297,20 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
 # threshold metrics
 # ---------------------------------------------------------------------------
 
+def _check_metric(metric: str) -> None:
+    if metric not in THRESHOLD_METRICS:
+        raise ValueError(f"unknown metric {metric!r}: expected 'loss' or 'param_error'")
+
+
 def first_crossings(trace: ConvergenceTrace, metric: str) -> dict[float, tuple[float, int] | None]:
     """First (time, evals) at which each error-reduction fraction is met.
 
     Reduction is measured against the metric's first value in the run; a
-    run whose first value is not finite and > 0 crosses no threshold.
+    run whose first value is not finite and > 0 crosses no threshold.  A
+    metric not in ``THRESHOLD_METRICS`` is a ValueError.
     """
-    values = [getattr(rec, "loss" if metric == "loss" else "param_error") for rec in trace.records]
+    _check_metric(metric)
+    values = [getattr(rec, metric) for rec in trace.records]
     initial = values[0] if values else math.nan
     if not (math.isfinite(initial) and initial > 0):
         return {frac: None for frac in THRESHOLD_FRACTIONS}
@@ -324,6 +333,7 @@ def compute_thresholds(traces: list[ConvergenceTrace], metric: str) -> dict[floa
     crossed it; otherwise the stat carries null medians, mirroring an
     empty cell in a results table.
     """
+    _check_metric(metric)
     per_run = [first_crossings(t, metric) for t in traces]
     out: dict[float, ThresholdStat] = {}
     for frac in THRESHOLD_FRACTIONS:
@@ -571,7 +581,7 @@ def load_traces(path) -> tuple[list[ConvergenceTrace], dict | None]:
 def summarize_traces(traces: list[ConvergenceTrace]) -> str:
     """Threshold table for a list of traces (both metrics)."""
     lines = []
-    for metric in ("loss", "param_error"):
+    for metric in THRESHOLD_METRICS:
         stats = compute_thresholds(traces, metric)
         lines.append(f"[{metric}]")
         for frac in THRESHOLD_FRACTIONS:

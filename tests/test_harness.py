@@ -181,6 +181,20 @@ class TestRunEnsemble:
         assert first_crossings(trace, "param_error") == {0.9: (1.0, 2), 0.99: (2.0, 3),
                                                          0.999: (3.0, 4)}
 
+    @pytest.mark.parametrize("metric", ["Loss", "param-error", "evals", ""])
+    def test_unknown_metric_is_rejected(self, metric):
+        # any name but "loss" used to read param_error: "Loss" found no
+        # crossing in a loss that fell from 10 to 0.001
+        trace = ConvergenceTrace()
+        for k, loss in enumerate([10.0, 0.5, 0.001]):
+            trace.append(TraceRecord(float(k), k, k + 1, loss, 1.0))
+        assert first_crossings(trace, "loss")[0.999] == (2.0, 3)
+        for call in (lambda: first_crossings(trace, metric),
+                     lambda: compute_thresholds([trace], metric),
+                     lambda: compute_thresholds([], metric)):
+            with pytest.raises(ValueError, match="'loss' or 'param_error'"):
+                call()
+
     def test_neg_gauss_loss_crosses_no_threshold(self):
         # the loss starts below zero in every run, so a reduction of it
         # means nothing; it used to count as crossed at the first record
