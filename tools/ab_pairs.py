@@ -12,7 +12,13 @@ JSON result, which is echoed as it arrives.  After each seed, prints per
 metric each side's median and quartiles, the change of the medians and
 the pairs in which the change read better, ties counting for neither; a
 metric's better direction comes from the change's ``BENCHMARK.json``
-(lower when it is not listed there).  Any run whose result reads
+(lower when it is not listed there).  Then, for each end-to-end metric
+that file gives a bound, prints one verdict: ``within bound`` when the
+change's median is worse than the parent's by at most bound times the
+parent's median in magnitude, ``WORSE than bound`` when by more, and
+``unresolved`` when the parent's interquartile range exceeds that
+allowance, unless every change run reads better than every parent
+run.  Any run whose result reads
 ``correct: false`` or ``failed > 0``, or that printed no result, is
 flagged, and the exit code is then 1.  Standard library only; nothing in
 either checkout is written but what ``bench/run.py`` writes itself.
@@ -44,13 +50,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "failed": None, "metrics": {}, "error": tail[0]}
 
 
+def _benchmark_spec(checkout: Path) -> dict:
+    path = checkout / "BENCHMARK.json"
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
 def better_directions(checkout: Path) -> dict[str, str]:
     """Each metric's better direction, "lower" or "higher", from the checkout's BENCHMARK.json."""
-    path = checkout / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text())
+    spec = _benchmark_spec(checkout)
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def end_to_end_bounds(checkout: Path) -> dict[str, tuple[str, float]]:
+    """(better direction, bound) of each end-to-end metric the checkout's BENCHMARK.json bounds."""
+    return {m["name"]: (m["better"], m["bound"])
+            for m in _benchmark_spec(checkout).get("end_to_end", []) if "bound" in m}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,6 +84,12 @@ def flagged(result: dict) -> str | None:
     return None
 
 
+def _paired_values(pairs: list[tuple[dict, dict]], name: str) -> list[list[float]]:
+    """[parent, change] values of metric ``name`` in the pairs where both sides report it."""
+    return [[p[k]["metrics"][name]["value"] for k in range(2)] for p in pairs
+            if all(name in p[k].get("metrics", {}) for k in range(2))]
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
     """Lines summarizing (parent, change) result pairs: per metric, then every flagged run."""
     names = []
@@ -78,8 +98,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
             names += [name for name in result.get("metrics", {}) if name not in names]
     lines = []
     for name in names:
-        values = [[p[k]["metrics"][name]["value"] for k in range(2)] for p in pairs
-                  if all(name in p[k].get("metrics", {}) for k in range(2))]
+        values = _paired_values(pairs, name)
         if not values:
             continue
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
@@ -96,6 +115,31 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
     return lines
 
 
+def verdicts(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float]]) -> list[str]:
+    """One line per bounded metric that both sides report: its verdict against the bound."""
+    lines = []
+    for name, (better, bound) in bounds.items():
+        values = _paired_values(pairs, name)
+        if not values:
+            continue
+        parent, change = ([v[k] for v in values] for k in range(2))
+        (m0, q1, q3), (m1, _, _) = _quartiles(parent), _quartiles(change)
+        allowance = bound * abs(m0)
+        if better == "lower":
+            worse_by, beats_all = m1 - m0, max(change) < min(parent)
+        else:
+            worse_by, beats_all = m0 - m1, min(change) > max(parent)
+        if q3 - q1 > allowance and not beats_all:
+            verdict = "unresolved"
+        elif worse_by > allowance:
+            verdict = "WORSE than bound"
+        else:
+            verdict = "within bound"
+        lines.append(f"{name}: {verdict} (bound {bound:g} allows {allowance:.6g}; medians "
+                     f"{m0:.6g} -> {m1:.6g}, parent quartile spread {q3 - q1:.6g})")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -109,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
     checkouts = (args.parent.resolve(), args.change.resolve())
     better = better_directions(checkouts[1])
+    bounds = end_to_end_bounds(checkouts[1])
     any_flagged = False
     for seed in args.seeds:
         pairs = []
@@ -122,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {args.seconds:g} s: "
               f"parent median [quartiles] -> change")
         lines = summarize(pairs, better)
-        print("\n".join(lines), flush=True)
+        print("\n".join(lines + verdicts(pairs, bounds)), flush=True)
         any_flagged |= any(line.startswith("FLAGGED") for line in lines)
     return 1 if any_flagged else 0
 
