@@ -68,11 +68,11 @@ arithmetic.  So a pass checks only what changes from call to call --
 theta, the objective's values and an HVP's direction -- and, in one
 integer comparison, that the kernel's dimension is the objective's; it
 leaves what a run fixes to the objects that hold it: the cached element
-sets and the configuration the caller builds.  Each stage writes its results into the
-arrays it has just made, never into its inputs, and a single stack's
-contraction is returned as the estimate without a copy.  The operations
-and their order are those of the plain expressions in the docstrings, so
-the results are bit-identical to them.
+sets and the configuration the caller builds.  Each stage writes its
+results into the arrays it has just made, never into its inputs, and a
+single stack's contraction is returned as the estimate without a copy.
+The operations and their order are those of the plain expressions in the
+docstrings, so the results are bit-identical to them.
 """
 
 from __future__ import annotations

@@ -114,6 +114,7 @@ def test_only_bounded_end_to_end_metrics_get_a_verdict():
     bounds = ab_pairs.end_to_end_bounds(_PATH.parent.parent)
     assert bounds["us_per_eval"] == ("lower", 0.25) and bounds["completed_runs"] == ("higher", 0.003)
     assert "samplers.sample_s" not in bounds
-    pairs = canned([(line(15.0, 1.0), line(15.0, 1.0))])
+    # one verdict per bounded metric the runs report, and none for one they do not
     assert list(verdict_of([15.0], [15.0])) == ["us_per_eval", "completed_runs"]
+    pairs = canned([(line(15.0, 1.0), line(15.0, 1.0))])
     assert ab_pairs.verdicts(pairs, {"setup_s": ("lower", 0.25)}) == []

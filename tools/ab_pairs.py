@@ -18,10 +18,10 @@ change's median is worse than the parent's by at most bound times the
 parent's median in magnitude, ``WORSE than bound`` when by more, and
 ``unresolved`` when the parent's interquartile range exceeds that
 allowance, unless every change run reads better than every parent
-run.  Any run whose result reads
-``correct: false`` or ``failed > 0``, or that printed no result, is
-flagged, and the exit code is then 1.  Standard library only; nothing in
-either checkout is written but what ``bench/run.py`` writes itself.
+run.  Any run whose result reads ``correct: false`` or ``failed > 0``,
+or that printed no result, is flagged, and the exit code is then 1.
+Standard library only; nothing in either checkout is written but what
+``bench/run.py`` writes itself.
 """
 
 from __future__ import annotations
