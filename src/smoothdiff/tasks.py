@@ -57,18 +57,14 @@ class Task:
     Only ``quad`` and ``neg_gauss`` carry oracles.  ``smoothed_grad`` /
     ``smoothed_hess`` take (theta, kernel_sigma) and return derivatives of
     the Gaussian-smoothed objective; the benchmark's correctness gate and
-    the estimator tests read them.  ``analytic_grad`` / ``analytic_hess``
-    are the plain derivatives; the exact local models of the optimizer
-    tests read them.
+    the estimator tests read them.  At kernel_sigma = 0 they are the plain
+    derivatives, which the exact local models of the optimizer tests read.
     """
 
-    name: str
     dim: int
     fn: Callable[[np.ndarray], float]
     theta_true: np.ndarray
     init_sampler: Callable[[np.random.Generator], np.ndarray]
-    analytic_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    analytic_hess: Callable[[np.ndarray], np.ndarray] | None = None
     smoothed_grad: Callable[[np.ndarray, float], np.ndarray] | None = None
     smoothed_hess: Callable[[np.ndarray, float], np.ndarray] | None = None
     plateau_points: list[np.ndarray] = field(default_factory=list)
@@ -144,20 +140,11 @@ def quad_task() -> Task:
     def loss(x0, x1):
         return QUAD_A * x0 * x0 + QUAD_B * x1 * x1 + QUAD_C * x0 * x1
 
-    def grad(th):
-        return QUAD_HESSIAN @ np.asarray(th, dtype=float)
-
-    def hess(th):
-        return QUAD_HESSIAN.copy()
-
     return Task(
-        name="quad",
         dim=2,
         fn=_float_loss(loss),
         theta_true=np.zeros(2),
         init_sampler=lambda gen: gen.uniform(-3.0, 3.0, size=2),
-        analytic_grad=grad,
-        analytic_hess=hess,
         smoothed_grad=lambda th, s: QUAD_HESSIAN @ np.asarray(th, dtype=float),
         smoothed_hess=lambda th, s: QUAD_HESSIAN.copy(),
     )
@@ -181,23 +168,20 @@ def negated_gaussian_task(sigma1: float = 1.0) -> Task:
         th = np.asarray(th, dtype=float)
         return -math.exp(-float(th @ th) / (2.0 * ssq)) / (TWO_PI * ssq)
 
-    def grad(th, ssq=s1sq):
+    def grad(th, ssq):
         th = np.asarray(th, dtype=float)
         return -_neg_gauss_value(th, ssq) * th / ssq
 
-    def hess(th, ssq=s1sq):
+    def hess(th, ssq):
         th = np.asarray(th, dtype=float)
         val = _neg_gauss_value(th, ssq)
         return -val * (np.eye(2) / ssq - np.outer(th, th) / (ssq * ssq))
 
     return Task(
-        name="neg_gauss",
         dim=2,
         fn=_float_loss(loss),
         theta_true=np.zeros(2),
         init_sampler=lambda gen: gen.uniform(-3.0, 3.0, size=2),
-        analytic_grad=grad,
-        analytic_hess=hess,
         smoothed_grad=lambda th, s2: grad(th, s1sq + s2 * s2),
         smoothed_hess=lambda th, s2: hess(th, s1sq + s2 * s2),
     )
@@ -359,7 +343,6 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
         return gen.uniform(0.15, 0.85, size=2 * num_boxes)
 
     return Task(
-        name=f"box{2 * num_boxes}",
         dim=2 * num_boxes,
         fn=_row_loss(rows),
         theta_true=targets.reshape(-1).copy(),
@@ -404,7 +387,6 @@ def texture_task(side: int = 16) -> Task:
         return loss
 
     return Task(
-        name=f"texture{side}",
         dim=n,
         fn=_row_loss(_blockwise(block_rows, max(1, _TEXTURE_BLOCK_BYTES // (8 * n)))),
         theta_true=ref.copy(),
@@ -513,7 +495,6 @@ def phong_sphere_task(resolution: int = 32) -> Task:
         return th
 
     return Task(
-        name="phong",
         dim=7,
         fn=_row_loss(_blockwise(block_rows, _PHONG_BLOCK)),
         theta_true=PHONG_TRUE.copy(),

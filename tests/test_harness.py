@@ -468,7 +468,7 @@ class TestVarianceReport:
     def test_constant_function_zero_gradient_variance(self):
         from smoothdiff.tasks import Task
 
-        task = Task(name="const", dim=2, fn=lambda th: 1.0, theta_true=np.zeros(2),
+        task = Task(dim=2, fn=lambda th: 1.0, theta_true=np.zeros(2),
                     init_sampler=lambda gen: np.zeros(2))
         report = variance_report(task, np.zeros(2), [SamplingMode.PER_ELEMENT],
                                  budgets=[16], orders=("G",), reps=10, sigma=1.0, seed=6)

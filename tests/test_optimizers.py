@@ -38,8 +38,8 @@ def analytic_model(task, scale=1.0, log=None):
     def model(theta, sigma):
         if log is not None:
             log.append(("model", np.array(theta), sigma))
-        hess = task.analytic_hess(theta)
-        return (GradientEstimate(g=task.analytic_grad(theta), evals_used=0),
+        hess = task.smoothed_hess(theta, 0.0)
+        return (GradientEstimate(g=task.smoothed_grad(theta, 0.0), evals_used=0),
                 lambda v: scale * (hess @ v))
 
     return model
@@ -118,7 +118,7 @@ class TestAdam:
         # Adam at lr=0.5 overshoots near the bottom, so the loss is not
         # monotone; it still contracts by >99% over 50 iterations
         task = quad_task()
-        grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
+        grad_fn = lambda th, s: GradientEstimate(g=task.smoothed_grad(th, 0.0), evals_used=0)
         trace = gd_adam_run(task.objective(), grad_fn, np.array([3.0, 3.0]), SigmaSchedule(1.0, 0.1),
                             0.5, Budget(evals=51))
         losses = [r.loss for r in trace.records]
@@ -144,7 +144,7 @@ class TestAdam:
         def run():
             obj = task.objective()
             sched = SigmaSchedule(1.0, 0.1)
-            grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
+            grad_fn = lambda th, s: GradientEstimate(g=task.smoothed_grad(th, 0.0), evals_used=0)
             return gd_adam_run(obj, grad_fn, np.array([2.0, 1.0]), sched, 0.3,
                                Budget(evals=25), param_error_fn=task.param_error,
                                deterministic_clock=True)
@@ -511,7 +511,7 @@ def test_trace_monotonicity_invariants():
     task = quad_task()
     obj = task.objective()
     sched = SigmaSchedule(1.0, 0.1)
-    grad_fn = lambda th, s: GradientEstimate(g=task.analytic_grad(th), evals_used=0)
+    grad_fn = lambda th, s: GradientEstimate(g=task.smoothed_grad(th, 0.0), evals_used=0)
     trace = gd_adam_run(obj, grad_fn, np.array([2.0, 1.0]), sched, 0.3, Budget(evals=40),
                         param_error_fn=task.param_error)
     evals = [r.evals for r in trace.records]
