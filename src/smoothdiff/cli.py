@@ -11,8 +11,8 @@ keys are ``RunConfig`` fields, each coerced to its field's type
 any ``RunConfig`` fields shared by every cell; each method keeps only the
 keys it accepts, so one section can hold both ``lr`` and the Newton-CG
 settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
-``--budget-evals``, ``--threads`` and ``--deterministic`` override the
-file; ``variance`` takes only ``--seed`` and ``--out`` of these.  A sweep
+``--budget-evals`` and ``--deterministic`` override the file;
+``variance`` takes only ``--seed`` and ``--out`` of these.  A sweep
 builds every cell's config before its first run, so a bad method, task or key
 in any cell exits before anything runs.
 
@@ -65,8 +65,6 @@ def _apply_overrides(kwargs: dict, args) -> dict:
     if args.budget_evals is not None:
         kwargs["budget_evals"] = args.budget_evals
         kwargs.pop("budget_seconds", None)
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
     if args.deterministic:
         kwargs["deterministic"] = True
     return kwargs
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-seconds", type=float, default=None, dest="budget_seconds")
         p.add_argument("--budget-evals", type=int, default=None, dest="budget_evals")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--deterministic", action="store_true")
 
     p_run = sub.add_parser("run", help="run one ensemble from a config file")

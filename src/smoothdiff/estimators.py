@@ -142,8 +142,7 @@ class Objective:
     row.  ``rows`` returns a new array of shape (m,) and must not write
     into ``points``: ``EstimationError`` copies the offending row from
     ``points`` after the call.  So a batched loss works in arrays it
-    allocates itself.  A single instance is meant to be owned by one run;
-    share across threads only if the wrapped function tolerates it.
+    allocates itself.  A single instance is meant to be owned by one run.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dim: int):

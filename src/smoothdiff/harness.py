@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Iterable, Literal, NamedTuple, get_args, get_type_hints
 
@@ -46,6 +45,9 @@ from .optimizers import (
 from .samplers import RngStream
 from .tasks import Task, make_task, task_builder
 from .trace import Budget, ConvergenceTrace, NonFiniteStateError, TraceRecord
+
+# the central-difference step of the FD baseline
+FD_STEP = 1e-6
 
 THRESHOLD_FRACTIONS = (0.9, 0.99, 0.999)
 # the record fields a threshold can be measured on
@@ -108,6 +110,9 @@ class RunConfig:
     task without plateau points and a numeric setting no run can use: a
     float field must be finite and > 0 when set, an int field an integer,
     not a bool, and at least 1 except ``seed`` (see ``CONFIG_TYPES``).
+
+    Ensembles run serially, so ``threads`` accepts only 1; the field stays
+    because the benchmark's cell configs still set and read it.
     """
 
     task: str
@@ -125,7 +130,6 @@ class RunConfig:
     budget_evals: int | None = None
     ensemble: int = 20
     init: str = "default"
-    fd_step: float = 1e-6
     threads: int = 1
     deterministic: bool = False
 
@@ -156,6 +160,8 @@ class RunConfig:
             object.__setattr__(self, key, int(value))  # a numpy integer becomes a plain int
             if value < 1 and key != "seed":
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1: ensembles run serially, got {self.threads}")
         if self.init == "plateau" and not build().plateau_points:
             raise ValueError(f"task {self.task} has no plateau starting points")
 
@@ -195,12 +201,12 @@ def _gradient_fn(method: _Method, cfg: RunConfig, obj: Objective,
 
     Fixed for the run: the estimator, looked up here, the dimension, the
     pairs per estimate and the sampling mode (or the central-difference
-    step).  Per call: the bandwidth, whose ``KernelSpec`` is built anew.
+    step ``FD_STEP``).  Per call: the bandwidth, whose ``KernelSpec`` is
+    built anew.
     """
     estimate = globals()[method.gradient]
     if method.mode is None:
-        step = cfg.fd_step
-        return lambda theta, sigma: estimate(obj, theta, step)
+        return lambda theta, sigma: estimate(obj, theta, FD_STEP)
     dim, samples, mode = obj.dim, cfg.samples, method.mode
     return lambda theta, sigma: estimate(
         obj, theta, EstimatorConfig(KernelSpec(sigma, dim), samples, mode), rng)
@@ -273,20 +279,12 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Execute an ensemble and collect threshold statistics.
 
-    Runs are independent; under ``threads > 1`` they execute in a thread
-    pool and are merged by index, so the result does not depend on
-    scheduling.  A run that aborts on non-finite state, a non-finite
-    objective value inside an estimate included, keeps its partial trace
-    and its note and simply never reaches the remaining thresholds; the
-    other runs go on.
+    A run that aborts on non-finite state, a non-finite objective value
+    inside an estimate included, keeps its partial trace and its note and
+    simply never reaches the remaining thresholds; the other runs go on.
     """
     task = make_task(cfg.task)
-    indices = range(cfg.ensemble)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            traces = list(pool.map(lambda k: _single_run(cfg, task, k), indices))
-    else:
-        traces = [_single_run(cfg, task, k) for k in indices]
+    traces = [_single_run(cfg, task, k) for k in range(cfg.ensemble)]
     thresholds = {
         metric: compute_thresholds(traces, metric) for metric in THRESHOLD_METRICS
     }

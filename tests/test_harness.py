@@ -76,12 +76,12 @@ class TestRunConfig:
         ("ls_tol", 0.0), ("ls_tol", -1e-3), ("ls_tol", math.inf),
         ("ls_iters", 0), ("ls_iters", -1), ("recompute", 0),
         ("sigma_start", 0.0), ("sigma_start", math.inf), ("sigma_end", -0.01),
-        ("sigma_end", math.nan), ("fd_step", 0.0), ("fd_step", math.inf),
+        ("sigma_end", math.nan),
         ("budget_evals", 0), ("budget_evals", -5),
         # a NaN time budget never runs out; checked by construction only
         ("budget_seconds", math.nan), ("budget_seconds", math.inf),
         ("budget_seconds", 0.0), ("budget_seconds", -1.0),
-        ("threads", 0), ("threads", -1),
+        ("threads", 0), ("threads", -1), ("threads", 2),
     ])
     def test_second_order_rejects_bad_numbers(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -125,27 +125,6 @@ class TestRunEnsemble:
         r1 = run_ensemble(RunConfig(**QUAD_CFG))
         r2 = run_ensemble(RunConfig(**QUAD_CFG))
         for t1, t2 in zip(r1.traces, r2.traces):
-            assert t1.records == t2.records
-
-    def test_threads_match_serial(self):
-        serial = run_ensemble(RunConfig(**QUAD_CFG))
-        threaded = run_ensemble(RunConfig(**{**QUAD_CFG, "threads": 3}))
-        for t1, t2 in zip(serial.traces, threaded.traces):
-            assert t1.records == t2.records
-
-    @pytest.mark.parametrize("cfg", [
-        dict(task="box10", method="OurHVPA", samples=4, trust_region=0.3, ls_iters=3,
-             sigma_start=0.2, sigma_end=0.01),
-        dict(task="phong", method="OurH", samples=2, trust_region=1.0, ls_iters=3,
-             sigma_start=0.3, sigma_end=0.01),
-    ], ids=["box10", "phong"])
-    def test_rendered_tasks_threads_match_serial(self, cfg):
-        # one Task is shared by every thread: the objectives keep no
-        # state between calls
-        base = dict(cfg, seed=7, budget_evals=300, ensemble=2, deterministic=True)
-        serial = run_ensemble(RunConfig(**base))
-        threaded = run_ensemble(RunConfig(**{**base, "threads": 2}))
-        for t1, t2 in zip(serial.traces, threaded.traces):
             assert t1.records == t2.records
 
     def test_quad_reaches_full_reduction(self):
@@ -656,12 +635,15 @@ class TestCli:
         assert not built
 
     def test_variance_rejects_run_overrides(self, capsys):
-        # variance reads only --seed and --out; a flag it would ignore is an error
-        with pytest.raises(SystemExit) as exit_:
-            main(["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G",
-                  "--budgets", "16", "--reps", "2", "--threads", "2"])
-        assert exit_.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        # variance reads only --seed and --out; a flag it would ignore is an
+        # error, and run has no --threads either: ensembles run serially
+        for argv in (["variance", "--task", "neg_gauss", "--modes", "aggregate", "--orders", "G",
+                      "--budgets", "16", "--reps", "2", "--threads", "2"],
+                     ["run", "--config", "run.ini", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            assert "--threads" in capsys.readouterr().err
 
     def test_variance_unknown_order_exits_2(self, capsys):
         # an unknown order used to run the HVP estimator under its name
@@ -783,6 +765,17 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "'anneal_iters'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [("fd_step = 1e-6", "'fd_step'"),
+                                            ("threads = 2", "threads must be 1")],
+                             ids=["fd_step", "threads"])
+    def test_fd_step_key_and_threads_other_than_1_exit_2(self, tmp_path, capsys, line, named):
+        # the FD step is a module constant and ensembles run serially
+        cfg = self.write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only; a fresh interpreter that cannot
         # import it still imports the package and completes a run
@@ -801,8 +794,7 @@ class TestCli:
         (["--seed", "7"], dict(seed=7)),
         (["--budget-seconds", "1.5e-4"], dict(budget_seconds=1.5e-4, budget_evals=None)),
         (["--budget-evals", "150"], dict(budget_evals=150, budget_seconds=None)),
-        (["--threads", "2"], dict(threads=2)),
-    ], ids=["seed", "budget_seconds", "budget_evals", "threads"])
+    ], ids=["seed", "budget_seconds", "budget_evals"])
     def test_override_flags_give_the_records_of_their_config(self, tmp_path, flags, changes):
         # either budget of the file stops a run before the flag's would, so a
         # budget flag that kept the other budget would cut the runs short
