@@ -177,7 +177,7 @@ def _steihaug_step(
                 alpha = _boundary_step(p, v, delta)
                 p_next = p + alpha * v
             if on_inner_step is not None:
-                on_inner_step({"outer": iteration - 1, "alpha": alpha, "v": v.copy(), "curv": curv,
+                on_inner_step({"outer": iteration, "alpha": alpha, "v": v.copy(), "curv": curv,
                                "fallback": fallback})
             p = p_next
             if not _all_finite(p):
@@ -263,7 +263,9 @@ def newton_cg_run(
     restarts from its gradient and operator; the bound is still measured
     from theta_outer.  The products of a sampled model contract the batch
     its gradient evaluated, so each model call costs one batch and the
-    products cost no evaluation.
+    products cost no evaluation.  ``on_inner_step`` gets a dict per inner
+    step: ``outer``, the iteration k its record and abort notes name, the
+    step ``alpha`` along the direction ``v``, ``curv`` and ``fallback``.
 
     The working radius is ``tr.delta`` times sigma / ``sigma_start``: the
     smoothed quadratic model is only trustworthy within about one

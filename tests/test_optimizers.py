@@ -276,7 +276,7 @@ class TestNewtonCg:
                       SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
                       ls_iters=5, ls_tol=1e-12, recompute=10,
                       budget=Budget(evals=2), on_inner_step=seen.append)
-        dirs = [s["v"] for s in seen if s["outer"] == 0]
+        dirs = [s["v"] for s in seen if s["outer"] == 1]
         assert len(dirs) >= 2
         for a in range(len(dirs)):
             for b in range(a + 1, len(dirs)):
