@@ -127,6 +127,16 @@ class TestRunEnsemble:
         for t1, t2 in zip(r1.traces, r2.traces):
             assert t1.records == t2.records
 
+    def test_fd_baseline_steps_fd_step(self, monkeypatch):
+        # the central-difference step is a module constant; no config sets it
+        steps = []
+        fd = harness.estimate_gradient_fd
+        monkeypatch.setattr(harness, "estimate_gradient_fd",
+                            lambda obj, theta, step: steps.append(step) or fd(obj, theta, step))
+        run_ensemble(RunConfig(task="quad", method="FD", lr=0.1, seed=1, budget_evals=40,
+                               ensemble=2, deterministic=True))
+        assert steps and set(steps) == {harness.FD_STEP} and harness.FD_STEP == 1e-6
+
     def test_quad_reaches_full_reduction(self):
         result = run_ensemble(RunConfig(**QUAD_CFG))
         stat = result.thresholds["param_error"][0.999]
@@ -789,6 +799,18 @@ class TestCli:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert "task=quad method=OurHVPA" in done.stdout
+
+    def test_import_loads_no_thread_pool(self):
+        # ensembles run serially: a fresh interpreter that imports the
+        # package and its CLI loads neither the pool nor the logging it pulls in
+        src = str(Path(smoothdiff.__file__).parents[1])
+        code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+                "import smoothdiff, smoothdiff.cli\n"
+                "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("flags,changes", [
         (["--seed", "7"], dict(seed=7)),

@@ -284,6 +284,34 @@ class TestNewtonCg:
                 scale = math.sqrt(float(dirs[a] @ QUAD_H @ dirs[a]) * float(dirs[b] @ QUAD_H @ dirs[b]))
                 assert abs(cross) <= 1e-8 * scale
 
+    def test_inner_steps_name_the_iteration_of_their_record(self):
+        # every outer iteration k >= 1 runs CG steps and then records as k
+        task = quad_task()
+        seen = []
+        trace = newton_cg_run(task.objective(), analytic_model(task), np.array([4.0, 4.0]),
+                              SigmaSchedule(1.0, 0.1), TrustRegion(0.25),
+                              ls_iters=4, ls_tol=1e-10, recompute=10,
+                              budget=Budget(evals=6), on_inner_step=seen.append)
+        outers = [s["outer"] for s in seen]
+        assert outers == sorted(outers)
+        assert set(outers) == {r.iteration for r in trace.records[1:]}
+        assert len(trace.records) > 2
+
+    def test_inner_steps_name_the_iteration_of_the_abort_note(self):
+        # the loss falls along +x until it turns NaN at x = 5; the trial
+        # step that reaches it aborts the iteration its inner steps named
+        obj = Objective(lambda th: -th[0] if th[0] < 5 else math.nan, 2)
+        seen = []
+        with pytest.raises(NonFiniteStateError) as err:
+            newton_cg_run(obj, push_along_x, np.array([0.0, 0.0]), SigmaSchedule(1.0, 1.0),
+                          TrustRegion(1.0), ls_iters=2, ls_tol=1e-3, recompute=2,
+                          budget=Budget(evals=50), on_inner_step=seen.append)
+        trace = err.value.trace
+        k = seen[-1]["outer"]
+        assert k >= 2
+        assert f"iteration {k}:" in trace.note
+        assert [r.iteration for r in trace.records] == list(range(k))
+
     def test_trust_region_bounds_every_step(self):
         task = quad_task()
         delta = 0.25

@@ -108,6 +108,20 @@ class TestNegatedGaussian:
         assert pts.min() >= -3.0 and pts.max() <= 3.0
 
 
+@pytest.mark.parametrize("build", [quad_task, negated_gaussian_task], ids=["quad", "neg_gauss"])
+def test_zero_bandwidth_hessian_matches_fd_of_the_loss(build):
+    # sigma = 0 gives the plain derivatives: the second differences of fn
+    task = build()
+    th = np.array([0.6, -0.9])
+    eye = np.eye(2) * 1e-3
+    h_fd = np.empty((2, 2))
+    for a in range(2):
+        for b in range(2):
+            h_fd[a, b] = (task.fn(th + eye[a] + eye[b]) - task.fn(th + eye[a] - eye[b])
+                          - task.fn(th - eye[a] + eye[b]) + task.fn(th - eye[a] - eye[b])) / 4e-6
+    assert np.abs(task.smoothed_hess(th, 0.0) - h_fd).max() < 1e-5
+
+
 class TestRasterScene:
     def test_render_values_in_unit_interval(self):
         scene = RasterScene(width=64, height=64, box_half=1 / 16)
