@@ -16,7 +16,9 @@ settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
 builds every cell's config before its first run, so a bad method, task or key
 in any cell exits before anything runs.
 
-Bad input and unreadable files exit 2 with one ``error:`` line.
+Bad input and unreadable files exit 2 with one ``error:`` line.  An
+unknown flag or a missing argument exits 2 from argparse instead, with a
+usage line and then ``smoothdiff: error: ...``.
 """
 
 from __future__ import annotations

@@ -111,8 +111,10 @@ class RunConfig:
     float field must be finite and > 0 when set, an int field an integer,
     not a bool, and at least 1 except ``seed`` (see ``CONFIG_TYPES``).
 
-    Ensembles run serially, so ``threads`` accepts only 1; the field stays
-    because the benchmark's cell configs still set and read it.
+    ``ls_tol`` must also be below 1.  ``threads`` accepts only 1, as
+    ensembles run serially, and ``recompute`` only ``ls_iters`` (1 when
+    unset) or more, as Newton-CG no longer restarts CG; both have no effect
+    and stay only because the benchmark's cell configs set them.
     """
 
     task: str
@@ -160,16 +162,20 @@ class RunConfig:
             object.__setattr__(self, key, int(value))  # a numpy integer becomes a plain int
             if value < 1 and key != "seed":
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        ls_iters, ls_tol = self.cg_settings()
+        if not ls_tol < 1:
+            raise ValueError(f"ls_tol must be finite and in (0, 1), got {ls_tol}")
+        if self.recompute is not None and self.recompute < ls_iters:
+            raise ValueError(f"recompute {self.recompute} < ls_iters: Newton-CG no longer restarts")
         if self.threads != 1:
             raise ValueError(f"threads must be 1: ensembles run serially, got {self.threads}")
         if self.init == "plateau" and not build().plateau_points:
             raise ValueError(f"task {self.task} has no plateau starting points")
 
-    def cg_settings(self) -> tuple[int, float, int]:
-        """``ls_iters``, ``ls_tol`` and ``recompute``, with 1, 1e-3 and 1 for unset keys."""
+    def cg_settings(self) -> tuple[int, float]:
+        """``ls_iters`` and ``ls_tol``, with 1 and 1e-3 for unset keys."""
         return (1 if self.ls_iters is None else self.ls_iters,
-                1e-3 if self.ls_tol is None else self.ls_tol,
-                1 if self.recompute is None else self.recompute)
+                1e-3 if self.ls_tol is None else self.ls_tol)
 
 
 # each RunConfig field's type, with ``X | None`` read as X

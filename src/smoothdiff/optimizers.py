@@ -3,10 +3,10 @@
 Two flavors: Adam gradient descent and trust-region Newton conjugate
 gradient (Steihaug-Toint truncated CG with Fletcher-Reeves directions;
 Steihaug 1983, Nocedal & Wright, *Numerical Optimization*, Sec. 7.2).
-Newton-CG bounds the whole step of an outer iteration by the trust
-radius, runs at most ``dim`` conjugate steps, and keeps a trial point
-only if its exact loss does not rise.  Second-order methods take raw
-steps; Adam preconditioning applies to gradient descent only.
+Newton-CG calls its local model once per outer iteration, runs at most
+``dim`` conjugate steps on it, bounds their sum by the trust radius and
+keeps a trial point only if its exact loss does not rise.  Second-order
+methods take raw steps; Adam preconditioning applies to gradient descent only.
 
 Both are step closures over one outer loop, ``_outer_loop``, which owns
 theta, the iteration number, the records, sigma, the clock and the trace.
@@ -121,7 +121,6 @@ def _steihaug_step(
     delta: float,
     max_steps: int,
     ls_tol: float,
-    recompute: int,
     trace: ConvergenceTrace,
     iteration: int,
     on_inner_step: Callable[[dict], None] | None,
@@ -140,28 +139,22 @@ def _steihaug_step(
     def fault(what: str) -> NonFiniteStateError:
         return NonFiniteStateError(f"{what}, in iteration {iteration}", trace)
 
-    def residual(center: np.ndarray):
-        est, hvp = model(center, sigma)
-        g = est.g
-        gg = float(g.dot(g))
-        # a finite g . g has only finite terms; otherwise a term is not finite or g . g overflows
-        if not math.isfinite(gg):
-            raise fault("non-finite gradient estimate" if not _all_finite(g)
-                        else "squared norm of the gradient estimate overflows")
-        return -g, gg, hvp
-
     # norms are sqrt(x.dot(x)), bit-equal to np.linalg.norm on 1-D float arrays
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.zeros(theta.shape)
-        r, rr, hvp = residual(theta)
+        est, hvp = model(theta, sigma)
+        g = est.g
+        rr = float(g.dot(g))
+        # a finite g . g has only finite terms; otherwise a term is not finite or g . g overflows
+        if not math.isfinite(rr):
+            raise fault("non-finite gradient estimate" if not _all_finite(g)
+                        else "squared norm of the gradient estimate overflows")
+        r = -g
         v = r.copy()
         r0_norm = math.sqrt(rr)
         if r0_norm == 0.0:
             return p
         for k in range(max_steps):
-            if k > 0 and k % recompute == 0:
-                r, rr, hvp = residual(theta + p)
-                v = r.copy()
             if math.sqrt(rr) <= ls_tol * r0_norm:
                 break
             hv = hvp(v)
@@ -236,7 +229,6 @@ def newton_cg_run(
     tr: TrustRegion,
     ls_iters: int,
     ls_tol: float,
-    recompute: int,
     budget: Budget,
     *,
     param_error_fn: Callable[[np.ndarray], float] | None = None,
@@ -245,9 +237,9 @@ def newton_cg_run(
 ) -> ConvergenceTrace:
     """Trust-region Newton conjugate gradient (Steihaug-Toint) with Fletcher-Reeves directions.
 
-    Per outer iteration: ask ``model`` for the gradient estimate at
+    Per outer iteration: call ``model`` once for the gradient estimate at
     theta_outer and the bandwidth sigma, with the HVP operator bound to
-    it, then run truncated CG on that local quadratic model (Steihaug
+    it, then run truncated CG on that one local quadratic model (Steihaug
     1983; Nocedal & Wright, *Numerical Optimization*, 2nd ed., Sec. 7.2,
     Algorithm 7.2).  Step k moves by
     alpha = r^T v / (v^T H v) along v; the residual updates as
@@ -258,14 +250,14 @@ def newton_cg_run(
     ``fallback`` of ``on_inner_step``), and otherwise stops after
     ``min(ls_iters, dim)`` steps -- in exact arithmetic CG is done after
     ``dim`` steps, so further steps would follow nothing but HVP noise --
-    or when ||r|| <= ``ls_tol`` ||r_0||.  Every ``recompute`` inner steps
-    ``model`` is called again at the current point and the recursion
-    restarts from its gradient and operator; the bound is still measured
-    from theta_outer.  The products of a sampled model contract the batch
-    its gradient evaluated, so each model call costs one batch and the
-    products cost no evaluation.  ``on_inner_step`` gets a dict per inner
-    step: ``outer``, the iteration k its record and abort notes name, the
-    step ``alpha`` along the direction ``v``, ``curv`` and ``fallback``.
+    or when ||r|| <= ``ls_tol`` ||r_0||.  The products of a sampled model
+    contract the batch its gradient evaluated, so an outer iteration's
+    model costs one batch and its products cost no evaluation.  CG never
+    restarts: a fresh gradient at theta_outer + p would throw that batch
+    away and spoil the conjugacy of the directions.  ``on_inner_step``
+    gets a dict per inner step: ``outer``, the iteration k its record and
+    abort notes name, the step ``alpha`` along the direction ``v``,
+    ``curv`` and ``fallback``.
 
     The working radius is ``tr.delta`` times sigma / ``sigma_start``: the
     smoothed quadratic model is only trustworthy within about one
@@ -282,24 +274,22 @@ def newton_cg_run(
     or halving raises ``NonFiniteStateError``, and so do a non-finite
     gradient, HVP product or CG step, and a finite gradient, curvature,
     residual or direction that overflows, each with a note naming its
-    iteration and no RuntimeWarning before it.  ``ls_iters`` or
-    ``recompute`` below 1 and an ``ls_tol`` that is not finite and > 0
-    are ValueErrors, raised before any evaluation.
+    iteration and no RuntimeWarning before it.  An ``ls_iters`` below 1
+    and an ``ls_tol`` outside (0, 1), which would stop CG before its first
+    step, are ValueErrors, raised before any evaluation.
     """
     if ls_iters < 1:
         raise ValueError("ls_iters must be >= 1")
-    if not (math.isfinite(ls_tol) and ls_tol > 0):
-        raise ValueError(f"ls_tol must be finite and > 0, got {ls_tol}")
-    if recompute < 1:
-        raise ValueError("recompute must be >= 1")
+    if not 0 < ls_tol < 1:
+        raise ValueError(f"ls_tol must be finite and in (0, 1), got {ls_tol}")
     max_steps = min(ls_iters, np.size(init))
     radius_scale = 1.0
 
     def cg_iteration(theta, loss, sigma, iteration, trace):
         nonlocal radius_scale
         delta = radius_scale * tr.delta * sigma / schedule.sigma_start
-        step = _steihaug_step(model, theta, sigma, delta, max_steps, ls_tol, recompute,
-                              trace, iteration, on_inner_step)
+        step = _steihaug_step(model, theta, sigma, delta, max_steps, ls_tol, trace, iteration,
+                              on_inner_step)
         # the trial evaluation also guarantees budget progress when the
         # derivative estimates consume no evaluations
         for halvings in range(CG_HALVINGS + 1):

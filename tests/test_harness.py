@@ -73,8 +73,10 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("trust_region", 0.0), ("trust_region", math.inf), ("trust_region", math.nan),
-        ("ls_tol", 0.0), ("ls_tol", -1e-3), ("ls_tol", math.inf),
+        ("ls_tol", 0.0), ("ls_tol", -1e-3), ("ls_tol", math.inf), ("ls_tol", 1.0),
         ("ls_iters", 0), ("ls_iters", -1), ("recompute", 0),
+        # below QUAD_CFG's ls_iters of 5: the only values that ever restarted CG
+        ("recompute", 2),
         ("sigma_start", 0.0), ("sigma_start", math.inf), ("sigma_end", -0.01),
         ("sigma_end", math.nan),
         ("budget_evals", 0), ("budget_evals", -5),
@@ -116,8 +118,8 @@ class TestRunConfig:
 
     def test_unset_inner_loop_keys_take_defaults(self):
         cfg = RunConfig(task="quad", method="OurHVPA", trust_region=1.0, budget_evals=10)
-        assert cfg.cg_settings() == (1, 1e-3, 1)
-        assert RunConfig(**QUAD_CFG).cg_settings() == (5, 1e-3, 5)
+        assert cfg.cg_settings() == (1, 1e-3)
+        assert RunConfig(**QUAD_CFG).cg_settings() == (5, 1e-3)
 
 
 class TestRunEnsemble:
@@ -206,43 +208,19 @@ class TestSampledProvider:
     def model(self, obj, mode=SamplingMode.AGGREGATE, kind="batch"):
         return sampled_model(obj, 4, RngStream(9, 1), mode, kind)
 
-    def run_one_outer_iteration(self, model, obj, recompute, on_inner_step=None):
+    def run_one_outer_iteration(self, model, obj, on_inner_step=None):
         # the initial loss leaves the budget of 2 unspent, so exactly one outer iteration runs
         newton_cg_run(obj, model, self.THETA, SigmaSchedule(1.0, 0.05), TrustRegion(50.0),
-                      5, 1e-9, recompute, Budget(evals=2), on_inner_step=on_inner_step)
+                      5, 1e-9, Budget(evals=2), on_inner_step=on_inner_step)
 
     @pytest.mark.parametrize("mode", [SamplingMode.PER_ELEMENT, SamplingMode.AGGREGATE])
     def test_hvps_of_an_outer_iteration_spend_no_evaluation(self, mode):
         obj = quad_task().objective()
         counts = []
-        self.run_one_outer_iteration(self.model(obj, mode), obj, 5,
+        self.run_one_outer_iteration(self.model(obj, mode), obj,
                                      lambda info: counts.append(obj.eval_count))
         assert len(counts) == 2  # min(ls_iters, dim) inner steps, both after one gradient
         assert counts == [1 + evals_per_estimate(mode, 2, 4)] * 2
-
-    def test_recompute_one_costs_one_batch_per_refresh_at_the_new_centre(self):
-        obj = quad_task().objective()
-        model = self.model(obj)
-        log = []
-
-        def logged(theta, sigma):
-            before = obj.eval_count
-            est, hvp = model(theta, sigma)
-            centre = theta.copy()
-            log.append(("gradient", centre, obj.eval_count - before))
-
-            def logged_hvp(v):
-                before = obj.eval_count
-                hv = hvp(v)
-                log.append(("hvp", centre, obj.eval_count - before))
-                return hv
-
-            return est, logged_hvp
-
-        self.run_one_outer_iteration(logged, obj, 1)
-        assert [entry[0] for entry in log] == ["gradient", "hvp", "gradient", "hvp"]
-        assert not np.array_equal(log[0][1], log[2][1])
-        assert [entry[2] for entry in log] == [8, 0, 8, 0]
 
     def test_hessian_model_is_the_hessian_then_the_gradient(self):
         # OurH: per-element Hessian, then the gradient, from one stream
@@ -307,18 +285,12 @@ def assert_sigma_follows_the_share_spent(result, logs, share):
 @pytest.mark.parametrize("method,keys", [
     ("OurG", dict(samples=2, lr=0.3)),
     ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=5, recompute=5)),
-    # a fresh model at every CG step that stays inside the radius
-    ("OurHVPA", dict(samples=4, trust_region=50.0, ls_iters=3, recompute=1)),
-    ("OurH", dict(samples=2, trust_region=1.0, ls_iters=2, recompute=1)),
 ])
 def test_sigma_follows_the_share_of_evaluations_spent(monkeypatch, method, keys):
     logs = record_sigmas(monkeypatch)
     result = run_ensemble(RunConfig(task="quad", method=method, sigma_end=0.05, budget_evals=400,
                                     ensemble=2, seed=4, **keys))
     assert_sigma_follows_the_share_spent(result, logs, lambda rec: rec.evals / 400)
-    if keys.get("recompute") == 1:
-        # some outer iteration called its model more than once
-        assert any(len(log) > len(trace.records) - 1 for trace, log in zip(result.traces, logs))
 
 
 class TestExport:

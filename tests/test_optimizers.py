@@ -254,7 +254,7 @@ class TestNewtonCg:
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task), np.array([2.0, -3.0]),
                               SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
-                              ls_iters=5, ls_tol=1e-10, recompute=10,
+                              ls_iters=5, ls_tol=1e-10,
                               budget=Budget(evals=3), param_error_fn=task.param_error)
         assert trace.records[-1].iteration <= 2
         assert trace.records[-1].param_error < 1e-6
@@ -265,7 +265,7 @@ class TestNewtonCg:
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([1.0, 1.0]),
                       SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
-                      ls_iters=2, ls_tol=1e-12, recompute=10,
+                      ls_iters=2, ls_tol=1e-12,
                       budget=Budget(evals=2), on_inner_step=seen.append)
         assert abs(seen[0]["alpha"] - 2.0 / 35.0) <= 1e-12
 
@@ -274,7 +274,7 @@ class TestNewtonCg:
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([2.0, -3.0]),
                       SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
-                      ls_iters=5, ls_tol=1e-12, recompute=10,
+                      ls_iters=5, ls_tol=1e-12,
                       budget=Budget(evals=2), on_inner_step=seen.append)
         dirs = [s["v"] for s in seen if s["outer"] == 1]
         assert len(dirs) >= 2
@@ -290,12 +290,32 @@ class TestNewtonCg:
         seen = []
         trace = newton_cg_run(task.objective(), analytic_model(task), np.array([4.0, 4.0]),
                               SigmaSchedule(1.0, 0.1), TrustRegion(0.25),
-                              ls_iters=4, ls_tol=1e-10, recompute=10,
+                              ls_iters=4, ls_tol=1e-10,
                               budget=Budget(evals=6), on_inner_step=seen.append)
         outers = [s["outer"] for s in seen]
         assert outers == sorted(outers)
         assert set(outers) == {r.iteration for r in trace.records[1:]}
         assert len(trace.records) > 2
+
+    def test_one_model_call_per_outer_iteration(self):
+        # three distinct curvatures take all ls_iters = dim = 3 CG steps, and
+        # no step reaches the radius, so nothing but the outer loop calls the model
+        a = np.array([1.0, 4.0, 9.0])
+        log = []
+
+        def model(theta, sigma):
+            log.append("model")
+            return GradientEstimate(g=a * theta, evals_used=0), lambda v: a * v
+
+        obj = Objective(lambda th: 0.5 * float(th @ (a * th)), 3)
+        trace = newton_cg_run(obj, model, np.ones(3), SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
+                              ls_iters=3, ls_tol=1e-12, budget=Budget(evals=6),
+                              param_error_fn=lambda th: log.append("record") or 0.0,
+                              on_inner_step=lambda info: log.append("step"))
+        iterations = " ".join(log).split("record")[1:-1]
+        assert len(iterations) == len(trace.records) - 1 >= 3
+        assert all(it.split().count("model") == 1 and it.split()[0] == "model" for it in iterations)
+        assert iterations[0].split() == ["model", "step", "step", "step"]
 
     def test_inner_steps_name_the_iteration_of_the_abort_note(self):
         # the loss falls along +x until it turns NaN at x = 5; the trial
@@ -304,7 +324,7 @@ class TestNewtonCg:
         seen = []
         with pytest.raises(NonFiniteStateError) as err:
             newton_cg_run(obj, push_along_x, np.array([0.0, 0.0]), SigmaSchedule(1.0, 1.0),
-                          TrustRegion(1.0), ls_iters=2, ls_tol=1e-3, recompute=2,
+                          TrustRegion(1.0), ls_iters=2, ls_tol=1e-3,
                           budget=Budget(evals=50), on_inner_step=seen.append)
         trace = err.value.trace
         k = seen[-1]["outer"]
@@ -318,7 +338,7 @@ class TestNewtonCg:
         seen = []
         newton_cg_run(task.objective(), analytic_model(task), np.array([4.0, 4.0]),
                       SigmaSchedule(1.0, 0.1), TrustRegion(delta),
-                      ls_iters=4, ls_tol=1e-10, recompute=10,
+                      ls_iters=4, ls_tol=1e-10,
                       budget=Budget(evals=6), on_inner_step=seen.append)
         assert seen
         for s in seen:
@@ -332,7 +352,7 @@ class TestNewtonCg:
         seen = []
         trace = newton_cg_run(obj, analytic_model(task), np.array([1.8, 1.8]),
                               SigmaSchedule(1.0, 1.0), TrustRegion(0.5),
-                              ls_iters=3, ls_tol=1e-10, recompute=10,
+                              ls_iters=3, ls_tol=1e-10,
                               budget=Budget(evals=40), param_error_fn=task.param_error,
                               on_inner_step=seen.append)
         assert any(s["fallback"] for s in seen)
@@ -355,7 +375,7 @@ class TestNewtonCg:
         sched = SigmaSchedule(1.0, 0.1)
         tr = TrustRegion(0.5)
         newton_cg_run(obj, model, np.array([2.0, -3.0]), sched, tr,
-                      ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=12))
+                      ls_iters=5, ls_tol=1e-10, budget=Budget(evals=12))
         outer_starts = 0
         center = None
         for entry in log:
@@ -373,7 +393,7 @@ class TestNewtonCg:
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task, 0.05), np.array([2.0, -3.0]),
                               SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
-                              ls_iters=5, ls_tol=1e-10, recompute=10, budget=Budget(evals=40))
+                              ls_iters=5, ls_tol=1e-10, budget=Budget(evals=40))
         losses = [r.loss for r in trace.records]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.5 * losses[0]
@@ -384,8 +404,7 @@ class TestNewtonCg:
         obj = task.objective()
         trace = newton_cg_run(obj, analytic_model(task), np.array([1.0, 1.0]),
                               SigmaSchedule(1.0, 0.1), TrustRegion(1e12),
-                              ls_iters=2, ls_tol=1e-10, recompute=10,
-                              budget=Budget(evals=5))
+                              ls_iters=2, ls_tol=1e-10, budget=Budget(evals=5))
         assert not trace.aborted
         assert trace.records[-1].evals >= 5
 
@@ -394,7 +413,7 @@ class TestNewtonCg:
         with pytest.raises(NonFiniteStateError, match="loss at iteration 0: nan") as err:
             newton_cg_run(nan_beyond_five(), push_along_x, np.array([6.0, 0.0]),
                           SigmaSchedule(1.0, 0.1), TrustRegion(1.0), ls_iters=2,
-                          ls_tol=1e-3, recompute=2, budget=Budget(evals=20))
+                          ls_tol=1e-3, budget=Budget(evals=20))
         trace = err.value.trace
         assert trace.aborted and len(trace.records) == 1 and math.isnan(trace.records[0].loss)
 
@@ -408,8 +427,7 @@ class TestNewtonCg:
             obj = Objective(band, 2)
             with pytest.raises(NonFiniteStateError, match=message) as err:
                 newton_cg_run(obj, push_along_x, np.array([3.0, 0.0]), SigmaSchedule(1.0, 1.0),
-                              TrustRegion(delta), ls_iters=2, ls_tol=1e-3, recompute=2,
-                              budget=Budget(evals=20))
+                              TrustRegion(delta), ls_iters=2, ls_tol=1e-3, budget=Budget(evals=20))
             assert [r.iteration for r in err.value.trace.records] == [0]
             assert obj.eval_count == evals
 
@@ -431,7 +449,7 @@ class TestNewtonCg:
         with pytest.raises(NonFiniteStateError) as err:
             newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
                           SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
-                          recompute=10, budget=Budget(evals=20))
+                          budget=Budget(evals=20))
         trace = err.value.trace
         what = {"gradient": "gradient estimate", "hvp": "parameters in CG step"}[where]
         assert trace.note == f"non-finite {what}, in iteration 3"
@@ -450,7 +468,7 @@ class TestNewtonCg:
             warnings.simplefilter("error", RuntimeWarning)
             newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
                           SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
-                          recompute=10, budget=Budget(evals=20))
+                          budget=Budget(evals=20))
         trace = err.value.trace
         assert trace.note == "squared norm of the gradient estimate overflows, in iteration 2"
         assert trace.aborted and [r.iteration for r in trace.records] == [0, 1]
@@ -465,7 +483,7 @@ class TestNewtonCg:
             warnings.simplefilter("error", RuntimeWarning)
             newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
                           SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
-                          recompute=10, budget=Budget(evals=20))
+                          budget=Budget(evals=20))
         trace = err.value.trace
         assert trace.note == "non-finite parameters in CG step, in iteration 1"
         assert trace.aborted and [r.iteration for r in trace.records] == [0]
@@ -502,7 +520,7 @@ class TestNewtonCg:
         with warnings.catch_warnings(), pytest.raises(NonFiniteStateError) as err:
             warnings.simplefilter("error", RuntimeWarning)
             newton_cg_run(obj, model, np.ones(dim), SigmaSchedule(1.0, 0.1), TrustRegion(delta),
-                          ls_iters=dim, ls_tol=1e-3, recompute=5, budget=Budget(evals=10))
+                          ls_iters=dim, ls_tol=1e-3, budget=Budget(evals=10))
         trace = err.value.trace
         assert trace.note == f"{note}, in iteration 1"
         assert trace.aborted and [r.iteration for r in trace.records] == [0]
@@ -513,7 +531,7 @@ class TestNewtonCg:
         with pytest.raises(ValueError):
             newton_cg_run(task.objective(), analytic_model(task), np.zeros(2),
                           SigmaSchedule(1.0, 0.1), TrustRegion(1.0),
-                          ls_iters=0, ls_tol=1e-3, recompute=1, budget=Budget(evals=5))
+                          ls_iters=0, ls_tol=1e-3, budget=Budget(evals=5))
         with pytest.raises(ValueError):
             TrustRegion(delta=0.0)
 
@@ -523,15 +541,14 @@ class TestNewtonCg:
         with pytest.raises(ValueError, match="finite"):
             TrustRegion(bad)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1.0])
     def test_rejects_non_finite_ls_tol(self, bad):
-        # an infinite tolerance used to stop CG before its first step, every iteration
+        # a tolerance of 1 or more used to stop CG before its first step, every iteration
         task = quad_task()
         obj = task.objective()
         with pytest.raises(ValueError, match="finite"):
             newton_cg_run(obj, analytic_model(task), np.zeros(2), SigmaSchedule(1.0, 0.1),
-                          TrustRegion(1.0), ls_iters=1, ls_tol=bad, recompute=1,
-                          budget=Budget(evals=5))
+                          TrustRegion(1.0), ls_iters=1, ls_tol=bad, budget=Budget(evals=5))
         assert obj.eval_count == 0
 
 
@@ -555,9 +572,8 @@ CONTRACT_SCHEDULE = SigmaSchedule(1.0, 0.1)
 def contract_run(run, obj, probe, budget, param_error_fn=None):
     """``run`` on ``obj`` with ``probe(theta, sigma) -> g`` as its provider.
 
-    Newton-CG gets the exact curvature of th . th, a trust radius of 0.5
-    and a ``recompute`` it never reaches, so it calls ``probe`` once per
-    outer iteration, as Adam does.
+    Newton-CG gets the exact curvature of th . th and a trust radius of
+    0.5; it calls ``probe`` once per outer iteration, as Adam does.
     """
     if run == "adam":
         return gd_adam_run(obj, lambda th, s: GradientEstimate(g=probe(th, s), evals_used=0),
@@ -565,7 +581,7 @@ def contract_run(run, obj, probe, budget, param_error_fn=None):
                            param_error_fn=param_error_fn, deterministic_clock=True)
     model = lambda th, s: (GradientEstimate(g=probe(th, s), evals_used=0), lambda v: 2.0 * v)
     return newton_cg_run(obj, model, np.array([2.0, -1.0]), CONTRACT_SCHEDULE, TrustRegion(0.5),
-                         ls_iters=2, ls_tol=1e-12, recompute=10, budget=budget,
+                         ls_iters=2, ls_tol=1e-12, budget=budget,
                          param_error_fn=param_error_fn, deterministic_clock=True)
 
 
