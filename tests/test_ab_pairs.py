@@ -118,3 +118,67 @@ def test_only_bounded_end_to_end_metrics_get_a_verdict():
     assert list(verdict_of([15.0], [15.0])) == ["us_per_eval", "completed_runs"]
     pairs = canned([(line(15.0, 1.0), line(15.0, 1.0))])
     assert ab_pairs.verdicts(pairs, {"setup_s": ("lower", 0.25)}) == []
+
+
+CANNED_RUN_PY = '''"""A benchmark script."""
+import sys
+
+SETUP_REPEATS = 5
+_OTHER: str = "not this"
+_SETUP_CODE = """
+import sys
+print(repr(0.25), repr(0.007))
+"""
+'''
+
+
+def test_setup_code_is_read_from_the_script_text_without_running_it():
+    assert ab_pairs.setup_code(CANNED_RUN_PY) == '\nimport sys\nprint(repr(0.25), repr(0.007))\n'
+    with pytest.raises(ValueError, match="no _SETUP_CODE"):
+        ab_pairs.setup_code(CANNED_RUN_PY.replace("_SETUP_CODE =", "SETUP_CODE ="))
+
+
+def test_the_benchmarks_own_setup_code_is_found():
+    code = ab_pairs.setup_code((_PATH.parent.parent / "bench" / "run.py").read_text())
+    assert "host_reference" in code and "make_task" in code
+    compile(code, "<setup>", "exec")
+
+
+def test_report_tasks_are_the_sorted_tasks_of_its_cells():
+    report = {"cells": [{"cell": f"{t}:{m}", "config": {"task": t, "method": m}}
+                        for t, m in [("quad", "OurG"), ("neg_gauss", "OurH"), ("quad", "FD")]]}
+    assert ab_pairs.report_tasks(report) == ["neg_gauss", "quad"]
+
+
+def probe(setup, ref):
+    return ab_pairs.probe_result(f"warming up\n{setup!r} {ref!r}\n")
+
+
+def test_probes_summarize_raw_setup_and_reference_seconds():
+    probes = [(probe(0.19, 0.0068), probe(0.18, 0.0043)),
+              (probe(0.20, 0.0069), probe(0.21, 0.0044))]
+    assert ab_pairs.summarize(probes, {}) == [
+        "setup_raw_s: 0.195 [0.1925, 0.1975] -> 0.195 [0.1875, 0.2025] (+0.0%), "
+        "change better in 1 of 2 pairs",
+        "host_reference_s: 0.00685 [0.006825, 0.006875] -> 0.00435 [0.004325, 0.004375] "
+        "(-36.5%), change better in 2 of 2 pairs",
+    ]
+    with pytest.raises(ValueError):
+        ab_pairs.probe_result("Traceback (most recent call last):\n")
+
+
+def test_a_probe_runs_the_code_in_the_checkout_and_flags_a_failure(tmp_path):
+    code = ab_pairs.setup_code(CANNED_RUN_PY)
+    result = ab_pairs.probe_once(tmp_path, code, ["quad"])
+    assert result["metrics"]["setup_raw_s"]["value"] == 0.25 and ab_pairs.flagged(result) is None
+    failed = ab_pairs.probe_once(tmp_path, "raise SystemExit('no tasks')", ["quad"])
+    assert ab_pairs.flagged(failed) == "no result (no tasks)"
+
+
+def test_alternate_runs_the_parent_first_in_even_pairs(capsys):
+    order = []
+    pairs = ab_pairs.alternate(3, "probe", lambda side: order.append(side) or {"side": side})
+    assert order == [0, 1, 1, 0, 0, 1]
+    assert pairs == [({"side": 0}, {"side": 1})] * 3
+    assert capsys.readouterr().out.splitlines()[:2] == ['probe 0 parent: {"side": 0}',
+                                                        'probe 0 change: {"side": 1}']

@@ -18,20 +18,35 @@ change's median is worse than the parent's by at most bound times the
 parent's median in magnitude, ``WORSE than bound`` when by more, and
 ``unresolved`` when the parent's interquartile range exceeds that
 allowance, unless every change run reads better than every parent
-run.  Any run whose result reads ``correct: false`` or ``failed > 0``,
-or that printed no result, is flagged, and the exit code is then 1.
-Standard library only; nothing in either checkout is written but what
-``bench/run.py`` writes itself.
+run.
+
+Then, for each seed, a set-up probe: ``--pairs`` times, alternating
+which side runs first as the pairs do, each checkout's own set-up code
+(the ``_SETUP_CODE`` string of its ``bench/run.py``, read with ``ast``,
+not imported) runs in a fresh interpreter on the tasks of the
+workload's cells, taken from the report the seed's runs wrote to
+``.bench_out/``.  It prints the raw set-up seconds and the host
+reference time of that interpreter the way it prints the pairs, without
+verdicts: ``setup_s`` is set-up scaled by the reference, and the two
+readings show whether a move in ``setup_s`` came from the set-up or
+from the reference.
+
+Any run whose result reads ``correct: false`` or ``failed > 0``, and any
+run or probe that printed no result, is flagged, and the exit code is
+then 1.  Standard library only; nothing in either checkout is written
+but what ``bench/run.py`` and its set-up code write themselves.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 SIDES = ("parent", "change")
 
@@ -46,8 +61,47 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        tail = proc.stderr.strip().splitlines()[-1:] or [f"exit code {proc.returncode}"]
-        return {"correct": False, "failed": None, "metrics": {}, "error": tail[0]}
+        return _no_result(proc)
+
+
+def _no_result(proc: subprocess.CompletedProcess) -> dict:
+    """A failed stand-in for a process that printed no result, naming its last error line."""
+    tail = proc.stderr.strip().splitlines()[-1:] or [f"exit code {proc.returncode}"]
+    return {"correct": False, "failed": None, "metrics": {}, "error": tail[0]}
+
+
+def setup_code(run_py: str) -> str:
+    """The ``_SETUP_CODE`` string assigned at the top level of a ``bench/run.py`` text."""
+    for node in ast.parse(run_py).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and [getattr(t, "id", None) for t in node.targets] == ["_SETUP_CODE"]
+                and isinstance(node.value.value, str)):
+            return node.value.value
+    raise ValueError("bench/run.py assigns no _SETUP_CODE string")
+
+
+def report_tasks(report: dict) -> list[str]:
+    """The sorted task names of a ``bench/run.py`` report's cells, as its set-up takes them."""
+    return sorted({cell["config"]["task"] for cell in report["cells"]})
+
+
+def probe_result(stdout: str) -> dict:
+    """A set-up probe's output as a run result: raw set-up and host reference seconds."""
+    setup, ref = map(float, stdout.split()[-2:])
+    return {"correct": True, "failed": 0,
+            "metrics": {"setup_raw_s": {"value": setup, "unit": "s"},
+                        "host_reference_s": {"value": ref, "unit": "s"}}}
+
+
+def probe_once(checkout: Path, code: str, tasks: list[str]) -> dict:
+    """One fresh interpreter running ``code`` on ``tasks`` as ``bench/run.py`` runs it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(checkout / "src"), str(checkout / "bench"), *tasks],
+        cwd=checkout, capture_output=True, text=True)
+    try:
+        return probe_result(proc.stdout)
+    except ValueError:
+        return _no_result(proc)
 
 
 def _benchmark_spec(checkout: Path) -> dict:
@@ -140,6 +194,18 @@ def verdicts(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float]
     return lines
 
 
+def alternate(pairs: int, label: str, run: Callable[[int], dict]) -> list[tuple[dict, dict]]:
+    """``pairs`` (parent, change) results of ``run(side)``, the parent first in even pairs."""
+    out = []
+    for k in range(pairs):
+        pair = [None, None]
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            pair[side] = run(side)
+            print(f"{label} {k} {SIDES[side]}: {json.dumps(pair[side])}", flush=True)
+        out.append(tuple(pair))
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -154,21 +220,24 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = (args.parent.resolve(), args.change.resolve())
     better = better_directions(checkouts[1])
     bounds = end_to_end_bounds(checkouts[1])
+    codes = [setup_code((c / "bench" / "run.py").read_text()) for c in checkouts]
     any_flagged = False
     for seed in args.seeds:
-        pairs = []
-        for k in range(args.pairs):
-            order = (0, 1) if k % 2 == 0 else (1, 0)
-            pair = [None, None]
-            for side in order:
-                pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
-                print(f"seed {seed} pair {k} {SIDES[side]}: {json.dumps(pair[side])}", flush=True)
-            pairs.append(tuple(pair))
+        pairs = alternate(args.pairs, f"seed {seed} pair",
+                          lambda side: run_once(checkouts[side], args.workload, seed, args.seconds))
         print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {args.seconds:g} s: "
               f"parent median [quartiles] -> change")
         lines = summarize(pairs, better)
         print("\n".join(lines + verdicts(pairs, bounds)), flush=True)
-        any_flagged |= any(line.startswith("FLAGGED") for line in lines)
+        report = Path(".bench_out") / f"BENCH_{args.workload}_seed{seed}_trace0.json"
+        tasks = [report_tasks(json.loads((c / report).read_text())) for c in checkouts]
+        probes = alternate(args.pairs, f"seed {seed} set-up probe",
+                           lambda side: probe_once(checkouts[side], codes[side], tasks[side]))
+        print(f"== {args.workload} seed {seed}, {args.pairs} set-up probes of "
+              f"{', '.join(tasks[1])}: parent median [quartiles] -> change")
+        probe_lines = summarize(probes, better)
+        print("\n".join(probe_lines), flush=True)
+        any_flagged |= any(line.startswith("FLAGGED") for line in lines + probe_lines)
     return 1 if any_flagged else 0
 
 
