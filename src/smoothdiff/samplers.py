@@ -89,29 +89,18 @@ class RngStream:
 class TabulatedInverseCdf:
     """Tabulated inverse of the Hessian-diagonal CDF on [-10, 10] (sigma=1).
 
-    The CDF is transcendental, so the inverse is found by binary search
-    over precomputed CDF values plus linear interpolation between grid
-    points.  Each cell's interpolation constants are formed once, when
-    the table is made.  Immutable and safe to share between threads.
+    The CDF is transcendental, so the inverse interpolates linearly
+    between grid points over the tabulated CDF values.  Immutable and
+    safe to share between threads.
     """
 
     grid: np.ndarray
     cdf_values: np.ndarray
-    # per cell k, between grid points k - 1 and k: the CDF at its left end,
-    # its CDF width (1 where the CDF saturates), its left end and its span
-    _cell: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.shape(self.cdf_values) != np.shape(self.grid):
             raise ValueError(f"cdf_values has shape {np.shape(self.cdf_values)}, "
                              f"grid {np.shape(self.grid)}")
-        c0, c1 = self.cdf_values[:-1], self.cdf_values[1:]
-        # cells may collapse where the CDF saturates in float64 at the tails
-        width = np.where(c1 > c0, c1 - c0, 1.0)
-        cell = tuple(np.concatenate(([np.nan], a)) for a in (c0, width, self.grid[:-1], np.diff(self.grid)))
-        for a in cell:
-            a.flags.writeable = False
-        object.__setattr__(self, "_cell", cell)
 
     @property
     def resolution(self) -> int:
@@ -126,26 +115,20 @@ class TabulatedInverseCdf:
         inside &= xi_arr <= _ONE
         if np.count_nonzero(inside) < xi_arr.size:
             raise ValueError(f"xi must lie in [0, 1], got {xi}")
-        idx = np.minimum(np.maximum(self.cdf_values.searchsorted(xi_arr), 1), self.resolution - 1)
-        cdf_lo, width, grid_lo, span = self._cell
-        frac = xi_arr - cdf_lo[idx]
-        frac /= width[idx]
-        frac = np.minimum(np.maximum(frac, _ZERO), _ONE)
-        out = span[idx]
-        out *= frac
-        out += grid_lo[idx]
+        # The table is non-decreasing, not increasing: 666 cells of the right
+        # tail are flat where the CDF reaches 1 in float64.  np.interp returns
+        # the right end of such a run and never divides by a flat cell's width.
+        out = np.interp(xi_arr, self.cdf_values, self.grid)
         return float(out) if xi_arr.ndim == 0 else out
 
 
-def build_hessian_diag_table(resolution: int = 8192) -> TabulatedInverseCdf:
-    """Tabulate the Hessian-diagonal CDF for O(log) inverse lookups.
+def build_hessian_diag_table() -> TabulatedInverseCdf:
+    """Tabulate the Hessian-diagonal CDF at 8192 points for the inverse lookups.
 
     The table spans 10 sigma in normalized units; the truncated tail mass
     is below 1e-20 and is not corrected for.
     """
-    if resolution < 1024:
-        raise ValueError(f"resolution must be >= 1024, got {resolution}")
-    grid = np.linspace(-10.0, 10.0, resolution)
+    grid = np.linspace(-10.0, 10.0, 8192)
     cdf = hessian_diag_cdf(grid, 1.0)
     if not np.all(np.diff(cdf) >= 0):
         raise AssertionError("tabulated CDF is not nondecreasing")
@@ -323,7 +306,8 @@ def sample_hessian_offsets(
     q = np.empty((k, count))
     for kind, pos, i, j in elements.groups:
         if kind is ElementKind.HESSIAN_DIAG:
-            u = default_hessian_diag_table().lookup(open_unit(xi[pos, 0]))
+            # no open_unit: the table maps 0.0 to -10, as it maps the tiny open_unit gives
+            u = default_hessian_diag_table().lookup(xi[pos, 0])
             u *= s
             taus[pos, :, i] = u
             q[pos] = _ratios_into(kind, u, None, s)

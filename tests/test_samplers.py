@@ -99,12 +99,8 @@ class TestRngStream:
 
 
 class TestHessianDiagTable:
-    def test_rejects_small_resolution(self):
-        with pytest.raises(ValueError):
-            build_hessian_diag_table(512)
-
     def test_invariants(self):
-        table = build_hessian_diag_table(8192)
+        table = build_hessian_diag_table()
         assert np.all(np.diff(table.cdf_values) >= 0)
         assert table.cdf_values[0] <= 1e-9
         assert table.cdf_values[-1] >= 1 - 1e-9
@@ -123,20 +119,20 @@ class TestHessianDiagTable:
             TabulatedInverseCdf(grid=default.grid, cdf_values=default.cdf_values[:-1])
 
     def test_quarter_lookup_hits_minus_one(self):
-        table = build_hessian_diag_table(8192)
+        table = build_hessian_diag_table()
         assert abs(table.lookup(0.25) - (-1.0)) < 1e-3
 
     def test_median_lookup_within_one_cell(self):
-        table = build_hessian_diag_table(8192)
+        table = build_hessian_diag_table()
         cell = 20.0 / (table.resolution - 1)
         assert abs(table.lookup(0.5)) <= cell
 
     def test_round_trip_through_kernels_cdf(self):
-        table = build_hessian_diag_table(8192)
+        table = build_hessian_diag_table()
         assert abs(table.lookup(hessian_diag_cdf(1.7, 1.0)) - 1.7) < 1e-3
 
     def test_round_trip_error_budget(self):
-        table = build_hessian_diag_table(8192)
+        table = build_hessian_diag_table()
         xi = np.linspace(1e-4, 1 - 1e-4, 20_001)
         err = np.abs(hessian_diag_cdf(table.lookup(xi), 1.0) - xi)
         assert err.max() <= 1e-4
@@ -148,6 +144,16 @@ class TestHessianDiagTable:
             with pytest.raises(ValueError):
                 table.lookup(bad)
         assert table.lookup(0.0) == -10.0 and table.lookup(1.0) <= 10.0
+
+    def test_a_flat_run_of_the_saturated_tail_maps_to_its_right_end(self):
+        table = default_hessian_diag_table()
+        c = table.cdf_values
+        flat = np.flatnonzero(np.diff(c) == 0)
+        assert len(flat) == 666 and flat[0] > len(c) // 2
+        runs = np.flatnonzero(np.diff(flat) > 1)
+        ends = np.append(flat[runs], flat[-1]) + 1  # each run's last grid point
+        assert np.array_equal(table.lookup(c[ends]), table.grid[ends])
+        assert table.lookup(0.0) == table.lookup(np.finfo(float).tiny) == -10.0
 
     def test_lookup_leaves_its_input_and_returns_a_new_value(self):
         table = default_hessian_diag_table()
