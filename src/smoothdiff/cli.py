@@ -16,9 +16,9 @@ settings.  For ``run`` and ``sweep``, ``--seed``, ``--budget-seconds``,
 builds every cell's config before its first run, so a bad method, task or key
 in any cell exits before anything runs.
 
-Bad input and unreadable files exit 2 with one ``error:`` line.  An
-unknown flag or a missing argument exits 2 from argparse instead, with a
-usage line and then ``smoothdiff: error: ...``.
+Bad input, malformed config files and unreadable files exit 2 with one
+``error:`` line.  An unknown flag or a missing argument exits 2 from
+argparse instead, with a usage line and then ``smoothdiff: error: ...``.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, configparser.Error) as err:
+        # one line: a file without a section header is reported over three
+        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 2
 
 

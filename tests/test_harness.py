@@ -84,6 +84,8 @@ class TestRunConfig:
         ("budget_seconds", math.nan), ("budget_seconds", math.inf),
         ("budget_seconds", 0.0), ("budget_seconds", -1.0),
         ("threads", 0), ("threads", -1), ("threads", 2),
+        # and the one string field checked against a fixed set
+        ("init", "plateaux"),
     ])
     def test_second_order_rejects_bad_numbers(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -374,10 +376,11 @@ class TestExport:
         ("t.json", json.dumps({"runs": [{"aborted": "no", "records": []}]}),
          "run 0 has 'aborted' = 'no', not a boolean"),
         ("t.json", json.dumps({"runs": [{"note": 5, "records": []}]}), "run 0 has 'note' = 5, not a string"),
+        ("t.csv", "run,iter\n0,1\n", "unexpected CSV header ['run', 'iter']"),
     ], ids=["json_without_runs", "json_record_without_wall_time", "csv_short_row",
             "json_runs_not_a_list", "json_run_not_an_object", "json_loss_a_string",
             "json_loss_null", "json_invalid", "csv_run_not_an_integer", "csv_evals_go_back",
-            "json_time_goes_back", "json_aborted_a_string", "json_note_a_number"])
+            "json_time_goes_back", "json_aborted_a_string", "json_note_a_number", "csv_wrong_header"])
     def test_malformed_file_rejected_naming_file_and_missing_part(self, tmp_path, capsys, name,
                                                                   content, missing):
         path = tmp_path / name
@@ -681,6 +684,24 @@ class TestCli:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\ntask = quad\nmethod = OurG\nbudget_evals = 10\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text,named", [
+        ("seed = 1\n", "File contains no section headers."),
+        ("[run]\nseed = 1\nseed = 2\n[sweep]\nseed = 1\n", "option 'seed' in section 'run' already exists"),
+        # raised only when the section's values are read
+        ("[run]\nlr = 5%\n[sweep]\nmethods = FD\ntasks = quad\nlr = 5%\n", "'%' must be followed by"),
+        ("[other]\nseed = 1\n", "missing [{command}] section"),
+    ], ids=["no_section_header", "duplicate_key", "lone_percent", "no_section_of_its_own"])
+    def test_malformed_config_exits_2_with_one_error_line(self, tmp_path, capsys, command, text, named):
+        # the first three used to end in a configparser traceback with exit 1
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named.format(command=command) in err[0]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("word", ["ture", "2", "", "y"])
     def test_unrecognized_boolean_exits_2(self, tmp_path, capsys, word):
