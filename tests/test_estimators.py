@@ -533,10 +533,15 @@ class TestSampledBatch:
                  for stack, vals in evaluated])
             assert np.array_equal(batch.hvp(v), want)
 
-    @pytest.mark.parametrize("mode", list(SamplingMode))
-    def test_same_bits_as_the_per_call_estimators(self, mode):
+    @pytest.mark.parametrize("mode,chunk_bytes", [pytest.param(m, None, id=str(m)) for m in SamplingMode] + [
+        # one element per chunk: the batch keeps a term per chunk
+        pytest.param(SamplingMode.PER_ELEMENT, 1, id="SamplingMode.PER_ELEMENT-in-chunks")])
+    def test_same_bits_as_the_per_call_estimators(self, mode, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(smoothdiff.estimators, "_CHUNK_BYTES", chunk_bytes)
         c = cfg(sigma=0.6, dim=3, samples=3, mode=mode)
         kept = self.keep(mode)
+        assert len(kept.batch.terms) == (1 if chunk_bytes is None else 3)
         streamed = estimate_gradient(Objective(wavy, 3), self.THETA, c, RngStream(8))
         assert streamed.batch is None
         assert np.array_equal(kept.g, streamed.g) and kept.evals_used == streamed.evals_used
@@ -618,6 +623,14 @@ class TestFinitenessEdges:
         obj = Objective(lambda th: 1.0, dim=2)
         with pytest.raises(ValueError, match="^theta must be finite$"):
             FINITENESS_ESTIMATES[name](obj, np.array([0.5, bad]))
+        assert obj.eval_count == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    @pytest.mark.parametrize("name", list(FINITENESS_ESTIMATES))
+    def test_theta_of_another_shape_is_rejected_before_any_evaluation(self, name, shape):
+        obj = Objective(lambda th: 1.0, dim=2)
+        with pytest.raises(ValueError, match=re.escape(f"theta has shape {shape}, expected (2,)")):
+            FINITENESS_ESTIMATES[name](obj, np.zeros(shape))
         assert obj.eval_count == 0
 
     @pytest.mark.parametrize("kept", [False, True])

@@ -157,6 +157,11 @@ class TestHessianKernel:
     def test_offdiag_symmetric_element(self):
         assert KernelElement.hessian_off_diag(2, 0) == KernelElement.hessian_off_diag(0, 2)
 
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_offdiag_element_on_one_axis_is_rejected(self, i):
+        with pytest.raises(ValueError, match="off-diagonal element requires i != j"):
+            KernelElement.hessian_off_diag(i, i)
+
 
 def test_fd_consistency_100_random_points():
     """Both derivative kernels match finite differences to 1e-6 absolute."""

@@ -1,6 +1,7 @@
 """Optimizer identities: Newton exactness, conjugacy, trust region, Adam."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -181,6 +182,13 @@ class TestAdam:
         with pytest.raises(ValueError, match="lr must be finite and > 0"):
             gd_adam_run(obj, grad_fn, np.ones(2), SigmaSchedule(1.0, 0.1), bad, Budget(evals=20))
         assert obj.eval_count == 0 and calls == []
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    def test_gradient_of_another_shape_is_rejected(self, shape):
+        grad_fn = lambda th, s: GradientEstimate(g=np.ones(shape), evals_used=0)
+        with pytest.raises(ValueError, match=re.escape(f"gradient shape {shape} does not match theta (2,)")):
+            gd_adam_run(quad_task().objective(), grad_fn, np.ones(2), SigmaSchedule(1.0, 0.1),
+                        0.1, Budget(evals=20))
 
     def test_non_finite_gradient_note_names_the_iteration(self):
         calls = []
