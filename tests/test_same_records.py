@@ -1,0 +1,81 @@
+"""``tools/same_records.py`` on canned traces and on this checkout loaded twice."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+import smoothdiff.harness
+from smoothdiff.trace import ConvergenceTrace, TraceRecord
+
+_ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("same_records", _ROOT / "tools" / "same_records.py")
+same_records = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_records)
+
+
+def trace(*losses, param_error=1.0, note=""):
+    out = ConvergenceTrace(aborted=bool(note), note=note)
+    for k, loss in enumerate(losses):
+        out.append(TraceRecord(k * 1e-6, k, k + 1, loss, param_error))
+    return out
+
+
+def test_equal_traces_have_no_difference():
+    # NaN counts as equal to NaN, as a run without a parameter error records it
+    traces = [trace(3.0, 2.0, 1.0), trace(4.0, param_error=math.nan)]
+    again = [trace(3.0, 2.0, 1.0), trace(4.0, param_error=math.nan)]
+    assert same_records.first_difference(traces, again) is None
+
+
+@pytest.mark.parametrize("change,message", [
+    ([trace(3.0, 2.0, 1.0), trace(4.0, 2.5)],
+     "run 1 record 1 differs: parent TraceRecord(wall_time=1e-06, iteration=1, evals=2, loss=2.0, "
+     "param_error=1.0), change TraceRecord(wall_time=1e-06, iteration=1, evals=2, loss=2.5, "
+     "param_error=1.0)"),
+    ([trace(3.0, 2.0, 1.0), trace(4.0)],
+     "run 1 record 1 differs: parent TraceRecord(wall_time=1e-06, iteration=1, evals=2, loss=2.0, "
+     "param_error=1.0), change None"),
+    ([trace(3.0, 2.0, 1.0), trace(4.0, 2.0, note="non-finite loss")],
+     "run 1 ends differently: parent aborted=False note='', change aborted=True "
+     "note='non-finite loss'"),
+    ([trace(3.0, 2.0, 1.0)], "2 runs in the parent, 1 in the change"),
+], ids=["value", "missing_record", "note", "run_count"])
+def test_first_difference_names_run_record_and_both_values(change, message):
+    parent = [trace(3.0, 2.0, 1.0), trace(4.0, 2.0)]
+    assert same_records.first_difference(parent, change) == message
+
+
+@pytest.fixture(scope="module")
+def twice():
+    """This checkout's package under two names, and its workloads against the second."""
+    packages = tuple(same_records.load_package(_ROOT / "src" / "smoothdiff", f"_twice_{side}")
+                     for side in same_records.SIDES)
+    return packages, same_records.load_workloads(_ROOT / "bench" / "workloads.py", packages[1])
+
+
+def test_a_checkout_loaded_twice_has_two_packages_whose_records_never_compare_equal(twice):
+    (a, b), workloads = twice
+    assert a.harness is not b.harness and a.trace.TraceRecord is not b.trace.TraceRecord
+    ra, rb = (p.trace.TraceRecord(0.0, 0, 1, 1.0, 1.0) for p in (a, b))
+    assert ra != rb  # hence the comparison by value
+    assert same_records.first_difference([a.trace.ConvergenceTrace([ra])],
+                                         [b.trace.ConvergenceTrace([rb])]) is None
+    # the workloads' RunConfig is the change's, and no smoothdiff name was left pointing at it
+    assert workloads.RunConfig is b.harness.RunConfig
+    assert sys.modules["smoothdiff"] is smoothdiff and sys.modules["smoothdiff.harness"] is smoothdiff.harness
+
+
+@pytest.mark.parametrize("workload", ["lowdim", "render", "highdim"])
+def test_a_checkout_loaded_twice_reads_identical(twice, workload):
+    packages, workloads = twice
+    for cell in workloads.seeded(workload, 1, budget_scale=0.05, ensemble=1):
+        assert same_records.compare_cell(packages, cell) == "identical", cell
+
+
+def test_an_unknown_workload_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        same_records.main([str(_ROOT), str(_ROOT), "--workload", "lowdims", "--seeds", "1"])
+    assert exit_.value.code == 2 and "unknown workload 'lowdims'" in capsys.readouterr().err
