@@ -54,7 +54,7 @@ def _coerce(key: str, raw: str):
                          f"got {raw!r}") from None
 
 
-def _section_to_kwargs(section) -> dict:
+def _section_to_kwargs(section: dict[str, str]) -> dict:
     return {key: _coerce(key, raw) for key, raw in section.items()}
 
 
@@ -72,12 +72,22 @@ def _apply_overrides(kwargs: dict, args) -> dict:
     return kwargs
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
+def _read_section(path: str, name: str) -> dict[str, str]:
+    """The raw values of section ``name`` of the config file at ``path``.
+
+    A malformed value, such as a lone ``%``, is reported with its file,
+    section and key: configparser finds it only when the value is read.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    return parser
+    if name not in parser:
+        raise ValueError(f"{path}: missing [{name}] section")
+    try:
+        return dict(parser[name])
+    except configparser.InterpolationError as err:
+        raise ValueError(f"{path}: [{err.section}] {err.option}: {err}") from None
 
 
 def _kwargs_for_method(base: dict, method: str) -> dict:
@@ -88,10 +98,7 @@ def _kwargs_for_method(base: dict, method: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    parser = _read_config(args.config)
-    if "run" not in parser:
-        raise ValueError(f"{args.config}: missing [run] section")
-    kwargs = _apply_overrides(_section_to_kwargs(parser["run"]), args)
+    kwargs = _apply_overrides(_section_to_kwargs(_read_section(args.config, "run")), args)
     cfg = RunConfig(**kwargs)
     result = run_ensemble(cfg)
     print(f"task={cfg.task} method={cfg.method} ensemble={cfg.ensemble} seed={cfg.seed}")
@@ -103,10 +110,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    parser = _read_config(args.config)
-    if "sweep" not in parser:
-        raise ValueError(f"{args.config}: missing [sweep] section")
-    section = dict(parser["sweep"])
+    section = _read_section(args.config, "sweep")
     for key in ("methods", "tasks"):
         if key not in section:
             raise ValueError(f"{args.config}: [sweep] section needs a {key!r} key")

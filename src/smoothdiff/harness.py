@@ -194,7 +194,11 @@ class ThresholdStat:
 class EnsembleResult:
     config: RunConfig
     traces: list[ConvergenceTrace]
-    thresholds: dict[str, dict[float, ThresholdStat]]
+
+    @property
+    def thresholds(self) -> dict[str, dict[float, ThresholdStat]]:
+        """Each metric's threshold statistics over ``traces``, computed when read."""
+        return {metric: compute_thresholds(self.traces, metric) for metric in THRESHOLD_METRICS}
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +287,14 @@ def _single_run(cfg: RunConfig, task: Task, run_index: int) -> ConvergenceTrace:
 
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
-    """Execute an ensemble and collect threshold statistics.
+    """Execute an ensemble; its threshold statistics are computed when read.
 
     A run that aborts on non-finite state, a non-finite objective value
     inside an estimate included, keeps its partial trace and its note and
     simply never reaches the remaining thresholds; the other runs go on.
     """
     task = make_task(cfg.task)
-    traces = [_single_run(cfg, task, k) for k in range(cfg.ensemble)]
-    thresholds = {
-        metric: compute_thresholds(traces, metric) for metric in THRESHOLD_METRICS
-    }
-    return EnsembleResult(config=cfg, traces=traces, thresholds=thresholds)
+    return EnsembleResult(config=cfg, traces=[_single_run(cfg, task, k) for k in range(cfg.ensemble)])
 
 
 # ---------------------------------------------------------------------------

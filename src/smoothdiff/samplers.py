@@ -35,6 +35,7 @@ from .kernels import (
     KernelSpec,
     fixed_operand,
     gaussian_pdf_1d,
+    gradient_elements,
     gradient_inverse_cdf,
     gradient_pdf,
     hessian_diag_cdf,
@@ -354,9 +355,15 @@ def sample_aggregate_offsets(
     if len(elements.groups) == 1:
         # every row draws the one kind: no split into groups
         kind, _, i, j = elements.groups[0]
-        _set_special_axes(taus, kind, np.arange(count), i, j, choices, xi_a, xi_b, s)
-        off = kind is ElementKind.HESSIAN_OFF_DIAG
-        ratios = _ratios_into(kind, taus.take(i, axis=1), taus.take(j, axis=1) if off else None, s)
+        if kind is ElementKind.GRADIENT:
+            taus[np.arange(count), i[choices]] = gradient_inverse_cdf(xi_a, s)
+            # gathering every axis in order would copy the block
+            every_axis = elements is gradient_elements(spec.dim)
+            ratios = _ratios_into(kind, taus.copy() if every_axis else taus.take(i, axis=1), None, s)
+        else:
+            _set_special_axes(taus, kind, np.arange(count), i, j, choices, xi_a, xi_b, s)
+            off = kind is ElementKind.HESSIAN_OFF_DIAG
+            ratios = _ratios_into(kind, taus.take(i, axis=1), taus.take(j, axis=1) if off else None, s)
     else:
         group = elements.group[choices]
         for g, (kind, *_) in enumerate(elements.groups):

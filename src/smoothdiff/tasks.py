@@ -26,11 +26,12 @@ calls once and ``rows`` once per row.  ``rows`` never writes into
 works in arrays it allocates itself.
 Phong rows are shaded in blocks of at most ``_PHONG_BLOCK`` = 8, which
 keeps a block's images in cache, and texture rows are clamped in blocks
-of ``_TEXTURE_BLOCK_BYTES``, which keeps a 256-D estimate from
-page-faulting fresh memory.  What does not depend on the parameters is
-built once per task (see ``box_task`` and ``_PhongScene``), and clamps
-call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python wrapper
-costs more than the arithmetic on these small arrays.  Each row's loss
+of ``_TEXTURE_BLOCK_BYTES`` = 256 KiB, four to a 512-row texture16
+batch, which keeps a 256-D estimate from page-faulting fresh memory in
+about a fifth less time than 64 KiB blocks.  What does not depend on the
+parameters is built once per task (see ``box_task`` and ``_PhongScene``),
+and clamps call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python
+wrapper costs more than the arithmetic on these small arrays.  Each row's loss
 is bit for bit its one-point value, and a rendered loss's is that of its
 first separable single-point form, which ``tests/test_tasks.py`` keeps
 as reference.
@@ -265,15 +266,11 @@ def _box_plateau_points(num_boxes: int, count: int) -> list[np.ndarray]:
     # the rendered image is exactly invariant there, so classic finite
     # differences are 0.0 bit-for-bit
     corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    pts = []
-    for k in range(count):
-        theta = np.empty(2 * num_boxes)
-        for b in range(num_boxes):
-            corner = corners[(k + b) % 4]
-            reach = 0.48 + 0.28 * ((k * 7 + b * 3) % 5) / 4.0
-            theta[2 * b: 2 * b + 2] = 0.5 + corner * reach
-        pts.append(theta)
-    return pts
+    k = np.arange(count)[:, None]
+    b = np.arange(num_boxes)
+    reach = 0.48 + 0.28 * ((7 * k + 3 * b) % 5) / 4.0
+    points = 0.5 + corners[(k + b) % 4] * reach[..., None]
+    return [p.ravel() for p in points]
 
 
 def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
@@ -357,12 +354,17 @@ def _texture_reference(side: int) -> np.ndarray:
     return ref.reshape(-1)
 
 
-# Bytes of a texture loss block's working copy.  Clamped whole, the (512, 256)
-# batch of a per-element texture16 estimate needs a 1 MB copy, which, with
-# the estimate's other MB-scale arrays, made the heap grow and trim on every
-# call, so each call page-faulted fresh memory.  A block this size stays
-# below glibc's default mmap threshold (128 KB) and in cache.
-_TEXTURE_BLOCK_BYTES = 64 << 10
+# Bytes of a texture loss block's working copy, 128 rows at n = 256.  Clamped
+# whole, the (512, 256) batch of a per-element texture16 estimate needs a 1 MiB
+# copy, which, with the estimate's other MiB-scale arrays, made the heap grow
+# and trim on every call, so each call page-faulted fresh memory.  A block
+# this size is past glibc's initial mmap threshold (128 KiB), but once the
+# process has freed a larger mapped block, such as an estimate's 1 MiB points
+# buffer, glibc raises the threshold and takes blocks from the heap.  On a
+# 2-core x86-64 VM that 512-row batch took 268 / 240 / 217 us in blocks of
+# 64 / 128 / 256 KiB, and a highdim pass after a process's first took 0-4
+# minor faults at each size.
+_TEXTURE_BLOCK_BYTES = 256 << 10
 
 
 def texture_task(side: int = 16) -> Task:

@@ -147,6 +147,17 @@ class TestRunEnsemble:
         assert stat.reached_runs == 3
         assert stat.median_evals is not None
 
+    def test_thresholds_are_computed_when_read(self, monkeypatch):
+        # neither the benchmark nor the CLI's summary reads them
+        calls = []
+        real = harness.compute_thresholds
+        monkeypatch.setattr(harness, "compute_thresholds",
+                            lambda traces, metric: calls.append(metric) or real(traces, metric))
+        result = run_ensemble(RunConfig(**QUAD_CFG))
+        assert calls == []
+        assert result.thresholds == {metric: real(result.traces, metric) for metric in ("loss", "param_error")}
+        assert calls == ["loss", "param_error"]
+
     def test_threshold_monotonicity(self):
         result = run_ensemble(RunConfig(**QUAD_CFG))
         for trace in result.traces:
@@ -702,6 +713,15 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named.format(command=command) in err[0]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_lone_percent_error_names_the_file_section_and_key(self, tmp_path, capsys, command):
+        # configparser's own message named neither the file nor the key
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[run]\nlr = 5%\n[sweep]\nmethods = FD\ntasks = quad\nlr = 5%\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: [{command}] lr: '%' must be followed by '%' or '(', found: '%'"]
 
     @pytest.mark.parametrize("word", ["ture", "2", "", "y"])
     def test_unrecognized_boolean_exits_2(self, tmp_path, capsys, word):

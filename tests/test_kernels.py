@@ -91,6 +91,13 @@ class TestGaussianPdf:
         with pytest.raises(ValueError):
             gaussian_pdf([1.0, 2.0, 3.0], KernelSpec(1.0, 2))
 
+    def test_a_scalar_offset_is_an_offset_on_one_axis(self):
+        spec = KernelSpec(0.7, 1)
+        assert gaussian_pdf(0.3, spec) == gaussian_pdf([0.3], spec)
+        assert gradient_kernel(np.float64(0.3), 0, spec) == gradient_kernel([0.3], 0, spec)
+        with pytest.raises(ValueError, match=r"offset has shape \(1,\), expected \(2,\)"):
+            gaussian_pdf(0.3, KernelSpec(0.7, 2))
+
 
 class TestGradientKernel:
     def test_zero_on_axis_origin(self):
@@ -161,6 +168,12 @@ class TestHessianKernel:
     def test_offdiag_element_on_one_axis_is_rejected(self, i):
         with pytest.raises(ValueError, match="off-diagonal element requires i != j"):
             KernelElement.hessian_off_diag(i, i)
+
+    @pytest.mark.parametrize("elem", [KernelElement.hessian_diag(2), KernelElement.hessian_diag(-1),
+                                      KernelElement.hessian_off_diag(0, 2)])
+    def test_element_out_of_range_is_rejected(self, elem):
+        with pytest.raises(ValueError, match="out of range for dim 2"):
+            hessian_kernel([0.1, 0.2], elem, KernelSpec(1.0, 2))
 
 
 def test_fd_consistency_100_random_points():
@@ -309,6 +322,14 @@ class TestAxisBlur:
 
     def test_frozen_value(self):
         assert_allclose(axis_blur_gradient_kernel(1.0, 1.0), -0.2419707245191434, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+@pytest.mark.parametrize("fn", [axis_blur_gradient_kernel, gradient_pdf, gradient_inverse_cdf,
+                                hessian_diag_pdf, hessian_diag_cdf], ids=lambda fn: fn.__name__)
+def test_one_axis_functions_reject_a_nonpositive_sigma(fn, sigma):
+    with pytest.raises(ValueError, match=f"sigma must be > 0, got {sigma}"):
+        fn(0.3, sigma)
 
 
 def test_normalization_constants_closed_form():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothdiff import optimizers
 from smoothdiff.estimators import EstimationError, GradientEstimate, Objective, _check_direction
 from smoothdiff.optimizers import (
     SigmaSchedule,
@@ -91,6 +92,11 @@ def test_budget_rejects_an_infinite_limit(bad):
     # Budget(seconds=inf) spent a share of 0 forever: a run with no evals limit never ended
     with pytest.raises(ValueError, match="finite"):
         Budget(**bad)
+
+
+def test_budget_needs_a_limit():
+    with pytest.raises(ValueError, match="budget needs seconds or evals"):
+        Budget()
 
 
 def record_thetas(gradient):
@@ -495,6 +501,24 @@ class TestNewtonCg:
         trace = err.value.trace
         assert trace.note == "non-finite parameters in CG step, in iteration 1"
         assert trace.aborted and [r.iteration for r in trace.records] == [0]
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_boundary_step_ends_the_run_with_a_note(self, monkeypatch, alpha):
+        # the exact step to the trust-region boundary is finite for finite input; force it not to be
+        monkeypatch.setattr(optimizers, "_boundary_step", lambda p, v, delta: alpha)
+
+        def model(theta, sigma):
+            return GradientEstimate(g=2.0 * theta, evals_used=0), lambda v: 2.0 * v
+
+        with warnings.catch_warnings(), pytest.raises(NonFiniteStateError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            newton_cg_run(Objective(lambda th: float(th @ th), 2), model, np.array([2.0, -1.0]),
+                          SigmaSchedule(1.0, 0.1), TrustRegion(0.5), ls_iters=2, ls_tol=1e-12,
+                          budget=Budget(evals=20))
+        trace = err.value.trace
+        assert trace.note == "non-finite parameters in CG step, in iteration 1"
+        assert trace.aborted and [r.iteration for r in trace.records] == [0]
+
 
     # finite models whose CG recursion overflows: the curvature v . H v, the
     # residual's ||r||^2, or the next direction r + beta v

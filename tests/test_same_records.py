@@ -1,9 +1,11 @@
-"""``tools/same_records.py`` on canned traces and on this checkout loaded twice."""
+"""``tools/same_records.py`` on canned traces and timings, and on this checkout loaded twice."""
 
 import importlib.util
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,3 +81,38 @@ def test_an_unknown_workload_exits_2(capsys):
     with pytest.raises(SystemExit) as exit_:
         same_records.main([str(_ROOT), str(_ROOT), "--workload", "lowdims", "--seeds", "1"])
     assert exit_.value.code == 2 and "unknown workload 'lowdims'" in capsys.readouterr().err
+
+
+def test_timing_line_gives_each_sides_per_round_ratio_to_the_parent():
+    # change ratios 0.9, 0.9, 1.1, 0.6; control ratios 1.0, 1.1, 1.0, 0.9
+    line = same_records.timing_line("texture16:OurG", [1.0, 2.0, 4.0, 2.0], [0.9, 1.8, 4.4, 1.2],
+                                    [1.0, 2.2, 4.0, 1.8])
+    assert line == ("texture16:OurG: parent 2000.0 ms per round; "
+                    "change / parent 0.900 [0.825, 0.950], faster in 3 of 4 rounds; "
+                    "control / parent 1.000 [0.975, 1.025], faster in 1 of 4 rounds")
+    assert same_records.timing_line("quad:FD", [0.5], [0.25], [0.5]) == (
+        "quad:FD: parent 500.0 ms per round; change / parent 0.500 [0.500, 0.500], faster in 1 of 1 "
+        "rounds; control / parent 1.000 [1.000, 1.000], faster in 0 of 1 rounds")
+
+
+def test_time_cell_warms_up_then_runs_each_run_from_every_package_cycling_the_order():
+    @dataclass
+    class Cell:
+        seed: int = 100
+        ensemble: int = 2
+        budget_evals: int = 50
+
+    calls = []
+
+    def package(name):
+        def run_ensemble(cfg):
+            calls.append((name, cfg["seed"], cfg["ensemble"], cfg["budget_evals"], cfg["deterministic"]))
+
+        return SimpleNamespace(harness=SimpleNamespace(RunConfig=dict, run_ensemble=run_ensemble))
+
+    times = same_records.time_cell((package("p"), package("c"), package("k")), Cell(), 2)
+    assert [len(t) for t in times] == [2, 2, 2] and all(s >= 0.0 for t in times for s in t)
+    warm_up = [(name, 100, 1, 2, True) for name in "pck"]
+    assert calls == warm_up + [(name, seed, 1, 50, True)
+                               for order, seed in (("pck", 100), ("pck", 101), ("pkc", 100), ("pkc", 101))
+                               for name in order]

@@ -18,6 +18,7 @@ from scipy import stats
 
 from smoothdiff.kernels import (
     ElementKind,
+    ElementSet,
     KernelElement,
     KernelSpec,
     gaussian_cdf_1d,
@@ -311,6 +312,31 @@ class TestAggregateSampler:
         with pytest.raises(ValueError):
             sample_aggregate_offsets([KernelElement.gradient(0), elem], KernelSpec(1.0, 3), RngStream(0), 4)
 
+    def test_empty_mixture_pdf_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            mixture_pdf(np.zeros(2), [], KernelSpec(1.0, 2))
+
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    def test_every_axis_in_order_draws_as_an_equal_set_built_anew(self, dim):
+        # the cached set of every gradient axis takes its ratios from a copy of the block
+        spec = KernelSpec(0.7, dim)
+        cached = gradient_elements(dim)
+        anew = ElementSet(list(cached))
+        for count in (1, 5):
+            want = sample_aggregate_offsets(anew, spec, RngStream(31, count), count)
+            got = sample_aggregate_offsets(cached, spec, RngStream(31, count), count)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("tau,elem,message", [
+    ([0.1, 0.2], KernelElement.gradient(0), r"offset has shape \(2,\), expected \(3,\)"),
+    (0.1, KernelElement.hessian_diag(0), r"offset has shape \(\), expected \(3,\)"),
+    ([0.1, 0.2, 0.3], KernelElement.hessian_off_diag(1, 3), "element index 3 out of range for dim 3"),
+], ids=["short", "scalar", "out_of_range"])
+def test_element_pdf_rejects_an_offset_of_another_shape_or_an_element_out_of_range(tau, elem, message):
+    with pytest.raises(ValueError, match=message):
+        element_pdf(tau, elem, KernelSpec(1.0, 3))
+
 
 class TestDensityRatio:
     """Each sampler's q is the density ratio of its rows, bit for bit, and even."""
@@ -364,6 +390,14 @@ class TestDensityRatio:
                                   element_density_ratios(taus, elems, spec.sigma))
             for t, m in zip(taus, mirrored):
                 assert_allclose(mixture_pdf(m, elems, spec), mixture_pdf(t, elems, spec), rtol=1e-12)
+
+    def test_stacked_blocks_take_block_k_against_element_k(self):
+        sigma = self.spec.sigma
+        for elems, (taus, q) in self.per_element_draws():
+            stacked = taus.reshape(len(elems), 50, 3)
+            assert np.array_equal(element_density_ratios(stacked, elems, sigma), q.reshape(len(elems), 50))
+            with pytest.raises(ValueError, match=f"{len(elems)} stacked blocks for {len(elems) + 1} elements"):
+                element_density_ratios(stacked, [*elems, elems[0]], sigma)
 
 
 class TestStackedDrawOrder:

@@ -266,6 +266,19 @@ class TestBoxTask:
         with pytest.raises(ValueError):
             box_task(0)
 
+    @pytest.mark.parametrize("boxes", range(1, 9))
+    def test_plateau_points_equal_the_per_box_loop(self, boxes):
+        # the points as first written, one box at a time, are the reference
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        points = box_task(boxes).plateau_points
+        assert len(points) == 20
+        for k, theta in enumerate(points):
+            want = np.empty(2 * boxes)
+            for b in range(boxes):
+                reach = 0.48 + 0.28 * ((k * 7 + b * 3) % 5) / 4.0
+                want[2 * b: 2 * b + 2] = 0.5 + corners[(k + b) % 4] * reach
+            assert theta.shape == want.shape and np.array_equal(theta, want)
+
 
 class TestTextureTask:
     def test_loss_equals_reference_bit_for_bit(self):
@@ -457,6 +470,16 @@ def test_texture_rows_work_in_a_block_not_a_copy_of_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * points.nbytes
+
+
+@pytest.mark.parametrize("build,message", [
+    (partial(negated_gaussian_task, 0.0), "sigma1 must be > 0, got 0.0"),
+    (partial(negated_gaussian_task, -1.0), "sigma1 must be > 0, got -1.0"),
+    (partial(texture_task, 3), "side must be >= 4, got 3"),
+], ids=["neg_gauss_sigma0", "neg_gauss_sigma-1", "texture3"])
+def test_builders_reject_out_of_range_arguments(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestMakeTask:
