@@ -172,6 +172,8 @@ def gaussian_pdf_1d(u, sigma: float):
 
 
 def gaussian_cdf_1d(u, sigma: float):
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
     u = np.asarray(u, dtype=float)
     return 0.5 * (1.0 + np.vectorize(math.erf)(u / (sigma * math.sqrt(2.0))))
 
@@ -276,6 +278,8 @@ def gradient_pdf(u, sigma: float):
 
 def gradient_cdf(u, sigma: float):
     """CDF of ``gradient_pdf``:  0.5*exp(-u^2/2s^2) for u <= 0, mirrored above."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
     u = np.asarray(u, dtype=float)
     half = 0.5 * np.exp(-u * u / (2.0 * sigma * sigma))
     return np.where(u <= 0.0, half, 1.0 - half)

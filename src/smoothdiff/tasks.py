@@ -12,8 +12,8 @@ pixel.  A box channel image is the outer product of the box's y and x
 coverage rows, so its squared error against the reference reduces to dot
 products of rows of length w and h (see ``box_task``).  The Phong image
 is two outer products, RGB colors times per-pixel diffuse and specular
-intensities, and the specular power is taken on lit pixels only.  Both
-equal the loss of the full image to rounding.
+intensities, made by ``np.einsum``, and the specular power is taken on
+lit pixels only.  Both equal the loss of the full image to rounding.
 
 Every shipped loss carries a batched form: ``fn.rows(points)`` takes an
 (m, dim) float array and returns the loss at each row, a new array of
@@ -30,25 +30,30 @@ of ``_TEXTURE_BLOCK_BYTES`` = 256 KiB, four to a 512-row texture16
 batch, which keeps a 256-D estimate from page-faulting fresh memory in
 about a fifth less time than 64 KiB blocks.  What does not depend on the
 parameters is built once per task (see ``box_task`` and ``_PhongScene``),
-and clamps call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python
-wrapper costs more than the arithmetic on these small arrays.  Each row's loss
-is bit for bit its one-point value, and a rendered loss's is that of its
-first separable single-point form, which ``tests/test_tasks.py`` keeps
-as reference.
+clamps call ``np.maximum``/``np.minimum``, since ``np.clip``'s Python
+wrapper costs more than the arithmetic on these small arrays, and the box
+and Phong losses hold their constants as 0-d operands (``fixed_operand``)
+and work in place where they can: most ``box10`` loss calls on the
+render benchmark take one point, about two dozen numpy calls whose fixed
+costs are most of the price.  Each row's loss is bit for bit its
+one-point value, and a rendered loss's is that of its first separable
+single-point form, which ``tests/test_tasks.py`` keeps as reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from .estimators import Objective
+from .kernels import fixed_operand
 
 TWO_PI = 2.0 * math.pi
+_ZERO, _TWO = fixed_operand(0.0), fixed_operand(2.0)
 
 
 @dataclass
@@ -247,9 +252,14 @@ class RasterScene:
         """
         counts, cells, caps = grid
         c = np.asarray(centers, dtype=float)[..., None]
-        cov = np.minimum((c + self.box_half) * counts, caps)
-        cov -= np.maximum((c - self.box_half) * counts, cells)
-        return np.maximum(cov, 0.0, out=cov)
+        cov = np.minimum((c + self._half) * counts, caps)
+        cov -= np.maximum((c - self._half) * counts, cells)
+        return np.maximum(cov, _ZERO, out=cov)
+
+    @cached_property
+    def _half(self) -> np.ndarray:
+        """``box_half`` as a 0-d operand (see ``fixed_operand``)."""
+        return fixed_operand(self.box_half)
 
     def render(self, centers: np.ndarray) -> np.ndarray:
         """Coverage image for a set of square centers, clipped to [0, 1]."""
@@ -297,12 +307,18 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     truth, where every ``d`` is 0.
 
     Built once: the pixel grid of ``RasterScene.axis_grid``, the
-    reference rows ``r`` and their ``|r|^2``.  A batch of m points makes
-    its coverage rows (m, dim, cells) in one pass, the row reductions
-    ``|d|^2`` and ``d . r`` with one ``einsum`` each, and the per-box
-    terms as (m, boxes) arrays, summed per point.  Each point's loss is
+    reference rows ``r`` and their ``|r|^2``, and the clamp bounds and
+    norm as 0-d operands.  A batch of m points makes its coverage rows
+    (m, dim, cells) in one pass, the row reductions ``|d|^2`` and
+    ``d . r`` with one ``einsum`` each, and the per-box terms as (m, boxes)
+    arrays, worked in place and summed per point.  Each point's loss is
     bit-identical to the single-point form, whose einsum, elementwise
-    operations and pairwise sum round the same way.
+    operations and pairwise sum round the same way: the in-place terms
+    only swap the operands of a sum or product, and ``2 d . r`` is taken
+    once for x and y.  ``np.matmul`` in place of either ``einsum`` rounds
+    the sparse coverage rows differently.  On a 2-core x86-64 VM one
+    ``box10`` call costs 23.1 us at 1 row and 39.3 us at 8 rows, against
+    25.3 and 41.8 us with Python-float constants and new arrays per term.
     """
     if not (1 <= num_boxes <= 8):
         raise ValueError(f"num_boxes must be in 1..8, got {num_boxes}")
@@ -318,20 +334,29 @@ def box_task(num_boxes: int, resolution: tuple[int, int] = (64, 64)) -> Task:
     ref_x_sq, ref_y_sq = ref_sq[0::2], ref_sq[1::2]
     # squared image error in units of one box footprint: a lost square
     # costs about 2.0, which keeps gradient scales usable at wide sigma
-    norm = (w * BOX_SIDE) * (h * BOX_SIDE)
-    lo = scene.box_half
-    hi = 1.0 - scene.box_half
+    norm = fixed_operand((w * BOX_SIDE) * (h * BOX_SIDE))
+    lo = fixed_operand(scene.box_half)
+    hi = fixed_operand(1.0 - scene.box_half)
 
     def rows(points):
-        d = scene.axis_coverage(np.minimum(np.maximum(points, lo), hi), grid)
+        c = np.maximum(points, lo)
+        np.minimum(c, hi, out=c)
+        d = scene.axis_coverage(c, grid)
         d -= ref
         d_sq = np.einsum("mij,mij->mi", d, d)
         d_ref = np.einsum("mij,ij->mi", d, ref)
         dx_sq, dy_sq = d_sq[:, 0::2], d_sq[:, 1::2]
-        dx_ref, dy_ref = d_ref[:, 0::2], d_ref[:, 1::2]
-        # a_x . a_x and a_x . d_x from a_x = r_x + d_x
-        per_box = dy_sq * (ref_x_sq + 2.0 * dx_ref + dx_sq) + 2.0 * dy_ref * (dx_ref + dx_sq)
-        per_box += ref_y_sq * dx_sq
+        twice_ref = d_ref * _TWO
+        # a_x . a_x and a_x . d_x from a_x = r_x + d_x:
+        # dy_sq (r_x^2 + 2 dx_ref + dx_sq) + 2 dy_ref (dx_ref + dx_sq) + r_y^2 dx_sq
+        per_box = twice_ref[:, 0::2] + ref_x_sq
+        per_box += dx_sq
+        per_box *= dy_sq
+        term = d_ref[:, 0::2] + dx_sq
+        term *= twice_ref[:, 1::2]
+        per_box += term
+        np.multiply(dx_sq, ref_y_sq, out=term)
+        per_box += term
         loss = np.add.reduce(per_box, 1)
         loss /= norm
         return loss
@@ -410,6 +435,11 @@ _SHININESS_UNIT = 10.0  # th[6] carries the exponent in tens, keeping all
 # (8, 3, 688) floats, takes 132 KB.  On the render benchmark (2-core x86-64
 # VM), blocks of 16 or 32 rows cost more per row than 8: their images outgrow
 # the cache, and their temporaries page-fault fresh memory on every call.
+# With the image made by einsum an 8-row block takes about 60 us (73 us with
+# broadcast products).  Blocks of 12 rows, whose image takes 198 KB, made a
+# whole phong:OurH pass take 1.56 times as long as blocks of 8 (20 rounds in
+# one interpreter).  A row's loss does not depend on the block size, which
+# ``tests/test_tasks.py`` checks.
 _PHONG_BLOCK = 8
 
 
@@ -418,9 +448,10 @@ class _PhongScene:
 
     Geometry, light and the specular base are fixed, so the diffuse
     intensities, the lit-pixel index and its bases are built once; a
-    shade call pays the power on lit pixels, one scatter and two
-    broadcast products.  ``kd[..., None] * diffuse`` is exactly what
-    ``np.outer`` computes, so the image keeps its bits.
+    shade call pays the power on lit pixels, one scatter and two outer
+    products.  ``np.einsum`` makes each image entry as one rounded
+    product, as ``np.outer`` does, so the image keeps its bits up to the
+    sign of a zero (see ``shade``).
     """
 
     def __init__(self, resolution: int = 32):
@@ -452,12 +483,19 @@ class _PhongScene:
         exponents, shape (...): one image for a single point, or one per
         row for (m, 3), (m, 3) and (m,).  The specular intensity is
         spec_base ** alpha where lit, else 0.
+
+        The products kd x diffuse and ks x spec are ``np.einsum`` calls,
+        which on an 8-row block take about 10 us each, where broadcast
+        multiplies took 16-19 us.  einsum writes 0 + a*b, so a product of
+        -0.0 comes out +0.0; every other entry is the rounded product
+        itself.  A loss squares each difference from its reference, so
+        that sign never reaches it, and NaN and inf products are kept.
         """
         alpha = np.asarray(alpha)
         spec = np.zeros(alpha.shape + self.spec_base.shape)
         spec[..., self._lit] = self._lit_base ** alpha[..., None]
-        img = kd[..., None] * self.diffuse
-        img += ks[..., None] * spec[..., None, :]
+        img = np.einsum("...c,p->...cp", kd, self.diffuse)
+        img += np.einsum("...c,...p->...cp", ks, spec)
         return img
 
 
@@ -475,15 +513,17 @@ def phong_sphere_task(resolution: int = 32) -> Task:
     """
     scene = _PhongScene(resolution)
     ref = scene.shade(PHONG_TRUE[0:3], PHONG_TRUE[3:6], PHONG_TRUE[6] * _SHININESS_UNIT)
-    norm = 3.0 * scene.total_pixels
+    norm = fixed_operand(3.0 * scene.total_pixels)
+    unit, floor, low, high = map(fixed_operand, (_SHININESS_UNIT, _SHININESS_FLOOR, -1e300, 1e300))
 
     def block_rows(points):
         # past +-1e300 tens the exponent acts as it would at +-inf (lit bases
         # ** alpha are 0 or 1, or alpha is the floor); the clamp keeps the
         # scaling from overflowing
-        alpha = np.minimum(np.maximum(points[:, 6], -1e300), 1e300)
-        alpha *= _SHININESS_UNIT
-        np.maximum(alpha, _SHININESS_FLOOR, out=alpha)
+        alpha = np.maximum(points[:, 6], low)
+        np.minimum(alpha, high, out=alpha)
+        alpha *= unit
+        np.maximum(alpha, floor, out=alpha)
         diff = scene.shade(points[:, 0:3], points[:, 3:6], alpha)
         diff -= ref
         loss = np.einsum("mij,mij->m", diff, diff)

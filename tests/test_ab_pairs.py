@@ -182,3 +182,85 @@ def test_alternate_runs_the_parent_first_in_even_pairs(capsys):
     assert pairs == [({"side": 0}, {"side": 1})] * 3
     assert capsys.readouterr().out.splitlines()[:2] == ['probe 0 parent: {"side": 0}',
                                                         'probe 0 change: {"side": 1}']
+
+
+def test_alternate_rotates_three_sides_so_each_runs_in_every_slot(capsys):
+    order = []
+    results = ab_pairs.alternate(4, "pair", lambda side: order.append(side) or {"side": side}, 3)
+    assert order == [0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]
+    assert results == [({"side": 0}, {"side": 1}, {"side": 2})] * 4
+    assert capsys.readouterr().out.splitlines()[3:6] == ['pair 1 change: {"side": 1}',
+                                                         'pair 1 control: {"side": 2}',
+                                                         'pair 1 parent: {"side": 0}']
+
+
+def canned_triples(rows):
+    return [tuple(json.loads(result) for result in row) for row in rows]
+
+
+def test_the_control_is_summarized_and_judged_against_the_same_parent_runs():
+    results = canned_triples([(line(15.0, 1.0), line(14.0, 1.0), line(15.2, 1.0)),
+                              (line(16.0, 1.0), line(14.5, 1.0), line(15.8, 1.0)),
+                              (line(15.5, 1.0), line(14.2, 1.0), line(15.4, 1.0, correct=False))])
+    lines = ab_pairs.against_parent(results, BETTER, BOUNDS, "== vs ")
+    assert lines == [
+        "== vs change",
+        "us_per_eval: 15.5 [15.25, 15.75] -> 14.2 [14.1, 14.35] (-8.4%), "
+        "change better in 3 of 3 pairs",
+        "completed_runs: 1 [1, 1] -> 1 [1, 1] (+0.0%), change better in 0 of 3 pairs",
+        "us_per_eval: within bound (bound 0.25 allows 3.875; medians 15.5 -> 14.2, "
+        "parent quartile spread 0.5)",
+        "completed_runs: within bound (bound 0.003 allows 0.003; medians 1 -> 1, "
+        "parent quartile spread 0)",
+        "== vs control",
+        "us_per_eval: 15.5 [15.25, 15.75] -> 15.4 [15.3, 15.6] (-0.6%), "
+        "control better in 2 of 3 pairs",
+        "completed_runs: 1 [1, 1] -> 1 [1, 1] (+0.0%), control better in 0 of 3 pairs",
+        "FLAGGED: pair 2 control: correct: False, failed: 0",
+        "us_per_eval: within bound (bound 0.25 allows 3.875; medians 15.5 -> 15.4, "
+        "parent quartile spread 0.5)",
+        "completed_runs: within bound (bound 0.003 allows 0.003; medians 1 -> 1, "
+        "parent quartile spread 0)",
+    ]
+    # without a control, one block, and without bounds no verdicts
+    assert ab_pairs.against_parent([r[:2] for r in results], BETTER, {}, "== vs ") == lines[:3]
+
+
+def test_main_runs_the_control_in_every_pair_and_reports_it(tmp_path, monkeypatch, capsys):
+    roots = {}
+    for side in ab_pairs.SIDES:
+        root = roots[side] = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(CANNED_RUN_PY)
+        (root / ".bench_out").mkdir()
+        (root / ".bench_out" / "BENCH_render_seed1_trace0.json").write_text(json.dumps(
+            {"cells": [{"config": {"task": "phong"}}, {"config": {"task": "box10"}}]}))
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "us_per_eval", "better": "lower", "bound": 0.25}]}))
+    us = {"parent": 28.9, "change": 27.4, "control": 28.8}
+    side_of = {root.resolve(): side for side, root in roots.items()}
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append(side_of[checkout])
+        return json.loads(line(us[side_of[checkout]], 1.0))
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "probe_once", lambda checkout, code, tasks: probe(0.1, 0.004))
+    argv = [str(roots["parent"]), str(roots["change"]), "--control", str(roots["control"]),
+            "--workload", "render", "--seeds", "1", "--pairs", "3", "--seconds", "1"]
+    assert ab_pairs.main(argv) == 0
+    assert ran == ["parent", "change", "control", "change", "control", "parent",
+                   "control", "parent", "change"]
+    out = [text for text in capsys.readouterr().out.splitlines() if not text.startswith("seed 1")]
+    assert out[0] == "== render seed 1, 3 pairs of 1 s: parent median [quartiles] -> change"
+    assert out[1].endswith("(-5.2%), change better in 3 of 3 pairs")
+    assert out[3].startswith("us_per_eval: within bound")
+    assert out[4] == "== render seed 1, 3 pairs of 1 s: parent median [quartiles] -> control"
+    assert out[5].endswith("(-0.3%), control better in 3 of 3 pairs")
+    assert out[7].startswith("us_per_eval: within bound")
+    assert out[8] == ("== render seed 1, 3 set-up probes of box10, phong: "
+                      "parent median [quartiles] -> change")
+    assert out[11] == ("== render seed 1, 3 set-up probes of box10, phong: "
+                       "parent median [quartiles] -> control")
+    assert len(out) == 14

@@ -13,6 +13,7 @@ from smoothdiff.kernels import (
     KernelElement,
     KernelSpec,
     axis_blur_gradient_kernel,
+    gaussian_cdf_1d,
     gaussian_pdf,
     gaussian_pdf_1d,
     gradient_cdf,
@@ -326,7 +327,8 @@ class TestAxisBlur:
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
 @pytest.mark.parametrize("fn", [axis_blur_gradient_kernel, gradient_pdf, gradient_inverse_cdf,
-                                hessian_diag_pdf, hessian_diag_cdf], ids=lambda fn: fn.__name__)
+                                hessian_diag_pdf, hessian_diag_cdf, gradient_cdf, gaussian_cdf_1d],
+                         ids=lambda fn: fn.__name__)
 def test_one_axis_functions_reject_a_nonpositive_sigma(fn, sigma):
     with pytest.raises(ValueError, match=f"sigma must be > 0, got {sigma}"):
         fn(0.3, sigma)

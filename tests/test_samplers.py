@@ -119,6 +119,25 @@ class TestHessianDiagTable:
         with pytest.raises(ValueError, match="cdf_values has shape"):
             TabulatedInverseCdf(grid=default.grid, cdf_values=default.cdf_values[:-1])
 
+    @pytest.mark.parametrize("spoil,message", [
+        ("one_decreasing_step", "tabulated CDF is not nondecreasing"),
+        ("last_value_short_of_one", "tabulated CDF endpoints out of tolerance"),
+    ])
+    def test_build_rejects_a_table_that_fails_its_self_checks(self, monkeypatch, spoil, message):
+        def spoiled_cdf(u, sigma):
+            cdf = hessian_diag_cdf(u, sigma)
+            if spoil == "one_decreasing_step":
+                cdf[4096] = cdf[4095] - 1e-6
+                assert np.count_nonzero(np.diff(cdf) < 0) == 1
+            else:
+                np.minimum(cdf, 1.0 - 1e-8, out=cdf)
+                assert cdf[-1] == 1.0 - 1e-8 and np.all(np.diff(cdf) >= 0)
+            return cdf
+
+        monkeypatch.setattr("smoothdiff.samplers.hessian_diag_cdf", spoiled_cdf)
+        with pytest.raises(AssertionError, match=message):
+            build_hessian_diag_table()
+
     def test_quarter_lookup_hits_minus_one(self):
         table = build_hessian_diag_table()
         assert abs(table.lookup(0.25) - (-1.0)) < 1e-3

@@ -445,6 +445,40 @@ class TestBatchedRows:
         assert np.array_equal(points.view(np.int64), before.view(np.int64))
 
 
+def phong_block_probe_points():
+    """Phong points past the shared pool: negative colors, signed zeros, magnitudes up to 1e100.
+
+    Past 1e100 a color's image entries can overflow in ``img +=``, which warns.
+    """
+    rng = np.random.default_rng(22)
+    pts = [np.append(rng.uniform(-2.0, 0.0, 6), rng.uniform(-1.0, 1.0)) for _ in range(12)]
+    pts += [rng.choice([0.0, -0.0], 7) for _ in range(8)]
+    pts += [np.append(rng.choice([0.0, -0.0, 0.5, -0.5], 6), rng.uniform(0.05, 0.5))
+            for _ in range(8)]
+    pts += [rng.choice([-1.0, 1.0], 7) * 10.0 ** rng.uniform(-300, 100, 7) for _ in range(12)]
+    pts += [np.full(7, 1e100), np.full(7, -1e100)]
+    return pts
+
+
+@pytest.mark.parametrize("name,setting,value",
+                         [("phong", "_PHONG_BLOCK", rows) for rows in (1, 3, 8, 13)]
+                         + [("texture16", "_TEXTURE_BLOCK_BYTES", kib << 10) for kib in (2, 64, 256)],
+                         ids=str)
+def test_a_loss_block_size_never_moves_a_rows_bits(monkeypatch, name, setting, value):
+    default, _, pool = reference_rows(name)
+    points = batch_of(pool, 112, seed=24)
+    if name == "phong":
+        own = phong_block_probe_points()
+        points[:len(own)] = own
+        points = points[np.random.default_rng(25).permutation(len(points))]
+    monkeypatch.setattr(f"smoothdiff.tasks.{setting}", value)
+    task = make_task(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = task.fn.rows(points), default.fn.rows(points)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("name,bad", [("quad", [1e160, -1e160]), ("quad", [1e160, 0.0]),
                                       ("neg_gauss", [np.nan, 0.0])], ids=str)
 def test_analytic_objective_counts_every_row_before_it_names_the_bad_one(name, bad):

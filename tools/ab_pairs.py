@@ -3,6 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload lowdim --seeds 1 7 --pairs 10 --seconds 20
+    python3 tools/ab_pairs.py PARENT CHANGE --control PARENT_COPY --workload render --seeds 1 --pairs 10 --seconds 20
 
 For each seed, runs ``python3 bench/run.py --workload W --seed S
 --seconds T --trace 0`` in the root of each checkout, ``--pairs`` times,
@@ -20,8 +21,17 @@ parent's median in magnitude, ``WORSE than bound`` when by more, and
 allowance, unless every change run reads better than every parent
 run.
 
-Then, for each seed, a set-up probe: ``--pairs`` times, alternating
-which side runs first as the pairs do, each checkout's own set-up code
+``--control DIR`` names a third checkout holding the parent's code at
+another path.  Each pair then runs parent, change and control, in an
+order that rotates by one side from pair to pair, so that each side
+runs first, second and third equally often over three pairs.  After the
+change's summary and verdicts, the control's follow, against the same
+parent runs.  Two checkouts of the same code can read apart by a
+per-process effect alone; a change's reading means something only
+beyond the control's.
+
+Then, for each seed, a set-up probe: ``--pairs`` times, in the order
+the pairs take, each checkout's own set-up code
 (the ``_SETUP_CODE`` string of its ``bench/run.py``, read with ``ast``,
 not imported) runs in a fresh interpreter on the tasks of the
 workload's cells, taken from the report the seed's runs wrote to
@@ -48,7 +58,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-SIDES = ("parent", "change")
+SIDES = ("parent", "change", "control")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,8 +154,9 @@ def _paired_values(pairs: list[tuple[dict, dict]], name: str) -> list[list[float
             if all(name in p[k].get("metrics", {}) for k in range(2))]
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """Lines summarizing (parent, change) result pairs: per metric, then every flagged run."""
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              side: str = "change") -> list[str]:
+    """Lines summarizing (parent, ``side``) result pairs: per metric, then every flagged run."""
     names = []
     for pair in pairs:
         for result in pair:
@@ -160,12 +171,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         (m0, a0, b0), (m1, a1, b1) = (_quartiles([v[k] for v in values]) for k in range(2))
         rel = f"{(m1 - m0) / abs(m0):+.1%}" if m0 else "n/a"
         lines.append(f"{name}: {m0:.6g} [{a0:.6g}, {b0:.6g}] -> {m1:.6g} [{a1:.6g}, {b1:.6g}] "
-                     f"({rel}), change better in {wins} of {len(values)} pairs")
+                     f"({rel}), {side} better in {wins} of {len(values)} pairs")
     for k, pair in enumerate(pairs):
-        for side, result in zip(SIDES, pair):
+        for name, result in zip((SIDES[0], side), pair):
             why = flagged(result)
             if why is not None:
-                lines.append(f"FLAGGED: pair {k} {side}: {why}")
+                lines.append(f"FLAGGED: pair {k} {name}: {why}")
     return lines
 
 
@@ -194,16 +205,32 @@ def verdicts(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float]
     return lines
 
 
-def alternate(pairs: int, label: str, run: Callable[[int], dict]) -> list[tuple[dict, dict]]:
-    """``pairs`` (parent, change) results of ``run(side)``, the parent first in even pairs."""
+def alternate(pairs: int, label: str, run: Callable[[int], dict],
+              sides: int = 2) -> list[tuple[dict, ...]]:
+    """``pairs`` results of ``run(side)`` per side, in ``SIDES`` order.
+
+    Pair k runs the sides from side k mod ``sides`` on, wrapping round: of
+    two sides, the parent first in even pairs.
+    """
     out = []
     for k in range(pairs):
-        pair = [None, None]
-        for side in (0, 1) if k % 2 == 0 else (1, 0):
+        pair = [None] * sides
+        for side in [(k + j) % sides for j in range(sides)]:
             pair[side] = run(side)
             print(f"{label} {k} {SIDES[side]}: {json.dumps(pair[side])}", flush=True)
         out.append(tuple(pair))
     return out
+
+
+def against_parent(results: list[tuple[dict, ...]], better: dict[str, str],
+                   bounds: dict[str, tuple[str, float]], header: str) -> list[str]:
+    """Per side after the parent, a ``header`` line naming it, then its summary and verdicts."""
+    lines = []
+    for side in range(1, len(results[0])):
+        pairs = [(result[0], result[side]) for result in results]
+        lines += [f"{header}{SIDES[side]}", *summarize(pairs, better, SIDES[side]),
+                  *verdicts(pairs, bounds)]
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,28 +241,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--control", type=Path, default=None,
+                        help="root of a second checkout of the parent's code, run in every pair")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    checkouts = (args.parent.resolve(), args.change.resolve())
+    checkouts = tuple(c.resolve() for c in (args.parent, args.change, args.control) if c is not None)
+    sides = len(checkouts)
     better = better_directions(checkouts[1])
     bounds = end_to_end_bounds(checkouts[1])
     codes = [setup_code((c / "bench" / "run.py").read_text()) for c in checkouts]
     any_flagged = False
     for seed in args.seeds:
         pairs = alternate(args.pairs, f"seed {seed} pair",
-                          lambda side: run_once(checkouts[side], args.workload, seed, args.seconds))
-        print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {args.seconds:g} s: "
-              f"parent median [quartiles] -> change")
-        lines = summarize(pairs, better)
-        print("\n".join(lines + verdicts(pairs, bounds)), flush=True)
+                          lambda side: run_once(checkouts[side], args.workload, seed, args.seconds),
+                          sides)
+        lines = against_parent(pairs, better, bounds, f"== {args.workload} seed {seed}, "
+                               f"{args.pairs} pairs of {args.seconds:g} s: "
+                               f"parent median [quartiles] -> ")
+        print("\n".join(lines), flush=True)
         report = Path(".bench_out") / f"BENCH_{args.workload}_seed{seed}_trace0.json"
         tasks = [report_tasks(json.loads((c / report).read_text())) for c in checkouts]
         probes = alternate(args.pairs, f"seed {seed} set-up probe",
-                           lambda side: probe_once(checkouts[side], codes[side], tasks[side]))
-        print(f"== {args.workload} seed {seed}, {args.pairs} set-up probes of "
-              f"{', '.join(tasks[1])}: parent median [quartiles] -> change")
-        probe_lines = summarize(probes, better)
+                           lambda side: probe_once(checkouts[side], codes[side], tasks[side]), sides)
+        probe_lines = against_parent(probes, better, {}, f"== {args.workload} seed {seed}, "
+                                     f"{args.pairs} set-up probes of {', '.join(tasks[1])}: "
+                                     f"parent median [quartiles] -> ")
         print("\n".join(probe_lines), flush=True)
         any_flagged |= any(line.startswith("FLAGGED") for line in lines + probe_lines)
     return 1 if any_flagged else 0
