@@ -6,9 +6,14 @@ smoothing Gaussian.  Estimators importance-sample offsets from the
 positivized kernel densities, and each evaluation f(theta - tau) counts
 with weight kernel(tau) / pdf(tau).
 
-Every estimator makes one pass over the blocks of offsets it draws, in
-three stages, each chunk drawn, evaluated and contracted before the next
-is drawn:
+Every estimator makes one pass over the stacks of offsets it draws, in
+three stages, each stack drawn, evaluated and contracted before the next
+is drawn.  Per stack the pass is straight: one evaluate call and one
+contract call on plain slices of 2-D arrays, and a multi-chunk estimate
+loops over that same pass.  A draw that makes one stack -- aggregate,
+uniform, or per-element blocks that fit one chunk -- returns it as a
+1-tuple; only per-element blocks that span several chunks come from a
+generator, which draws each chunk when the pass asks for it:
 
 1. **Draw** offsets tau with the output elements they serve and the
    density ratio q = pdf / N of each drawn row, where N is the smoothing
@@ -36,9 +41,11 @@ is drawn:
    axes left unblurred.
 2. **Evaluate** f at theta - tau for each block's drawn rows, then at
    theta + tau for their mirror images, in one ``Objective.evaluate_rows``
-   call per stack, whatever its leading block axes: a loss that carries a
-   batched form (``fn.rows``) in one call over all the rows, any other
-   loss row by row, float64 values either way.  It aborts the estimate on
+   call per stack, whatever its leading block axes.  An estimate writes
+   its points into one buffer, made at its first stack's size; later
+   chunks, never larger, fill its leading rows.  A loss that carries a
+   batched form (``fn.rows``) is evaluated in one call over all the
+   rows, any other loss row by row, to float64 values either way.  It aborts the estimate on
    the first non-finite value.  A shared block's values have shape
    (2 * samples,), per-element blocks' (blocks, 2 * samples).
 3. **Contract** each block's values into one coefficient per drawn row,
@@ -80,7 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,8 +255,8 @@ _HALF = fixed_operand(0.5)
 
 # Scratch memory one chunk of per-element blocks may take.  A chunk's
 # evaluation points, two per drawn row, get a quarter of it, and its drawn
-# rows half that.  Each chunk's points are dropped before the next chunk is
-# drawn.
+# rows half that.  An estimate's chunks share one points buffer, and each
+# chunk's drawn rows are dropped before the next chunk is drawn.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -281,11 +288,20 @@ def _axis(rows: np.ndarray, idx: np.ndarray, pos: np.ndarray | None = None) -> n
     return rows[np.arange(len(rows)) if pos is None else pos, :, idx]
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite (a count, cheaper than ``.all()`` on small arrays).
+# the most entries _all_finite tests one by one: past about a dozen, one count costs less
+_FEW_ENTRIES = 8
 
-    Unlike a test of x . x, it cannot overflow, so it warns of nothing.
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite.
+
+    Up to ``_FEW_ENTRIES`` entries are tested as Python floats, which costs
+    less than numpy's per-call overhead; more are counted, which is cheaper
+    than ``.all()`` on small arrays.  Unlike a test of x . x, neither can
+    overflow, so it warns of nothing.
     """
+    if x.size <= _FEW_ENTRIES:
+        return all(map(math.isfinite, x.ravel().tolist()))
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
@@ -318,29 +334,40 @@ def _check_direction(v, dim: int) -> np.ndarray:
     return v
 
 
-def _chunks(elements: ElementSet, count: int, dim: int) -> Iterator[ElementSet]:
-    """In-order chunks of ``elements`` whose evaluation points fit a quarter of _CHUNK_BYTES."""
+def _chunks(elements: ElementSet, count: int, dim: int) -> Sequence[ElementSet]:
+    """In-order chunks of ``elements`` whose evaluation points fit a quarter of _CHUNK_BYTES.
+
+    ``(elements,)`` itself when they all fit one chunk.
+    """
     size = max(1, _CHUNK_BYTES // (4 * 8 * 2 * count * dim))
     if size >= len(elements):
-        return iter((elements,))
-    return (ElementSet(elements[start:start + size]) for start in range(0, len(elements), size))
+        return (elements,)
+    return [ElementSet(elements[start:start + size]) for start in range(0, len(elements), size)]
 
 
-def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
-    """Stacks of drawn offsets for ``cfg.mode``; the only stage that knows the mode."""
-    spec, count = cfg.spec, cfg.samples
-    if cfg.mode is SamplingMode.AGGREGATE:
+def _per_chunk(draw_chunk: Callable[[ElementSet, KernelSpec, RngStream, int], _Stack],
+               chunks: Sequence[ElementSet], spec: KernelSpec, rng: RngStream, count: int) -> Iterable[_Stack]:
+    """One chunk's stack as a 1-tuple, or a generator that draws each chunk when the pass asks for it.
+
+    The pass drops a chunk's stack before it asks for the next one, so a
+    multi-chunk estimate holds one chunk of drawn rows at a time.
+    """
+    if len(chunks) == 1:
+        return (draw_chunk(chunks[0], spec, rng, count),)
+    return (draw_chunk(chunk, spec, rng, count) for chunk in chunks)
+
+
+def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterable[_Stack]:
+    """Stacks of drawn offsets for ``cfg.mode``; the only stage that knows the mode.
+
+    One stack comes as a 1-tuple; per-element blocks in several chunks
+    come from a generator (``_per_chunk``).
+    """
+    spec, count, mode = cfg.spec, cfg.samples, cfg.mode
+    if mode is SamplingMode.PER_ELEMENT:
+        return _per_chunk(_element_blocks, _chunks(elements, count, spec.dim), spec, rng, count)
+    if mode is SamplingMode.AGGREGATE:
         taus, q = sample_aggregate_offsets(elements, spec, rng, count)
-        yield _Stack(taus, elements, q)
-    elif cfg.mode is SamplingMode.PER_ELEMENT:
-        for chunk in _chunks(elements, count, spec.dim):
-            # one Gaussian call and one uniform call per chunk
-            if chunk[0].kind is ElementKind.GRADIENT:
-                taus, q = sample_gradient_offsets(chunk.i, spec, rng, count)
-            else:
-                taus, q = sample_hessian_offsets(chunk, spec, rng, count)
-            yield _Stack(taus.reshape(len(chunk), count, spec.dim), chunk, q.reshape(len(chunk), count))
-            del taus, q  # drawn chunks are not kept while the next one is drawn
     else:
         sigma = spec.sigma
         taus = (rng.uniform((count, spec.dim)) * 2.0 - 1.0) * (10.0 * sigma)
@@ -349,52 +376,85 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterato
         with np.errstate(over="ignore"):
             q = np.exp(np.sum(taus * taus, axis=1) / (2.0 * sigma * sigma)
                        - spec.dim * math.log(20.0 / SQRT_TWO_PI))
-        yield _Stack(taus, elements, q)
+    return (_Stack(taus, elements, q),)
 
 
-def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterator[_Stack]:
+def _element_blocks(chunk: ElementSet, spec: KernelSpec, rng: RngStream, count: int) -> _Stack:
+    """A chunk's per-element blocks, drawn in one Gaussian call and one uniform call."""
+    if chunk[0].kind is ElementKind.GRADIENT:
+        taus, q = sample_gradient_offsets(chunk.i, spec, rng, count)
+    else:
+        taus, q = sample_hessian_offsets(chunk, spec, rng, count)
+    return _Stack(taus.reshape(len(chunk), count, spec.dim), chunk, q.reshape(len(chunk), count))
+
+
+def _draw_axis_blur(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterable[_Stack]:
     """FR22 draws: per-element gradient blocks that blur only their own axis."""
     spec, count = cfg.spec, cfg.samples
-    for chunk in _chunks(elements, count, spec.dim):
-        k = len(chunk)
-        u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
-        taus = np.zeros((k, count, spec.dim))
-        taus[np.arange(k), :, chunk.i] = u
-        yield _Stack(taus, chunk, element_density_ratios(taus, chunk, spec.sigma))
+    return _per_chunk(_axis_blur_blocks, _chunks(elements, count, spec.dim), spec, rng, count)
 
 
-def _evaluate(obj: Objective, theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
+def _axis_blur_blocks(chunk: ElementSet, spec: KernelSpec, rng: RngStream, count: int) -> _Stack:
+    """A chunk's FR22 blocks: each block's own axis from one uniform call, every other axis zero."""
+    k = len(chunk)
+    u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
+    taus = np.zeros((k, count, spec.dim))
+    taus[np.arange(k), :, chunk.i] = u
+    return _Stack(taus, chunk, element_density_ratios(taus, chunk, spec.sigma))
+
+
+def _evaluate(obj: Objective, theta: np.ndarray, taus: np.ndarray,
+              points: np.ndarray | None = None) -> np.ndarray:
     """The evaluate stage: values of shape ``taus.shape[:-2] + (2 * samples,)``.
 
     A block's points are theta - tau for its drawn rows, then theta + tau
     for their mirror images, for a shared (samples, dim) block and stacked
-    (blocks, samples, dim) ones alike, written straight into one buffer
-    and evaluated in one ``evaluate_rows`` call.
+    (blocks, samples, dim) ones alike.  They are written straight into
+    the leading rows of ``points``, a (rows, dim) buffer at least as long
+    as they need, or of a new one, and evaluated in one ``evaluate_rows``
+    call.
     """
-    count, dim = taus.shape[-2:]
-    points = np.empty(taus.shape[:-2] + (2 * count, dim))
-    np.subtract(theta, taus, points[..., :count, :])
-    np.add(theta, taus, points[..., count:, :])
-    return obj.evaluate_rows(points.reshape(-1, dim)).reshape(points.shape[:-1])
+    dim = taus.shape[-1]
+    rows = 2 * (taus.size // dim)
+    if points is None:
+        points = np.empty((rows, dim))
+    elif len(points) != rows:
+        points = points[:rows]
+    if taus.ndim == 2:
+        count = len(taus)
+        np.subtract(theta, taus, points[:count])
+        np.add(theta, taus, points[count:])
+        return obj.evaluate_rows(points)
+    blocks, count = len(taus), taus.shape[1]
+    stacked = points.reshape(blocks, 2 * count, dim)
+    np.subtract(theta, taus, stacked[:, :count])
+    np.add(theta, taus, stacked[:, count:])
+    return obj.evaluate_rows(points).reshape(blocks, 2 * count)
 
 
-def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterable[_Stack], reduce, *args,
+def _estimate(obj: Objective, theta: np.ndarray, stacks: Iterable[_Stack],
+              contract: Callable[[_Stack, np.ndarray, float], np.ndarray], sigma: float,
               kept: list | None = None) -> np.ndarray:
     """One pass: each stack evaluated and contracted before the next is drawn.
 
-    ``reduce(stack, vals, *args)`` turns a stack and the values
+    ``contract(stack, vals, sigma)`` turns a stack and the values
     ``_evaluate`` gives for it into the estimates of the elements it
     serves; stacks arrive in the order of those elements, and a single
-    stack's contraction is the estimate as it is.  With ``kept``, each
+    stack's contraction is the estimate as it is.  Every stack is
+    evaluated in one points buffer, made at the first stack's size; later
+    chunks, never larger, fill its leading rows.  With ``kept``, each
     stack is appended to it with its HVP coefficients.
     """
+    points = None
     parts = []
     for stack in stacks:
-        vals = _evaluate(obj, theta, stack.taus)
-        parts.append(reduce(stack, vals, *args))
+        if points is None:
+            points = np.empty((2 * stack.q.size, len(theta)))
+        vals = _evaluate(obj, theta, stack.taus, points)
+        parts.append(contract(stack, vals, sigma))
         if kept is not None:
             kept.append((stack, _even_coefficients(vals, stack.q)))
-        del stack, vals  # see _draw
+        del stack, vals  # a chunk's stack is not held while the next one is drawn
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -414,26 +474,34 @@ def _even_coefficients(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
     zero) and removes the dominant value-level variance term.
     """
     pairs = q.shape[-1]
-    pv = np.add(vals[..., :pairs], vals[..., pairs:])
+    pv = np.add(*_halves(vals, pairs))
     pv *= _HALF
     if pairs > 1:
-        mean = np.add.reduce(pv, -1, keepdims=True)
-        mean /= pairs
-        pv -= mean
+        # a shared block's mean is one number: the same sum, divided as a scalar
+        pv -= (np.add.reduce(pv) if pv.ndim == 1 else np.add.reduce(pv, 1, keepdims=True)) / pairs
         pv /= pairs - 1
     pv /= q
     return pv
+
+
+def _halves(vals: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values at the drawn rows and at their mirror images, sliced from 1-D or 2-D ``vals``."""
+    if vals.ndim == 1:
+        return vals[:pairs], vals[pairs:]
+    return vals[:, :pairs], vals[:, pairs:]
 
 
 def _reduce_gradient(stack: _Stack, vals: np.ndarray, sigma: float) -> np.ndarray:
     """g_i = sum_r c_r tau_ri, c = (f(theta + tau) - f(theta - tau)) / (2 sigma^2 q samples)."""
     taus, q = stack.taus, stack.q
     count = q.shape[-1]
-    c = np.subtract(vals[..., count:], vals[..., :count])
+    minus, plus = _halves(vals, count)
+    c = np.subtract(plus, minus)
     c /= 2.0 * sigma * sigma * count * q
     if taus.ndim == 2:
         return c.dot(taus)  # a vector times a matrix: the BLAS product of @, called faster
-    c *= _axis(taus, stack.elements.i)
+    (_, pos, i, _), = stack.elements.groups  # gradient elements, one kind
+    c *= _axis(taus, i, pos)
     return np.add.reduce(c, 1)
 
 
@@ -471,24 +539,28 @@ def _contract_hvp(stack: _Stack, c: np.ndarray, sigma: float, v: np.ndarray,
     taus, s2 = stack.taus, sigma * sigma
     if c_sum is None:
         c_sum = np.add.reduce(c, -1)
+    if taus.ndim == 2:
+        return _shared_hvp(taus, c, s2 * float(c_sum), s2 * s2, v)
+    (_, pos, i, _), = stack.elements.groups  # gradient elements, one kind
     a = taus @ v
     a *= c
-    if taus.ndim == 2:
-        hv = a.dot(taus)
-        hv -= s2 * float(c_sum) * v
-    else:
-        i = stack.elements.i
-        a *= _axis(taus, i)
-        hv = np.add.reduce(a, 1)
-        level = s2 * v[i]
-        level *= c_sum
-        hv -= level
+    a *= _axis(taus, i, pos)
+    hv = np.add.reduce(a, 1)
+    level = s2 * v[i]
+    level *= c_sum
+    hv -= level
     hv /= s2 * s2
     return hv
 
 
-def _reduce_hvp(stack: _Stack, vals: np.ndarray, sigma: float, v: np.ndarray) -> np.ndarray:
-    return _contract_hvp(stack, _even_coefficients(vals, stack.q), sigma, v)
+def _shared_hvp(taus: np.ndarray, c: np.ndarray, level: float, s4: float, v: np.ndarray) -> np.ndarray:
+    """A shared block's HVP, (sum_r c_r tau_r (tau_r . v) - level v) / s4, for level = sigma^2 sum c."""
+    a = taus.dot(v)  # bit-equal to taus @ v for a 2-D block and a 1-D direction, and called faster
+    a *= c
+    hv = a.dot(taus)
+    hv -= level * v
+    hv /= s4
+    return hv
 
 
 # ---------------------------------------------------------------------------
@@ -508,26 +580,31 @@ class SampledBatch:
     ``PER_ELEMENT`` mode each row of it comes from a block of its own, so
     it is not symmetric.
 
-    What does not depend on v is formed once per batch, in the estimate's
-    own pass: each stack's coefficients c (``_even_coefficients``), from
-    the values the gradient was contracted from, and their sum per block.
-    A product checks ``v`` and runs ``_contract_hvp`` on each term,
-    nothing more.
+    What does not depend on v is formed once per batch: in the estimate's
+    own pass, each stack's coefficients c (``_even_coefficients``), from
+    the values the gradient was contracted from; here, their sum per
+    block, and for a shared block, the batch's one term, sigma^4 and the
+    level term sigma^2 sum c as well.  A product checks ``v`` and
+    contracts each term with it, nothing more.
     """
 
     def __init__(self, cfg: EstimatorConfig, coefficients: Iterable[tuple[_Stack, np.ndarray]]):
         self.cfg = cfg
         self.terms = tuple((stack, c, np.add.reduce(c, -1)) for stack, c in coefficients)
+        s2 = cfg.spec.sigma * cfg.spec.sigma
+        self._s4 = s2 * s2
+        (stack, c, c_sum), *rest = self.terms
+        self._level = None if rest or stack.taus.ndim != 2 else s2 * float(c_sum)
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
         spec = self.cfg.spec
         v = _check_direction(v, spec.dim)
-        if len(self.terms) == 1:
-            stack, c, c_sum = self.terms[0]
-            return _contract_hvp(stack, c, spec.sigma, v, c_sum)
-        return np.concatenate([_contract_hvp(stack, c, spec.sigma, v, c_sum)
-                               for stack, c, c_sum in self.terms])
+        if self._level is not None:
+            stack, c, _ = self.terms[0]
+            return _shared_hvp(stack.taus, c, self._level, self._s4, v)
+        parts = [_contract_hvp(stack, c, spec.sigma, v, c_sum) for stack, c, c_sum in self.terms]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +617,7 @@ def _gradient(obj: Objective, theta: np.ndarray, cfg: EstimatorConfig, rng: RngS
     theta = _check_theta(theta, n)
     start = obj.eval_count
     kept = [] if keep_batch else None
-    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), _reduce_gradient, cfg.spec.sigma,
-                  kept=kept)
+    g = _estimate(obj, theta, draw(cfg, rng, gradient_elements(n)), _reduce_gradient, cfg.spec.sigma, kept)
     return GradientEstimate(g, obj.eval_count - start, None if kept is None else SampledBatch(cfg, kept))
 
 
@@ -632,5 +708,7 @@ def estimate_hvp(
     theta = _check_theta(theta, n)
     v = _check_direction(v, n)
     start = obj.eval_count
-    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)), _reduce_hvp, cfg.spec.sigma, v)
+    hv = _estimate(obj, theta, _draw(cfg, rng, gradient_elements(n)),
+                   lambda stack, vals, sigma: _contract_hvp(stack, _even_coefficients(vals, stack.q), sigma, v),
+                   cfg.spec.sigma)
     return HvpEstimate(hv=hv, evals_used=obj.eval_count - start)

@@ -24,6 +24,10 @@ again as one, its note the error's text, which names the point.  Every
 abort note names its iteration, and an abort inside iteration k leaves
 the records of iterations 0 to k - 1.  A deterministic clock reads a
 nominal microsecond per evaluation, so repeated runs give equal traces.
+The clock is read once per record, and the record's wall time is the
+reading ``Budget.spent`` takes its share from, so a run that stops on
+wall-clock seconds shows it in its records: every record but the last
+reads below the budget's seconds.
 """
 
 from __future__ import annotations
@@ -205,14 +209,15 @@ def _outer_loop(obj: Objective, init: np.ndarray, schedule: SigmaSchedule, budge
     trace = ConvergenceTrace()
     err_fn = param_error_fn if param_error_fn is not None else lambda th: math.nan
     t0 = time.perf_counter()
-    now = (lambda: obj.eval_count * 1e-6) if deterministic_clock else (lambda: time.perf_counter() - t0)
     loss = obj.evaluate(theta)
     iteration = 0
     while True:
-        trace.append(TraceRecord(now(), iteration, obj.eval_count, loss, err_fn(theta)))
+        evals = obj.eval_count
+        now = evals * 1e-6 if deterministic_clock else time.perf_counter() - t0
+        trace.append(TraceRecord(now, iteration, evals, loss, err_fn(theta)))
         if not math.isfinite(loss):
             raise NonFiniteStateError(f"non-finite loss at iteration {iteration}: {loss}", trace)
-        if (spent := budget.spent(now(), obj.eval_count)) >= 1.0:
+        if (spent := budget.spent(now, evals)) >= 1.0:
             return trace
         iteration += 1
         try:

@@ -264,3 +264,56 @@ def test_main_runs_the_control_in_every_pair_and_reports_it(tmp_path, monkeypatc
     assert out[11] == ("== render seed 1, 3 set-up probes of box10, phong: "
                        "parent median [quartiles] -> control")
     assert len(out) == 14
+
+
+def claim_of(parent_us, change_us, better="lower"):
+    pairs = canned([(line(a, 1.0), line(b, 1.0)) for a, b in zip(parent_us, change_us)])
+    return ab_pairs.claim_verdict(pairs, "us_per_eval", better)
+
+
+# ten parent runs with quartiles 14.125 and 14.275: a spread of 0.15
+CLAIM_PARENT = [14.0, 14.1, 14.1, 14.2, 14.2, 14.2, 14.2, 14.3, 14.3, 14.4]
+
+
+@pytest.mark.parametrize("change,verdict", [
+    # better in 10 of 10 pairs, median 13.5: a gain of 0.7 against the spread of 0.15
+    ([13.5] * 10, "claim met"),
+    # better in 9 of 10 pairs is enough ...
+    ([13.5] * 9 + [14.5], "claim met"),
+    # ... 8 of 10 is not, and a tie counts for neither side
+    ([13.5] * 8 + [14.5, 14.5], "claim not met"),
+    ([13.5] * 8 + [14.5, 14.4], "claim not met"),
+    # better in every pair, but by less than the parent's own spread
+    ([x - 0.1 for x in CLAIM_PARENT], "claim not met"),
+])
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gain_beyond_the_parent_spread(change, verdict):
+    assert claim_of(CLAIM_PARENT, change).split(" (")[0] == f"us_per_eval: {verdict}"
+
+
+def test_a_claim_line_states_wins_gain_and_spread():
+    assert claim_of(CLAIM_PARENT, [13.5] * 10) == (
+        "us_per_eval: claim met (change better in 10 of 10 pairs; median gain 0.7 against "
+        "parent quartile spread 0.15)")
+    # higher is better: a lower change gains nothing
+    assert claim_of([1.0] * 10, [1.1] * 10, "higher").startswith("us_per_eval: claim met")
+    assert claim_of([1.1] * 10, [1.0] * 10, "higher").startswith(
+        "us_per_eval: claim not met (change better in 0 of 10 pairs; median gain -0.1")
+
+
+def test_a_pair_without_the_metric_counts_against_the_claim():
+    missing = {"correct": False, "failed": None, "metrics": {}, "error": "Traceback"}
+    pairs = canned([(line(14.2, 1.0), line(13.5, 1.0))] * 9) + [(json.loads(line(14.2, 1.0)), missing)]
+    assert ab_pairs.claim_verdict(pairs, "us_per_eval", "lower").startswith(
+        "us_per_eval: claim met (change better in 9 of 10 pairs")
+    assert ab_pairs.claim_verdict(pairs[1:], "us_per_eval", "lower").startswith(
+        "us_per_eval: claim not met (change better in 8 of 9 pairs")
+    assert ab_pairs.claim_verdict(pairs, "setup_s", "lower") == "setup_s: claim not met (no pair reports it)"
+
+
+def test_with_a_claim_each_sides_block_ends_with_its_claim_line():
+    results = canned_triples([(line(15.0 + k / 10, 1.0), line(14.0, 1.0), line(15.0 + k / 10, 1.0))
+                              for k in range(10)])
+    lines = ab_pairs.against_parent(results, BETTER, {}, "== vs ", "us_per_eval")
+    assert lines[3].startswith("us_per_eval: claim met (change better in 10 of 10 pairs")
+    assert lines[7].startswith("us_per_eval: claim not met (control better in 0 of 10 pairs")
+    assert len(lines) == 8

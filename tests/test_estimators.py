@@ -869,6 +869,66 @@ def test_texture_gradient_estimate_holds_no_mirror_block_or_batch_copy():
     assert peak < 2 << 20
 
 
+# n = 5 per-element blocks, two per chunk: three chunks, the last a block short
+CHUNKED_N, CHUNKED_SAMPLES = 5, 2
+CHUNKED_ESTIMATES = {
+    "gradient": lambda obj, th, c: estimate_gradient(obj, th, c, RngStream(7)).g,
+    "fr22": lambda obj, th, c: estimate_gradient_fr22(obj, th, c, RngStream(7)).g,
+    "hessian": lambda obj, th, c: upper(estimate_hessian(obj, th, c, RngStream(7)).h),
+}
+
+
+def upper(h):
+    """The entries of a symmetric matrix in the order of ``hessian_elements``."""
+    elements = hessian_elements(len(h))
+    return h[elements.i, elements.j]
+
+
+def two_blocks_per_chunk(monkeypatch):
+    monkeypatch.setattr(smoothdiff.estimators, "_CHUNK_BYTES", 2 * 4 * 8 * 2 * CHUNKED_SAMPLES * CHUNKED_N)
+
+
+@pytest.mark.parametrize("order", list(CHUNKED_ESTIMATES))
+def test_chunks_share_one_points_buffer_and_give_the_same_estimate(order, monkeypatch):
+    # the Hessian's 15 elements, two per chunk, make eight chunks
+    two_blocks_per_chunk(monkeypatch)
+    inputs = []
+    real = Objective.evaluate_rows
+    monkeypatch.setattr(Objective, "evaluate_rows", lambda obj, points: inputs.append(points) or real(obj, points))
+    c = cfg(sigma=0.6, dim=CHUNKED_N, samples=CHUNKED_SAMPLES)
+    theta = np.linspace(-0.7, 0.9, CHUNKED_N)
+    got = CHUNKED_ESTIMATES[order](Objective(wavy, CHUNKED_N), theta, c)
+    assert len(inputs) >= 3 and len(inputs[-1]) < len(inputs[0])
+    assert all(np.shares_memory(inputs[0], points) for points in inputs[1:])
+    # the same draws, each chunk's points built on their own and evaluated row by row
+    want, _ = reduce_estimates(order, wavy, theta, c, RngStream(7))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", list(CHUNKED_ESTIMATES))
+def test_a_multi_chunk_draw_draws_each_chunk_after_the_last_one_is_evaluated(order, monkeypatch):
+    # a draw held whole would make every sampler call before the first evaluation
+    two_blocks_per_chunk(monkeypatch)
+    events = []
+    for name in ("sample_gradient_offsets", "sample_hessian_offsets", "element_density_ratios"):
+        real_draw = getattr(smoothdiff.estimators, name)
+        monkeypatch.setattr(smoothdiff.estimators, name,
+                            partial(lambda fn, *args: events.append("draw") or fn(*args), real_draw))
+    real = Objective.evaluate_rows
+    monkeypatch.setattr(Objective, "evaluate_rows",
+                        lambda obj, points: events.append("evaluate") or real(obj, points))
+    c = cfg(sigma=0.6, dim=CHUNKED_N, samples=CHUNKED_SAMPLES)
+    CHUNKED_ESTIMATES[order](Objective(wavy, CHUNKED_N), np.zeros(CHUNKED_N), c)
+    assert len(events) >= 6 and events == ["draw", "evaluate"] * (len(events) // 2)
+
+
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_a_draw_of_one_stack_is_a_tuple_of_it(mode):
+    draws = _draw(cfg(dim=3, samples=2, mode=mode), RngStream(1), gradient_elements(3))
+    assert type(draws) is tuple and len(draws) == 1
+    assert type(_draw_axis_blur(cfg(dim=3, samples=2), RngStream(1), gradient_elements(3))) is tuple
+
+
 def test_high_dimension_small_sigma_emits_no_warnings():
     # sampler densities at n = 256, sigma = 0.01 overflowed float64 before
     # the estimators stopped computing them

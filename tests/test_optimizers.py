@@ -1,8 +1,10 @@
 """Optimizer identities: Newton exactness, conjugacy, trust region, Adam."""
 
+import itertools
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -601,7 +603,7 @@ def test_trace_monotonicity_invariants():
 CONTRACT_SCHEDULE = SigmaSchedule(1.0, 0.1)
 
 
-def contract_run(run, obj, probe, budget, param_error_fn=None):
+def contract_run(run, obj, probe, budget, param_error_fn=None, deterministic_clock=True):
     """``run`` on ``obj`` with ``probe(theta, sigma) -> g`` as its provider.
 
     Newton-CG gets the exact curvature of th . th and a trust radius of
@@ -610,11 +612,11 @@ def contract_run(run, obj, probe, budget, param_error_fn=None):
     if run == "adam":
         return gd_adam_run(obj, lambda th, s: GradientEstimate(g=probe(th, s), evals_used=0),
                            np.array([2.0, -1.0]), CONTRACT_SCHEDULE, 0.1, budget,
-                           param_error_fn=param_error_fn, deterministic_clock=True)
+                           param_error_fn=param_error_fn, deterministic_clock=deterministic_clock)
     model = lambda th, s: (GradientEstimate(g=probe(th, s), evals_used=0), lambda v: 2.0 * v)
     return newton_cg_run(obj, model, np.array([2.0, -1.0]), CONTRACT_SCHEDULE, TrustRegion(0.5),
                          ls_iters=2, ls_tol=1e-12, budget=budget,
-                         param_error_fn=param_error_fn, deterministic_clock=True)
+                         param_error_fn=param_error_fn, deterministic_clock=deterministic_clock)
 
 
 @pytest.mark.parametrize("run", ["adam", "newton_cg"])
@@ -653,6 +655,18 @@ class TestOuterLoopContract:
         shares = [r.evals / 30 for r in trace.records]
         assert all(share < 1 for share in shares[:-1]) and shares[-1] >= 1
         assert not trace.aborted and trace.records[-1].evals == obj.eval_count
+
+    def test_a_wall_clock_stop_shows_in_the_records(self, run, monkeypatch):
+        # a fake clock that reads 0.25 s more at every reading, 0 at the run's start
+        readings = itertools.count()
+        monkeypatch.setattr(optimizers, "time", SimpleNamespace(perf_counter=lambda: 0.25 * next(readings)))
+        obj = Objective(lambda th: float(th @ th), 2)
+        trace = contract_run(run, obj, lambda th, s: 2.0 * th, Budget(seconds=1.0, evals=10**6),
+                             deterministic_clock=False)
+        # one reading per record, and the stop is read from the record's own reading
+        times = [r.wall_time for r in trace.records]
+        assert times == [0.25, 0.5, 0.75, 1.0]
+        assert all(t < 1.0 for t in times[:-1]) and times[-1] >= 1.0
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_estimation_error_names_its_iteration(self, run, k):

@@ -116,3 +116,28 @@ def test_time_cell_warms_up_then_runs_each_run_from_every_package_cycling_the_or
     assert calls == warm_up + [(name, seed, 1, 50, True)
                                for order, seed in (("pck", 100), ("pck", 101), ("pkc", 100), ("pkc", 101))
                                for name in order]
+
+
+def test_workload_times_sum_every_cell_per_round_and_side():
+    # two cells, three packages, two rounds
+    cells = [[[1.0, 2.0], [0.75, 1.5], [1.0, 2.5]],
+             [[3.0, 2.0], [2.25, 1.5], [3.0, 1.5]]]
+    assert same_records.workload_times(cells) == [[4.0, 4.0], [3.0, 3.0], [4.0, 4.0]]
+
+
+def test_timing_rounds_end_each_seed_with_a_whole_workload_line(monkeypatch, capsys):
+    # every cell reads 1 s at the parent, 0.9 s at the change and 1 s at the control in round 0,
+    # and 2 s, 1.6 s and 1.8 s in round 1
+    monkeypatch.setattr(same_records, "time_cell",
+                        lambda packages, cell, rounds: [[1.0, 2.0], [0.9, 1.6], [1.0, 1.8]])
+    # every side runs this checkout's package as imported, so no package is loaded again
+    monkeypatch.setattr(same_records, "load_package", lambda package_dir, name: smoothdiff)
+    assert same_records.main([str(_ROOT), str(_ROOT), "--workload", "render", "--seeds", "1", "7",
+                              "--rounds", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [text.split(":")[0] for text in out] == [
+        "== render seed 1", "box10", "box10", "phong", "render seed 1, all cells",
+        "== render seed 7", "box10", "box10", "phong", "render seed 7, all cells"]
+    assert out[4] == ("render seed 1, all cells: parent 4500.0 ms per round; "
+                      "change / parent 0.850 [0.825, 0.875], faster in 2 of 2 rounds; "
+                      "control / parent 0.950 [0.925, 0.975], faster in 1 of 2 rounds")

@@ -4,6 +4,7 @@ Usage, from anywhere:
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload lowdim --seeds 1 7 --pairs 10 --seconds 20
     python3 tools/ab_pairs.py PARENT CHANGE --control PARENT_COPY --workload render --seeds 1 --pairs 10 --seconds 20
+    python3 tools/ab_pairs.py PARENT CHANGE --claim us_per_eval --workload lowdim --seeds 1 7 --pairs 10 --seconds 20
 
 For each seed, runs ``python3 bench/run.py --workload W --seed S
 --seconds T --trace 0`` in the root of each checkout, ``--pairs`` times,
@@ -20,6 +21,12 @@ parent's median in magnitude, ``WORSE than bound`` when by more, and
 ``unresolved`` when the parent's interquartile range exceeds that
 allowance, unless every change run reads better than every parent
 run.
+
+``--claim METRIC`` names a metric the change claims to improve.  After
+each side's verdicts follows one line for it: ``claim met`` when that
+side reads better in at least nine tenths of all pairs run, ties
+counting for neither, and its median is better than the parent's by
+more than the parent's interquartile range; ``claim not met`` otherwise.
 
 ``--control DIR`` names a third checkout holding the parent's code at
 another path.  Each pair then runs parent, change and control, in an
@@ -205,6 +212,26 @@ def verdicts(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float]
     return lines
 
 
+def claim_verdict(pairs: list[tuple[dict, dict]], name: str, better: str, side: str = "change") -> str:
+    """Whether (parent, ``side``) pairs meet a claimed gain in metric ``name``.
+
+    It is met when ``side`` reads better in at least nine tenths of all
+    pairs, ties and pairs that lack the metric counting for neither, and
+    its median is better than the parent's by more than the parent's
+    interquartile range.
+    """
+    values = _paired_values(pairs, name)
+    if not values:
+        return f"{name}: claim not met (no pair reports it)"
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (change - parent) > 0 for parent, change in values)
+    (m0, q1, q3), (m1, _, _) = (_quartiles([v[k] for v in values]) for k in range(2))
+    gain = sign * (m1 - m0)
+    met = 10 * wins >= 9 * len(pairs) and gain > q3 - q1
+    return (f"{name}: {'claim met' if met else 'claim not met'} ({side} better in {wins} of "
+            f"{len(pairs)} pairs; median gain {gain:.6g} against parent quartile spread {q3 - q1:.6g})")
+
+
 def alternate(pairs: int, label: str, run: Callable[[int], dict],
               sides: int = 2) -> list[tuple[dict, ...]]:
     """``pairs`` results of ``run(side)`` per side, in ``SIDES`` order.
@@ -223,13 +250,20 @@ def alternate(pairs: int, label: str, run: Callable[[int], dict],
 
 
 def against_parent(results: list[tuple[dict, ...]], better: dict[str, str],
-                   bounds: dict[str, tuple[str, float]], header: str) -> list[str]:
-    """Per side after the parent, a ``header`` line naming it, then its summary and verdicts."""
+                   bounds: dict[str, tuple[str, float]], header: str,
+                   claim: str | None = None) -> list[str]:
+    """Per side after the parent, a ``header`` line naming it, then its summary and verdicts.
+
+    With ``claim``, a metric's name, each side's block ends with its
+    ``claim_verdict``.
+    """
     lines = []
     for side in range(1, len(results[0])):
         pairs = [(result[0], result[side]) for result in results]
         lines += [f"{header}{SIDES[side]}", *summarize(pairs, better, SIDES[side]),
                   *verdicts(pairs, bounds)]
+        if claim is not None:
+            lines.append(claim_verdict(pairs, claim, better.get(claim, "lower"), SIDES[side]))
     return lines
 
 
@@ -243,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--control", type=Path, default=None,
                         help="root of a second checkout of the parent's code, run in every pair")
+    parser.add_argument("--claim", default=None, metavar="METRIC",
+                        help="a metric the change claims to improve, judged per side and seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -258,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
                           sides)
         lines = against_parent(pairs, better, bounds, f"== {args.workload} seed {seed}, "
                                f"{args.pairs} pairs of {args.seconds:g} s: "
-                               f"parent median [quartiles] -> ")
+                               f"parent median [quartiles] -> ", args.claim)
         print("\n".join(lines), flush=True)
         report = Path(".bench_out") / f"BENCH_{args.workload}_seed{seed}_trace0.json"
         tasks = [report_tasks(json.loads((c / report).read_text())) for c in checkouts]

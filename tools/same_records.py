@@ -29,9 +29,11 @@ that every package runs in every slot equally often.  A side's time in a
 round is the sum of its runs' wall times.  Prints per
 cell the median and quartiles of the per-round ratios change / parent
 and control / parent, and in how many rounds each read faster than the
-parent.  The control shows how far apart two copies of the same code
-read in this interpreter; a change's ratio means something only beyond
-that.
+parent.  After a seed's cells, one more line reports the whole
+workload the same way: a side's time in a round is then the sum of its
+times for every cell in that round.  The control shows how far apart
+two copies of the same code read in this interpreter; a change's ratio
+means something only beyond that.
 
 Standard library only, apart from what the loaded packages import;
 nothing in either checkout is written.
@@ -157,6 +159,11 @@ def timing_line(cell_name: str, parent: list[float], change: list[float], contro
                         for name, times in (("change", change), (CONTROL, control)))])
 
 
+def workload_times(cells: list[list[list[float]]]) -> list[list[float]]:
+    """Per package, its summed time over ``cells`` in each round, from each cell's ``time_cell``."""
+    return [[sum(times) for times in zip(*(cell[side] for cell in cells))] for side in range(len(cells[0]))]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -179,14 +186,18 @@ def main(argv: list[str] | None = None) -> int:
     differ = False
     for seed in args.seeds:
         print(f"== {args.workload} seed {seed}", flush=True)
+        timed = []
         for cell in workloads.seeded(args.workload, seed):
             name = f"{cell.task}:{cell.method}"
             if args.rounds is not None:
-                print(timing_line(name, *time_cell(packages, cell, args.rounds)), flush=True)
+                timed.append(time_cell(packages, cell, args.rounds))
+                print(timing_line(name, *timed[-1]), flush=True)
                 continue
             verdict = compare_cell(packages, cell)
             differ |= verdict != "identical"
             print(f"{name}: {verdict}", flush=True)
+        if timed:
+            print(timing_line(f"{args.workload} seed {seed}, all cells", *workload_times(timed)), flush=True)
     return 1 if differ else 0
 
 
