@@ -100,6 +100,7 @@ from .kernels import (
     gradient_elements,
     gradient_inverse_cdf,
     hessian_elements,
+    row_index,
 )
 from .samplers import (
     RngStream,
@@ -382,7 +383,7 @@ def _draw(cfg: EstimatorConfig, rng: RngStream, elements: ElementSet) -> Iterabl
 def _element_blocks(chunk: ElementSet, spec: KernelSpec, rng: RngStream, count: int) -> _Stack:
     """A chunk's per-element blocks, drawn in one Gaussian call and one uniform call."""
     if chunk[0].kind is ElementKind.GRADIENT:
-        taus, q = sample_gradient_offsets(chunk.i, spec, rng, count)
+        taus, q = sample_gradient_offsets(chunk, spec, rng, count)
     else:
         taus, q = sample_hessian_offsets(chunk, spec, rng, count)
     return _Stack(taus.reshape(len(chunk), count, spec.dim), chunk, q.reshape(len(chunk), count))
@@ -399,7 +400,7 @@ def _axis_blur_blocks(chunk: ElementSet, spec: KernelSpec, rng: RngStream, count
     k = len(chunk)
     u = gradient_inverse_cdf(open_unit(rng.uniform((k, count))), spec.sigma)
     taus = np.zeros((k, count, spec.dim))
-    taus[np.arange(k), :, chunk.i] = u
+    taus[row_index(k), :, chunk.i] = u
     return _Stack(taus, chunk, element_density_ratios(taus, chunk, spec.sigma))
 
 
@@ -584,8 +585,9 @@ class SampledBatch:
     own pass, each stack's coefficients c (``_even_coefficients``), from
     the values the gradient was contracted from; here, their sum per
     block, and for a shared block, the batch's one term, sigma^4 and the
-    level term sigma^2 sum c as well.  A product checks ``v`` and
-    contracts each term with it, nothing more.
+    level term sigma^2 sum c as well.  ``hvp`` checks ``v`` and contracts
+    each term with it, nothing more; ``product`` only contracts, for a
+    caller that has checked its directions itself, as Newton-CG does.
     """
 
     def __init__(self, cfg: EstimatorConfig, coefficients: Iterable[tuple[_Stack, np.ndarray]]):
@@ -598,12 +600,15 @@ class SampledBatch:
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """The smoothed Hessian applied to ``v``, from this batch alone."""
-        spec = self.cfg.spec
-        v = _check_direction(v, spec.dim)
+        return self.product(_check_direction(v, self.cfg.spec.dim))
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """``hvp`` of a float direction of shape (dim,), finite and nonzero, which it does not check."""
         if self._level is not None:
             stack, c, _ = self.terms[0]
             return _shared_hvp(stack.taus, c, self._level, self._s4, v)
-        parts = [_contract_hvp(stack, c, spec.sigma, v, c_sum) for stack, c, c_sum in self.terms]
+        sigma = self.cfg.spec.sigma
+        parts = [_contract_hvp(stack, c, sigma, v, c_sum) for stack, c, c_sum in self.terms]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

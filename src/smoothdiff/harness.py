@@ -228,7 +228,9 @@ def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMo
 
     Every call at (theta, sigma) draws and evaluates one batch of offsets
     in ``mode`` through ``estimate_gradient``.  For a "batch" model the
-    operator it returns contracts that batch and spends no evaluation: CG
+    operator it returns is the batch's unchecked ``SampledBatch.product``,
+    since CG checks every direction it asks for; it contracts that batch
+    and spends no evaluation: CG
     runs on one sampled quadratic model, the subsampled-Newton model of
     Byrd, Chin, Neveitt & Nocedal (2011) and Roosta-Khorasani & Mahoney
     (2019).  For a "hessian" model, each call first estimates the Hessian
@@ -246,7 +248,7 @@ def sampled_model(obj: Objective, samples: int, rng: RngStream, mode: SamplingMo
         def local(theta: np.ndarray, sigma: float):
             est = estimate_gradient(obj, theta, EstimatorConfig(KernelSpec(sigma, dim), samples, mode), rng,
                                     keep_batch=True)
-            return est, est.batch.hvp
+            return est, est.batch.product  # CG checks each direction itself
     else:
         def local(theta: np.ndarray, sigma: float):
             cfg = EstimatorConfig(KernelSpec(sigma, dim), samples, mode)

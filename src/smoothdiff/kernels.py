@@ -143,6 +143,14 @@ class ElementSet(tuple):
 
 
 @functools.lru_cache(maxsize=None)
+def row_index(count: int) -> np.ndarray:
+    """``np.arange(count)``, read-only and shared: the index of a block's ``count`` rows."""
+    rows = np.arange(count)
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
 def gradient_elements(dim: int) -> ElementSet:
     """All gradient-kernel elements of an n-dimensional problem."""
     return ElementSet(KernelElement.gradient(i) for i in range(dim))

@@ -135,9 +135,14 @@ def _steihaug_step(
     in which overflow and invalid values warn of nothing.  The floats the
     recursion computes anyway are tested instead: g . g, the curvature
     v . H v, which is finite only if every entry of H v is, and the
-    Fletcher-Reeves beta, finite only if ||r||^2 is.  The step p and each
-    new direction are tested whole.  The residual is updated only for a
-    step that follows.
+    Fletcher-Reeves beta, finite only if ||r||^2 is.  So are p . p, formed
+    for the boundary test, and each new direction's v . v: a finite sum of
+    squares has only finite terms, so the step p or the direction v is
+    tested entry by entry only when its sum is not finite, which a finite
+    vector whose squares overflow also gives.  Each direction is checked
+    nonzero before the model's product is asked for it, as
+    ``SampledBatch.hvp`` checks, by a count of its nonzero entries when
+    v . v is 0.  The residual is updated only for a step that follows.
     """
 
     def fault(what: str) -> NonFiniteStateError:
@@ -155,29 +160,36 @@ def _steihaug_step(
                         else "squared norm of the gradient estimate overflows")
         r = -g
         v = r.copy()
+        vv = rr
         r0_norm = math.sqrt(rr)
         if r0_norm == 0.0:
             return p
         for k in range(max_steps):
             if math.sqrt(rr) <= ls_tol * r0_norm:
                 break
+            # squares of a nonzero direction can underflow to v . v = 0
+            if vv == 0.0 and not np.count_nonzero(v):
+                raise ValueError("direction must be nonzero")
             hv = hvp(v)
             curv = float(v.dot(hv))
             if not math.isfinite(curv):
                 raise fault("non-finite parameters in CG step" if not _all_finite(hv)
                             else "curvature of the CG direction overflows")
-            fallback = curv <= 0.0
-            alpha = 0.0 if fallback else float(r.dot(v)) / curv
-            p_next = None if fallback else p + alpha * v
-            at_boundary = fallback or math.sqrt(float(p_next.dot(p_next))) >= delta
+            fallback = at_boundary = curv <= 0.0
+            if not fallback:
+                alpha = float(r.dot(v)) / curv
+                p_next = p + alpha * v
+                pp = float(p_next.dot(p_next))
+                at_boundary = math.sqrt(pp) >= delta
             if at_boundary:
                 alpha = _boundary_step(p, v, delta)
                 p_next = p + alpha * v
+                pp = float(p_next.dot(p_next))
             if on_inner_step is not None:
                 on_inner_step({"outer": iteration, "alpha": alpha, "v": v.copy(), "curv": curv,
                                "fallback": fallback})
             p = p_next
-            if not _all_finite(p):
+            if not math.isfinite(pp) and not _all_finite(p):
                 raise fault("non-finite parameters in CG step")
             if at_boundary or k == max_steps - 1:
                 break
@@ -187,7 +199,8 @@ def _steihaug_step(
             if not math.isfinite(beta):
                 raise fault("squared norm of the CG residual overflows")
             v = r_new + beta * v
-            if not _all_finite(v):
+            vv = float(v.dot(v))
+            if not math.isfinite(vv) and not _all_finite(v):
                 raise fault("CG direction overflows")
             r, rr = r_new, rr_new
     return p

@@ -40,6 +40,7 @@ from .kernels import (
     gradient_pdf,
     hessian_diag_cdf,
     hessian_diag_pdf,
+    row_index,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -247,13 +248,15 @@ def _ratios_into(kind: ElementKind, u: np.ndarray, w: np.ndarray | None, sigma: 
 # N is the smoothing Gaussian.  Every density is even, so q is also -tau's ratio.
 
 
-def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStream, count: int):
+def sample_gradient_offsets(i: int | np.ndarray | ElementSet, spec: KernelSpec, rng: RngStream, count: int):
     """Batch of offsets for gradient element i, or stacked batches for an array of axes.
 
     Axis i follows the positivized gradient density via the exact inverse
     CDF; all other axes are Gaussian.  For an array of axes the blocks
     are stacked in its order: rows ``k * count`` to ``(k + 1) * count``
-    serve axis ``i[k]``.
+    serve axis ``i[k]``.  An ``ElementSet`` of gradient elements stands
+    for the array of its elements' axes, ``i.i``, and is checked against
+    the bounds it holds, not entry by entry.
 
     Draw order: one uniform block of shape (K, count) for the special
     entries, then one Gaussian block of shape (K, count, dim) for the K
@@ -261,17 +264,24 @@ def sample_gradient_offsets(i: int | np.ndarray, spec: KernelSpec, rng: RngStrea
     overwrite.  The uniforms come first, as the FR22 baseline draws them,
     so at dim 1, where every entry is special, the two draw alike.
     """
-    axes = np.asarray(i, dtype=np.intp).reshape(-1)
-    n, k = spec.dim, len(axes)
-    # one test: a negative axis, viewed unsigned, is huge
-    if np.count_nonzero(axes.view(np.uintp) >= n):
-        raise ValueError(f"axis index {i} out of range for dim {n}")
+    n = spec.dim
+    if isinstance(i, ElementSet):
+        if len(i.groups) != 1 or i.groups[0][0] is not ElementKind.GRADIENT:
+            raise ValueError("expected a set of gradient elements")
+        i.check_index_bounds(n)
+        axes = i.i
+    else:
+        axes = np.asarray(i, dtype=np.intp).reshape(-1)
+        # one test: a negative axis, viewed unsigned, is huge
+        if np.count_nonzero(axes.view(np.uintp) >= n):
+            raise ValueError(f"axis index {i} out of range for dim {n}")
+    k = len(axes)
     gen = rng.generator
     xi = gen.random((k, count))
     taus = gen.standard_normal((k, count, n))
     taus *= spec.sigma
     u = gradient_inverse_cdf(open_unit(xi), spec.sigma)
-    taus[np.arange(k), :, axes] = u
+    taus[row_index(k), :, axes] = u
     q = _ratios_into(ElementKind.GRADIENT, u, None, spec.sigma)
     return taus.reshape(k * count, n), q.reshape(-1)
 
@@ -355,13 +365,17 @@ def sample_aggregate_offsets(
     if len(elements.groups) == 1:
         # every row draws the one kind: no split into groups
         kind, _, i, j = elements.groups[0]
-        if kind is ElementKind.GRADIENT:
-            taus[np.arange(count), i[choices]] = gradient_inverse_cdf(xi_a, s)
-            # gathering every axis in order would copy the block
-            every_axis = elements is gradient_elements(spec.dim)
-            ratios = _ratios_into(kind, taus.copy() if every_axis else taus.take(i, axis=1), None, s)
+        if kind is ElementKind.GRADIENT and elements is gradient_elements(spec.dim):
+            # element k differentiates axis k, so i[choices] is choices and
+            # the ratios of every axis in order are _ratios_into's of the block
+            taus[row_index(count), choices] = gradient_inverse_cdf(xi_a, s)
+            ratios = np.abs(taus)
+            ratios *= SQRT_TWO_PI / (2.0 * s)
+        elif kind is ElementKind.GRADIENT:
+            taus[row_index(count), i[choices]] = gradient_inverse_cdf(xi_a, s)
+            ratios = _ratios_into(kind, taus.take(i, axis=1), None, s)
         else:
-            _set_special_axes(taus, kind, np.arange(count), i, j, choices, xi_a, xi_b, s)
+            _set_special_axes(taus, kind, row_index(count), i, j, choices, xi_a, xi_b, s)
             off = kind is ElementKind.HESSIAN_OFF_DIAG
             ratios = _ratios_into(kind, taus.take(i, axis=1), taus.take(j, axis=1) if off else None, s)
     else:

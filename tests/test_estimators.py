@@ -1019,3 +1019,17 @@ def test_smoothed_gradient_matches_brute_force_convolution():
     mean, se = chunked(run, 20)
     combined = np.sqrt(se**2 + fd_se**2)
     assert np.all(np.abs(mean - fd) <= 4 * combined + 1e-9)
+
+
+@pytest.mark.parametrize("layout", ["aggregate", "per_element", "chunks"])
+def test_a_batch_product_is_its_checked_hvp_bit_for_bit(monkeypatch, layout):
+    if layout == "chunks":
+        monkeypatch.setattr(smoothdiff.estimators, "_CHUNK_BYTES", 4 * 8 * 2 * 3 * 4)  # one element a chunk
+    mode = SamplingMode.AGGREGATE if layout == "aggregate" else SamplingMode.PER_ELEMENT
+    batch = estimate_gradient(Objective(wavy, 4), np.full(4, 0.3), cfg(dim=4, samples=3, mode=mode),
+                              RngStream(5), keep_batch=True).batch
+    assert (len(batch.terms) > 1) == (layout == "chunks")
+    for v in (np.array([0.6, -0.48, 0.64, 1.0]), np.full(4, 1e-170)):
+        assert np.array_equal(batch.product(v), batch.hvp(v))
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        batch.hvp(np.zeros(4))

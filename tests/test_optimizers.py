@@ -696,3 +696,32 @@ class TestOuterLoopContract:
         with pytest.raises(ValueError, match=rf"init has shape \(2,\).* dimension is {dim}$"):
             contract_run(run, obj, lambda th, s: calls.append(s) or 2.0 * th, Budget(evals=20))
         assert obj.eval_count == 0 and calls == []
+
+
+def _run_products(g, products, delta, dim):
+    """Newton-CG for one outer iteration's worth of budget on a model with canned products."""
+    calls = []
+
+    def hvp(v):
+        calls.append(v)
+        return np.array(products[(len(calls) - 1) % len(products)])
+
+    model = lambda theta, sigma: (GradientEstimate(g=np.array(g), evals_used=0), hvp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = newton_cg_run(Objective(lambda th: float(th @ th), dim), model, np.ones(dim),
+                              SigmaSchedule(1.0, 0.1), TrustRegion(delta), ls_iters=dim, ls_tol=1e-3,
+                              budget=Budget(evals=10))
+    return trace, calls
+
+
+def test_a_finite_step_whose_squares_overflow_ends_no_run():
+    # the first step, 1e200 along v = [1, 0], has p . p = inf and is cut back to the boundary at 1e150
+    trace, calls = _run_products([-1.0, 0.0], [[1e-200, 0.0]], 1e150, 2)
+    assert not trace.aborted and trace.note == "" and calls
+
+
+def test_a_direction_whose_squares_underflow_is_not_taken_for_zero():
+    # the residual [0, -1e-170] makes the next direction; its v . v is 0, and CG stops on the residual
+    trace, calls = _run_products([-1.0, 0.0], [[1.0, 1e-170]], 10.0, 2)
+    assert not trace.aborted and trace.note == "" and len(calls) == trace.records[-1].iteration

@@ -83,6 +83,17 @@ def test_an_unknown_workload_exits_2(capsys):
     assert exit_.value.code == 2 and "unknown workload 'lowdims'" in capsys.readouterr().err
 
 
+def test_main_runs_twice_in_one_process(monkeypatch, capsys):
+    # a second run used to find the first run's submodules in sys.modules and
+    # die with "module '_same_records_change' has no attribute 'harness'"
+    monkeypatch.setattr(same_records, "compare_cell", lambda packages, cell: "identical")
+    for _ in range(2):
+        assert same_records.main([str(_ROOT), str(_ROOT), "--workload", "render", "--seeds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == out[4:] == ["== render seed 1", "box10:OurHVPA: identical", "box10:FD: identical",
+                                  "phong:OurH: identical"]
+
+
 def test_timing_line_gives_each_sides_per_round_ratio_to_the_parent():
     # change ratios 0.9, 0.9, 1.1, 0.6; control ratios 1.0, 1.1, 1.0, 0.9
     line = same_records.timing_line("texture16:OurG", [1.0, 2.0, 4.0, 2.0], [0.9, 1.8, 4.4, 1.2],

@@ -519,3 +519,28 @@ def test_stacked_gradient_draw_makes_no_staging_copies():
     finally:
         tracemalloc.stop()
     assert peak <= taus.nbytes + q.nbytes + (64 << 10)
+
+
+def test_a_gradient_element_set_draws_as_its_axes():
+    spec, count = KernelSpec(0.7, 5), 3
+    chunk = ElementSet(KernelElement.gradient(a) for a in (3, 0, 4))
+    by_set = sample_gradient_offsets(chunk, spec, RngStream(31, 2), count)
+    by_axes = sample_gradient_offsets(chunk.i, spec, RngStream(31, 2), count)
+    assert all(np.array_equal(a, b) for a, b in zip(by_set, by_axes))
+    with pytest.raises(ValueError, match="out of range"):
+        sample_gradient_offsets(ElementSet([KernelElement.gradient(5)]), spec, RngStream(0), count)
+    with pytest.raises(ValueError, match="gradient elements"):
+        sample_gradient_offsets(ElementSet([KernelElement.hessian_diag(1)]), spec, RngStream(0), count)
+
+
+@pytest.mark.parametrize("xi,verdict", [
+    (0.25, "value"), (np.float64(0.75), "value"), (np.array(0.5), "value"), (np.empty(0), "value"),
+    (math.nan, "error"), (0.0, "error"), (1.0, "error"), (np.array([0.5, 1.0]), "error"),
+])
+def test_gradient_inverse_cdf_verdicts(xi, verdict):
+    if verdict == "error":
+        with pytest.raises(ValueError, match="open interval"):
+            gradient_inverse_cdf(xi, 1.0)
+        return
+    u = gradient_inverse_cdf(xi, 1.0)
+    assert np.shape(u) == np.shape(xi) and isinstance(u, float) == (np.ndim(xi) == 0)

@@ -66,7 +66,14 @@ def _exec_module(path: Path, name: str, package_dir: Path | None = None) -> Modu
 
 
 def load_package(package_dir: Path, name: str) -> ModuleType:
-    """The ``smoothdiff`` package in ``package_dir``, imported as ``name``."""
+    """The ``smoothdiff`` package in ``package_dir``, imported as ``name``.
+
+    A package loaded as ``name`` before is dropped from ``sys.modules`` first,
+    with its submodules: the new ``__init__`` would find them there and
+    import them without binding them as its attributes.
+    """
+    for loaded in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[loaded]
     return _exec_module(package_dir / "__init__.py", name, package_dir)
 
 
