@@ -560,6 +560,65 @@ class TestNewtonCg:
         assert trace.aborted and [r.iteration for r in trace.records] == [0]
         assert obj.eval_count == 1
 
+    # the float nearest sqrt(2^-1075): its square, just over half the least
+    # subnormal, rounds up to that subnormal, 5e-324, about twice its exact value
+    SUBNORMAL_TIE = 1.5717277847026288e-162
+
+    # finite models whose CG sums of squares overflow or underflow while every
+    # entry stays finite: the step p, the direction v, and a direction of
+    # nonzero entries whose v . v is 0
+    EXTREMES = {
+        # curvature 0: the step to the boundary at sqrt(max float) has entries up
+        # to 1.3e154, and p . p is inf
+        "step": ([-0.01, -0.14], [[0.0, 0.0]], 1.3407807929942596e154, "p"),
+        # beta = 1e300 turns the residual [0, -1e50] into the direction [1e200, -1e50]
+        "direction": ([-1e-100, 0.0], [[1.0, 1e150], [1e100, 0.0]], 2.0, "v"),
+        # r0 . r0 and r1 . r1 both round to 5e-324, so beta = 1, r1 = [-r0_0, 1e-170]
+        # and the next direction is [0, 2e-170]
+        "underflow": ([-SUBNORMAL_TIE, -1e-170], [[0.07, 0.0], [0.0, 1.0]], 2.0, "v"),
+    }
+
+    def _run_extreme(self, g, products, delta, steps=None):
+        """Newton-CG on a model with gradient ``g`` and canned products, taken in turn."""
+        calls = []
+
+        def hvp(v):
+            calls.append(v.copy())
+            return np.array(products[(len(calls) - 1) % len(products)])
+
+        def model(theta, sigma):
+            return GradientEstimate(g=np.array(g), evals_used=0), hvp
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = newton_cg_run(Objective(lambda th: 0.0, 2), model, np.ones(2), SigmaSchedule(1.0, 1.0),
+                                  TrustRegion(delta), ls_iters=2, ls_tol=1e-3, budget=Budget(evals=4),
+                                  on_inner_step=steps.append if steps is not None else None)
+        return trace, calls
+
+    @pytest.mark.parametrize("case", sorted(EXTREMES))
+    def test_finite_cg_vectors_whose_squares_overflow_or_underflow_end_no_run(self, case):
+        g, products, delta, vector = self.EXTREMES[case]
+        steps = []
+        trace, calls = self._run_extreme(g, products, delta, steps)
+        assert not trace.aborted and trace.note == "" and [r.iteration for r in trace.records] == [0, 1, 2, 3]
+        if vector == "p":
+            assert all(s["fallback"] for s in steps)
+            p = steps[0]["alpha"] * steps[0]["v"]
+            with np.errstate(over="ignore"):
+                assert np.isfinite(p).all() and np.max(np.abs(p)) > 1.3e154 and math.isinf(p @ p)
+        else:
+            v = calls[1]
+            with np.errstate(over="ignore", under="ignore"):
+                vv = float(v @ v)
+            assert np.isfinite(v).all() and np.count_nonzero(v)
+            assert math.isinf(vv) if case == "direction" else vv == 0.0
+
+    def test_an_exactly_zero_cg_direction_is_a_value_error(self):
+        # as in the "underflow" case with no second entry: r1 = -r0, beta = 1 and r1 + beta v0 = 0
+        with pytest.raises(ValueError, match="^direction must be nonzero$"):
+            self._run_extreme([-self.SUBNORMAL_TIE, 0.0], [[0.07, 0.0]], 2.0)
+
     def test_parameter_validation(self):
         task = quad_task()
         with pytest.raises(ValueError):
@@ -696,32 +755,3 @@ class TestOuterLoopContract:
         with pytest.raises(ValueError, match=rf"init has shape \(2,\).* dimension is {dim}$"):
             contract_run(run, obj, lambda th, s: calls.append(s) or 2.0 * th, Budget(evals=20))
         assert obj.eval_count == 0 and calls == []
-
-
-def _run_products(g, products, delta, dim):
-    """Newton-CG for one outer iteration's worth of budget on a model with canned products."""
-    calls = []
-
-    def hvp(v):
-        calls.append(v)
-        return np.array(products[(len(calls) - 1) % len(products)])
-
-    model = lambda theta, sigma: (GradientEstimate(g=np.array(g), evals_used=0), hvp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        trace = newton_cg_run(Objective(lambda th: float(th @ th), dim), model, np.ones(dim),
-                              SigmaSchedule(1.0, 0.1), TrustRegion(delta), ls_iters=dim, ls_tol=1e-3,
-                              budget=Budget(evals=10))
-    return trace, calls
-
-
-def test_a_finite_step_whose_squares_overflow_ends_no_run():
-    # the first step, 1e200 along v = [1, 0], has p . p = inf and is cut back to the boundary at 1e150
-    trace, calls = _run_products([-1.0, 0.0], [[1e-200, 0.0]], 1e150, 2)
-    assert not trace.aborted and trace.note == "" and calls
-
-
-def test_a_direction_whose_squares_underflow_is_not_taken_for_zero():
-    # the residual [0, -1e-170] makes the next direction; its v . v is 0, and CG stops on the residual
-    trace, calls = _run_products([-1.0, 0.0], [[1.0, 1e-170]], 10.0, 2)
-    assert not trace.aborted and trace.note == "" and len(calls) == trace.records[-1].iteration
